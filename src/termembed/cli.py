@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, pointio
-from .chd import certify_grid, estimate_sampled
+from .chd import GRID_MAX_DIRECTIONS, certify_grid, estimate_sampled
 from .errors import EmbeddingError, FormatError
 from .extension import EfnEmbedder, SolverConfig, build_embedder
 from .geometry import build_point_set, direction_set
@@ -299,7 +299,7 @@ def _cmd_verify_chd(args) -> int:
                     "witness_weights": [float(w) for w in est.witness.weights],
                 }
             )
-            if args.grid is not None and len(Y) <= 6:
+            if args.grid is not None and len(Y) <= GRID_MAX_DIRECTIONS:
                 grid = certify_grid(embedder.Pi, Y, args.grid)
                 report["certified_bound"] = grid.certified_bound
                 report["grid_max"] = grid.max_violation

@@ -11,8 +11,10 @@ from termembed import (
     generate_sketch,
     make_hull_point,
     refine_local,
+    sampled_violations,
     violation,
 )
+from termembed import chd
 from termembed.sketch import SketchMatrix
 
 
@@ -201,6 +203,116 @@ class TestEstimateSampled:
             ]
             medians.append(float(np.median(vals)))
         assert medians[0] >= medians[1] >= medians[2]
+
+
+def reference_midpoints(pi, T):
+    """Direct per-pair scan: one chunk of midpoint violations per first index."""
+    D = np.asarray(T, dtype=np.float64)
+    PD = D @ pi.entries.T
+    for i in range(D.shape[0] - 1):
+        px = 0.5 * (PD[i] + PD[i + 1 :])
+        x = 0.5 * (D[i] + D[i + 1 :])
+        yield np.abs(
+            np.sqrt(np.einsum("ij,ij->i", px, px))
+            - np.sqrt(np.einsum("ij,ij->i", x, x))
+        )
+
+
+def reference_population(pi, T, samples, seed):
+    """The stream's chunks with the midpoint tier taken from the reference scan."""
+    chunks = list(chd._violation_stream(pi, T, samples, seed))
+    for i, v in enumerate(reference_midpoints(pi, T)):
+        chunks[1 + i] = (v, chunks[1 + i][1])
+    return chunks
+
+
+def midpoint_instances():
+    rng = np.random.default_rng(40)
+    # |Y| = 17 * 16 = 272: |Y| - 1 = 271 is not a multiple of the block size,
+    # and y_ij = -y_ji gives |Y| / 2 antipodal (cancelling) pairs.
+    for seed in range(3):
+        X = build_point_set(rng.standard_normal((17, 24)))
+        yield direction_set(X).directions, generate_sketch(6, 24, "rademacher", seed)
+    # {+-e_k} under a diagonal sketch: exact ties inside a chunk (e1+e2 and
+    # e1-e2 have equal norms and image norms) and exact cancellation.
+    E = np.eye(5)
+    yield np.vstack([E, -E]), SketchMatrix(
+        entries=np.diag([0.8, 0.9, 1.0, 1.1, 1.2]), distribution="gaussian", seed=0
+    )
+    # Near-antipodal pairs: ||a+b|| ~ 1e-6, where the Gram identity alone
+    # would be off by far more than 1e-12.
+    half = rng.standard_normal((5, 8))
+    near = -half + 1e-6 * rng.standard_normal((5, 8))
+    T = np.vstack([half, near])
+    yield T / np.linalg.norm(T, axis=1, keepdims=True), generate_sketch(4, 8, "gaussian", 3)
+    # Cancellation on one side only. Pi drops e3, so Pi(a+b) ~ 1e-6 for the
+    # pairs near (+-e1 + e3/10), (+-e2 + e3/10) while a+b does not cancel;
+    # the pairs with e3 violate more, so no row max rescues those midpoints.
+    T = np.array([[1, 0, 0.1], [-1, 0, 0.1], [0, 1, 0.1], [0, -1, 0.1], [0, 0, 1], [1, -1, 1]])
+    T[:, :2] += 1e-6 * rng.standard_normal((6, 2))
+    yield T / np.linalg.norm(T, axis=1, keepdims=True), SketchMatrix(
+        entries=np.eye(3)[:2], distribution="gaussian", seed=0
+    )
+    # ... and the reverse: a+b ~ 1e-6 e3, which Pi stretches by 1e6.
+    half = np.column_stack([rng.standard_normal((4, 2)), np.zeros(4)])
+    near = -half + 1e-6 * np.outer(rng.standard_normal(4), [0.0, 0.0, 1.0])
+    T = np.vstack([half, near])
+    yield T / np.linalg.norm(T, axis=1, keepdims=True), SketchMatrix(
+        entries=np.diag([1.0, 1.0, 1e6]), distribution="gaussian", seed=0
+    )
+
+
+@pytest.fixture(params=["default", "small_blocks"])
+def blocks(request, monkeypatch):
+    if request.param == "small_blocks":
+        # Many Gram blocks and several direct-recompute batches per block.
+        monkeypatch.setattr(chd, "_MIDPOINT_BLOCK", 7)
+        monkeypatch.setattr(chd, "_MIDPOINT_DIRECT", 5)
+    return request.param
+
+
+class TestMidpointTier:
+    def test_chunk_max_and_argmax_match_reference(self, blocks):
+        for T, pi in midpoint_instances():
+            stream = chd._violation_stream(pi, T, 10, 0)
+            next(stream)
+            for i, ref in enumerate(reference_midpoints(pi, T)):
+                v, builder = next(stream)
+                r = int(np.argmax(v))
+                assert r == int(np.argmax(ref))
+                assert v[r] == ref[r]
+                assert np.array_equal(builder(r), chd._pair_weights(len(T), i, i + 1 + r))
+
+    def test_estimate_matches_reference(self, blocks):
+        for T, pi in midpoint_instances():
+            for seed in (0, 1, 2):
+                est = estimate_sampled(pi, T, 300, seed=seed)
+                best_v, best_w = -1.0, None
+                for v, builder in reference_population(pi, T, 300, seed):
+                    r = int(np.argmax(v))
+                    if v[r] > best_v:
+                        best_v, best_w = float(v[r]), builder(r)
+                assert np.array_equal(est.witness.weights, best_w)
+                assert est.max_violation == violation(pi, make_hull_point(T, best_w))
+
+    def test_sampled_violations_match_reference(self, blocks):
+        for T, pi in midpoint_instances():
+            got = sampled_violations(pi, T, 300, seed=4)
+            ref = np.concatenate([v for v, _ in reference_population(pi, T, 300, 4)])
+            assert got.shape == ref.shape
+            assert float(np.max(np.abs(got - ref))) <= 1e-12
+
+    def test_stream_layout(self):
+        # perfbench splits the tiers by this layout: one vertex chunk, then
+        # |T| - 1 midpoint chunks of lengths |T| - 1 - i, then random chunks.
+        X = build_point_set(np.random.default_rng(41).standard_normal((6, 5)))
+        Y = direction_set(X)
+        k = len(Y)
+        pi = generate_sketch(3, 5, "gaussian", 2)
+        lengths = [v.shape[0] for v, _ in chd._violation_stream(pi, Y, 700, 3)]
+        assert lengths[0] == k
+        assert lengths[1:k] == [k - 1 - i for i in range(k - 1)]
+        assert sum(lengths[k:]) == 700
 
 
 class TestRefineLocal:
