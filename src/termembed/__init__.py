@@ -34,7 +34,6 @@ from .extension import (
     TerminalEmbedder,
     build_embedder,
     efn_extend,
-    embed_terminal,
     lift,
     solve_extension,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "direction_set",
     "distances_to",
     "efn_extend",
-    "embed_terminal",
     "estimate_sampled",
     "evaluate",
     "exact_small_embedding",

@@ -18,8 +18,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, pointio
 from .chd import GRID_MAX_DIRECTIONS, certify_grid, estimate_sampled
 from .errors import EmbeddingError, FormatError
@@ -62,7 +60,6 @@ class RunConfig:
     solver_max_iters: int
     solver_tol: float
     solver_step_rule: str
-    threads: int
 
     def solver(self) -> SolverConfig:
         return SolverConfig(
@@ -95,7 +92,6 @@ def _run_config(args) -> RunConfig:
         solver_max_iters=args.solver_iters,
         solver_tol=args.solver_tol,
         solver_step_rule=args.solver_step_rule,
-        threads=args.threads,
     )
 
 
@@ -111,8 +107,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver-tol", type=float, default=1e-3,
                    help="relative slack on the eps*R residual target")
     p.add_argument("--solver-step-rule", choices=["polyak", "diminishing"], default="polyak")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; results are identical for any value")
     p.add_argument("--format", dest="fmt", choices=["csv", "bin"], default=None,
                    help="override point-file format detection")
 
@@ -163,7 +157,6 @@ def _save_bundle(out_dir: Path, cfg: RunConfig, X, plan, source, fmt) -> dict:
             "tol": cfg.solver_tol,
             "step_rule": cfg.solver_step_rule,
         },
-        "threads": cfg.threads,
         "n": X.n,
         "d": X.d,
         "source": str(source),
@@ -186,23 +179,31 @@ def _save_bundle(out_dir: Path, cfg: RunConfig, X, plan, source, fmt) -> dict:
 
 
 def load_bundle(bundle_dir):
-    """Reconstruct the embedder (sketch or exact path) from a bundle dir."""
+    """Reconstruct the embedder (sketch or exact path) from a bundle dir.
+
+    A config.json that is not JSON or lacks a key the commands read raises
+    FormatError; keys it does not read are ignored."""
     bundle_dir = Path(bundle_dir)
     cfg_path = bundle_dir / "config.json"
     if not cfg_path.exists():
         raise FormatError(f"{bundle_dir}: not a bundle (missing config.json)")
-    meta = json.loads(cfg_path.read_text(encoding="utf-8"))
-    if meta.get("magic") != BUNDLE_MAGIC:
-        raise FormatError(f"{cfg_path}: bad magic {meta.get('magic')!r}")
+    try:
+        meta = json.loads(cfg_path.read_text(encoding="utf-8"))
+        magic = meta.get("magic") if isinstance(meta, dict) else None
+        if magic != BUNDLE_MAGIC:
+            raise FormatError(f"{cfg_path}: bad magic {magic!r}")
+        int(meta["seed"])  # read later by verify-chd and eval
+        epsilon = float(meta["epsilon"])
+        sketch_mode = meta["mode"] == "sketch"
+        if sketch_mode:
+            s = meta["solver"]
+            solver = SolverConfig(int(s["max_iters"]), float(s["tol"]), str(s["step_rule"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{cfg_path}: corrupt bundle config: {exc!r}") from exc
     X = build_point_set(pointio.read_points_bin(bundle_dir / "points.bin"))
-    if meta["mode"] == "sketch":
+    if sketch_mode:
         pi, _ = load_sketch(bundle_dir / "sketch.json")
-        solver = SolverConfig(
-            max_iters=int(meta["solver"]["max_iters"]),
-            tol=float(meta["solver"]["tol"]),
-            step_rule=str(meta["solver"]["step_rule"]),
-        )
-        embedder = build_embedder(X, pi, float(meta["epsilon"]), solver)
+        embedder = build_embedder(X, pi, epsilon, solver)
     else:
         basis = pointio.read_points_bin(bundle_dir / "basis.bin")
         embedder = ExactEmbedding(point_set=X, basis=basis)
@@ -228,45 +229,11 @@ def _cmd_build(args) -> int:
 def _cmd_query(args) -> int:
     embedder, meta = load_bundle(args.bundle)
     fmt = pointio.detect_format(args.queries, args.fmt)
-    queries = pointio.read_points(args.queries, fmt)
+    outputs, per_query = embedder.embed_batch(pointio.read_points(args.queries, fmt))
     out_path = Path(args.out)
     diag_path = Path(args.diagnostics) if args.diagnostics else out_path.with_suffix(
         out_path.suffix + ".diag.json"
     )
-
-    if queries.shape[0] == 0:
-        if fmt == "bin":
-            pointio.write_points_bin(out_path, np.zeros((0, meta["out_dim"])))
-        else:
-            pointio.write_points_csv(out_path, np.zeros((0, 0)))
-        _dump_json({"config": meta, "queries": 0, "per_query": []}, diag_path)
-        return EXIT_OK
-
-    if queries.shape[1] != meta["d"]:
-        raise EmbeddingError(
-            f"queries have dimension {queries.shape[1]}, bundle expects {meta['d']}"
-        )
-    outputs = np.empty((queries.shape[0], meta["out_dim"]))
-    per_query = []
-    has_info = hasattr(embedder, "embed_with_info")
-    for i in range(queries.shape[0]):
-        if has_info:
-            outputs[i], sol = embedder.embed_with_info(queries[i])
-            per_query.append(
-                {
-                    "residual": sol.residual,
-                    "iterations": sol.iterations,
-                    "anchor_index": sol.anchor_index,
-                    "converged": sol.converged,
-                }
-            )
-        else:
-            outputs[i] = embedder.embed(queries[i])
-            diff = embedder.X.points - queries[i]
-            anchor = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-            per_query.append(
-                {"residual": 0.0, "iterations": 0, "anchor_index": anchor, "converged": True}
-            )
     pointio.write_points(out_path, outputs, fmt)
     _dump_json({"config": meta, "queries": len(per_query), "per_query": per_query}, diag_path)
     return EXIT_OK
@@ -329,12 +296,7 @@ def _cmd_eval(args) -> int:
         )
     target = embedder
     if args.baseline == "efn":
-        base = (
-            embedder.embedded_X
-            if not isinstance(embedder, ExactEmbedding)
-            else embedder.terminal_coords
-        )
-        target = EfnEmbedder(X=embedder.X, base_images=base)
+        target = EfnEmbedder(X=embedder.X, base_images=embedder.terminal_images[:, :-1])
     report = harness.evaluate(
         target,
         queries,

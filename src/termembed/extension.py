@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import PointSet, distances_to
+from .geometry import RECORD_KEYS, PointSet, distances_to, embed_batch_nearest, embed_rows
 from .sketch import SketchMatrix, sketch_points
 
 _TINY = 1e-300
@@ -89,15 +89,21 @@ class TerminalEmbedder:
         """(n, m+1) images of the terminals, trailing coordinate exactly 0."""
         return np.hstack([self.embedded_X, np.zeros((self.X.n, 1))])
 
-    def solve(self, u) -> ExtensionSolution:
-        return solve_extension(u, self)
-
     def embed(self, u) -> np.ndarray:
         return lift(u, solve_extension(u, self), self)
 
     def embed_with_info(self, u):
         sol = solve_extension(u, self)
         return lift(u, sol, self), sol
+
+    def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
+        """((q, m+1) images of the rows of Q, one solver record per query)."""
+
+        def embed_one(u):
+            f, sol = self.embed_with_info(u)
+            return f, {key: getattr(sol, key) for key in RECORD_KEYS}
+
+        return embed_rows(self, Q, embed_one)
 
 
 def build_embedder(
@@ -221,28 +227,17 @@ def lift(u, solution: ExtensionSolution, E: TerminalEmbedder) -> np.ndarray:
     return np.concatenate([head, [np.sqrt(max(sq, 0.0))]])
 
 
-def embed_terminal(E: TerminalEmbedder, u) -> np.ndarray:
-    """Full query map: terminals go to (Pi u, 0), everything else through
-    the feasibility solve and lift."""
-    return E.embed(u)
-
-
-def efn_extend(X: PointSet, f_of_X: np.ndarray, u, metric_dim: int | None = None) -> np.ndarray:
+def efn_extend(X: PointSet, f_of_X: np.ndarray, u) -> np.ndarray:
     """Snap-to-nearest baseline extension: (f(x_k), ||u - x_k||).
 
     Simple and fast, but its terminal distortion is bounded away from 1
     (sqrt(10) in the worst case), which is exactly what the solver-based
-    extension improves on. metric_dim, when given, validates the width of
-    the base embedding.
+    extension improves on.
     """
     f_of_X = np.asarray(f_of_X, dtype=np.float64)
     if f_of_X.ndim != 2 or f_of_X.shape[0] != X.n:
         raise DimensionMismatch(
             f"base images have shape {f_of_X.shape}, expected ({X.n}, m)"
-        )
-    if metric_dim is not None and f_of_X.shape[1] != metric_dim:
-        raise DimensionMismatch(
-            f"base images are {f_of_X.shape[1]}-dim, expected {metric_dim}"
         )
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     dists = distances_to(u, X)
@@ -270,3 +265,6 @@ class EfnEmbedder:
 
     def embed(self, u) -> np.ndarray:
         return efn_extend(self.X, self.base_images, u)
+
+    def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
+        return embed_batch_nearest(self, Q)

@@ -114,6 +114,37 @@ def nearest_point(u, X: PointSet) -> int:
     return int(np.argmin(distances_to(u, X)))
 
 
+# Keys of the per-query diagnostics record every embed_batch returns.
+RECORD_KEYS = ("residual", "iterations", "anchor_index", "converged")
+
+
+def embed_rows(E, Q, embed_one) -> tuple[np.ndarray, list[dict]]:
+    """Shared body of every embed_batch: validate Q once (2-D, width E.X.d,
+    finite; an empty (0, *) batch passes whatever its width), then stack
+    embed_one(u) -> (image, record) over its rows into ((q, E.out_dim), records)."""
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.ndim != 2 or (Q.shape[0] and Q.shape[1] != E.X.d):
+        raise DimensionMismatch(f"queries have shape {Q.shape}, expected (*, {E.X.d})")
+    if not np.all(np.isfinite(Q)):
+        raise NonFinitePoint("queries must have finite coordinates")
+    images = np.empty((Q.shape[0], E.out_dim))
+    per_query = []
+    for i, u in enumerate(Q):
+        images[i], record = embed_one(u)
+        per_query.append(record)
+    return images, per_query
+
+
+def embed_batch_nearest(E, Q) -> tuple[np.ndarray, list[dict]]:
+    """embed_batch of the solver-free maps (exact path, snap-to-nearest):
+    E.embed(u) per row, anchored at the nearest terminal, no solve."""
+
+    def embed_one(u):
+        return E.embed(u), dict(zip(RECORD_KEYS, (0.0, 0, nearest_point(u, E.X), True)))
+
+    return embed_rows(E, Q, embed_one)
+
+
 def direction_set(X: PointSet) -> DirectionSet:
     """Build the set of all n(n-1) unit directions (x_i - x_j)/||x_i - x_j||.
 

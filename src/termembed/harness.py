@@ -27,6 +27,8 @@ HISTOGRAM_BINS = 64
 DEFAULT_SHELL_FACTORS = (0.01, 0.1, 1.0, 10.0)
 DEFAULT_FAR_SCALE = 3.0
 
+BLOCK_ELEMENTS = 4 * 2**20  # float64 values per distance-block temporary (32 MB)
+
 
 def _parse_mode(mode) -> tuple[str, float | None]:
     if isinstance(mode, tuple):
@@ -45,21 +47,31 @@ def _unit_rows(rng, count: int, d: int) -> np.ndarray:
     return v / norms[:, None]
 
 
+def _distance_row_blocks(pts: np.ndarray):
+    """Yield (start, dist): dist[a, j] = ||pts[start + a] - pts[j]|| for a
+    block of rows, each entry from the same per-element einsum as a full
+    (n, n, d) broadcast, with every temporary at most BLOCK_ELEMENTS long."""
+    n, d = pts.shape
+    rows = max(1, BLOCK_ELEMENTS // (n * d))
+    for start in range(0, n, rows):
+        diff = pts[start : start + rows, None, :] - pts[None, :, :]
+        yield start, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
 def _nearest_neighbor_dists(pts: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
     if n == 1:
         return np.ones(1)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
-    return dist.min(axis=1)
+    nn = np.empty(n)
+    for start, dist in _distance_row_blocks(pts):
+        rows = np.arange(dist.shape[0])
+        dist[rows, start + rows] = np.inf
+        nn[start : start + dist.shape[0]] = dist.min(axis=1)
+    return nn
 
 
 def _diameter(pts: np.ndarray) -> float:
-    if pts.shape[0] == 1:
-        return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
+    return max(float(dist.max()) for _, dist in _distance_row_blocks(pts))
 
 
 def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
@@ -185,30 +197,24 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     """Embed every query and aggregate the distance ratios against all
     terminals at positive distance.
 
-    E is anything with .X, .embed(u), and .terminal_images (the sketch-path
-    embedder, the exact small-n embedding, or the snap-to-nearest baseline).
-    Per-query solver diagnostics are folded in when E exposes
-    embed_with_info.
+    E is anything with .X, .embed_batch(Q), and .terminal_images (the
+    sketch-path embedder, the exact small-n embedding, or the snap-to-nearest
+    baseline); max_residual is the largest solver residual among its
+    per-query records.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries.reshape(1, -1)
     pts = E.X.points
     imgs = E.terminal_images
+    images, per_query = E.embed_batch(queries)
 
     ratios, q_idx, p_idx, sq_err = [], [], [], []
-    max_residual = 0.0
+    max_residual = max((rec["residual"] for rec in per_query), default=0.0)
     max_anchor_err = 0.0
     per_label: dict[str, list] = {}
-    has_info = hasattr(E, "embed_with_info")
 
-    for qi in range(queries.shape[0]):
-        u = queries[qi]
-        if has_info:
-            fu, sol = E.embed_with_info(u)
-            max_residual = max(max_residual, sol.residual)
-        else:
-            fu = E.embed(u)
+    for qi, (u, fu) in enumerate(zip(queries, images)):
         diff = pts - u
         dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         ediff = imgs - fu

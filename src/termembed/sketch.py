@@ -25,7 +25,7 @@ from .errors import (
     InvalidConstant,
     InvalidEpsilon,
 )
-from .geometry import PointSet
+from .geometry import PointSet, embed_batch_nearest
 
 RADEMACHER = "rademacher"
 GAUSSIAN = "gaussian"
@@ -167,6 +167,9 @@ class ExactEmbedding:
         coords = self.basis @ w
         perp = w - self.basis.T @ coords
         return np.concatenate([coords, [float(np.linalg.norm(perp))]])
+
+    def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
+        return embed_batch_nearest(self, Q)
 
     @cached_property
     def terminal_coords(self) -> np.ndarray:

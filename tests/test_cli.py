@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from termembed.cli import main
+from termembed.cli import load_bundle, main
+from termembed.errors import FormatError
 from termembed.pointio import read_points_bin, read_points_csv, write_points_bin, write_points_csv
 
 
@@ -210,6 +211,94 @@ class TestVerifyAndEval:
         assert rc == 0
         rep = json.loads(report.read_text())
         assert "certified_bound" not in rep  # |Y| too large for the grid tier
+
+
+class TestBadInputs:
+    @pytest.fixture(params=["sketch", "exact_small"])
+    def bundle(self, request, tmp_path, points_csv):
+        out = tmp_path / "bundle"
+        flags = ["--const-C", "0.5", "--epsilon", "0.5"] if request.param == "sketch" else []
+        assert main(["build", points_csv, "--out", str(out), "--seed", "3", *flags]) == 0
+        assert json.loads((out / "config.json").read_text())["mode"] == request.param
+        return out
+
+    @pytest.fixture
+    def nan_queries(self, tmp_path):
+        q = np.random.default_rng(9).standard_normal((3, 6))
+        q[1, 4] = np.nan
+        return write_csv(tmp_path / "nan.csv", q)
+
+    def test_nan_query_exits_2_and_writes_nothing(self, tmp_path, bundle, nan_queries, capsys):
+        out = tmp_path / "out.csv"
+        rc = main(["query", str(bundle), nan_queries, str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.csv.diag.json").exists()
+
+    def test_nan_eval_queries_file_exits_2(self, tmp_path, bundle, nan_queries, capsys):
+        report = tmp_path / "eval.json"
+        rc = main(["eval", str(bundle), "--queries-file", nan_queries, "--report", str(report)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not report.exists()
+
+    def _query(self, tmp_path, bundle, capsys):
+        qpath = write_csv(tmp_path / "q.csv", np.zeros((1, 6)))
+        rc = main(["query", str(bundle), qpath, str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        return rc, err
+
+    def test_truncated_config_exits_2(self, tmp_path, bundle, capsys):
+        cfg = bundle / "config.json"
+        text = cfg.read_text()
+        cfg.write_text(text[: len(text) // 2])
+        with pytest.raises(FormatError, match="config.json"):
+            load_bundle(bundle)
+        rc, err = self._query(tmp_path, bundle, capsys)
+        assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["mode", "seed", "epsilon"])
+    def test_missing_key_exits_2(self, tmp_path, bundle, capsys, key):
+        cfg = bundle / "config.json"
+        meta = json.loads(cfg.read_text())
+        del meta[key]
+        cfg.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=key):
+            load_bundle(bundle)
+        rc, err = self._query(tmp_path, bundle, capsys)
+        assert rc == 2 and err.startswith("error:")
+
+    def test_missing_solver_exits_2(self, tmp_path, points_csv, capsys):
+        bundle = tmp_path / "sk"
+        assert main(["build", points_csv, "--out", str(bundle),
+                     "--epsilon", "0.5", "--const-C", "0.5"]) == 0
+        cfg = bundle / "config.json"
+        meta = json.loads(cfg.read_text())
+        del meta["solver"]
+        cfg.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="solver"):
+            load_bundle(bundle)
+        rc = main(["verify-chd", str(bundle), "--samples", "50"])
+        assert rc == 2 and capsys.readouterr().err.startswith("error:")
+
+    def test_config_not_an_object_exits_2(self, tmp_path, bundle, capsys):
+        (bundle / "config.json").write_text("[1, 2]\n")
+        rc, err = self._query(tmp_path, bundle, capsys)
+        assert rc == 2 and err.startswith("error:")
+
+    def test_bundle_with_threads_key_still_loads(self, tmp_path, bundle, capsys):
+        qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(4).standard_normal((3, 6)))
+        assert main(["query", str(bundle), qpath, str(tmp_path / "new.csv")]) == 0
+        cfg = bundle / "config.json"
+        meta = json.loads(cfg.read_text())
+        assert "threads" not in meta
+        meta["threads"] = 1
+        cfg.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+        assert main(["query", str(bundle), qpath, str(tmp_path / "old.csv")]) == 0
+        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+    def test_threads_flag_is_gone(self, tmp_path, points_csv):
+        assert main(["build", points_csv, "--out", str(tmp_path / "b"), "--threads", "2"]) == 1
 
 
 class TestScalingCommand:

@@ -5,15 +5,18 @@ import pytest
 
 from termembed import (
     DimensionMismatch,
+    NonFinitePoint,
     SolverConfig,
+    TerminalEmbedder,
     build_embedder,
     build_point_set,
     direction_set,
     efn_extend,
-    embed_terminal,
     estimate_sampled,
+    exact_small_embedding,
     generate_sketch,
     lift,
+    nearest_point,
     solve_extension,
 )
 from termembed.extension import EfnEmbedder, ExtensionSolution
@@ -150,7 +153,7 @@ class TestEmbedTerminal:
         rng = np.random.default_rng(4)
         E = random_embedder(rng, n=6, d=4, m=9)
         u = E.X.points[3]
-        f = embed_terminal(E, u)
+        f = E.embed(u)
         assert np.array_equal(f[:-1], E.embedded_X[3])
         assert f[-1] == 0.0
 
@@ -254,13 +257,78 @@ class TestEfnExtend:
         f = efn_extend(X, np.zeros((1, 2)), u)
         assert np.allclose(f, [0.0, 0.0, 5.0])
 
-    def test_metric_dim_validation(self):
-        X = build_point_set([(0.0,), (1.0,)])
-        with pytest.raises(DimensionMismatch):
-            efn_extend(X, X.points, (0.5,), metric_dim=7)
-
     def test_embedder_adapter(self):
         X = build_point_set([(-1.0,), (0.0,), (2.0,)])
         E = EfnEmbedder(X=X, base_images=X.points)
         assert np.allclose(E.embed((1.0,)), [0.0, 1.0])
         assert E.terminal_images.shape == (3, 2)
+
+
+def _three_embedders():
+    rng = np.random.default_rng(11)
+    E = random_embedder(rng, n=9, d=5, m=12)
+    exact = exact_small_embedding(E.X)
+    efn = EfnEmbedder(X=E.X, base_images=E.embedded_X)
+    return {"sketch": E, "exact": exact, "efn": efn}
+
+
+@pytest.fixture(params=["sketch", "exact", "efn"])
+def any_embedder(request):
+    return _three_embedders()[request.param]
+
+
+class TestEmbedBatch:
+    @staticmethod
+    def queries(E, count=12):
+        rng = np.random.default_rng(12)
+        # off-set queries plus two terminals, so R = 0 is covered
+        return np.vstack([2.0 * rng.standard_normal((count, E.X.d)), E.X.points[[0, 4]]])
+
+    def test_images_equal_stacked_embed(self, any_embedder):
+        E = any_embedder
+        Q = self.queries(E)
+        images, _ = E.embed_batch(Q)
+        assert images.shape == (Q.shape[0], E.out_dim)
+        assert np.array_equal(images, np.vstack([E.embed(u) for u in Q]))
+
+    def test_per_query_records(self, any_embedder):
+        E = any_embedder
+        Q = self.queries(E)
+        _, per_query = E.embed_batch(Q)
+        assert len(per_query) == Q.shape[0]
+        for u, rec in zip(Q, per_query):
+            if isinstance(E, TerminalEmbedder):
+                _, sol = E.embed_with_info(u)
+                expected = {
+                    "residual": sol.residual,
+                    "iterations": sol.iterations,
+                    "anchor_index": sol.anchor_index,
+                    "converged": sol.converged,
+                }
+            else:
+                expected = {
+                    "residual": 0.0,
+                    "iterations": 0,
+                    "anchor_index": nearest_point(u, E.X),
+                    "converged": True,
+                }
+            assert rec == expected
+            assert type(rec["anchor_index"]) is int
+
+    @pytest.mark.parametrize("width", [0, 5, 3])
+    def test_empty_batch(self, any_embedder, width):
+        images, per_query = any_embedder.embed_batch(np.zeros((0, width)))
+        assert images.shape == (0, any_embedder.out_dim)
+        assert per_query == []
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 6), (5,), (1, 2, 5)])
+    def test_wrong_shape_raises(self, any_embedder, shape):
+        with pytest.raises(DimensionMismatch):
+            any_embedder.embed_batch(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, any_embedder, bad):
+        Q = self.queries(any_embedder, count=3)
+        Q[1, 2] = bad
+        with pytest.raises(NonFinitePoint):
+            any_embedder.embed_batch(Q)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from termembed import (
+    SolverConfig,
     build_embedder,
     build_point_set,
     evaluate,
@@ -15,6 +16,7 @@ from termembed import (
     scaling_study,
 )
 from termembed.extension import EfnEmbedder
+from termembed import harness
 from termembed.harness import scaling_table_csv
 from termembed.sketch import SketchMatrix
 
@@ -82,6 +84,48 @@ class TestSamplers:
         assert q.shape[0] == len(labels) == 4 * 8
 
 
+def _broadcast_nearest_neighbor_dists(pts):
+    # The full (n, n, d) broadcast the row-block helpers replaced.
+    if pts.shape[0] == 1:
+        return np.ones(1)
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
+
+
+def _broadcast_diameter(pts):
+    if pts.shape[0] == 1:
+        return 0.0
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
+
+
+class TestDistanceBlocks:
+    # (130, 256) takes two blocks of 126 and 4 rows at the default size.
+    SHAPES = [(130, 256), (65, 7), (2, 3), (1, 5)]
+
+    @pytest.mark.parametrize("block_elements", [None, 1, 3 * 65 * 7])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_identical_to_broadcast(self, monkeypatch, shape, block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block_elements)
+        pts = np.random.default_rng(shape[0]).standard_normal(shape)
+        assert np.array_equal(
+            harness._nearest_neighbor_dists(pts), _broadcast_nearest_neighbor_dists(pts)
+        )
+        assert harness._diameter(pts) == _broadcast_diameter(pts)
+
+    def test_blocks_tile_rows_within_budget(self):
+        n, d = 200, 300
+        pts = np.random.default_rng(1).standard_normal((n, d))
+        blocks = [(start, dist.shape) for start, dist in harness._distance_row_blocks(pts)]
+        assert [start for start, _ in blocks] == [0, 69, 138]
+        assert sum(shape[0] for _, shape in blocks) == n
+        for _, (rows, cols) in blocks:
+            assert cols == n and rows * n * d <= harness.BLOCK_ELEMENTS
+
+
 class TestEvaluate:
     def test_identity_sketch_near_exact(self, X):
         pi = SketchMatrix(entries=np.eye(5), distribution="gaussian", seed=0)
@@ -103,6 +147,15 @@ class TestEvaluate:
         assert abs(rep.ratio_max - np.sqrt(5)) <= 1e-9
         assert abs(rep.ratio_min - 1 / np.sqrt(2)) <= 1e-9
         assert abs(rep.distortion - np.sqrt(10)) <= 1e-9
+
+    def test_max_residual_is_worst_solver_residual(self, X):
+        pi = generate_sketch(3, 5, "rademacher", 12)
+        E = build_embedder(X, pi, 0.01, SolverConfig(max_iters=20))
+        q, labels = sample_suite(X, 4, seed=9)
+        rep = evaluate(E, q, labels)
+        worst = max(E.embed_with_info(u)[1].residual for u in q)
+        assert worst > 0.0 and rep.max_residual == worst
+        assert evaluate(exact_small_embedding(X), q, labels).max_residual == 0.0
 
     def test_ratios_finite_and_positive(self, X):
         pi = generate_sketch(24, 5, "rademacher", 12)
