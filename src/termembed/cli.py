@@ -70,7 +70,7 @@ class RunConfig:
 
 
 def _dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
@@ -132,7 +132,8 @@ def _check_asserts(thresholds: dict[str, float], measured: dict) -> list[str]:
                 f"unknown assert key {key!r}; known: {', '.join(sorted(measured))}"
             )
         value = measured[key]
-        if not (value <= bound):
+        # An undefined statistic (None) fails its assert.
+        if value is None or not (value <= bound):
             failures.append(f"{key}={value!r} exceeds {bound!r}")
     return failures
 
@@ -306,7 +307,7 @@ def _cmd_eval(args) -> int:
     )
     if args.raw_dump:
         harness.write_raw_csv(report, args.raw_dump)
-    text = report.to_json() if args.report is None else _dump_json(report.to_dict(), args.report)
+    text = _dump_json(report.to_dict(), args.report)
     if args.report is None:
         sys.stdout.write(text)
     measured = {

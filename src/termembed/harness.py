@@ -16,7 +16,7 @@ import numpy as np
 
 from .chd import estimate_sampled
 from .extension import SolverConfig, build_embedder
-from .geometry import PointSet, direction_set
+from .geometry import PointSet, direction_set, distance_matrix
 from .seeding import derive_seed
 from .sketch import exact_small_embedding, generate_sketch, plan_dimension
 
@@ -26,8 +26,6 @@ HISTOGRAM_BINS = 64
 # nearest-neighbor distance.
 DEFAULT_SHELL_FACTORS = (0.01, 0.1, 1.0, 10.0)
 DEFAULT_FAR_SCALE = 3.0
-
-BLOCK_ELEMENTS = 4 * 2**20  # float64 values per distance-block temporary (32 MB)
 
 
 def _parse_mode(mode) -> tuple[str, float | None]:
@@ -47,33 +45,6 @@ def _unit_rows(rng, count: int, d: int) -> np.ndarray:
     return v / norms[:, None]
 
 
-def _distance_row_blocks(pts: np.ndarray):
-    """Yield (start, dist): dist[a, j] = ||pts[start + a] - pts[j]|| for a
-    block of rows, each entry from the same per-element einsum as a full
-    (n, n, d) broadcast, with every temporary at most BLOCK_ELEMENTS long."""
-    n, d = pts.shape
-    rows = max(1, BLOCK_ELEMENTS // (n * d))
-    for start in range(0, n, rows):
-        diff = pts[start : start + rows, None, :] - pts[None, :, :]
-        yield start, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def _nearest_neighbor_dists(pts: np.ndarray) -> np.ndarray:
-    n = pts.shape[0]
-    if n == 1:
-        return np.ones(1)
-    nn = np.empty(n)
-    for start, dist in _distance_row_blocks(pts):
-        rows = np.arange(dist.shape[0])
-        dist[rows, start + rows] = np.inf
-        nn[start : start + dist.shape[0]] = dist.min(axis=1)
-    return nn
-
-
-def _diameter(pts: np.ndarray) -> float:
-    return max(float(dist.max()) for _, dist in _distance_row_blocks(pts))
-
-
 def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
     """Draw `count` query points in one of the sampler modes.
 
@@ -82,7 +53,9 @@ def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
     (random convex combination of a random terminal pair), "member" (the
     terminals themselves, cycled), "far:s" (centroid plus s * diameter in a
     random direction), "shell_rel:f" (shell at f times the anchor's
-    nearest-neighbor distance). Deterministic per seed.
+    nearest-neighbor distance). Deterministic per seed. The nearest-neighbor
+    distances and the diameter come from X.neighbor_scales: one blocked
+    distance pass per point set, O(n^2 d) time, shared by every later call.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -112,7 +85,7 @@ def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
     if kind == "shell_rel":
         if param is None:
             raise ValueError("shell_rel mode needs a factor, e.g. shell_rel:0.1")
-        nn = _nearest_neighbor_dists(pts)
+        nn = X.neighbor_scales[0]
         anchors = rng.integers(0, n, size=count)
         radii = param * nn[anchors]
         return pts[anchors] + radii[:, None] * _unit_rows(rng, count, d)
@@ -120,7 +93,7 @@ def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
         if param is None:
             raise ValueError("far mode needs a scale, e.g. far:3")
         centroid = pts.mean(axis=0)
-        return centroid + param * _diameter(pts) * _unit_rows(rng, count, d)
+        return centroid + param * X.neighbor_scales[1] * _unit_rows(rng, count, d)
     raise ValueError(f"unknown sampler mode {mode!r}")
 
 
@@ -145,18 +118,19 @@ def sample_suite(
 
 @dataclass
 class DistortionReport:
-    """Aggregated per-pair ratio statistics for one query batch."""
+    """Aggregated per-pair ratio statistics for one query batch. Statistics
+    undefined on an empty pair set are None (JSON null)."""
 
     query_count: int
     pair_count: int
-    ratio_min: float
-    ratio_max: float
-    ratio_mean: float
+    ratio_min: float | None
+    ratio_max: float | None
+    ratio_mean: float | None
     histogram_counts: list
-    histogram_lo: float
-    histogram_hi: float
+    histogram_lo: float | None
+    histogram_hi: float | None
     max_abs_ratio_dev: float
-    distortion: float
+    distortion: float | None
     max_residual: float
     max_anchor_rel_error: float
     samplers: dict
@@ -190,107 +164,88 @@ class DistortionReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _ratio_stats(r: np.ndarray) -> dict:
+    if r.size == 0:
+        return {"count": 0, "min": None, "max": None, "mean": None}
+    return {"count": int(r.size), "min": float(r.min()), "max": float(r.max()), "mean": float(r.mean())}
+
+
+def _histogram(r: np.ndarray, lo, hi) -> list:
+    if r.size == 0:
+        return []
+    # A near-degenerate range (ratios identical to a few ulps) cannot be
+    # split into 64 finite bins; collapse to one.
+    if hi - lo > HISTOGRAM_BINS * np.spacing(max(abs(lo), abs(hi), 1.0)):
+        return np.histogram(r, bins=HISTOGRAM_BINS, range=(lo, hi))[0].astype(int).tolist()
+    return [int(r.size)]
 
 
 def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) -> DistortionReport:
-    """Embed every query and aggregate the distance ratios against all
-    terminals at positive distance.
+    """Embed every query and aggregate the distance ratios
+    ||f(u) - f(x_i)|| / ||u - x_i|| against all terminals at positive distance.
 
     E is anything with .X, .embed_batch(Q), and .terminal_images (the
     sketch-path embedder, the exact small-n embedding, or the snap-to-nearest
     baseline); max_residual is the largest solver residual among its
-    per-query records.
+    per-query records. Beyond embed_batch, the cost is one blocked distance
+    pass of the q queries against X and one of their images against the
+    terminal images: O(q n (d + out_dim)) time and O(q n) memory for the
+    two ratio matrices. Pairs are taken in (query, terminal) row-major order.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries.reshape(1, -1)
-    pts = E.X.points
-    imgs = E.terminal_images
     images, per_query = E.embed_batch(queries)
+    dists = distance_matrix(queries, E.X.points)
+    edists = distance_matrix(images, E.terminal_images)
 
-    ratios, q_idx, p_idx, sq_err = [], [], [], []
-    max_residual = max((rec["residual"] for rec in per_query), default=0.0)
-    max_anchor_err = 0.0
-    per_label: dict[str, list] = {}
+    mask = dists > 0.0
+    q_idx, p_idx = np.nonzero(mask)
+    ratio = edists[mask] / dists[mask]
+    nearest = (np.arange(dists.shape[0]), dists.argmin(axis=1))
+    anchor, anchor_image = dists[nearest], edists[nearest]
+    at = anchor > 0.0
+    anchor_err = np.abs(anchor_image[at] - anchor[at]) / anchor[at]
 
-    for qi, (u, fu) in enumerate(zip(queries, images)):
-        diff = pts - u
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        ediff = imgs - fu
-        edists = np.sqrt(np.einsum("ij,ij->i", ediff, ediff))
-        mask = dists > 0.0
-        if not np.any(mask):
-            continue
-        r = edists[mask] / dists[mask]
-        k = int(np.argmin(dists))
-        if dists[k] > 0.0:
-            max_anchor_err = max(max_anchor_err, abs(edists[k] - dists[k]) / dists[k])
-        ratios.append(r)
-        if keep_raw:
-            idx = np.nonzero(mask)[0]
-            q_idx.append(np.full(idx.shape[0], qi))
-            p_idx.append(idx)
-            sq_err.append(np.abs(edists[mask] ** 2 - dists[mask] ** 2))
-        if labels is not None:
-            per_label.setdefault(labels[qi], []).append(r)
+    samplers = {}
+    if labels is not None:
+        names = sorted(set(labels))
+        index = {lab: i for i, lab in enumerate(names)}
+        pair_label = np.array([index[lab] for lab in labels], dtype=np.int64)[q_idx]
+        for i, lab in enumerate(names):
+            r = ratio[pair_label == i]
+            if r.size:
+                samplers[lab] = _ratio_stats(r)
 
-    if ratios:
-        allr = np.concatenate(ratios)
-        lo, hi = float(allr.min()), float(allr.max())
-        # A near-degenerate range (ratios identical to a few ulps) cannot be
-        # split into 64 finite bins; collapse to one.
-        if hi - lo > HISTOGRAM_BINS * np.spacing(max(abs(lo), abs(hi), 1.0)):
-            counts = np.histogram(allr, bins=HISTOGRAM_BINS, range=(lo, hi))[0]
-            hist = counts.astype(int).tolist()
-        else:
-            hist = [int(allr.size)]
-        report = DistortionReport(
-            query_count=int(queries.shape[0]),
-            pair_count=int(allr.size),
-            ratio_min=lo,
-            ratio_max=hi,
-            ratio_mean=float(allr.mean()),
-            histogram_counts=hist,
-            histogram_lo=lo,
-            histogram_hi=hi,
-            max_abs_ratio_dev=float(np.max(np.abs(allr - 1.0))),
-            distortion=float(hi / lo),
-            max_residual=float(max_residual),
-            max_anchor_rel_error=float(max_anchor_err),
-            samplers={
-                lab: {
-                    "count": int(sum(x.size for x in rs)),
-                    "min": float(min(x.min() for x in rs)),
-                    "max": float(max(x.max() for x in rs)),
-                    "mean": float(np.concatenate(rs).mean()),
-                }
-                for lab, rs in sorted(per_label.items())
-            },
-            config=dict(config_echo or {}),
-        )
-        if keep_raw:
-            report.raw_query_index = np.concatenate(q_idx)
-            report.raw_point_index = np.concatenate(p_idx)
-            report.raw_ratio = allr
-            report.raw_sq_error = np.concatenate(sq_err)
-        return report
-
+    stats = _ratio_stats(ratio)
+    lo, hi = stats["min"], stats["max"]
+    raw = {}
+    if keep_raw:
+        raw = {
+            "raw_query_index": q_idx,
+            "raw_point_index": p_idx,
+            "raw_ratio": ratio,
+            "raw_sq_error": np.abs(edists[mask] ** 2 - dists[mask] ** 2),
+        }
     return DistortionReport(
         query_count=int(queries.shape[0]),
-        pair_count=0,
-        ratio_min=float("nan"),
-        ratio_max=float("nan"),
-        ratio_mean=float("nan"),
-        histogram_counts=[],
-        histogram_lo=float("nan"),
-        histogram_hi=float("nan"),
-        max_abs_ratio_dev=0.0,
-        distortion=float("nan"),
-        max_residual=float(max_residual),
-        max_anchor_rel_error=float(max_anchor_err),
-        samplers={},
+        pair_count=stats["count"],
+        ratio_min=lo,
+        ratio_max=hi,
+        ratio_mean=stats["mean"],
+        histogram_counts=_histogram(ratio, lo, hi),
+        histogram_lo=lo,
+        histogram_hi=hi,
+        max_abs_ratio_dev=float(np.max(np.abs(ratio - 1.0), initial=0.0)),
+        distortion=None if lo is None else hi / lo,
+        max_residual=float(max((rec["residual"] for rec in per_query), default=0.0)),
+        max_anchor_rel_error=float(np.max(anchor_err, initial=0.0)),
+        samplers=samplers,
         config=dict(config_echo or {}),
+        **raw,
     )
 
 
@@ -329,6 +284,7 @@ def scaling_study(
     if not epsilons or not Cs or not seeds:
         raise ValueError("epsilons, Cs, and seeds must be nonempty")
     rows = []
+    Y = None  # depends on X only; built on the first sketch-mode row
     for eps in epsilons:
         for C in Cs:
             plan = plan_dimension(X.n, eps, C)
@@ -337,7 +293,8 @@ def scaling_study(
                     pi = generate_sketch(
                         plan.m, X.d, distribution, derive_seed(seed, "sketch")
                     )
-                    Y = direction_set(X)
+                    if Y is None:
+                        Y = direction_set(X)
                     chd_v = (
                         estimate_sampled(pi, Y, chd_samples, derive_seed(seed, "chd")).max_violation
                         if len(Y)

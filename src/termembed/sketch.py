@@ -55,11 +55,6 @@ class SketchMatrix:
     def d(self) -> int:
         return self.entries.shape[1]
 
-    @property
-    def scale(self) -> float:
-        """The 1/sqrt(m) factor already baked into the entries."""
-        return 1.0 / math.sqrt(self.m)
-
 
 @dataclass(frozen=True)
 class DimensionPlan:
@@ -232,25 +227,30 @@ def save_sketch(pi: SketchMatrix, header_path, data_path=None, C: float | None =
 
 
 def load_sketch(header_path) -> tuple[SketchMatrix, dict]:
-    """Load a serialized sketch; apply_sketch on the result is bit-exact."""
+    """Load a serialized sketch; apply_sketch on the result is bit-exact.
+
+    A header that is not a JSON object, has a bad magic, or lacks a valid
+    m, d, data, distribution or seed raises FormatError."""
     header_path = Path(header_path)
     try:
         header = json.loads(header_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{header_path}: invalid JSON header: {exc}") from exc
-    if header.get("magic") != SKETCH_MAGIC:
-        raise FormatError(f"{header_path}: bad magic {header.get('magic')!r}")
-    m, d = int(header["m"]), int(header["d"])
-    data_path = header_path.parent / header["data"]
+    magic = header.get("magic") if isinstance(header, dict) else None
+    if magic != SKETCH_MAGIC:
+        raise FormatError(f"{header_path}: bad magic {magic!r}")
+    try:
+        m, d = int(header["m"]), int(header["d"])
+        data_path = header_path.parent / header["data"]
+        distribution, seed = str(header["distribution"]), int(header["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{header_path}: corrupt sketch header: {exc!r}") from exc
+    if m < 1 or d < 1:
+        raise FormatError(f"{header_path}: sketch shape ({m}, {d}) is not positive")
     blob = data_path.read_bytes()
     if len(blob) != 8 * m * d:
         raise FormatError(
             f"{data_path}: payload length {len(blob)} != expected {8 * m * d}"
         )
     entries = np.frombuffer(blob, dtype="<f8").reshape(m, d).astype(np.float64)
-    pi = SketchMatrix(
-        entries=entries,
-        distribution=str(header["distribution"]),
-        seed=int(header["seed"]),
-    )
-    return pi, header
+    return SketchMatrix(entries=entries, distribution=distribution, seed=seed), header

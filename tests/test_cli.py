@@ -14,6 +14,10 @@ def write_csv(path, arr):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
 def bundle_bytes(bundle_dir):
     return {p.name: p.read_bytes() for p in sorted(bundle_dir.iterdir())}
 
@@ -187,6 +191,30 @@ class TestVerifyAndEval:
         rep = json.loads(report.read_text())
         assert set(rep["samplers"]) == {"member", "shell:0.5", "far:2"}
 
+    @pytest.mark.parametrize("to_report", [True, False])
+    def test_eval_empty_queries_file_is_strict_json(self, tmp_path, bundle, capsys, to_report):
+        qpath = tmp_path / "empty.csv"
+        qpath.write_text("")
+        report = tmp_path / "eval.json"
+        rc = main(["eval", str(bundle), "--queries-file", str(qpath),
+                   *(["--report", str(report)] if to_report else [])])
+        assert rc == 0
+        text = report.read_text() if to_report else capsys.readouterr().out
+        rep = json.loads(text, parse_constant=_reject_constant)
+        assert rep["pair_count"] == 0 and rep["query_count"] == 0
+        assert rep["distortion"] is None and rep["ratios"]["min"] is None
+
+    def test_eval_assert_on_undefined_statistic_exits_3(self, tmp_path, bundle, capsys):
+        qpath = tmp_path / "empty.csv"
+        qpath.write_text("")
+        report = tmp_path / "eval.json"
+        rc = main(["eval", str(bundle), "--queries-file", str(qpath), "--report", str(report),
+                   "--assert", "distortion=2", "--assert", "max_ratio_dev=1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "assert failed: distortion=None" in err and "max_ratio_dev" not in err
+        assert report.exists()
+
     def test_verify_on_exact_bundle(self, tmp_path):
         pts = write_csv(tmp_path / "tiny.csv", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         bundle = tmp_path / "tinyb"
@@ -280,6 +308,27 @@ class TestBadInputs:
             load_bundle(bundle)
         rc = main(["verify-chd", str(bundle), "--samples", "50"])
         assert rc == 2 and capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "header", [{"magic": "TESK", "m": 3}, ["TESK"], {"magic": "TESK", "d": "six"}]
+    )
+    def test_corrupt_sketch_header_exits_2(self, tmp_path, points_csv, capsys, header):
+        bundle = tmp_path / "sk"
+        assert main(["build", points_csv, "--out", str(bundle),
+                     "--epsilon", "0.5", "--const-C", "0.5"]) == 0
+        path = bundle / "sketch.json"
+        if isinstance(header, dict) and "d" in header:
+            header = {**json.loads(path.read_text()), **header}
+        path.write_text(json.dumps(header))
+        with pytest.raises(FormatError, match="sketch.json"):
+            load_bundle(bundle)
+        qpath = write_csv(tmp_path / "q.csv", np.zeros((1, 6)))
+        for argv in (["query", str(bundle), qpath, str(tmp_path / "out.csv")],
+                     ["eval", str(bundle), "--queries-per-mode", "2"],
+                     ["verify-chd", str(bundle), "--samples", "50"]):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc == 2 and err.startswith("error:") and "Traceback" not in err
 
     def test_config_not_an_object_exits_2(self, tmp_path, bundle, capsys):
         (bundle / "config.json").write_text("[1, 2]\n")

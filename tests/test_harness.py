@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,8 @@ from termembed import (
     scaling_study,
 )
 from termembed.extension import EfnEmbedder
-from termembed import harness
+from termembed import geometry, harness
+from termembed.geometry import distances_to
 from termembed.harness import scaling_table_csv
 from termembed.sketch import SketchMatrix
 
@@ -101,29 +103,196 @@ def _broadcast_diameter(pts):
     return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
 
 
+def _per_query_distances(A, B):
+    # The per-query 2-D einsum distances_to and evaluate used before the
+    # blocked kernel.
+    rows = []
+    for u in A:
+        diff = B - u
+        rows.append(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+    return np.array(rows).reshape(A.shape[0], B.shape[0])
+
+
 class TestDistanceBlocks:
-    # (130, 256) takes two blocks of 126 and 4 rows at the default size.
+    # (130, 256) takes 18 blocks of 7 rows and one of 4 at the default size.
     SHAPES = [(130, 256), (65, 7), (2, 3), (1, 5)]
 
     @pytest.mark.parametrize("block_elements", [None, 1, 3 * 65 * 7])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_bit_identical_to_broadcast(self, monkeypatch, shape, block_elements):
         if block_elements is not None:
-            monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block_elements)
+            monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", block_elements)
         pts = np.random.default_rng(shape[0]).standard_normal(shape)
-        assert np.array_equal(
-            harness._nearest_neighbor_dists(pts), _broadcast_nearest_neighbor_dists(pts)
-        )
-        assert harness._diameter(pts) == _broadcast_diameter(pts)
+        nn, diameter = build_point_set(pts).neighbor_scales
+        assert np.array_equal(nn, _broadcast_nearest_neighbor_dists(pts))
+        assert diameter == _broadcast_diameter(pts)
 
-    def test_blocks_tile_rows_within_budget(self):
+    def test_blocks_tile_rows_within_budget(self, monkeypatch):
+        monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", 4 * 2**20)
         n, d = 200, 300
         pts = np.random.default_rng(1).standard_normal((n, d))
-        blocks = [(start, dist.shape) for start, dist in harness._distance_row_blocks(pts)]
-        assert [start for start, _ in blocks] == [0, 69, 138]
-        assert sum(shape[0] for _, shape in blocks) == n
-        for _, (rows, cols) in blocks:
-            assert cols == n and rows * n * d <= harness.BLOCK_ELEMENTS
+        for A, starts in ((pts, [0, 69, 138]), (pts[:150:2], [0, 69])):
+            blocks = [(start, dist.shape) for start, dist in geometry.distance_row_blocks(A, pts)]
+            assert [start for start, _ in blocks] == starts
+            assert sum(shape[0] for _, shape in blocks) == A.shape[0]
+            for _, (rows, cols) in blocks:
+                assert cols == n and rows * n * d <= geometry.BLOCK_ELEMENTS
+        monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", n * d - 1)
+        assert [dist.shape for _, dist in geometry.distance_row_blocks(pts[:3], pts)] == [(1, n)] * 3
+
+    @pytest.mark.parametrize("block_elements", [None, 1, 3 * 65 * 7])
+    @pytest.mark.parametrize(
+        "rows, shape", [(0, (65, 7)), (1, (65, 7)), (11, (65, 7)), (200, (130, 256)), (5, (2, 3)), (3, (1, 5))]
+    )
+    def test_cross_distances_match_per_query_einsum(self, monkeypatch, rows, shape, block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(rows + shape[0])
+        X = build_point_set(rng.standard_normal(shape))
+        A = rng.standard_normal((rows, shape[1]))
+        got = geometry.distance_matrix(A, X.points)
+        assert got.shape == (rows, shape[0])
+        assert np.array_equal(got, _per_query_distances(A, X.points))
+        for u, row in zip(A, got):
+            assert np.array_equal(distances_to(u, X), row)
+
+    def test_default_suite_makes_one_distance_pass(self, monkeypatch, X):
+        passes = []
+        original = geometry.distance_row_blocks
+
+        def counting(A, B):
+            passes.append((A is X.points, B is X.points))
+            return original(A, B)
+
+        monkeypatch.setattr(geometry, "distance_row_blocks", counting)
+        first = sample_suite(X, 4, seed=6)[0]
+        assert passes == [(True, True)]
+        sample_suite(X, 4, seed=7)
+        assert passes == [(True, True)]
+        monkeypatch.setattr(geometry, "distance_row_blocks", original)
+        fresh = build_point_set(X.points.copy())
+        assert np.array_equal(sample_suite(fresh, 4, seed=6)[0], first)
+
+
+def _loop_evaluate(E, queries, labels=None, keep_raw=False):
+    # The per-query loop evaluate ran before its array rewrite, for parity
+    # checks on batches with at least one pair at positive distance.
+    queries = np.asarray(queries, dtype=np.float64)
+    pts, imgs = E.X.points, E.terminal_images
+    images, per_query = E.embed_batch(queries)
+    ratios, q_idx, p_idx, sq_err = [], [], [], []
+    max_anchor_err = 0.0
+    per_label = {}
+    for qi, (u, fu) in enumerate(zip(queries, images)):
+        diff = pts - u
+        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        ediff = imgs - fu
+        edists = np.sqrt(np.einsum("ij,ij->i", ediff, ediff))
+        mask = dists > 0.0
+        if not np.any(mask):
+            continue
+        r = edists[mask] / dists[mask]
+        k = int(np.argmin(dists))
+        if dists[k] > 0.0:
+            max_anchor_err = max(max_anchor_err, abs(edists[k] - dists[k]) / dists[k])
+        ratios.append(r)
+        if keep_raw:
+            idx = np.nonzero(mask)[0]
+            q_idx.append(np.full(idx.shape[0], qi))
+            p_idx.append(idx)
+            sq_err.append(np.abs(edists[mask] ** 2 - dists[mask] ** 2))
+        if labels is not None:
+            per_label.setdefault(labels[qi], []).append(r)
+    allr = np.concatenate(ratios)
+    lo, hi = float(allr.min()), float(allr.max())
+    if hi - lo > harness.HISTOGRAM_BINS * np.spacing(max(abs(lo), abs(hi), 1.0)):
+        hist = np.histogram(allr, bins=harness.HISTOGRAM_BINS, range=(lo, hi))[0].astype(int).tolist()
+    else:
+        hist = [int(allr.size)]
+    report = harness.DistortionReport(
+        query_count=int(queries.shape[0]),
+        pair_count=int(allr.size),
+        ratio_min=lo,
+        ratio_max=hi,
+        ratio_mean=float(allr.mean()),
+        histogram_counts=hist,
+        histogram_lo=lo,
+        histogram_hi=hi,
+        max_abs_ratio_dev=float(np.max(np.abs(allr - 1.0))),
+        distortion=float(hi / lo),
+        max_residual=float(max((rec["residual"] for rec in per_query), default=0.0)),
+        max_anchor_rel_error=float(max_anchor_err),
+        samplers={
+            lab: {
+                "count": int(sum(x.size for x in rs)),
+                "min": float(min(x.min() for x in rs)),
+                "max": float(max(x.max() for x in rs)),
+                "mean": float(np.concatenate(rs).mean()),
+            }
+            for lab, rs in sorted(per_label.items())
+        },
+    )
+    if keep_raw:
+        report.raw_query_index = np.concatenate(q_idx)
+        report.raw_point_index = np.concatenate(p_idx)
+        report.raw_ratio = allr
+        report.raw_sq_error = np.concatenate(sq_err)
+    return report
+
+
+def _assert_reports_identical(got, want):
+    for f in dataclasses.fields(harness.DistortionReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+class TestEvaluateParity:
+    @pytest.fixture(params=["sketch", "exact", "efn"])
+    def embedder(self, request):
+        X = build_point_set(np.random.default_rng(21).standard_normal((23, 9)))
+        if request.param == "exact":
+            return exact_small_embedding(X)
+        E = build_embedder(X, generate_sketch(6, 9, "rademacher", 4), 0.25, SolverConfig(max_iters=50))
+        if request.param == "efn":
+            return EfnEmbedder(X=X, base_images=E.terminal_images[:, :-1])
+        return E
+
+    @pytest.mark.parametrize("with_labels", [True, False])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_matches_per_query_loop(self, monkeypatch, embedder, with_labels, ragged):
+        X = embedder.X
+        if ragged:
+            # 4 query rows per block against X: the 46 queries end on a
+            # 2-row block.
+            monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", 5 * X.n * X.d - 1)
+        q, labels = sample_suite(X, 5, seed=3, modes=["box", "member", "segment", "shell_rel:0.1", "far:3"])
+        # A terminal and repeated queries: zero-distance pairs, repeated rows.
+        q = np.vstack([q, X.points[:1], q[:20]])
+        labels = labels + ["member"] + labels[:20] if with_labels else None
+        for keep_raw in (False, True):
+            got = evaluate(embedder, q, labels, keep_raw=keep_raw)
+            _assert_reports_identical(got, _loop_evaluate(embedder, q, labels, keep_raw))
+
+    def test_no_pair_at_positive_distance(self):
+        X = build_point_set([[0.5, -1.0]])
+        E = exact_small_embedding(X)
+        for q, labels in ((np.zeros((0, 2)), []), (X.points.copy(), ["member"])):
+            for keep_raw in (False, True):
+                rep = evaluate(E, q, labels, keep_raw=keep_raw)
+                assert rep.pair_count == 0 and rep.samplers == {} and rep.histogram_counts == []
+                assert rep.ratio_min is rep.ratio_max is rep.ratio_mean is rep.distortion is None
+                assert rep.histogram_lo is rep.histogram_hi is None
+                assert rep.max_abs_ratio_dev == 0.0 and rep.max_anchor_rel_error == 0.0
+                assert (rep.raw_ratio is not None) == keep_raw
+                parsed = json.loads(rep.to_json(), parse_constant=_reject_constant)
+                assert parsed["distortion"] is None and parsed["ratios"]["min"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 class TestEvaluate:
@@ -243,6 +412,21 @@ class TestScalingStudy:
         lines = text.strip().split("\n")
         assert lines[0].startswith("epsilon,C,seed,m,mode")
         assert len(lines) == 2
+
+    def test_direction_set_built_once_per_call(self, monkeypatch):
+        X = build_point_set(np.random.default_rng(1).standard_normal((12, 6)))
+        built = []
+        original = harness.direction_set
+        monkeypatch.setattr(harness, "direction_set", lambda P: built.append(P) or original(P))
+        rows = scaling_study(
+            X, epsilons=[0.5, 0.9], Cs=[0.5, 1.0], seeds=[0, 1],
+            queries_per_mode=2, chd_samples=50,
+        )
+        assert sum(row["mode"] == "sketch" for row in rows) == 6
+        assert len(built) == 1 and built[0] is X
+        built.clear()
+        scaling_study(X, epsilons=[0.5], Cs=[1.0], seeds=[0], queries_per_mode=2)
+        assert built == []  # exact path only: no direction set
 
     def test_empty_grid_rejected(self):
         X = build_point_set(np.random.default_rng(4).standard_normal((4, 3)))

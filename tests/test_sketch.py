@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from termembed import (
     DimensionMismatch,
+    FormatError,
     InvalidConstant,
     InvalidEpsilon,
     apply_sketch,
@@ -207,3 +209,20 @@ class TestSerialization:
         b = (tmp_path / "b.json").read_text().replace("b.bin", "x.bin")
         assert a == b
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"magic": "TESK", "m": 3},
+            ["TESK", 3],
+            {"magic": "TESK", "m": 3, "d": 2, "data": "pi.bin", "distribution": "gaussian"},
+            {"magic": "TESK", "m": 3, "d": None, "data": "pi.bin", "distribution": "gaussian", "seed": 1},
+            {"magic": "TESK", "m": 3, "d": 2, "data": 7, "distribution": "gaussian", "seed": 1},
+            {"magic": "TESK", "m": -3, "d": -2, "data": "pi.bin", "distribution": "gaussian", "seed": 1},
+        ],
+    )
+    def test_corrupt_header_is_format_error(self, tmp_path, header):
+        (tmp_path / "pi.bin").write_bytes(bytes(48))
+        (tmp_path / "pi.json").write_text(json.dumps(header))
+        with pytest.raises(FormatError, match="pi.json"):
+            load_sketch(tmp_path / "pi.json")
