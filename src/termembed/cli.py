@@ -219,7 +219,7 @@ def _cmd_build(args) -> int:
     cfg = _run_config(args)
     fmt = pointio.detect_format(args.points, args.fmt)
     X = build_point_set(pointio.read_points(args.points, fmt))
-    plan = plan_dimension(X.n, cfg.epsilon, cfg.C)
+    plan = plan_dimension(X.n, cfg.epsilon, cfg.C, X.d)
     meta = _save_bundle(Path(args.out), cfg, X, plan, args.points, fmt)
     sys.stdout.write(
         _dump_json({"mode": meta["mode"], "m": meta["m_plan"], "out_dim": meta["out_dim"]})

@@ -19,6 +19,7 @@ achieved residual is an honest distortion certificate).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,11 @@ from .geometry import RECORD_KEYS, PointSet, distances_to, embed_batch_nearest, 
 from .sketch import SketchMatrix, sketch_points
 
 _TINY = 1e-300
+# A constraint row i is computed from the difference x_i - x_k, not as
+# <x_i, P> - <x_k, P>, when ||x_i - x_k|| < _CANCEL * (||x_i|| + ||x_k||):
+# there the factored form would lose about log10(1/_CANCEL) more digits
+# (near-duplicate terminals, data far from the origin).
+_CANCEL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,13 @@ class TerminalEmbedder:
         """(n, m+1) images of the terminals, trailing coordinate exactly 0."""
         return np.hstack([self.embedded_X, np.zeros((self.X.n, 1))])
 
+    @cached_property
+    def point_norms(self) -> np.ndarray:
+        """(n,) Euclidean norms of the terminals, the scale of the solver's
+        cancellation guard."""
+        pts = self.X.points
+        return np.sqrt(np.einsum("ij,ij->i", pts, pts))
+
     def embed(self, u) -> np.ndarray:
         return lift(u, solve_extension(u, self), self)
 
@@ -138,6 +151,12 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
 
     Degenerate cases short-circuit: R = 0 (u is a terminal) and n = 1 (no
     constraints) both return z = 0 with residual 0.
+
+    Cost per query: two exact distance passes over X (u to find the anchor,
+    x_k for the direction norms), one matvec over X for the targets, and one
+    matvec over Pi X per residual evaluation (warm start, each iteration, the
+    final recompute). No (n-1) x d or (n-1) x m temporary is built, except
+    for the rows the cancellation guard sends to the direct formula.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     X = E.X
@@ -157,16 +176,31 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
             converged=True,
         )
 
-    # Constraint system in unit directions, built from the precomputed
-    # terminal sketches: Pi v_i = (Pi x_i - Pi x_k) / ||x_i - x_k||.
-    mask = np.arange(X.n) != k
-    diff = X.points[mask] - X.points[k]
-    norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    V = diff / norms[:, None]
-    W = (E.embedded_X[mask] - E.embedded_X[k]) / norms[:, None]
-    P = u - X.points[k]
-    t = V @ P
-    row_sq = np.einsum("ij,ij->i", W, W)
+    # Constraint system in unit directions v_i = (x_i - x_k)/||x_i - x_k||,
+    # kept factored over X and Pi X: t_i = (<x_i, P> - <x_k, P>)/norms_i and
+    # row i of W is (Pi x_i - Pi x_k)/norms_i. Entry k is a dummy row (norm 1)
+    # whose residual is forced to 0. Rows in the cancellation zone take the
+    # direct difference form instead.
+    pts, PX = X.points, E.embedded_X
+    x_k, PX_k = pts[k], PX[k]
+    P = u - x_k
+    norms = distances_to(x_k, X)
+    norms[k] = 1.0
+    t = (pts @ P - x_k @ P) / norms
+    close = np.flatnonzero(norms < _CANCEL * (E.point_norms + E.point_norms[k]))
+    close = close[close != k]
+    W_close = (PX[close] - PX_k) / norms[close, None]
+    t[close] = ((pts[close] - x_k) / norms[close, None]) @ P
+
+    def residual(z):
+        r = PX @ z
+        r -= PX_k @ z
+        r /= norms
+        r -= t
+        if close.size:
+            r[close] = W_close @ z - t[close]
+        r[k] = 0.0
+        return r
 
     pip = E.Pi.entries @ P
     z = R * pip / max(float(np.linalg.norm(pip)), _TINY)
@@ -177,14 +211,16 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
     cfg = E.solver
     target = E.epsilon * R * (1.0 + cfg.tol)
 
-    r = W @ z - t
-    g = float(np.max(np.abs(r)))
+    r = residual(z)
+    abs_r = np.abs(r)
+    g = float(abs_r.max())
     best_z = z.copy()
     best_g = g
     it = 0
     while best_g > target and it < cfg.max_iters:
-        a = int(np.argmax(np.abs(r)))
-        denom = row_sq[a]
+        a = int(abs_r.argmax())
+        w_a = (PX[a] - PX_k) / norms[a]
+        denom = float(w_a @ w_a)
         if denom <= _TINY:
             break  # active constraint has a null direction; cannot improve it
         sign = 1.0 if r[a] >= 0.0 else -1.0
@@ -192,19 +228,20 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
             step = sign * R / ((it + 1) * max(np.sqrt(denom), _TINY))
         else:
             step = sign * g / denom
-        z = z - step * W[a]
-        nz = float(np.linalg.norm(z))
+        z = z - step * w_a
+        nz = math.sqrt(float(z @ z))  # == np.linalg.norm(z), without its overhead
         if nz > R:
             z *= R / nz
-        r = W @ z - t
-        g = float(np.max(np.abs(r)))
+        r = residual(z)
+        abs_r = np.abs(r)
+        g = float(abs_r.max())
         if g < best_g:
             best_g = g
             best_z = z.copy()
         it += 1
 
     # Recompute the residual from scratch on the returned point.
-    final = float(np.max(np.abs(W @ best_z - t)))
+    final = float(np.max(np.abs(residual(best_z))))
     return ExtensionSolution(
         u_prime=best_z,
         radius=R,
@@ -234,6 +271,11 @@ def efn_extend(X: PointSet, f_of_X: np.ndarray, u) -> np.ndarray:
     (sqrt(10) in the worst case), which is exactly what the solver-based
     extension improves on.
     """
+    return _efn_anchored(X, f_of_X, u)[0]
+
+
+def _efn_anchored(X: PointSet, f_of_X, u) -> tuple[np.ndarray, int]:
+    """(efn_extend image, anchor index k), from one distance pass."""
     f_of_X = np.asarray(f_of_X, dtype=np.float64)
     if f_of_X.ndim != 2 or f_of_X.shape[0] != X.n:
         raise DimensionMismatch(
@@ -242,7 +284,7 @@ def efn_extend(X: PointSet, f_of_X: np.ndarray, u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     dists = distances_to(u, X)
     k = int(np.argmin(dists))
-    return np.concatenate([f_of_X[k], [float(dists[k])]])
+    return np.concatenate([f_of_X[k], [float(dists[k])]]), k
 
 
 @dataclass(frozen=True)
@@ -267,4 +309,6 @@ class EfnEmbedder:
         return efn_extend(self.X, self.base_images, u)
 
     def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
-        return embed_batch_nearest(self, Q)
+        return embed_batch_nearest(
+            self, Q, lambda u: _efn_anchored(self.X, self.base_images, u)
+        )

@@ -174,12 +174,14 @@ def embed_rows(E, Q, embed_one) -> tuple[np.ndarray, list[dict]]:
     return images, per_query
 
 
-def embed_batch_nearest(E, Q) -> tuple[np.ndarray, list[dict]]:
+def embed_batch_nearest(E, Q, embed_anchored) -> tuple[np.ndarray, list[dict]]:
     """embed_batch of the solver-free maps (exact path, snap-to-nearest):
-    E.embed(u) per row, anchored at the nearest terminal, no solve."""
+    embed_anchored(u) -> (image, index of the nearest terminal) per row, no
+    solve."""
 
     def embed_one(u):
-        return E.embed(u), dict(zip(RECORD_KEYS, (0.0, 0, nearest_point(u, E.X), True)))
+        image, k = embed_anchored(u)
+        return image, dict(zip(RECORD_KEYS, (0.0, 0, k, True)))
 
     return embed_rows(E, Q, embed_one)
 

@@ -287,7 +287,7 @@ def scaling_study(
     Y = None  # depends on X only; built on the first sketch-mode row
     for eps in epsilons:
         for C in Cs:
-            plan = plan_dimension(X.n, eps, C)
+            plan = plan_dimension(X.n, eps, C, X.d)
             for seed in seeds:
                 if plan.mode == "sketch":
                     pi = generate_sketch(

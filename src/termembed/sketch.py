@@ -6,8 +6,9 @@ The sketch is a dense m x d matrix with i.i.d. mean-0 variance-1 entries
 E||Pi x||^2 = ||x||^2. The target dimension follows
 m = ceil(C * eps^-2 * ln(max(|Y|, 2))) with |Y| = n(n-1), the size of the
 direction set the guarantee must cover. When that formula meets or exceeds
-n, a rank-based exact embedding into at most n dimensions is cheaper and
-has zero distortion, so planning switches to the exact path.
+min(n, d), a rank-based exact embedding into at most min(n - 1, d) + 1
+dimensions is no wider and has zero distortion, so planning switches to the
+exact path.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .errors import (
     InvalidConstant,
     InvalidEpsilon,
 )
-from .geometry import PointSet, embed_batch_nearest
+from .geometry import PointSet, embed_batch_nearest, nearest_point
 
 RADEMACHER = "rademacher"
 GAUSSIAN = "gaussian"
@@ -70,17 +71,25 @@ class DimensionPlan:
     epsilon: float
 
 
-def plan_dimension(n: int, epsilon: float, C: float = DEFAULT_C) -> DimensionPlan:
-    """Choose the target dimension for an n-point terminal set."""
+def plan_dimension(
+    n: int, epsilon: float, C: float = DEFAULT_C, d: int | None = None
+) -> DimensionPlan:
+    """Choose the target dimension for n terminals, in R^d when d is given.
+
+    The exact path is taken when m >= n, or m >= d for a given d: its output
+    is then never wider than the sketch's m + 1.
+    """
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
     if C <= 0.0:
         raise InvalidConstant(f"C must be positive, got {C}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if d is not None and d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     size_y = n * (n - 1)
     m = math.ceil(C * epsilon**-2 * math.log(max(size_y, 2)))
-    mode = "exact_small" if m >= n else "sketch"
+    mode = "exact_small" if m >= min(n, d or n) else "sketch"
     return DimensionPlan(m=m, mode=mode, C=float(C), epsilon=float(epsilon))
 
 
@@ -164,7 +173,7 @@ class ExactEmbedding:
         return np.concatenate([coords, [float(np.linalg.norm(perp))]])
 
     def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
-        return embed_batch_nearest(self, Q)
+        return embed_batch_nearest(self, Q, lambda u: (self.embed(u), nearest_point(u, self.X)))
 
     @cached_property
     def terminal_coords(self) -> np.ndarray:

@@ -25,7 +25,7 @@ def bundle_bytes(bundle_dir):
 @pytest.fixture
 def points_csv(tmp_path):
     rng = np.random.default_rng(0)
-    return write_csv(tmp_path / "pts.csv", rng.standard_normal((12, 6)))
+    return write_csv(tmp_path / "pts.csv", rng.standard_normal((12, 12)))
 
 
 class TestBuild:
@@ -42,6 +42,16 @@ class TestBuild:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["mode"] == "sketch" and out["out_dim"] == out["m"] + 1
+
+    def test_plan_uses_dimension(self, tmp_path, capsys):
+        # n=300, d=6, eps=0.5, C=0.5: m=23 < n but >= d, so the exact path
+        path = write_csv(tmp_path / "wide.csv", np.random.default_rng(1).standard_normal((300, 6)))
+        rc = main(["build", path, "--out", str(tmp_path / "b"),
+                   "--epsilon", "0.5", "--const-C", "0.5"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["mode"] == "exact_small" and out["m"] == 23
+        assert out["out_dim"] <= 6 + 1
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["build", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "b")])
@@ -93,7 +103,7 @@ class TestQuery:
     def test_round_trip_bit_exact(self, tmp_path, bundle):
         rng = np.random.default_rng(5)
         qpath = tmp_path / "q.bin"
-        write_points_bin(qpath, rng.standard_normal((4, 6)))
+        write_points_bin(qpath, rng.standard_normal((4, 12)))
         out = tmp_path / "out.bin"
         assert main(["query", str(bundle), str(qpath), str(out)]) == 0
         first = read_points_bin(out)
@@ -106,7 +116,7 @@ class TestQuery:
         assert rc == 2
 
     def test_diagnostics_sidecar(self, tmp_path, bundle):
-        qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(6).standard_normal((3, 6)))
+        qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(6).standard_normal((3, 12)))
         assert main(["query", str(bundle), qpath, str(tmp_path / "out.csv")]) == 0
         diag = json.loads((tmp_path / "out.csv.diag.json").read_text())
         assert diag["queries"] == 3
@@ -114,7 +124,7 @@ class TestQuery:
             assert {"residual", "iterations", "anchor_index", "converged"} <= set(entry)
 
     def test_query_determinism(self, tmp_path, bundle):
-        qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(7).standard_normal((3, 6)))
+        qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(7).standard_normal((3, 12)))
         out1, out2 = tmp_path / "o1.csv", tmp_path / "o2.csv"
         assert main(["query", str(bundle), qpath, str(out1)]) == 0
         assert main(["query", str(bundle), qpath, str(out2)]) == 0
@@ -227,9 +237,9 @@ class TestVerifyAndEval:
         assert rep["method"] == "exact_small" and rep["max_violation"] == 0.0
 
     def test_verify_grid_window_on_tiny_sketch(self, tmp_path):
-        # force sketch mode on a 4-point set so |Y| = 12 > 6: no grid fields
+        # sketch mode (m=14 < d=16) on 32 points, |Y| = 992 > 6: no grid fields
         rng = np.random.default_rng(8)
-        pts = write_csv(tmp_path / "p.csv", rng.standard_normal((32, 4)))
+        pts = write_csv(tmp_path / "p.csv", rng.standard_normal((32, 16)))
         bundle = tmp_path / "b"
         assert main(["build", pts, "--out", str(bundle), "--epsilon", "0.5",
                      "--const-C", "0.5", "--seed", "2"]) == 0
@@ -252,7 +262,7 @@ class TestBadInputs:
 
     @pytest.fixture
     def nan_queries(self, tmp_path):
-        q = np.random.default_rng(9).standard_normal((3, 6))
+        q = np.random.default_rng(9).standard_normal((3, 12))
         q[1, 4] = np.nan
         return write_csv(tmp_path / "nan.csv", q)
 
@@ -271,7 +281,7 @@ class TestBadInputs:
         assert not report.exists()
 
     def _query(self, tmp_path, bundle, capsys):
-        qpath = write_csv(tmp_path / "q.csv", np.zeros((1, 6)))
+        qpath = write_csv(tmp_path / "q.csv", np.zeros((1, 12)))
         rc = main(["query", str(bundle), qpath, str(tmp_path / "out.csv")])
         err = capsys.readouterr().err
         return rc, err
@@ -322,7 +332,7 @@ class TestBadInputs:
         path.write_text(json.dumps(header))
         with pytest.raises(FormatError, match="sketch.json"):
             load_bundle(bundle)
-        qpath = write_csv(tmp_path / "q.csv", np.zeros((1, 6)))
+        qpath = write_csv(tmp_path / "q.csv", np.zeros((1, 12)))
         for argv in (["query", str(bundle), qpath, str(tmp_path / "out.csv")],
                      ["eval", str(bundle), "--queries-per-mode", "2"],
                      ["verify-chd", str(bundle), "--samples", "50"]):
@@ -336,7 +346,7 @@ class TestBadInputs:
         assert rc == 2 and err.startswith("error:")
 
     def test_bundle_with_threads_key_still_loads(self, tmp_path, bundle, capsys):
-        qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(4).standard_normal((3, 6)))
+        qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(4).standard_normal((3, 12)))
         assert main(["query", str(bundle), qpath, str(tmp_path / "new.csv")]) == 0
         cfg = bundle / "config.json"
         meta = json.loads(cfg.read_text())

@@ -332,3 +332,161 @@ class TestEmbedBatch:
         Q[1, 2] = bad
         with pytest.raises(NonFinitePoint):
             any_embedder.embed_batch(Q)
+
+
+def _materialized_solve(u, E):
+    """The solver as it was with the (n-1) x d direction matrix V and the
+    (n-1) x m matrix W built explicitly per query: the reference the
+    factored solve_extension is held to."""
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    X = E.X
+    dists = np.sqrt(np.einsum("ij,ij->i", X.points - u, X.points - u))
+    k = int(np.argmin(dists))
+    R = float(dists[k])
+    if R == 0.0 or X.n == 1:
+        return ExtensionSolution(np.zeros(E.m), R, 0.0, 0, k, True)
+    mask = np.arange(X.n) != k
+    diff = X.points[mask] - X.points[k]
+    norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    V = diff / norms[:, None]
+    W = (E.embedded_X[mask] - E.embedded_X[k]) / norms[:, None]
+    P = u - X.points[k]
+    t = V @ P
+    row_sq = np.einsum("ij,ij->i", W, W)
+    pip = E.Pi.entries @ P
+    z = R * pip / max(float(np.linalg.norm(pip)), 1e-300)
+    nz = float(np.linalg.norm(z))
+    if nz > R:
+        z *= R / nz
+    cfg = E.solver
+    target = E.epsilon * R * (1.0 + cfg.tol)
+    r = W @ z - t
+    g = float(np.max(np.abs(r)))
+    best_z, best_g, it = z.copy(), g, 0
+    while best_g > target and it < cfg.max_iters:
+        a = int(np.argmax(np.abs(r)))
+        denom = row_sq[a]
+        if denom <= 1e-300:
+            break
+        sign = 1.0 if r[a] >= 0.0 else -1.0
+        if cfg.step_rule == "diminishing":
+            step = sign * R / ((it + 1) * max(np.sqrt(denom), 1e-300))
+        else:
+            step = sign * g / denom
+        z = z - step * W[a]
+        nz = float(np.linalg.norm(z))
+        if nz > R:
+            z *= R / nz
+        r = W @ z - t
+        g = float(np.max(np.abs(r)))
+        if g < best_g:
+            best_g, best_z = g, z.copy()
+        it += 1
+    final = float(np.max(np.abs(W @ best_z - t)))
+    return ExtensionSolution(best_z, R, final / R, it, k, final <= target)
+
+
+def _shell_queries(rng, pts, count, rel):
+    """Queries at rel times the nearest-neighbour distance from a terminal."""
+    X = build_point_set(pts)
+    nn, _ = X.neighbor_scales
+    idx = rng.integers(0, X.n, size=count)
+    dirs = rng.standard_normal((count, X.d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return pts[idx] + rel * nn[idx, None] * dirs
+
+
+class TestFactoredSolver:
+    """solve_extension (factored over X and Pi X, cancellation-guarded) against
+    the materialized-V/W reference."""
+
+    @staticmethod
+    def embedder(pts, m, epsilon=0.05, seed=1, **solver_kw):
+        X = build_point_set(pts)
+        pi = generate_sketch(m, X.d, "rademacher", seed)
+        return build_embedder(X, pi, epsilon, SolverConfig(**{"max_iters": 150, **solver_kw}))
+
+    @staticmethod
+    def assert_matches(E, Q):
+        for u in Q:
+            new, ref = solve_extension(u, E), _materialized_solve(u, E)
+            assert new.anchor_index == ref.anchor_index
+            assert new.radius == ref.radius
+            assert new.iterations == ref.iterations
+            assert new.converged == ref.converged
+            gap = np.max(np.abs(new.u_prime - ref.u_prime), initial=0.0)
+            assert gap <= 1e-12 * max(1.0, ref.radius)
+            assert abs(new.residual - ref.residual) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n,d,m,epsilon",
+        [(30, 12, 6, 0.05), (15, 40, 25, 0.05), (40, 8, 3, 0.05), (9, 5, 12, 0.05),
+         (60, 30, 40, 0.25)],
+    )
+    def test_random_shapes(self, n, d, m, epsilon):
+        rng = np.random.default_rng(n * d + m)
+        pts = rng.standard_normal((n, d))
+        E = self.embedder(pts, m, epsilon, seed=n)
+        self.assert_matches(E, 2.0 * rng.standard_normal((12, d)))
+
+    def test_shell_queries(self):
+        rng = np.random.default_rng(20)
+        pts = rng.standard_normal((25, 10))
+        E = self.embedder(pts, 5)
+        self.assert_matches(E, _shell_queries(rng, pts, 15, 0.01))
+
+    def test_close_terminals(self):
+        rng = np.random.default_rng(21)
+        pts = rng.standard_normal((20, 10))
+        pts[1:4] = pts[0] + 1e-9 * rng.standard_normal((3, 10))
+        E = self.embedder(pts, 6)
+        Q = np.vstack([pts[0] + 1e-3 * rng.standard_normal((8, 10)), rng.standard_normal((4, 10))])
+        self.assert_matches(E, Q)
+
+    def test_far_from_origin(self):
+        rng = np.random.default_rng(22)
+        pts = rng.standard_normal((20, 10))
+        E = self.embedder(pts + 1e6, 6)
+        self.assert_matches(E, 1e6 + 1.5 * rng.standard_normal((10, 10)))
+
+    def test_diminishing_step_rule(self):
+        rng = np.random.default_rng(23)
+        pts = rng.standard_normal((20, 8))
+        E = self.embedder(pts, 5, epsilon=1e-3, step_rule="diminishing")
+        self.assert_matches(E, rng.standard_normal((8, 8)))
+
+    def test_two_points_and_terminal_queries(self):
+        rng = np.random.default_rng(24)
+        pts = rng.standard_normal((2, 3))
+        E = self.embedder(pts, 2)
+        self.assert_matches(E, np.vstack([pts, rng.standard_normal((6, 3))]))
+
+    @pytest.mark.parametrize("on_terminal,calls", [(False, 2), (True, 1)])
+    def test_two_distance_passes_per_solve(self, monkeypatch, on_terminal, calls):
+        import termembed.extension as extension
+
+        rng = np.random.default_rng(25)
+        E = random_embedder(rng, n=12, d=6, m=5)
+        seen = []
+        original = extension.distances_to
+        monkeypatch.setattr(extension, "distances_to",
+                            lambda u, X: seen.append(1) or original(u, X))
+        u = E.X.points[3] if on_terminal else rng.standard_normal(6)
+        sol = solve_extension(u, E)
+        assert (sol.radius == 0.0) == on_terminal
+        assert len(seen) == calls
+
+
+def test_efn_embed_batch_one_distance_pass_per_row(monkeypatch):
+    import termembed.extension as extension
+    import termembed.geometry as geometry
+
+    E = _three_embedders()["efn"]
+    Q = TestEmbedBatch.queries(E, count=5)
+    seen = []
+    for module in (extension, geometry):
+        original = module.distances_to
+        monkeypatch.setattr(module, "distances_to",
+                            lambda u, X, f=original: seen.append(1) or f(u, X))
+    E.embed_batch(Q)
+    assert len(seen) == Q.shape[0]

@@ -378,7 +378,7 @@ class TestEvaluate:
 
 class TestScalingStudy:
     def test_rows_echo_and_m_consistency(self):
-        X = build_point_set(np.random.default_rng(1).standard_normal((12, 6)))
+        X = build_point_set(np.random.default_rng(1).standard_normal((12, 12)))
         rows = scaling_study(
             X, epsilons=[0.5], Cs=[0.5, 1.0], seeds=[0, 1],
             queries_per_mode=3, chd_samples=100,
@@ -390,8 +390,8 @@ class TestScalingStudy:
             assert row["m"] == plan.m and row["mode"] == plan.mode
 
     def test_doubling_C_median_violation_not_worse(self):
-        # sketch mode for both C values: n=32, d=16, eps=0.5
-        X = build_point_set(np.random.default_rng(2).standard_normal((32, 16)))
+        # sketch mode for both C values: n=32, d=32, eps=0.5 (m=14, 28)
+        X = build_point_set(np.random.default_rng(2).standard_normal((32, 32)))
         rows = scaling_study(
             X, epsilons=[0.5], Cs=[0.5, 1.0], seeds=[0, 1, 2, 3, 4],
             queries_per_mode=2, chd_samples=400,
@@ -401,6 +401,15 @@ class TestScalingStudy:
             assert row["mode"] == "sketch"
             by_c.setdefault(row["C"], []).append(row["chd_max_violation"])
         assert np.median(by_c[1.0]) <= np.median(by_c[0.5])
+
+    def test_plan_uses_dimension(self):
+        # n=12, d=6, eps=0.5: m=10 (C=0.5) is < n but >= d, so the exact path
+        X = build_point_set(np.random.default_rng(1).standard_normal((12, 6)))
+        rows = scaling_study(X, epsilons=[0.5], Cs=[0.5], seeds=[0],
+                             queries_per_mode=2, chd_samples=50)
+        assert plan_dimension(X.n, 0.5, 0.5).mode == "sketch"
+        assert rows[0]["m"] == 10 and rows[0]["mode"] == "exact_small"
+        assert rows[0]["chd_max_violation"] == 0.0
 
     def test_csv_table_shape(self):
         X = build_point_set(np.random.default_rng(3).standard_normal((6, 4)))
@@ -414,7 +423,7 @@ class TestScalingStudy:
         assert len(lines) == 2
 
     def test_direction_set_built_once_per_call(self, monkeypatch):
-        X = build_point_set(np.random.default_rng(1).standard_normal((12, 6)))
+        X = build_point_set(np.random.default_rng(1).standard_normal((12, 12)))
         built = []
         original = harness.direction_set
         monkeypatch.setattr(harness, "direction_set", lambda P: built.append(P) or original(P))

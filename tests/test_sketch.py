@@ -50,6 +50,25 @@ class TestPlanDimension:
             assert plan.m == expect
             assert plan.mode == ("exact_small" if expect >= n else "sketch")
 
+    def test_dimension_caps_sketch_width(self):
+        # m=973 >= d=128: the exact path is at most 129 wide, the sketch 974
+        assert plan_dimension(2000, 0.25, 4).mode == "sketch"
+        plan = plan_dimension(2000, 0.25, 4, d=128)
+        assert plan.m == 973 and plan.mode == "exact_small"
+
+    def test_m_equal_to_d_boundary(self):
+        assert plan_dimension(2000, 0.25, 4, d=973).mode == "exact_small"
+        assert plan_dimension(2000, 0.25, 4, d=974).mode == "sketch"
+        assert plan_dimension(2000, 0.25, 4, d=974).m == 973
+
+    def test_large_d_keeps_n_rule(self):
+        for n, eps, C in [(16, 0.5, 4.0), (10**6, 0.25, 4.0), (1, 0.5, 4.0)]:
+            assert plan_dimension(n, eps, C, d=10**7) == plan_dimension(n, eps, C)
+
+    def test_nonpositive_d(self):
+        with pytest.raises(ValueError):
+            plan_dimension(10, 0.5, 4, d=0)
+
 
 class TestGenerateSketch:
     def test_rademacher_magnitudes(self):
