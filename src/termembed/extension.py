@@ -26,14 +26,22 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import RECORD_KEYS, PointSet, distances_to, embed_batch_nearest, embed_rows
+from .geometry import (
+    RECORD_KEYS,
+    PointSet,
+    distances_to,
+    embed_batch_nearest,
+    embed_rows,
+    nearest,
+)
 from .sketch import SketchMatrix, sketch_points
 
 _TINY = 1e-300
-# A constraint row i is computed from the difference x_i - x_k, not as
-# <x_i, P> - <x_k, P>, when ||x_i - x_k|| < _CANCEL * (||x_i|| + ||x_k||):
-# there the factored form would lose about log10(1/_CANCEL) more digits
-# (near-duplicate terminals, data far from the origin).
+# Constraint row i takes the exact norm ||x_i - x_k|| and the direct
+# difference x_i - x_k when its Gram norm^2, ||x_i||^2 - 2<x_i, x_k> +
+# ||x_k||^2, is < _CANCEL * (||x_i|| + ||x_k||)^2: there the factored forms
+# would lose more than log10(1/_CANCEL) digits (near-duplicate terminals,
+# data far from the origin).
 _CANCEL = 1e-2
 
 
@@ -95,13 +103,6 @@ class TerminalEmbedder:
         """(n, m+1) images of the terminals, trailing coordinate exactly 0."""
         return np.hstack([self.embedded_X, np.zeros((self.X.n, 1))])
 
-    @cached_property
-    def point_norms(self) -> np.ndarray:
-        """(n,) Euclidean norms of the terminals, the scale of the solver's
-        cancellation guard."""
-        pts = self.X.points
-        return np.sqrt(np.einsum("ij,ij->i", pts, pts))
-
     def embed(self, u) -> np.ndarray:
         return lift(u, solve_extension(u, self), self)
 
@@ -152,19 +153,18 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
     Degenerate cases short-circuit: R = 0 (u is a terminal) and n = 1 (no
     constraints) both return z = 0 with residual 0.
 
-    Cost per query: two exact distance passes over X (u to find the anchor,
-    x_k for the direction norms), one matvec over X for the targets, and one
-    matvec over Pi X per residual evaluation (warm start, each iteration, the
-    final recompute). No (n-1) x d or (n-1) x m temporary is built, except
-    for the rows the cancellation guard sends to the direct formula.
+    Cost per query: three matvecs over X (the anchor screen of
+    geometry.nearest, the Gram direction norms, the targets), an exact
+    distance recompute of the anchor candidates (those within nearest's
+    rounding bound of the minimum, usually one row) and of the rows the
+    cancellation guard sends to the direct formula, and one matvec over Pi X
+    per residual evaluation (warm start, each iteration, the final
+    recompute). No (n-1) x d or (n-1) x m temporary is built, except for the
+    guarded rows.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     X = E.X
-    if u.shape[0] != X.d:
-        raise DimensionMismatch(f"query has dimension {u.shape[0]}, expected {X.d}")
-    dists = distances_to(u, X)
-    k = int(np.argmin(dists))
-    R = float(dists[k])
+    k, R = nearest(u, X)  # raises DimensionMismatch
     m = E.m
     if R == 0.0 or X.n == 1:
         return ExtensionSolution(
@@ -178,17 +178,22 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
 
     # Constraint system in unit directions v_i = (x_i - x_k)/||x_i - x_k||,
     # kept factored over X and Pi X: t_i = (<x_i, P> - <x_k, P>)/norms_i and
-    # row i of W is (Pi x_i - Pi x_k)/norms_i. Entry k is a dummy row (norm 1)
-    # whose residual is forced to 0. Rows in the cancellation zone take the
-    # direct difference form instead.
+    # row i of W is (Pi x_i - Pi x_k)/norms_i, with norms_i^2 from the Gram
+    # identity. Entry k is a dummy row (norm 1) whose residual is forced to 0.
+    # Rows in the cancellation zone (or with a NaN Gram norm, from squares
+    # that overflow) take exact norms and the direct difference form instead.
     pts, PX = X.points, E.embedded_X
     x_k, PX_k = pts[k], PX[k]
     P = u - x_k
-    norms = distances_to(x_k, X)
-    norms[k] = 1.0
-    t = (pts @ P - x_k @ P) / norms
-    close = np.flatnonzero(norms < _CANCEL * (E.point_norms + E.point_norms[k]))
+    sq_dist = X.sq_norms - 2.0 * (pts @ x_k) + X.sq_norms[k]
+    close = np.flatnonzero(~(sq_dist >= _CANCEL * (X.norms + X.norms[k]) ** 2))
     close = close[close != k]
+    sq_dist[close] = 1.0
+    sq_dist[k] = 1.0
+    norms = np.sqrt(sq_dist)
+    if close.size:
+        norms[close] = distances_to(x_k, X, close)
+    t = (pts @ P - x_k @ P) / norms
     W_close = (PX[close] - PX_k) / norms[close, None]
     t[close] = ((pts[close] - x_k) / norms[close, None]) @ P
 
@@ -275,16 +280,14 @@ def efn_extend(X: PointSet, f_of_X: np.ndarray, u) -> np.ndarray:
 
 
 def _efn_anchored(X: PointSet, f_of_X, u) -> tuple[np.ndarray, int]:
-    """(efn_extend image, anchor index k), from one distance pass."""
+    """(efn_extend image, anchor index k), the anchor from geometry.nearest."""
     f_of_X = np.asarray(f_of_X, dtype=np.float64)
     if f_of_X.ndim != 2 or f_of_X.shape[0] != X.n:
         raise DimensionMismatch(
             f"base images have shape {f_of_X.shape}, expected ({X.n}, m)"
         )
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    dists = distances_to(u, X)
-    k = int(np.argmin(dists))
-    return np.concatenate([f_of_X[k], [float(dists[k])]]), k
+    k, R = nearest(u, X)
+    return np.concatenate([f_of_X[k], [R]]), k
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ knobs beyond the documented ones. Distances use plain double precision.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,6 +18,11 @@ CLOSE_PAIR_DIST = 1e-9
 # float64 values per distance-block temporary: 2 MB, about one core's L2
 # cache; 32 MB blocks measured up to 1.9x slower.
 BLOCK_ELEMENTS = 2**18
+# nearest trusts its Gram screen only while (max ||x_i|| + ||u||)^2 stays
+# below this, so no square in the screen or in the exact kernel overflows.
+_GRAM_MAX = np.finfo(np.float64).max / 4
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,16 @@ class PointSet:
             dist[rows, start + rows] = np.inf
             nn[start : start + dist.shape[0]] = dist.min(axis=1)
         return nn, diameter
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """(n,) squared Euclidean norms ||x_i||^2, computed on first use."""
+        return np.einsum("ij,ij->i", self.points, self.points)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """(n,) Euclidean norms ||x_i||, the square roots of sq_norms."""
+        return np.sqrt(self.sq_norms)
 
 
 @dataclass(frozen=True)
@@ -140,17 +156,60 @@ def distance_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def distances_to(u, X: PointSet) -> np.ndarray:
-    """Euclidean distances from u to every point of X, in index order."""
+def distances_to(u, X: PointSet, rows=None) -> np.ndarray:
+    """Euclidean distances from u to every point of X, in index order.
+
+    With rows (an index array), only to X.points[rows], in that order; each
+    entry is bit-identical to the same entry of the full pass, since the
+    kernel computes every entry alike. Costs one O(len(rows) d) pass."""
     u = np.asarray(u, dtype=np.float64).reshape(1, -1)
     if u.shape[1] != X.d:
         raise DimensionMismatch(f"query has dimension {u.shape[1]}, expected {X.d}")
-    return distance_matrix(u, X.points)[0]
+    return distance_matrix(u, X.points if rows is None else X.points[rows])[0]
+
+
+def nearest(u, X: PointSet) -> tuple[int, float]:
+    """(k, R): the index of the closest point of X to u and its distance,
+    bit-identical to argmin and min of distances_to(u, X) (ties go to the
+    lowest index), mostly without that full exact pass.
+
+    A Gram screen s_i = ||x_i||^2 - 2<x_i, u> + ||u||^2 (one matrix-vector
+    product over X, cached ||x_i||^2) is within b_i of the exact kernel's
+    squared distance, with
+
+        b_i = (d + 4) eps (||x_i|| + ||u||)^2 + 4 d tiny:
+
+    in units of eps (||x_i|| + ||u||)^2, (d + 2)/2 bound the screen's dot
+    products and sums, (d + 5)/2 the kernel's differences, sum and square
+    root, and 1/2 is left for rounding in b itself; 4 d tiny (the smallest
+    normal number) covers products that underflow. So every index
+    that can hold the exact minimum has s_i - b_i <= min_j (s_j + b_j); only
+    those candidates are recomputed with the exact kernel. Where a square
+    could overflow ((max ||x_i|| + ||u||)^2 > max float / 4, or u is not
+    finite) or every index is a candidate (as when the squares underflow), it
+    takes the one full exact pass instead.
+    """
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    if u.shape[0] != X.d:
+        raise DimensionMismatch(f"query has dimension {u.shape[0]}, expected {X.d}")
+    uu = float(u @ u)
+    u_norm = math.sqrt(uu)
+    scale = float(X.norms.max()) + u_norm
+    rows = None
+    if scale * scale <= _GRAM_MAX:
+        s = X.sq_norms - 2.0 * (X.points @ u) + uu
+        b = (X.d + 4) * _EPS * (X.norms + u_norm) ** 2 + 4 * X.d * _TINY
+        rows = np.flatnonzero(s - b <= np.min(s + b))
+        if rows.size == X.n:
+            rows = None
+    dists = distances_to(u, X, rows)
+    j = int(np.argmin(dists))
+    return (j if rows is None else int(rows[j])), float(dists[j])
 
 
 def nearest_point(u, X: PointSet) -> int:
     """Index of the closest point of X to u; ties go to the lowest index."""
-    return int(np.argmin(distances_to(u, X)))
+    return nearest(u, X)[0]
 
 
 # Keys of the per-query diagnostics record every embed_batch returns.

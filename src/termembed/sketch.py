@@ -26,7 +26,7 @@ from .errors import (
     InvalidConstant,
     InvalidEpsilon,
 )
-from .geometry import PointSet, embed_batch_nearest, nearest_point
+from .geometry import PointSet, embed_batch_nearest, nearest
 
 RADEMACHER = "rademacher"
 GAUSSIAN = "gaussian"
@@ -162,18 +162,23 @@ class ExactEmbedding:
         return self.point_set
 
     def embed(self, u) -> np.ndarray:
+        return self._embed_anchored(u)[0]
+
+    def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
+        return embed_batch_nearest(self, Q, self._embed_anchored)
+
+    def _embed_anchored(self, u) -> tuple[np.ndarray, int]:
+        """(image of u, index k of its nearest terminal). A terminal (R = 0)
+        maps to its row of terminal_images, trailing coordinate exactly 0;
+        recomputing its perpendicular part would leave rounding there."""
         u = np.asarray(u, dtype=np.float64).reshape(-1)
-        if u.shape[0] != self.point_set.d:
-            raise DimensionMismatch(
-                f"query has dimension {u.shape[0]}, expected {self.point_set.d}"
-            )
+        k, R = nearest(u, self.point_set)  # raises DimensionMismatch
+        if R == 0.0:
+            return self.terminal_images[k].copy(), k
         w = u - self.point_set.points[0]
         coords = self.basis @ w
         perp = w - self.basis.T @ coords
-        return np.concatenate([coords, [float(np.linalg.norm(perp))]])
-
-    def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
-        return embed_batch_nearest(self, Q, lambda u: (self.embed(u), nearest_point(u, self.X)))
+        return np.concatenate([coords, [float(np.linalg.norm(perp))]]), k
 
     @cached_property
     def terminal_coords(self) -> np.ndarray:

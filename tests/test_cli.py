@@ -93,6 +93,16 @@ class TestQuery:
         out = read_points_csv(tmp_path / "out.csv")
         assert np.all(out[:, -1] == 0.0)
 
+    def test_exact_bundle_members_get_zero_tail(self, tmp_path, points_csv):
+        bundle = tmp_path / "exact"
+        assert main(["build", points_csv, "--out", str(bundle), "--seed", "3"]) == 0
+        assert json.loads((bundle / "config.json").read_text())["mode"] == "exact_small"
+        out = tmp_path / "out.csv"
+        assert main(["query", str(bundle), points_csv, str(out)]) == 0
+        assert np.all(read_points_csv(out)[:, -1] == 0.0)
+        diag = json.loads((tmp_path / "out.csv.diag.json").read_text())
+        assert [rec["anchor_index"] for rec in diag["per_query"]] == list(range(12))
+
     def test_empty_query_file(self, tmp_path, bundle):
         qpath = tmp_path / "empty.csv"
         qpath.write_text("")

@@ -461,32 +461,47 @@ class TestFactoredSolver:
         E = self.embedder(pts, 2)
         self.assert_matches(E, np.vstack([pts, rng.standard_normal((6, 3))]))
 
-    @pytest.mark.parametrize("on_terminal,calls", [(False, 2), (True, 1)])
-    def test_two_distance_passes_per_solve(self, monkeypatch, on_terminal, calls):
-        import termembed.extension as extension
-
+    @pytest.mark.parametrize("on_terminal", [False, True])
+    def test_no_full_distance_pass_per_solve(self, monkeypatch, on_terminal):
+        # Gaussian data: one anchor candidate, no row in the cancellation zone.
         rng = np.random.default_rng(25)
-        E = random_embedder(rng, n=12, d=6, m=5)
-        seen = []
-        original = extension.distances_to
-        monkeypatch.setattr(extension, "distances_to",
-                            lambda u, X: seen.append(1) or original(u, X))
-        u = E.X.points[3] if on_terminal else rng.standard_normal(6)
+        E = random_embedder(rng, n=200, d=16, m=5)
+        seen = _record_distance_rows(monkeypatch)
+        u = E.X.points[3] if on_terminal else rng.standard_normal(16)
         sol = solve_extension(u, E)
         assert (sol.radius == 0.0) == on_terminal
-        assert len(seen) == calls
+        assert seen == [[sol.anchor_index]]
+
+    def test_guarded_rows_take_exact_norms(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        pts = rng.standard_normal((30, 8))
+        pts[1:4] = pts[0] + 1e-3 * rng.standard_normal((3, 8))
+        E = self.embedder(pts, 5)
+        seen = _record_distance_rows(monkeypatch)
+        sol = solve_extension(pts[0] + 1e-4 * rng.standard_normal(8), E)
+        assert sol.anchor_index in (0, 1, 2, 3)
+        assert seen == [[sol.anchor_index], [i for i in range(4) if i != sol.anchor_index]]
 
 
-def test_efn_embed_batch_one_distance_pass_per_row(monkeypatch):
+def _record_distance_rows(monkeypatch):
+    """Patch distances_to where geometry.nearest and solve_extension look it
+    up; return the row subsets asked for, in call order (None: full pass)."""
     import termembed.extension as extension
     import termembed.geometry as geometry
 
-    E = _three_embedders()["efn"]
-    Q = TestEmbedBatch.queries(E, count=5)
     seen = []
     for module in (extension, geometry):
-        original = module.distances_to
-        monkeypatch.setattr(module, "distances_to",
-                            lambda u, X, f=original: seen.append(1) or f(u, X))
-    E.embed_batch(Q)
-    assert len(seen) == Q.shape[0]
+        monkeypatch.setattr(
+            module, "distances_to",
+            lambda u, X, rows=None, f=module.distances_to:
+                seen.append(None if rows is None else [int(i) for i in rows]) or f(u, X, rows),
+        )
+    return seen
+
+
+def test_efn_embed_batch_no_full_distance_pass(monkeypatch):
+    E = _three_embedders()["efn"]
+    Q = TestEmbedBatch.queries(E, count=5)
+    seen = _record_distance_rows(monkeypatch)
+    _, per_query = E.embed_batch(Q)
+    assert seen == [[rec["anchor_index"]] for rec in per_query]

@@ -8,8 +8,10 @@ from termembed import (
     NonFinitePoint,
     build_point_set,
     direction_set,
+    distances_to,
     nearest_point,
 )
+from termembed.geometry import nearest
 
 
 class TestBuildPointSet:
@@ -86,6 +88,86 @@ class TestNearestPoint:
         far = u + 1e6 * rng.standard_normal((3, 3))
         X2 = build_point_set(np.vstack([pts, far]))
         assert nearest_point(u, X2) == k
+
+
+def _full_pass(u, X):
+    dists = distances_to(u, X)
+    k = int(np.argmin(dists))
+    return k, float(dists[k])
+
+
+def _ties(rng):
+    """Terminals at the same exact nearest distance, among farther ones:
+    ±e_i and ±3e_i around 0, and the corners of the unit cube and of a 3x
+    larger one around their centre."""
+    axes = np.vstack([np.eye(5), -np.eye(5)])
+    cube = np.array([[a, b, c] for a in (-0.5, 0.5) for b in (-0.5, 0.5) for c in (-0.5, 0.5)])
+    return [
+        (np.vstack([3 * axes[::2], axes, 3 * axes[1::2]]), np.zeros((1, 5))),
+        (np.vstack([3 * cube[:4], cube, 3 * cube[4:]]) + 0.5, np.full((1, 3), 0.5)),
+    ]
+
+
+def _sphere(rng):
+    """Terminals at radius 1 ± up to 3 ulps around each query, among others
+    at radius 2."""
+    Q = rng.standard_normal((4, 8))
+    cases = []
+    for u in Q:
+        v = rng.standard_normal((90, 8))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        r = 1.0 + np.finfo(float).eps * rng.integers(-3, 4, size=90)
+        r[::3] = 2.0
+        cases.append((u + r[:, None] * v, u[None]))
+    return cases
+
+
+def _shells(rng):
+    """Queries at 0.01 times a terminal's nearest-neighbour distance."""
+    pts = rng.standard_normal((50, 12))
+    nn, _ = build_point_set(pts).neighbor_scales
+    idx = rng.integers(0, 50, size=20)
+    dirs = rng.standard_normal((20, 12))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return [(pts, pts[idx] + 0.01 * nn[idx, None] * dirs)]
+
+
+def _small(rng):
+    """d = 1 (with a midpoint tie), n = 1 and n = 2 (with its midpoint)."""
+    line = rng.standard_normal((9, 1))
+    pair = rng.standard_normal((2, 4))
+    return [
+        (line, np.vstack([rng.standard_normal((6, 1)), [[(line[0, 0] + line[1, 0]) / 2]]])),
+        (np.array([[1.0, 2.0, 3.0]]), rng.standard_normal((3, 3))),
+        (pair, np.vstack([rng.standard_normal((3, 4)), pair.mean(axis=0), pair])),
+    ]
+
+
+class TestNearest:
+    """geometry.nearest (Gram screen plus exact recompute of the candidates)
+    gives exactly the argmin and min of the full exact pass."""
+
+    @pytest.mark.parametrize("family", [_ties, _sphere, _shells, _small])
+    @pytest.mark.parametrize(
+        "shift,scale", [(0.0, 1.0), (1e6, 1.0), (1e8, 1.0), (0.0, 1e-160), (0.0, 1e160)]
+    )
+    def test_matches_full_pass(self, family, shift, scale):
+        rng = np.random.default_rng(13)
+        for pts, Q in family(rng):
+            X = build_point_set((pts + shift) * scale)
+            for u in (Q + shift) * scale:
+                with np.errstate(over="ignore"):
+                    assert nearest(u, X) == _full_pass(u, X)
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (40, 1), (40, 7), (300, 64), (30, 257)])
+    def test_row_subset_bit_identical(self, n, d):
+        rng = np.random.default_rng(n + d)
+        X = build_point_set(rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1)))
+        u = rng.standard_normal(d)
+        full = distances_to(u, X)
+        for rows in (np.arange(n), [n - 1], rng.permutation(n)[: max(1, n // 3)], [0, 0]):
+            rows = np.asarray(rows)
+            assert np.array_equal(distances_to(u, X, rows), full[rows])
 
 
 class TestDirectionSet:

@@ -176,6 +176,15 @@ class TestExactSmallEmbedding:
         ex = exact_small_embedding(X)
         assert np.all(ex.terminal_images[:, -1] == 0.0)
 
+    def test_terminals_embed_to_their_images(self):
+        rng = np.random.default_rng(9)
+        X = build_point_set(rng.standard_normal((40, 6)) + 5.0)
+        ex = exact_small_embedding(X)
+        images, per_query = ex.embed_batch(X.points)
+        assert np.array_equal(images, ex.terminal_images)
+        assert np.array_equal(ex.embed(X.points[7]), ex.terminal_images[7])
+        assert [rec["anchor_index"] for rec in per_query] == list(range(X.n))
+
     def test_distance_preservation_random(self):
         rng = np.random.default_rng(31)
         worst = 0.0
