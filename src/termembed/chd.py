@@ -28,9 +28,8 @@ from .sketch import SketchMatrix
 
 GRID_MAX_DIRECTIONS = 6
 
-# Fixed chunk sizes keep the rng consumption order, and therefore every
+# A fixed chunk size keeps the rng consumption order, and therefore every
 # estimate, reproducible for a given seed.
-_CHUNK_FULL = 1024
 _CHUNK_SPARSE = 512
 # Row sub-block for the sparse tier's gathers: bounds the (rows, s, d)
 # temporary without changing any result.
@@ -80,13 +79,15 @@ class ChdEstimate:
     trace: tuple = ()
 
 
-def _as_direction_matrix(T, d: int) -> np.ndarray:
+def _as_direction_matrix(T, d: int | None = None) -> np.ndarray:
+    """The (|T|, d) matrix of a DirectionSet or array-like T; d=None skips
+    the width check."""
     mat = T.directions if isinstance(T, DirectionSet) else np.asarray(T, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"direction set must be 2-D, got ndim={mat.ndim}")
     if mat.shape[0] == 0:
         raise ValueError("direction set is empty")
-    if mat.shape[1] != d:
+    if d is not None and mat.shape[1] != d:
         raise DimensionMismatch(
             f"directions have dimension {mat.shape[1]}, sketch expects {d}"
         )
@@ -95,7 +96,7 @@ def _as_direction_matrix(T, d: int) -> np.ndarray:
 
 def make_hull_point(T, weights) -> HullPoint:
     """Build a validated HullPoint from simplex weights over T."""
-    mat = T.directions if isinstance(T, DirectionSet) else np.asarray(T, dtype=np.float64)
+    mat = _as_direction_matrix(T)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.shape[0] != mat.shape[0]:
         raise DimensionMismatch(
@@ -118,10 +119,6 @@ def _norm_gap(x: np.ndarray, px: np.ndarray) -> np.ndarray:
         np.sqrt(np.einsum("ij,ij->i", px, px))
         - np.sqrt(np.einsum("ij,ij->i", x, x))
     )
-
-
-def _batch_violations(lam: np.ndarray, D: np.ndarray, PD: np.ndarray) -> np.ndarray:
-    return _norm_gap(lam @ D, lam @ PD)
 
 
 def _lipschitz_bound(D: np.ndarray, PD: np.ndarray) -> float:
@@ -205,7 +202,7 @@ def certify_grid(pi: SketchMatrix, T, h: float) -> ChdEstimate:
     best_counts = None
     for counts in _composition_batches(k, N):
         lam = counts / N
-        v = _batch_violations(lam, D, PD)
+        v = _norm_gap(lam @ D, lam @ PD)
         j = int(np.argmax(v))
         if v[j] > best_v:
             best_v = float(v[j])
@@ -226,11 +223,12 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
     """Yield (violations, weight_builder) chunks over the sampled population.
 
     The population is: every vertex of T, every pair midpoint, then `samples`
-    random hull points split evenly between full-support Dirichlet(1) draws
-    and sparse-support variants (support sizes 2, 3, ceil(sqrt(|T|)));
-    extreme violations concentrate near low-dimensional faces, which the
-    sparse families target. weight_builder(i) reconstructs the full simplex
-    weights of row i of its chunk.
+    random hull points split evenly (the first sizes take the remainder)
+    over support sizes min(s, |T|), s in 2, 3, ceil(sqrt(|T|)), duplicates
+    dropped: Dirichlet(1) weights on s directions drawn with replacement.
+    Extreme violations concentrate near low-dimensional faces; full-support
+    draws sit near the centroid, 0 when T = -T. weight_builder(i)
+    reconstructs the full simplex weights of row i of its chunk.
 
     Chunk layout (a contract: perfbench splits the tiers by it): one vertex
     chunk of length |T|; then exactly |T| - 1 midpoint chunks, chunk i
@@ -253,33 +251,24 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
 
     # Tier 1: vertices.
     vert = np.abs(np.linalg.norm(PD, axis=1) - np.linalg.norm(D, axis=1))
-    yield vert, lambda r: _one_hot(k, r)
+    yield vert, lambda r: _scatter_weights(k, [r], [1.0])
 
     # Tier 2: all pair midpoints, one chunk per first index. The generator
     # expression drops the last Gram block before Tier 3 starts.
     yield from (
-        (v, lambda r, i=i: _pair_weights(k, i, i + 1 + r))
+        (v, lambda r, i=i: _scatter_weights(k, [i, i + 1 + r], [0.5, 0.5]))
         for i, v in enumerate(_midpoint_violations(D, PD))
     )
 
-    # Tier 3: random hull points.
-    sizes = list(dict.fromkeys(s for s in (2, 3, math.isqrt(k - 1) + 1) if 2 <= s <= k))
-    n_each = samples // (1 + len(sizes))
-    n_full = samples - n_each * len(sizes)
-
-    alpha_full = np.ones(k)
-    done = 0
-    while done < n_full:
-        c = min(_CHUNK_FULL, n_full - done)
-        lam = rng.dirichlet(alpha_full, size=c)
-        yield _batch_violations(lam, D, PD), lambda r, lam=lam: lam[r].copy()
-        done += c
-
-    for s in sizes:
+    # Tier 3: random hull points on sparse supports.
+    sizes = list(dict.fromkeys(min(s, k) for s in (2, 3, math.isqrt(k - 1) + 1)))
+    n_each, extra = divmod(samples, len(sizes))
+    for j, s in enumerate(sizes):
+        n_s = n_each + (j < extra)
         alpha = np.ones(s)
         done = 0
-        while done < n_each:
-            c = min(_CHUNK_SPARSE, n_each - done)
+        while done < n_s:
+            c = min(_CHUNK_SPARSE, n_s - done)
             idx = rng.integers(0, k, size=(c, s))
             w = rng.dirichlet(alpha, size=c)
             x = np.empty((c, D.shape[1]))
@@ -392,9 +381,10 @@ def sampled_violations(pi: SketchMatrix, T, samples: int, seed: int = 0) -> np.n
     and distribution studies. Same stream, same seed semantics.
 
     Layout: |T| vertices, then the pair midpoints in chunk order ((0, 1),
-    (0, 2), ..., (|T|-2, |T|-1)), then the random hull points. Midpoint
-    entries come from Gram blocks; each chunk's max is exact and the rest
-    agree with the direct per-pair formula to within rounding (the bound in
+    (0, 2), ..., (|T|-2, |T|-1)), then the random hull points by support
+    size, in the order 2, 3, ceil(sqrt(|T|)). Midpoint entries come from
+    Gram blocks; each chunk's max is exact and the rest agree with the
+    direct per-pair formula to within rounding (the bound in
     _midpoint_violations is about 4e-10 for unit directions at d = 256;
     observed differences stay below 1e-15).
     """
@@ -498,20 +488,8 @@ def _line_search(lam, x, px, D, PD, i, j, lo, hi):
     return float(deltas[b]), float(vals[b])
 
 
-def _one_hot(k, i):
-    w = np.zeros(k)
-    w[i] = 1.0
-    return w
-
-
-def _pair_weights(k, i, j):
-    w = np.zeros(k)
-    w[i] = 0.5
-    w[j] = 0.5
-    return w
-
-
 def _scatter_weights(k, idx, w):
+    """Simplex weights over k directions: w[a] added at index idx[a]."""
     out = np.zeros(k)
     np.add.at(out, idx, w)
     return out

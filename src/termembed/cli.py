@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import harness, pointio
-from .chd import GRID_MAX_DIRECTIONS, certify_grid, estimate_sampled
+from .chd import estimate_sampled
 from .errors import EmbeddingError, FormatError
 from .extension import EfnEmbedder, SolverConfig, build_embedder
 from .geometry import build_point_set, direction_set
@@ -95,6 +96,38 @@ def _run_config(args) -> RunConfig:
     )
 
 
+def _number(cast, lo):
+    """argparse type: a finite cast(text) >= lo; anything else is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not lo <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite {cast.__name__} >= {lo}")
+        return value
+
+    return parse
+
+
+def _comma_list(item):
+    """argparse type: a comma list of item(text) values; a ValueError is a usage error."""
+
+    def parse(text: str) -> list:
+        try:
+            return [item(t) for t in text.split(",")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _sampler_mode(text: str) -> str:
+    harness.parse_mode(text)  # raises ValueError for a bad mode
+    return text
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=0.25, help="distortion target in (0,1)")
     p.add_argument("--const-C", dest="const_c", type=float, default=4.0,
@@ -103,8 +136,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="sketch entry distribution")
     p.add_argument("--seed", type=int, default=None,
                    help="global seed (default: TE_SEED env var, else 0)")
-    p.add_argument("--solver-iters", type=int, default=5000, help="feasibility solver iteration cap")
-    p.add_argument("--solver-tol", type=float, default=1e-3,
+    p.add_argument("--solver-iters", type=_number(int, 0), default=5000,
+                   help="feasibility solver iteration cap")
+    p.add_argument("--solver-tol", type=_number(float, 0.0), default=1e-3,
                    help="relative slack on the eps*R residual target")
     p.add_argument("--solver-step-rule", choices=["polyak", "diminishing"], default="polyak")
     p.add_argument("--format", dest="fmt", choices=["csv", "bin"], default=None,
@@ -124,9 +158,11 @@ def _parse_asserts(pairs) -> dict[str, float]:
     return out
 
 
-def _check_asserts(thresholds: dict[str, float], measured: dict) -> list[str]:
+def _check_asserts(pairs, measured: dict) -> int:
+    """The exit code for --assert KEY=VAL pairs: EXIT_ASSERT, each failure on
+    stderr, unless every measured KEY <= VAL."""
     failures = []
-    for key, bound in thresholds.items():
+    for key, bound in _parse_asserts(pairs).items():
         if key not in measured:
             raise _UsageError(
                 f"unknown assert key {key!r}; known: {', '.join(sorted(measured))}"
@@ -135,7 +171,9 @@ def _check_asserts(thresholds: dict[str, float], measured: dict) -> list[str]:
         # An undefined statistic (None) fails its assert.
         if value is None or not (value <= bound):
             failures.append(f"{key}={value!r} exceeds {bound!r}")
-    return failures
+    for f in failures:
+        sys.stderr.write(f"assert failed: {f}\n")
+    return EXIT_ASSERT if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +305,11 @@ def _cmd_verify_chd(args) -> int:
                     "witness_weights": [float(w) for w in est.witness.weights],
                 }
             )
-            if args.grid is not None and len(Y) <= GRID_MAX_DIRECTIONS:
-                grid = certify_grid(embedder.Pi, Y, args.grid)
-                report["certified_bound"] = grid.certified_bound
-                report["grid_max"] = grid.max_violation
 
     text = _dump_json(report, args.report)
     if args.report is None:
         sys.stdout.write(text)
-    failures = _check_asserts(_parse_asserts(args.asserts), report)
-    if failures:
-        for f in failures:
-            sys.stderr.write(f"assert failed: {f}\n")
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _check_asserts(args.asserts, report)
 
 
 def _cmd_eval(args) -> int:
@@ -291,9 +320,8 @@ def _cmd_eval(args) -> int:
         queries = pointio.read_points(args.queries_file, fmt)
         labels = ["file"] * queries.shape[0]
     else:
-        modes = args.samplers.split(",") if args.samplers else None
         queries, labels = harness.sample_suite(
-            embedder.X, args.queries_per_mode, derive_seed(seed, "samplers"), modes
+            embedder.X, args.queries_per_mode, derive_seed(seed, "samplers"), args.samplers
         )
     target = embedder
     if args.baseline == "efn":
@@ -317,26 +345,18 @@ def _cmd_eval(args) -> int:
         "ratio_max": report.ratio_max,
         "max_anchor_rel_error": report.max_anchor_rel_error,
     }
-    failures = _check_asserts(_parse_asserts(args.asserts), measured)
-    if failures:
-        for f in failures:
-            sys.stderr.write(f"assert failed: {f}\n")
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _check_asserts(args.asserts, measured)
 
 
 def _cmd_scaling(args) -> int:
     cfg = _run_config(args)
     fmt = pointio.detect_format(args.points, args.fmt)
     X = build_point_set(pointio.read_points(args.points, fmt))
-    epsilons = [float(t) for t in args.epsilons.split(",")]
-    consts = [float(t) for t in args.consts.split(",")]
-    seeds = [int(t) for t in args.seeds.split(",")]
     rows = harness.scaling_study(
         X,
-        epsilons,
-        consts,
-        seeds,
+        args.epsilons,
+        args.consts,
+        args.seeds,
         distribution=cfg.distribution,
         queries_per_mode=args.queries_per_mode,
         chd_samples=args.chd_samples,
@@ -376,10 +396,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-chd", help="estimate the sketch's convex-hull distortion")
     p.add_argument("bundle")
-    p.add_argument("--samples", type=int, default=20000, help="sampled hull points")
+    p.add_argument("--samples", type=_number(int, 1), default=20000, help="random hull points "
+                   "on 2, 3 and ceil(sqrt(|Y|)) directions, beyond all vertices and midpoints")
     p.add_argument("--seed", type=int, default=None, help="override the bundle seed")
-    p.add_argument("--grid", type=float, default=None,
-                   help="also run the certified grid at this step (|Y| <= 6 only)")
     p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
     p.add_argument("--assert", dest="asserts", action="append", metavar="KEY=VAL",
                    help="exit 3 unless measured KEY <= VAL (e.g. max_violation=0.25)")
@@ -387,8 +406,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="measure terminal distortion over sampled queries")
     p.add_argument("bundle")
-    p.add_argument("--queries-per-mode", type=int, default=25)
-    p.add_argument("--samplers", default=None,
+    p.add_argument("--queries-per-mode", type=_number(int, 1), default=25)
+    p.add_argument("--samplers", type=_comma_list(_sampler_mode), default=None,
                    help="comma list, e.g. box,member,shell:0.5,far:3 (default: full suite)")
     p.add_argument("--queries-file", default=None,
                    help="evaluate these points instead of sampled queries")
@@ -403,11 +422,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scaling", help="factorial (epsilon, C, seed) distortion study")
     p.add_argument("points")
-    p.add_argument("--epsilons", required=True, help="comma list, e.g. 0.5,0.25")
-    p.add_argument("--consts", required=True, help="comma list of C values")
-    p.add_argument("--seeds", required=True, help="comma list of seeds")
-    p.add_argument("--queries-per-mode", type=int, default=10)
-    p.add_argument("--chd-samples", type=int, default=2000)
+    p.add_argument("--epsilons", type=_comma_list(float), required=True,
+                   help="comma list, e.g. 0.5,0.25")
+    p.add_argument("--consts", type=_comma_list(float), required=True,
+                   help="comma list of C values")
+    p.add_argument("--seeds", type=_comma_list(int), required=True, help="comma list of seeds")
+    p.add_argument("--queries-per-mode", type=_number(int, 1), default=10)
+    p.add_argument("--chd-samples", type=_number(int, 1), default=2000)
     p.add_argument("--out", default=None, help=".csv or .json table (default: stdout CSV)")
     _add_common(p)
     p.set_defaults(func=_cmd_scaling)

@@ -7,14 +7,13 @@ knobs beyond the documented ones. Distances use plain double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicatePoint, EmptyInput, NonFinitePoint
 
-CLOSE_PAIR_DIST = 1e-9
 # float64 values per distance-block temporary: 2 MB, about one core's L2
 # cache; 32 MB blocks measured up to 1.9x slower.
 BLOCK_ELEMENTS = 2**18
@@ -78,13 +77,11 @@ class DirectionSet:
 
     directions[r] = (x_i - x_j) / ||x_i - x_j|| where (i, j) = pairs[r].
     Closed under negation by construction, since (i, j) and (j, i) both
-    appear. close_pairs lists unordered index pairs closer than 1e-9,
-    surfaced as a conditioning diagnostic only.
+    appear.
     """
 
     directions: np.ndarray  # (n(n-1), d)
     pairs: np.ndarray  # (n(n-1), 2) ints
-    close_pairs: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         self.directions.setflags(write=False)
@@ -258,13 +255,8 @@ def direction_set(X: PointSet) -> DirectionSet:
         )
     idx_i, idx_j = np.where(~np.eye(n, dtype=bool))
     diffs = X.points[idx_i] - X.points[idx_j]
+    # Distinctness guarantees norms > 0.
     norms = distance_matrix(X.points, X.points)[idx_i, idx_j]
-    # Distinctness guarantees norms > 0; near-zero pairs are legal but flagged.
-    close = [
-        (int(i), int(j))
-        for i, j, nv in zip(idx_i, idx_j, norms)
-        if i < j and nv < CLOSE_PAIR_DIST
-    ]
     dirs = diffs / norms[:, None]
     pairs = np.column_stack([idx_i, idx_j]).astype(np.int64)
-    return DirectionSet(directions=dirs, pairs=pairs, close_pairs=tuple(close))
+    return DirectionSet(directions=dirs, pairs=pairs)

@@ -10,6 +10,7 @@ tight cases live near the terminal set and along its chords).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,15 +29,21 @@ DEFAULT_SHELL_FACTORS = (0.01, 0.1, 1.0, 10.0)
 DEFAULT_FAR_SCALE = 3.0
 
 
-def _parse_mode(mode) -> tuple[str, float | None]:
-    if isinstance(mode, tuple):
-        kind, param = mode
-        return str(kind), (None if param is None else float(param))
-    text = str(mode)
-    if ":" in text:
-        kind, raw = text.split(":", 1)
-        return kind, float(raw)
-    return text, None
+def parse_mode(mode) -> tuple[str, float | None]:
+    """(kind, param) of a sampler mode: "kind", "kind:param" or a tuple.
+
+    Raises ValueError for an unknown kind, a parameter given to box, member
+    or segment, or one missing or not finite for shell, shell_rel or far."""
+    kind, param = mode if isinstance(mode, tuple) else str(mode).partition(":")[::2]
+    if kind in ("box", "member", "segment") and param in (None, ""):
+        return kind, None
+    try:
+        value = float(param) if kind in ("shell", "shell_rel", "far") else math.nan
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"bad sampler mode {mode!r}; e.g. box, shell:0.5 or far:3")
+    return kind, value
 
 
 def _unit_rows(rng, count: int, d: int) -> np.ndarray:
@@ -59,7 +66,7 @@ def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    kind, param = _parse_mode(mode)
+    kind, param = parse_mode(mode)
     pts = X.points
     n, d = X.n, X.d
     rng = np.random.default_rng(seed)
@@ -78,23 +85,16 @@ def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
         lam = rng.uniform(size=count)[:, None]
         return lam * pts[i] + (1.0 - lam) * pts[j]
     if kind == "shell":
-        if param is None:
-            raise ValueError("shell mode needs a radius, e.g. shell:0.5")
         anchors = rng.integers(0, n, size=count)
         return pts[anchors] + param * _unit_rows(rng, count, d)
     if kind == "shell_rel":
-        if param is None:
-            raise ValueError("shell_rel mode needs a factor, e.g. shell_rel:0.1")
         nn = X.neighbor_scales[0]
         anchors = rng.integers(0, n, size=count)
         radii = param * nn[anchors]
         return pts[anchors] + radii[:, None] * _unit_rows(rng, count, d)
-    if kind == "far":
-        if param is None:
-            raise ValueError("far mode needs a scale, e.g. far:3")
-        centroid = pts.mean(axis=0)
-        return centroid + param * X.neighbor_scales[1] * _unit_rows(rng, count, d)
-    raise ValueError(f"unknown sampler mode {mode!r}")
+    # kind == "far"
+    centroid = pts.mean(axis=0)
+    return centroid + param * X.neighbor_scales[1] * _unit_rows(rng, count, d)
 
 
 def default_suite_modes() -> list[str]:
@@ -110,7 +110,7 @@ def sample_suite(
     modes = default_suite_modes() if modes is None else list(modes)
     chunks, labels = [], []
     for mode in modes:
-        label = mode if isinstance(mode, str) else _parse_mode(mode)[0]
+        label = mode if isinstance(mode, str) else parse_mode(mode)[0]
         chunks.append(sample_queries(X, mode, count_per_mode, derive_seed(seed, label)))
         labels += [label] * count_per_mode
     return np.vstack(chunks), labels

@@ -77,18 +77,22 @@ def plan_dimension(
     """Choose the target dimension for n terminals, in R^d when d is given.
 
     The exact path is taken when m >= n, or m >= d for a given d: its output
-    is then never wider than the sketch's m + 1.
+    is then never wider than the sketch's m + 1. A C that is not positive
+    and finite, or an m that overflows, raises InvalidConstant.
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
-    if C <= 0.0:
-        raise InvalidConstant(f"C must be positive, got {C}")
+    if not (0.0 < C < math.inf):
+        raise InvalidConstant(f"C must be positive and finite, got {C}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if d is not None and d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     size_y = n * (n - 1)
-    m = math.ceil(C * epsilon**-2 * math.log(max(size_y, 2)))
+    try:
+        m = math.ceil(C * epsilon**-2 * math.log(max(size_y, 2)))
+    except OverflowError:
+        raise InvalidConstant(f"m = C eps^-2 ln|Y| overflows at C={C}, eps={epsilon}") from None
     mode = "exact_small" if m >= min(n, d or n) else "sketch"
     return DimensionPlan(m=m, mode=mode, C=float(C), epsilon=float(epsilon))
 

@@ -281,7 +281,9 @@ class TestMidpointTier:
                 r = int(np.argmax(v))
                 assert r == int(np.argmax(ref))
                 assert v[r] == ref[r]
-                assert np.array_equal(builder(r), chd._pair_weights(len(T), i, i + 1 + r))
+                w = np.zeros(len(T))
+                w[[i, i + 1 + r]] = 0.5
+                assert np.array_equal(builder(r), w)
 
     def test_estimate_matches_reference(self, blocks):
         for T, pi in midpoint_instances():
@@ -313,6 +315,42 @@ class TestMidpointTier:
         assert lengths[0] == k
         assert lengths[1:k] == [k - 1 - i for i in range(k - 1)]
         assert sum(lengths[k:]) == 700
+        # |T| = 30: supports 2, 3 and 6 share 700 = 3 * 233 + 1 points
+        assert lengths[k:] == [234, 233, 233]
+
+
+class TestRandomTier:
+    # (support size, points) per size, in stream order, for 1031 samples:
+    # 1031 = 2 * 515 + 1 = 3 * 343 + 2; ceil(sqrt(272)) = 17.
+    SPLITS = {
+        1: [(1, 1031)],
+        2: [(2, 1031)],
+        3: [(2, 516), (3, 515)],
+        272: [(2, 344), (3, 344), (17, 343)],
+    }
+
+    @pytest.mark.parametrize("k", sorted(SPLITS))
+    def test_sizes_counts_and_weights(self, k):
+        rng = np.random.default_rng(50 + k)
+        T = rng.standard_normal((k, 7))
+        T /= np.linalg.norm(T, axis=1, keepdims=True)
+        pi = generate_sketch(4, 7, "gaussian", k)
+        # one vertex chunk and |T| - 1 midpoint chunks come first
+        chunks = list(chd._violation_stream(pi, T, 1031, seed=k))[k:]
+        for size, count in self.SPLITS[k]:
+            supports = []
+            while count:
+                v, builder = chunks.pop(0)
+                assert 1 <= v.shape[0] <= min(count, chd._CHUNK_SPARSE)
+                count -= v.shape[0]
+                for r in range(v.shape[0]):
+                    w = builder(r)
+                    supports.append(np.count_nonzero(w))
+                    assert w.shape == (k,) and w.min() >= 0.0
+                    assert abs(w.sum() - 1.0) <= 1e-12
+                    assert abs(violation(pi, make_hull_point(T, w)) - v[r]) <= 1e-12
+            assert max(supports) == size
+        assert chunks == []
 
 
 class TestRefineLocal:

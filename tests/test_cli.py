@@ -246,8 +246,7 @@ class TestVerifyAndEval:
         rep = json.loads(report.read_text())
         assert rep["method"] == "exact_small" and rep["max_violation"] == 0.0
 
-    def test_verify_grid_window_on_tiny_sketch(self, tmp_path):
-        # sketch mode (m=14 < d=16) on 32 points, |Y| = 992 > 6: no grid fields
+    def test_verify_grid_flag_is_gone(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         pts = write_csv(tmp_path / "p.csv", rng.standard_normal((32, 16)))
         bundle = tmp_path / "b"
@@ -256,9 +255,8 @@ class TestVerifyAndEval:
         report = tmp_path / "chd.json"
         rc = main(["verify-chd", str(bundle), "--samples", "300",
                    "--grid", "0.05", "--report", str(report)])
-        assert rc == 0
-        rep = json.loads(report.read_text())
-        assert "certified_bound" not in rep  # |Y| too large for the grid tier
+        assert rc == 1 and "--grid" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestBadInputs:
@@ -368,6 +366,43 @@ class TestBadInputs:
 
     def test_threads_flag_is_gone(self, tmp_path, points_csv):
         assert main(["build", points_csv, "--out", str(tmp_path / "b"), "--threads", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["verify-chd", "{bundle}", "--samples", "0", "--report", "{out}"],
+            ["verify-chd", "{bundle}", "--samples", "-3", "--report", "{out}"],
+            ["eval", "{bundle}", "--queries-per-mode", "0", "--report", "{out}"],
+            ["eval", "{bundle}", "--samplers", "bogus", "--report", "{out}"],
+            ["eval", "{bundle}", "--samplers", "shell", "--report", "{out}"],
+            ["eval", "{bundle}", "--samplers", "box,shell:nan", "--report", "{out}"],
+            ["scaling", "{points}", "--epsilons", "0.5", "--consts", "0.5", "--seeds", "0",
+             "--chd-samples", "0", "--out", "{out}"],
+            ["scaling", "{points}", "--epsilons", "0.5", "--consts", "0.5", "--seeds", "0",
+             "--queries-per-mode", "0", "--out", "{out}"],
+            ["scaling", "{points}", "--epsilons", "half", "--consts", "0.5", "--seeds", "0",
+             "--out", "{out}"],
+            ["build", "{points}", "--out", "{out}", "--solver-tol", "nan"],
+            ["build", "{points}", "--out", "{out}", "--solver-tol", "inf"],
+            ["build", "{points}", "--out", "{out}", "--solver-tol", "-1"],
+            ["build", "{points}", "--out", "{out}", "--solver-iters", "-5"],
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, bundle, points_csv, capsys, flags):
+        subs = {"{bundle}": str(bundle), "{points}": points_csv, "{out}": str(tmp_path / "new")}
+        before = sorted(tmp_path.rglob("*"))
+        rc = main([subs.get(f, f) for f in flags])
+        out, err = capsys.readouterr()
+        assert rc == 1 and err.startswith("usage error:") and out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("const", ["nan", "inf", "1e308"])  # 1e308: m overflows
+    def test_bad_plan_constant_exits_2(self, tmp_path, points_csv, capsys, const):
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["build", points_csv, "--out", str(tmp_path / "new"), "--const-C", const])
+        out, err = capsys.readouterr()
+        assert rc == 2 and err.startswith("error:") and "C" in err and out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestScalingCommand:

@@ -81,6 +81,15 @@ class TestSamplers:
         with pytest.raises(ValueError):
             sample_queries(X, "warp", 5, seed=0)
 
+    @pytest.mark.parametrize("mode", ["shell", "shell:", "far:x", "shell_rel:nan", "box:1"])
+    def test_bad_mode_parameter(self, X, mode):
+        with pytest.raises(ValueError, match="mode"):
+            sample_queries(X, mode, 5, seed=0)
+
+    def test_tuple_mode(self, X):
+        a = sample_queries(X, ("shell", 0.5), 5, seed=2)
+        assert np.array_equal(a, sample_queries(X, "shell:0.5", 5, seed=2))
+
     def test_suite_labels_align(self, X):
         q, labels = sample_suite(X, 4, seed=6)
         assert q.shape[0] == len(labels) == 4 * 8

@@ -43,6 +43,16 @@ class TestPlanDimension:
         with pytest.raises(InvalidConstant):
             plan_dimension(10, 0.5, 0.0)
 
+    def test_non_finite_constant(self):
+        for C in (math.nan, math.inf):
+            with pytest.raises(InvalidConstant, match="finite"):
+                plan_dimension(10, 0.5, C)
+        # finite C and eps whose m overflows
+        with pytest.raises(InvalidConstant, match="overflows"):
+            plan_dimension(10, 0.5, 1e308)
+        with pytest.raises(InvalidConstant, match="overflows"):
+            plan_dimension(10, 1e-200, 4.0)
+
     def test_formula_matches_definition(self):
         for n, eps, C in [(50, 0.3, 2.0), (400, 0.1, 4.0), (1, 0.5, 4.0)]:
             plan = plan_dimension(n, eps, C)
