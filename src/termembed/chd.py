@@ -31,8 +31,8 @@ GRID_MAX_DIRECTIONS = 6
 # A fixed chunk size keeps the rng consumption order, and therefore every
 # estimate, reproducible for a given seed.
 _CHUNK_SPARSE = 512
-# Row sub-block for the sparse tier's gathers: bounds the (rows, s, d)
-# temporary without changing any result.
+# Row sub-block for the random tier's direct recompute: bounds the
+# (rows, s, d) gather temporary without changing any result.
 _GATHER_ROWS = 64
 # First indices per Gram block in the pair-midpoint tier; memory is
 # O(_MIDPOINT_BLOCK * |T|), small enough for a block to stay in cache.
@@ -67,7 +67,10 @@ class ChdEstimate:
     """Result of one verifier tier.
 
     certified_bound, step, and lipschitz are set by certify_grid only;
-    trace (the non-decreasing violation sequence) by refine_local only.
+    trace (the non-decreasing violation sequence) by refine_local only;
+    witness_tier (the tier whose chunk held the witness) and tier_max (each
+    tier's largest stream value, keyed "vertex", "midpoint", "random"; a
+    tier with no points is left out) by estimate_sampled only.
     """
 
     max_violation: float
@@ -77,6 +80,8 @@ class ChdEstimate:
     step: float | None = None
     lipschitz: float | None = None
     trace: tuple = ()
+    witness_tier: str | None = None
+    tier_max: dict | None = None
 
 
 def _as_direction_matrix(T, d: int | None = None) -> np.ndarray:
@@ -241,6 +246,14 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
     O(_MIDPOINT_BLOCK * |T|) memory. Each midpoint chunk's max, and the first
     index holding it, are bit-identical to the direct per-pair formula; every
     other entry agrees with it to within rounding.
+
+    The random tier builds each chunk's hull points from point coordinates
+    (see _sparse_violations): one (c x n) coefficient matrix and two GEMMs,
+    O(c n (d + m)) time per chunk of c points for a DirectionSet over n
+    points, O(c |T| (d + m)) for an array T, which is its own basis. Each
+    random chunk's max, and the first index holding it, are bit-identical to
+    the gather formula sum_a w_a T[idx_a]; every other entry is within the
+    bound b_r derived there.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -260,7 +273,8 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
         for i, v in enumerate(_midpoint_violations(D, PD))
     )
 
-    # Tier 3: random hull points on sparse supports.
+    # Tier 3: random hull points on sparse supports, from point coordinates.
+    basis = _hull_basis(pi, T, D, PD)
     sizes = list(dict.fromkeys(min(s, k) for s in (2, 3, math.isqrt(k - 1) + 1)))
     n_each, extra = divmod(samples, len(sizes))
     for j, s in enumerate(sizes):
@@ -271,14 +285,96 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
             c = min(_CHUNK_SPARSE, n_s - done)
             idx = rng.integers(0, k, size=(c, s))
             w = rng.dirichlet(alpha, size=c)
-            x = np.empty((c, D.shape[1]))
-            px = np.empty((c, PD.shape[1]))
-            for lo in range(0, c, _GATHER_ROWS):
-                rows = slice(lo, lo + _GATHER_ROWS)
-                x[rows] = np.einsum("cs,csd->cd", w[rows], D[idx[rows]])
-                px[rows] = np.einsum("cs,csd->cd", w[rows], PD[idx[rows]])
-            yield _norm_gap(x, px), lambda r, idx=idx, w=w: _scatter_weights(k, idx[r], w[r])
+            v, _ = _sparse_violations(D, PD, basis, idx, w)
+            yield v, lambda r, idx=idx, w=w: _scatter_weights(k, idx[r], w[r])
             done += c
+
+
+def _hull_basis(pi: SketchMatrix, T, D: np.ndarray, PD: np.ndarray):
+    """(B, PB, ends, coef, N): the random tier's point coordinates.
+
+    Every direction is D[t] = sum_q coef[t, q] * B[ends[t, q]] up to
+    rounding, PB = B Pi^T, and N[p] = (1 + ||Pi||_F) ||B[p]|| + ||PB[p]||
+    weighs point p in the screen's error bound (see _sparse_violations). A
+    DirectionSet's basis is its points less their mean, with coefficients
+    +-1 / ||x_i - x_j||: directions do not change under translation, and
+    centring keeps a large common offset from costing digits. An array T is
+    its own basis, with one-hot coefficients.
+    """
+    if isinstance(T, DirectionSet):
+        B = T.points - T.points.mean(axis=0)
+        PB = B @ pi.entries.T
+        inv = 1.0 / T.distances
+        ends, coef = T.pairs, np.column_stack([inv, -inv])
+    else:
+        B, PB = D, PD
+        ends, coef = np.arange(D.shape[0])[:, None], np.ones((D.shape[0], 1))
+    N = (1.0 + np.linalg.norm(pi.entries)) * np.linalg.norm(B, axis=1)
+    N += np.linalg.norm(PB, axis=1)
+    return B, PB, ends, coef, N
+
+
+def _sparse_violations(D: np.ndarray, PD: np.ndarray, basis, idx: np.ndarray, w: np.ndarray):
+    """(v, b): v[r] is the violation at the hull point sum_a w[r, a] D[idx[r, a]]
+    and b[r] bounds |v[r] - direct|, where direct is the gather formula
+    sum_a w[r, a] D[idx[r, a]] (and the same on PD) evaluated in sub-blocks of
+    _GATHER_ROWS rows. The chunk's max, and the first index holding it, are
+    bit-identical to direct; every other entry is within its b[r].
+
+    The hull point is c_r B for a coefficient row c_r over the basis points
+    (see _hull_basis), with at most q s nonzeros for support s and q ends per
+    direction. One np.bincount builds the chunk's (c x n) matrix C, and the
+    screen takes x = C B and Pi x = C PB by GEMM: O(c n (d + m)) time for c
+    rows and n basis points, against O(c s (d + m)) gathered values for
+    direct.
+    Each row is then screened against its own bound. With u the unit
+    roundoff, A[r, p] = sum of |w[r, a] coef[t_a, q]| over the ends of row r
+    at p, S_x = sum_p A[r, p] ||B_p||, S_p = sum_p A[r, p] ||PB_p|| and
+    F = ||Pi||_F >= || |Pi| ||_2, first-order error terms in units of u are:
+      - rounding of C (1 / distance, the product with w, and at most s
+        terms summed per entry): s + 1 on S_x and S_p;
+      - centring (each B_p is off by u ||B_p||; the offsets cancel exactly
+        in the reals, since each direction's coefficients sum to 0): 1 on
+        S_x and on F S_x;
+      - the GEMMs C B and C PB: n on S_x and S_p;
+      - PB = B Pi^T and PD = D Pi^T, formed by different products: d each
+        on F S_x;
+      - the reference gather itself: 2 for D = (x_i - x_j) / distance on
+        S_x and F S_x, and s for its weighted sums on S_x and S_p (the
+        directions obey sum_a w_a ||D_t|| <= S_x, to first order);
+      - both pairs of norms (sum of squares and square root): d + 3 on S_x
+        and m + 3 on S_p;
+      - both subtractions of the norms: 2 on S_x and S_p.
+    Every coefficient is at most K = n + 2 s + 2 max(d, m) + 9, so with
+    gamma = K u / (1 - K u) the bound is b = 2 gamma ((1 + F) S_x + S_p) plus
+    4 sqrt((n + s + d + m) tiny) for products and squares that underflow;
+    the doubling covers the second-order terms and the rounding of b and of
+    v +- b. Every row with v[r] + b[r] >= max_j (v[j] - b[j]) (or a NaN) is
+    recomputed with the direct formula; a row left on its screen value is
+    strictly below the chunk's direct max.
+    """
+    B, PB, ends, coef, N = basis
+    c, s = w.shape
+    n, d, m = B.shape[0], D.shape[1], PD.shape[1]
+    heads = ends[idx]  # (c, s, q) basis indices
+    terms = w[:, :, None] * coef[idx]
+    weight = np.einsum("csq,csq->c", np.abs(terms), N[heads])
+    heads += (n * np.arange(c))[:, None, None]
+    C = np.bincount(heads.ravel(), terms.ravel(), minlength=c * n).reshape(c, n)
+    v = _norm_gap(C @ B, C @ PB)
+    K = n + 2 * s + 2 * max(d, m) + 9
+    u = np.finfo(np.float64).eps / 2
+    gamma = K * u / (1.0 - K * u)
+    b = 2.0 * gamma * weight
+    b += 4.0 * math.sqrt((n + s + d + m) * np.finfo(np.float64).tiny)
+    rows = np.flatnonzero(~(v + b < np.max(v - b)))
+    for lo in range(0, rows.size, _GATHER_ROWS):
+        r = rows[lo : lo + _GATHER_ROWS]
+        v[r] = _norm_gap(
+            np.einsum("cs,csd->cd", w[r], D[idx[r]]),
+            np.einsum("cs,csd->cd", w[r], PD[idx[r]]),
+        )
+    return v, b
 
 
 def _midpoint_violations(D: np.ndarray, PD: np.ndarray):
@@ -358,21 +454,32 @@ def estimate_sampled(pi: SketchMatrix, T, samples: int, seed: int = 0) -> ChdEst
     hull points (see _violation_stream for the population).
 
     Vertices and midpoints are always evaluated, so the estimate is at least
-    the worst vertex violation. Deterministic per seed.
+    the worst vertex violation. Records the tier holding the witness and each
+    tier's max (exact per chunk, see _violation_stream). Deterministic per
+    seed.
     """
     D = _as_direction_matrix(T, pi.d)
     best_v = -1.0
     best_weights: np.ndarray | None = None
-    for v, builder in _violation_stream(pi, T, samples, seed):
+    best_tier = None
+    tier_max: dict = {}
+    for chunk, (v, builder) in enumerate(_violation_stream(pi, T, samples, seed)):
+        tier = "vertex" if chunk == 0 else "midpoint" if chunk < D.shape[0] else "random"
         r = int(np.argmax(v))
+        tier_max[tier] = max(tier_max.get(tier, -1.0), float(v[r]))
         if v[r] > best_v:
             best_v = float(v[r])
             best_weights = builder(r)
+            best_tier = tier
     witness = make_hull_point(D, best_weights)
     # Recompute at the witness so the reported value matches an independent
     # evaluation regardless of which vectorized path found it.
     return ChdEstimate(
-        max_violation=violation(pi, witness), witness=witness, method="sampled"
+        max_violation=violation(pi, witness),
+        witness=witness,
+        method="sampled",
+        witness_tier=best_tier,
+        tier_max=tier_max,
     )
 
 
@@ -386,7 +493,12 @@ def sampled_violations(pi: SketchMatrix, T, samples: int, seed: int = 0) -> np.n
     Gram blocks; each chunk's max is exact and the rest agree with the
     direct per-pair formula to within rounding (the bound in
     _midpoint_violations is about 4e-10 for unit directions at d = 256;
-    observed differences stay below 1e-15).
+    observed differences stay below 1e-15). Random entries come from GEMMs
+    over the basis points, O(c n (d + m)) per chunk of c points for a
+    DirectionSet over n points and O(c |T| (d + m)) for an array; each
+    chunk's max is exact and the rest are within the per-row bound b_r of
+    _sparse_violations (3e-12 to 4e-12 for 64 Gaussian points in R^256 at
+    m = 34; observed differences stay below 1e-15).
     """
     return np.concatenate(
         [v for v, _ in _violation_stream(pi, T, samples, seed)]

@@ -123,9 +123,14 @@ def _comma_list(item):
     return parse
 
 
-def _sampler_mode(text: str) -> str:
-    harness.parse_mode(text)  # raises ValueError for a bad mode
-    return text
+def _sampler_modes(text: str) -> list[str]:
+    """argparse type: a comma list of sampler modes with distinct labels."""
+    modes = text.split(",")
+    try:
+        harness.mode_labels(modes)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return modes
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -286,14 +291,15 @@ def _cmd_verify_chd(args) -> int:
         "epsilon": meta["epsilon"],
         "seed": seed,
     }
+    no_witness = {"max_violation": 0.0, "witness_weights": [], "witness_tier": None, "tier_max": {}}
     if meta["mode"] != "sketch":
         # The exact path is an isometry on the terminal span; there is no
         # sketch to audit.
-        report.update({"method": "exact_small", "max_violation": 0.0, "witness_weights": []})
+        report.update({"method": "exact_small", **no_witness})
     else:
         Y = direction_set(embedder.X)
         if len(Y) == 0:
-            report.update({"method": "sampled", "max_violation": 0.0, "witness_weights": []})
+            report.update({"method": "sampled", **no_witness})
         else:
             est = estimate_sampled(
                 embedder.Pi, Y, args.samples, derive_seed(seed, "chd")
@@ -303,13 +309,17 @@ def _cmd_verify_chd(args) -> int:
                     "method": est.method,
                     "max_violation": est.max_violation,
                     "witness_weights": [float(w) for w in est.witness.weights],
+                    "witness_tier": est.witness_tier,
+                    "tier_max": est.tier_max,
                 }
             )
 
     text = _dump_json(report, args.report)
     if args.report is None:
         sys.stdout.write(text)
-    return _check_asserts(args.asserts, report)
+    # Weights, the tier name and the tier maxima are not numbers to bound.
+    measured = {k: v for k, v in report.items() if not isinstance(v, (list, dict, str))}
+    return _check_asserts(args.asserts, measured)
 
 
 def _cmd_eval(args) -> int:
@@ -407,7 +417,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="measure terminal distortion over sampled queries")
     p.add_argument("bundle")
     p.add_argument("--queries-per-mode", type=_number(int, 1), default=25)
-    p.add_argument("--samplers", type=_comma_list(_sampler_mode), default=None,
+    p.add_argument("--samplers", type=_sampler_modes, default=None,
                    help="comma list, e.g. box,member,shell:0.5,far:3 (default: full suite)")
     p.add_argument("--queries-file", default=None,
                    help="evaluate these points instead of sampled queries")

@@ -75,17 +75,20 @@ class PointSet:
 class DirectionSet:
     """All n(n-1) normalized ordered differences of a point set.
 
-    directions[r] = (x_i - x_j) / ||x_i - x_j|| where (i, j) = pairs[r].
-    Closed under negation by construction, since (i, j) and (j, i) both
-    appear.
+    directions[r] = (x_i - x_j) / distances[r], where (i, j) = pairs[r], x_i
+    is row i of points, and distances[r] = ||x_i - x_j|| is the
+    distance_matrix entry. Closed under negation by construction, since
+    (i, j) and (j, i) both appear.
     """
 
     directions: np.ndarray  # (n(n-1), d)
     pairs: np.ndarray  # (n(n-1), 2) ints
+    points: np.ndarray  # (n, d), the point set's rows
+    distances: np.ndarray  # (n(n-1),)
 
     def __post_init__(self):
-        self.directions.setflags(write=False)
-        self.pairs.setflags(write=False)
+        for arr in (self.directions, self.pairs, self.points, self.distances):
+            arr.setflags(write=False)
 
     def __len__(self) -> int:
         return self.directions.shape[0]
@@ -251,7 +254,10 @@ def direction_set(X: PointSet) -> DirectionSet:
     n, d = X.n, X.d
     if n < 2:
         return DirectionSet(
-            directions=np.zeros((0, d)), pairs=np.zeros((0, 2), dtype=np.int64)
+            directions=np.zeros((0, d)),
+            pairs=np.zeros((0, 2), dtype=np.int64),
+            points=X.points,
+            distances=np.zeros(0),
         )
     idx_i, idx_j = np.where(~np.eye(n, dtype=bool))
     diffs = X.points[idx_i] - X.points[idx_j]
@@ -259,4 +265,4 @@ def direction_set(X: PointSet) -> DirectionSet:
     norms = distance_matrix(X.points, X.points)[idx_i, idx_j]
     dirs = diffs / norms[:, None]
     pairs = np.column_stack([idx_i, idx_j]).astype(np.int64)
-    return DirectionSet(directions=dirs, pairs=pairs)
+    return DirectionSet(directions=dirs, pairs=pairs, points=X.points, distances=norms)

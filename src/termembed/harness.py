@@ -103,14 +103,33 @@ def default_suite_modes() -> list[str]:
     return modes
 
 
+def mode_labels(modes) -> list[str]:
+    """The label of each sampler mode: a string mode is its own label, a tuple
+    (kind, param) is labeled "kind:param" ("kind" when param is None or "").
+
+    Raises ValueError for a bad mode (see parse_mode) or two equal labels,
+    which would share a sub-seed and merge in evaluate's statistics."""
+    labels = []
+    for mode in modes:
+        kind, _ = parse_mode(mode)
+        if isinstance(mode, str):
+            label = mode
+        else:
+            label = kind if mode[1] in (None, "") else f"{kind}:{mode[1]}"
+        if label in labels:
+            raise ValueError(f"sampler mode {label!r} is given twice")
+        labels.append(label)
+    return labels
+
+
 def sample_suite(
     X: PointSet, count_per_mode: int, seed: int = 0, modes=None
 ) -> tuple[np.ndarray, list[str]]:
-    """Concatenate every sampler mode into one labeled query batch."""
+    """Concatenate every sampler mode into one labeled query batch; each mode
+    draws from the sub-seed of its label (see mode_labels)."""
     modes = default_suite_modes() if modes is None else list(modes)
     chunks, labels = [], []
-    for mode in modes:
-        label = mode if isinstance(mode, str) else parse_mode(mode)[0]
+    for mode, label in zip(modes, mode_labels(modes)):
         chunks.append(sample_queries(X, mode, count_per_mode, derive_seed(seed, label)))
         labels += [label] * count_per_mode
     return np.vstack(chunks), labels

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from termembed import (
     DimensionMismatch,
+    DirectionSet,
     TooManyDirections,
     build_point_set,
     certify_grid,
@@ -351,6 +354,147 @@ class TestRandomTier:
                     assert abs(violation(pi, make_hull_point(T, w)) - v[r]) <= 1e-12
             assert max(supports) == size
         assert chunks == []
+
+
+def reference_random_chunks(pi, T, samples, seed):
+    """The random tier as a direct gather in 64-row sub-blocks: (v, idx, w) per
+    chunk, drawing idx then w from one rng as the stream does."""
+    D = np.asarray(T.directions if isinstance(T, DirectionSet) else T, dtype=np.float64)
+    PD = D @ pi.entries.T
+    k = D.shape[0]
+    rng = np.random.default_rng(seed)
+    sizes = list(dict.fromkeys(min(s, k) for s in (2, 3, math.isqrt(k - 1) + 1)))
+    n_each, extra = divmod(samples, len(sizes))
+    for j, s in enumerate(sizes):
+        left = n_each + (j < extra)
+        while left:
+            c = min(512, left)
+            idx = rng.integers(0, k, size=(c, s))
+            w = rng.dirichlet(np.ones(s), size=c)
+            x = np.empty((c, D.shape[1]))
+            px = np.empty((c, PD.shape[1]))
+            for lo in range(0, c, 64):
+                rows = slice(lo, lo + 64)
+                x[rows] = np.einsum("cs,csd->cd", w[rows], D[idx[rows]])
+                px[rows] = np.einsum("cs,csd->cd", w[rows], PD[idx[rows]])
+            v = np.abs(
+                np.sqrt(np.einsum("ij,ij->i", px, px)) - np.sqrt(np.einsum("ij,ij->i", x, x))
+            )
+            yield v, idx, w
+            left -= c
+
+
+def near_duplicate_instance():
+    """Three points, two of them 1e-9 apart along e1, under a sketch that
+    stretches e1 four-fold: the hull points built from that pair's directions
+    hold each chunk's max, many of them equal up to rounding, while the
+    screen's error on them is about 1e-7."""
+    rng = np.random.default_rng(60)
+    pts = rng.standard_normal((3, 5))
+    pts[2] = pts[1]
+    pts[2, 0] += 1e-9
+    P = generate_sketch(4, 5, "gaussian", 6).entries.copy()
+    P[:, 0] *= 4.0
+    return direction_set(build_point_set(pts)), SketchMatrix(
+        entries=P, distribution="gaussian", seed=0
+    )
+
+
+def _gaussian_set(n, d, m, seed, shift=0.0, scale=1.0):
+    def make():
+        X = np.random.default_rng(seed).standard_normal((n, d)) * scale + shift
+        return direction_set(build_point_set(X)), generate_sketch(m, d, "gaussian", seed)
+
+    return make
+
+
+def _unit_array(k):
+    def make():
+        T = np.random.default_rng(70 + k).standard_normal((k, 7))
+        return T / np.linalg.norm(T, axis=1, keepdims=True), generate_sketch(4, 7, "gaussian", k)
+
+    return make
+
+
+RANDOM_INSTANCES = {
+    "gaussian_9x12": _gaussian_set(9, 12, 5, 61),
+    "gaussian_17x24": _gaussian_set(17, 24, 6, 62),
+    "near_duplicate": near_duplicate_instance,
+    "shift_1e6": _gaussian_set(8, 6, 4, 63, shift=1e6),
+    "shift_1e8": _gaussian_set(8, 6, 4, 64, shift=1e8),
+    "scale_1e-150": _gaussian_set(8, 6, 4, 65, scale=1e-150),
+    **{f"array_{k}": _unit_array(k) for k in (1, 2, 3, 272)},
+}
+
+
+class TestRandomTierScreen:
+    @pytest.mark.parametrize("name", sorted(RANDOM_INSTANCES))
+    def test_chunks_match_gather(self, name):
+        T, pi = RANDOM_INSTANCES[name]()
+        D = chd._as_direction_matrix(T, pi.d)
+        PD = D @ pi.entries.T
+        basis = chd._hull_basis(pi, T, D, PD)
+        for seed in (0, 1):
+            got = list(chd._violation_stream(pi, T, 1600, seed))[len(D):]
+            ref = list(reference_random_chunks(pi, T, 1600, seed))
+            assert len(got) == len(ref)
+            for (v, _), (v_ref, idx, w) in zip(got, ref):
+                r = int(np.argmax(v_ref))
+                assert int(np.argmax(v)) == r and v[r] == v_ref[r]
+                again, b = chd._sparse_violations(D, PD, basis, idx, w)
+                assert np.array_equal(again, v)
+                assert np.all(np.abs(v - v_ref) <= b)
+
+    def test_screen_alone_misses_the_argmax(self):
+        # Without the guard the GEMM screen would pick another row: the
+        # fixture above exercises the bound, not just the screen.
+        Y, pi = near_duplicate_instance()
+        B = Y.points - Y.points.mean(axis=0)
+        misses = 0
+        for v_ref, idx, w in reference_random_chunks(pi, Y, 1600, 0):
+            i, j = Y.pairs[idx, 0], Y.pairs[idx, 1]
+            coef = w / Y.distances[idx]
+            rows = np.arange(w.shape[0])[:, None]
+            C = np.zeros((w.shape[0], B.shape[0]))
+            np.add.at(C, (rows, i), coef)
+            np.add.at(C, (rows, j), -coef)
+            x = C @ B
+            screen = chd._norm_gap(x, x @ pi.entries.T)
+            misses += int(np.argmax(screen)) != int(np.argmax(v_ref))
+        assert misses > 0
+
+    def test_bound_does_not_grow_with_a_shift(self):
+        # Centring keeps a common offset out of the basis, so the bound (and
+        # the number of rows recomputed) is that of the unshifted set.
+        X = np.random.default_rng(66).standard_normal((8, 6))
+        pi = generate_sketch(4, 6, "gaussian", 66)
+        rng = np.random.default_rng(67)
+        idx = rng.integers(0, 56, size=(300, 8))
+        w = rng.dirichlet(np.ones(8), size=300)
+        bounds = []
+        for shift in (0.0, 1e8):
+            Y = direction_set(build_point_set(X + shift))
+            PD = Y.directions @ pi.entries.T
+            basis = chd._hull_basis(pi, Y, Y.directions, PD)
+            bounds.append(chd._sparse_violations(Y.directions, PD, basis, idx, w)[1])
+        assert np.all(bounds[1] <= 2.0 * bounds[0])
+
+
+class TestTierReport:
+    @pytest.mark.parametrize("name", ["gaussian_9x12", "near_duplicate", "array_1", "array_272"])
+    def test_witness_tier_holds_the_max(self, name):
+        T, pi = RANDOM_INSTANCES[name]()
+        k = len(T)
+        for seed in (0, 1, 2):
+            est = estimate_sampled(pi, T, 700, seed=seed)
+            chunks = [v for v, _ in chd._violation_stream(pi, T, 700, seed)]
+            expect = {"vertex": float(chunks[0].max()),
+                      "random": float(max(v.max() for v in chunks[k:]))}
+            if k > 1:
+                expect["midpoint"] = float(max(v.max() for v in chunks[1:k]))
+            assert est.tier_max == expect
+            assert est.tier_max[est.witness_tier] == max(est.tier_max.values())
+            assert abs(est.tier_max[est.witness_tier] - est.max_violation) <= 1e-12
 
 
 class TestRefineLocal:

@@ -159,6 +159,15 @@ class TestVerifyAndEval:
         assert 0.0 <= rep["max_violation"] <= 2.0
         assert len(rep["witness_weights"]) == 12 * 11
 
+    def test_verify_report_names_witness_tier(self, tmp_path, bundle):
+        report = tmp_path / "chd.json"
+        assert main(["verify-chd", str(bundle), "--samples", "500", "--report", str(report)]) == 0
+        rep = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert set(rep["tier_max"]) == {"vertex", "midpoint", "random"}
+        assert rep["witness_tier"] in rep["tier_max"]
+        assert rep["tier_max"][rep["witness_tier"]] == max(rep["tier_max"].values())
+        assert abs(max(rep["tier_max"].values()) - rep["max_violation"]) <= 1e-12
+
     def test_verify_assert_failure_exits_3_report_written(self, tmp_path, bundle, capsys):
         report = tmp_path / "chd.json"
         rc = main(["verify-chd", str(bundle), "--samples", "500",
@@ -171,6 +180,11 @@ class TestVerifyAndEval:
         rc = main(["verify-chd", str(bundle), "--samples", "100",
                    "--assert", "bogus_key=1"])
         assert rc == 1
+
+    @pytest.mark.parametrize("key", ["witness_weights", "witness_tier", "tier_max"])
+    def test_verify_assert_on_non_number_is_usage_error(self, bundle, capsys, key):
+        rc = main(["verify-chd", str(bundle), "--samples", "100", "--assert", f"{key}=1"])
+        assert rc == 1 and capsys.readouterr().err.startswith("usage error:")
 
     def test_eval_report(self, tmp_path, bundle):
         report = tmp_path / "eval.json"
@@ -376,6 +390,8 @@ class TestBadInputs:
             ["eval", "{bundle}", "--samplers", "bogus", "--report", "{out}"],
             ["eval", "{bundle}", "--samplers", "shell", "--report", "{out}"],
             ["eval", "{bundle}", "--samplers", "box,shell:nan", "--report", "{out}"],
+            ["eval", "{bundle}", "--samplers", "shell:0.1,shell:0.1", "--report", "{out}"],
+            ["eval", "{bundle}", "--samplers", "box,box", "--report", "{out}"],
             ["scaling", "{points}", "--epsilons", "0.5", "--consts", "0.5", "--seeds", "0",
              "--chd-samples", "0", "--out", "{out}"],
             ["scaling", "{points}", "--epsilons", "0.5", "--consts", "0.5", "--seeds", "0",

@@ -11,7 +11,7 @@ from termembed import (
     distances_to,
     nearest_point,
 )
-from termembed.geometry import nearest
+from termembed.geometry import distance_matrix, nearest
 
 
 class TestBuildPointSet:
@@ -209,6 +209,16 @@ class TestDirectionSet:
             i, j = Y.pairs[r]
             expect = (pts[i] - pts[j]) / np.linalg.norm(pts[i] - pts[j])
             assert np.allclose(Y.directions[r], expect, atol=1e-15)
+
+    def test_points_and_distances_read_only(self):
+        X = build_point_set(np.random.default_rng(12).standard_normal((7, 5)) + 1e6)
+        Y = direction_set(X)
+        assert np.array_equal(Y.points, X.points)
+        dist = distance_matrix(X.points, X.points)
+        assert Y.distances.tobytes() == dist[Y.pairs[:, 0], Y.pairs[:, 1]].tobytes()
+        for arr in (Y.directions, Y.pairs, Y.points, Y.distances):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_close_pair_flagged(self):
         X = build_point_set([(0.0, 0.0), (1e-11, 0.0), (1.0, 0.0)])

@@ -20,6 +20,7 @@ from termembed.extension import EfnEmbedder
 from termembed import geometry, harness
 from termembed.geometry import distances_to
 from termembed.harness import scaling_table_csv
+from termembed.seeding import derive_seed
 from termembed.sketch import SketchMatrix
 
 
@@ -93,6 +94,26 @@ class TestSamplers:
     def test_suite_labels_align(self, X):
         q, labels = sample_suite(X, 4, seed=6)
         assert q.shape[0] == len(labels) == 4 * 8
+
+    def test_string_modes_are_their_own_labels(self, X):
+        q, labels = sample_suite(X, 3, seed=6)
+        modes = harness.default_suite_modes()
+        assert labels == [m for m in modes for _ in range(3)]
+        want = [sample_queries(X, m, 3, derive_seed(6, m)) for m in modes]
+        assert np.array_equal(q, np.vstack(want))
+
+    def test_tuple_modes_labeled_with_their_parameter(self, X):
+        q, labels = sample_suite(X, 3, seed=7, modes=[("shell", 0.1), ("shell", 1.0), ("box", None)])
+        assert labels == ["shell:0.1"] * 3 + ["shell:1.0"] * 3 + ["box"] * 3
+        same, _ = sample_suite(X, 3, seed=7, modes=["shell:0.1", "shell:1.0", "box"])
+        assert np.array_equal(q, same)
+
+    @pytest.mark.parametrize(
+        "modes", [["box", "box"], [("shell", 0.1), "shell:0.1"], [("far", 3), ("far", 3)]]
+    )
+    def test_equal_labels_rejected(self, X, modes):
+        with pytest.raises(ValueError, match="twice"):
+            sample_suite(X, 2, seed=0, modes=modes)
 
 
 def _broadcast_nearest_neighbor_dists(pts):
