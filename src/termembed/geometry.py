@@ -17,8 +17,9 @@ from .errors import DimensionMismatch, DuplicatePoint, EmptyInput, NonFinitePoin
 # float64 values per distance-block temporary: 2 MB, about one core's L2
 # cache; 32 MB blocks measured up to 1.9x slower.
 BLOCK_ELEMENTS = 2**18
-# nearest trusts its Gram screen only while (max ||x_i|| + ||u||)^2 stays
-# below this, so no square in the screen or in the exact kernel overflows.
+# The Gram screens (nearest, PointSet.neighbor_scales) are trusted only while
+# (||a|| + ||b||)^2 stays below this for every pair they compare, so no
+# square in the screen or in the exact kernel overflows.
 _GRAM_MAX = np.finfo(np.float64).max / 4
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -46,29 +47,140 @@ class PointSet:
 
     @cached_property
     def neighbor_scales(self) -> tuple[np.ndarray, float]:
-        """(nearest-neighbor distance of every point, diameter), from one
-        blocked distance pass computed on first use. A single point has
-        nearest-neighbor distance 1 and diameter 0."""
+        """(nearest-neighbor distance of every point, diameter), computed on
+        first use; the array is read-only. A single point has
+        nearest-neighbor distance 1 and diameter 0.
+
+        Both are bit-identical to the min and max of the exact blocked pass
+        over all pairs (distance_row_blocks(X, X)), mostly without it. The
+        Gram screen s_ij = ||x_i||^2 - 2<x_i, x_j> + ||x_j||^2 comes from
+        row-blocked GEMMs X[block] X^T and the cached ||x_i||^2; a GEMM's dot
+        products obey the same gamma_d rounding bound as nearest's
+        matrix-vector product, so each entry is within b_ij =
+        _gram_bound(d, ||x_i||, ||x_j||) of the exact kernel's squared
+        distance. Only the off-diagonal entries that could hold their row's
+        minimum (s_ij - b_ij <= min_{k != i} (s_ik + b_ik)) or the global
+        maximum (s_ij + b_ij >= max (s - b)) are recomputed with the exact
+        kernel. That costs O(n^2 d) GEMM flops, about one exact entry per row
+        on Gaussian data, and temporaries of at most about 1.5
+        BLOCK_ELEMENTS values together (no n x n array). Where a square
+        could overflow ((2 max ||x_i||)^2 > max float / 4) or every entry of
+        some row is a candidate (as when the squares underflow), it takes
+        the exact pass.
+        """
         if self.n == 1:
-            return np.ones(1), 0.0
-        nn = np.empty(self.n)
-        diameter = 0.0
-        for start, dist in distance_row_blocks(self.points, self.points):
-            diameter = max(diameter, float(dist.max()))
-            rows = np.arange(dist.shape[0])
-            dist[rows, start + rows] = np.inf
-            nn[start : start + dist.shape[0]] = dist.min(axis=1)
+            nn, diameter = np.ones(1), 0.0
+        else:
+            nn, diameter = _screened_neighbor_scales(self) or _exact_neighbor_scales(self.points)
+        nn.setflags(write=False)
         return nn, diameter
 
     @cached_property
     def sq_norms(self) -> np.ndarray:
-        """(n,) squared Euclidean norms ||x_i||^2, computed on first use."""
-        return np.einsum("ij,ij->i", self.points, self.points)
+        """(n,) read-only squared Euclidean norms ||x_i||^2, computed on first
+        use."""
+        sq = np.einsum("ij,ij->i", self.points, self.points)
+        sq.setflags(write=False)
+        return sq
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """(n,) Euclidean norms ||x_i||, the square roots of sq_norms."""
-        return np.sqrt(self.sq_norms)
+        """(n,) read-only Euclidean norms ||x_i||, the square roots of
+        sq_norms."""
+        norms = np.sqrt(self.sq_norms)
+        norms.setflags(write=False)
+        return norms
+
+
+def _gram_bound(d: int, norms_a, norms_b):
+    """Bound on the gap between a Gram screen entry ||a||^2 - 2<a, b> +
+    ||b||^2 and the exact kernel's squared distance ||a - b||^2 in R^d, for
+    points of the given norms (broadcast); derived in nearest."""
+    return (d + 4) * _EPS * (norms_a + norms_b) ** 2 + 4 * d * _TINY
+
+
+def _exact_neighbor_scales(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """neighbor_scales from one exact blocked pass over all pairs (n >= 2)."""
+    nn = np.empty(points.shape[0])
+    diameter = 0.0
+    for start, dist in distance_row_blocks(points, points):
+        diameter = max(diameter, float(dist.max()))
+        rows = np.arange(dist.shape[0])
+        dist[rows, start + rows] = np.inf
+        nn[start : start + dist.shape[0]] = dist.min(axis=1)
+    return nn, diameter
+
+
+def _gram_screen(X: PointSet, rows: np.ndarray):
+    """Yield (block, lo, hi) over consecutive blocks of the index array rows:
+    lo and hi are the Gram screen of X.points[block] against every point,
+    minus and plus its rounding bound, with the diagonal entries (i, i)
+    set to -inf. lo and hi are views into two buffers that the next block
+    overwrites. Each (len(block), n) array (lo, hi and the bound) and the
+    gathered rows hold at most max(BLOCK_ELEMENTS / 8, n, d) values: 256 KB
+    blocks measured as fast as 2 MB ones on a 600 x 256 set, with a lower
+    peak RSS."""
+    n, d = X.n, X.d
+    step = max(1, BLOCK_ELEMENTS // (8 * max(n, d)))
+    lo_buf, hi_buf = np.empty((2, min(step, rows.size), n))
+    for start in range(0, rows.size, step):
+        block = rows[start : start + step]
+        lo, hi = lo_buf[: block.size], hi_buf[: block.size]
+        np.matmul(X.points[block], X.points.T, out=hi)
+        hi *= -2.0
+        hi += X.sq_norms[block, None]
+        hi += X.sq_norms
+        b = _gram_bound(d, X.norms[block, None], X.norms)
+        np.subtract(hi, b, out=lo)
+        hi += b
+        del b
+        diag = (np.arange(block.size), block)
+        lo[diag] = hi[diag] = -np.inf
+        yield block, lo, hi
+
+
+def _pair_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Exact kernel distances ||points[i_t] - points[j_t]|| for index arrays i
+    and j, each bit-identical to that entry of distance_row_blocks; the two
+    gathered (chunk, d) arrays hold at most max(BLOCK_ELEMENTS, 2 d) values
+    together."""
+    out = np.empty(i.size)
+    step = max(1, BLOCK_ELEMENTS // (2 * points.shape[1]))
+    for start in range(0, i.size, step):
+        part = slice(start, start + step)
+        diff = points[i[part]]
+        diff -= points[j[part]]
+        out[part] = _kernel(diff[None])[0]
+    return out
+
+
+def _screened_neighbor_scales(X: PointSet):
+    """neighbor_scales from the Gram screen (see there), or None where a
+    square could overflow or every entry of some row is a nearest-neighbor
+    candidate."""
+    scale = 2.0 * float(X.norms.max())
+    if scale * scale > _GRAM_MAX:
+        return None
+    nn = np.empty(X.n)
+    row_max = np.empty(X.n)  # max_{j != i} (s_ij + b_ij)
+    floor = -np.inf  # max_{i != j} (s_ij - b_ij), below the squared diameter
+    for block, lo, hi in _gram_screen(X, np.arange(X.n)):
+        floor = max(floor, float(lo.max()))
+        row_max[block] = hi.max(axis=1)
+        diag = (np.arange(block.size), block)
+        lo[diag] = hi[diag] = np.inf
+        cand = lo <= hi.min(axis=1, keepdims=True)
+        counts = cand.sum(axis=1)
+        if counts.max() == X.n - 1:
+            return None
+        a, j = np.nonzero(cand)
+        dist = _pair_distances(X.points, block[a], j)
+        nn[block] = np.minimum.reduceat(dist, np.cumsum(counts) - counts)
+    diameter = 0.0
+    for block, _, hi in _gram_screen(X, np.flatnonzero(row_max >= floor)):
+        a, j = np.nonzero(hi >= floor)
+        diameter = max(diameter, float(_pair_distances(X.points, block[a], j).max(initial=0.0)))
+    return nn, diameter
 
 
 @dataclass(frozen=True)
@@ -140,12 +252,17 @@ def distance_row_blocks(A: np.ndarray, B: np.ndarray):
     """Yield (start, dist) with dist[a, j] = ||A[start + a] - B[j]|| over
     consecutive row blocks of A. Every temporary holds at most
     max(BLOCK_ELEMENTS, B.size) float64 values (a block has at least one
-    row). The one place the Euclidean distance formula is written: each
-    entry comes from the same per-element einsum whatever the block."""
+    row). Each entry comes from the same per-element einsum (_kernel)
+    whatever the block."""
     rows = max(1, BLOCK_ELEMENTS // max(B.size, 1))
     for start in range(0, A.shape[0], rows):
-        diff = A[start : start + rows, None, :] - B[None, :, :]
-        yield start, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        yield start, _kernel(A[start : start + rows, None, :] - B[None, :, :])
+
+
+def _kernel(diff: np.ndarray) -> np.ndarray:
+    """The Euclidean norms along the last axis of a 3-D difference array: the
+    one place the distance formula is written."""
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def distance_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -198,7 +315,7 @@ def nearest(u, X: PointSet) -> tuple[int, float]:
     rows = None
     if scale * scale <= _GRAM_MAX:
         s = X.sq_norms - 2.0 * (X.points @ u) + uu
-        b = (X.d + 4) * _EPS * (X.norms + u_norm) ** 2 + 4 * X.d * _TINY
+        b = _gram_bound(X.d, X.norms, u_norm)
         rows = np.flatnonzero(s - b <= np.min(s + b))
         if rows.size == X.n:
             rows = None

@@ -61,8 +61,10 @@ def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
     terminals themselves, cycled), "far:s" (centroid plus s * diameter in a
     random direction), "shell_rel:f" (shell at f times the anchor's
     nearest-neighbor distance). Deterministic per seed. The nearest-neighbor
-    distances and the diameter come from X.neighbor_scales: one blocked
-    distance pass per point set, O(n^2 d) time, shared by every later call.
+    distances and the diameter come from X.neighbor_scales, computed once per
+    point set and shared by every later call: a blocked Gram screen (O(n^2 d)
+    GEMM flops) with exact distances only for the entries it cannot rule out,
+    bit-identical to a full exact distance pass.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

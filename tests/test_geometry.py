@@ -11,7 +11,9 @@ from termembed import (
     distances_to,
     nearest_point,
 )
+from termembed import geometry
 from termembed.geometry import distance_matrix, nearest
+from test_harness import _broadcast_diameter, _broadcast_nearest_neighbor_dists
 
 
 class TestBuildPointSet:
@@ -49,6 +51,13 @@ class TestBuildPointSet:
         X = build_point_set([(0, 0), (3, 0)])
         with pytest.raises(ValueError):
             X.points[0, 0] = 5.0
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_cached_arrays_are_read_only(self, n):
+        X = build_point_set(np.random.default_rng(n).standard_normal((n, 3)))
+        for arr in (X.sq_norms, X.norms, X.neighbor_scales[0]):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestNearestPoint:
@@ -168,6 +177,79 @@ class TestNearest:
         for rows in (np.arange(n), [n - 1], rng.permutation(n)[: max(1, n // 3)], [0, 0]):
             rows = np.asarray(rows)
             assert np.array_equal(distances_to(u, X, rows), full[rows])
+
+
+def _equidistant(rng):
+    """Point sets where every nearest-neighbour distance is one value (the
+    regular simplex e_1..e_6 and the corners of the unit cube, at n = 2
+    too), and 40 antipodal pairs whose lengths 2 differ by a few ulps, so
+    the diameter is among near-ties."""
+    cube = np.array([[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)])
+    v = rng.standard_normal((40, 8))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    r = 1.0 + np.finfo(float).eps * rng.integers(-3, 4, size=(2, 40, 1))
+    return [np.eye(6), cube, cube[:2], np.vstack([r[0] * v, -r[1] * v])]
+
+
+def _distinct(pts):
+    return len(np.unique(pts, axis=0)) == len(pts)
+
+
+def _neighbor_families():
+    """The point sets of the nearest families, with the queries added as
+    points where that keeps the set distinct, and a pair 1e-9 apart."""
+    rng = np.random.default_rng(17)
+    sets = []
+    for family in (_ties, _sphere, _shells, _small):
+        for pts, Q in family(rng):
+            sets.append(pts)
+            if _distinct(np.vstack([pts, Q])):
+                sets.append(np.vstack([pts, Q]))
+    close = rng.standard_normal((30, 4))
+    close[1] = close[0] + np.array([1e-9, 0.0, 0.0, 0.0])
+    return sets + _equidistant(rng) + [close, rng.standard_normal((1, 3)), rng.standard_normal((40, 1))]
+
+
+class TestNeighborScales:
+    """PointSet.neighbor_scales (Gram screen plus exact recompute of the
+    candidates) equals the full broadcast pass bit for bit."""
+
+    @pytest.mark.parametrize("block_elements", [None, 1, 97])
+    @pytest.mark.parametrize(
+        "shift,scale", [(0.0, 1.0), (1e6, 1.0), (1e8, 1.0), (0.0, 1e-160), (0.0, 1e160)]
+    )
+    def test_matches_broadcast(self, monkeypatch, shift, scale, block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", block_elements)
+        for pts in _neighbor_families():
+            pts = (pts + shift) * scale
+            if not _distinct(pts):  # the 1e-9 pair at shift 1e8
+                continue
+            with np.errstate(over="ignore"):
+                nn, diameter = build_point_set(pts).neighbor_scales
+                assert np.array_equal(nn, _broadcast_nearest_neighbor_dists(pts))
+                assert diameter == _broadcast_diameter(pts)
+
+    @pytest.mark.parametrize("block_elements", [None, 1000])
+    @pytest.mark.parametrize("n,d", [(2, 5), (200, 1), (300, 64), (64, 256)])
+    def test_gaussian_takes_the_screen(self, monkeypatch, n, d, block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", block_elements)
+        pts = np.random.default_rng(n * d).standard_normal((n, d))
+        X = build_point_set(pts)
+        screened = geometry._screened_neighbor_scales(X)
+        # n = 2 has one entry per row, always a candidate: the exact pass.
+        assert (screened is None) == (n == 2)
+        nn, diameter = X.neighbor_scales
+        assert np.array_equal(nn, _broadcast_nearest_neighbor_dists(pts))
+        assert diameter == _broadcast_diameter(pts)
+        if screened is not None:
+            assert np.array_equal(screened[0], nn) and screened[1] == diameter
+
+    def test_shifted_and_tiny_data_take_the_exact_pass(self):
+        pts = np.random.default_rng(5).standard_normal((50, 12))
+        for data in (pts + 1e8, pts * 1e-160):
+            assert geometry._screened_neighbor_scales(build_point_set(data)) is None
 
 
 class TestDirectionSet:

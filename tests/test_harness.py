@@ -186,20 +186,28 @@ class TestDistanceBlocks:
         for u, row in zip(A, got):
             assert np.array_equal(distances_to(u, X), row)
 
-    def test_default_suite_makes_one_distance_pass(self, monkeypatch, X):
-        passes = []
-        original = geometry.distance_row_blocks
+    def test_default_suite_makes_no_full_distance_pass(self, monkeypatch):
+        X = build_point_set(np.random.default_rng(0).standard_normal((60, 5)))
+        passes, screens = [], []
+        original_blocks, original_screen = geometry.distance_row_blocks, geometry._gram_screen
 
-        def counting(A, B):
+        def counting_blocks(A, B):
             passes.append((A is X.points, B is X.points))
-            return original(A, B)
+            return original_blocks(A, B)
 
-        monkeypatch.setattr(geometry, "distance_row_blocks", counting)
+        def counting_screen(Y, rows):
+            screens.append(Y)
+            return original_screen(Y, rows)
+
+        monkeypatch.setattr(geometry, "distance_row_blocks", counting_blocks)
+        monkeypatch.setattr(geometry, "_gram_screen", counting_screen)
         first = sample_suite(X, 4, seed=6)[0]
-        assert passes == [(True, True)]
+        assert (True, True) not in passes
+        assert screens and all(Y is X for Y in screens)
+        count = len(screens)
         sample_suite(X, 4, seed=7)
-        assert passes == [(True, True)]
-        monkeypatch.setattr(geometry, "distance_row_blocks", original)
+        assert (True, True) not in passes and len(screens) == count
+        monkeypatch.undo()
         fresh = build_point_set(X.points.copy())
         assert np.array_equal(sample_suite(fresh, 4, seed=6)[0], first)
 
