@@ -34,8 +34,9 @@ _CHUNK_SPARSE = 512
 # Row sub-block for the random tier's direct recompute: bounds the
 # (rows, s, d) gather temporary without changing any result.
 _GATHER_ROWS = 64
-# First indices per Gram block in the pair-midpoint tier; memory is
-# O(_MIDPOINT_BLOCK * |T|), small enough for a block to stay in cache.
+# Rows per Gram block in the pair-midpoint tier. A block holds a few
+# (_MIDPOINT_BLOCK x |T|) float arrays, with |T|/2 columns over one sign of a
+# mirror-closed DirectionSet: small enough to stay in cache.
 _MIDPOINT_BLOCK = 64
 # Pairs per batch when the midpoint tier recomputes entries directly.
 _MIDPOINT_DIRECT = 4096
@@ -236,16 +237,29 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
     reconstructs the full simplex weights of row i of its chunk.
 
     Chunk layout (a contract: perfbench splits the tiers by it): one vertex
-    chunk of length |T|; then exactly |T| - 1 midpoint chunks, chunk i
-    holding the midpoints (t_i + t_j)/2 for j > i, so of length |T| - 1 - i;
-    then the random chunks. Chunk sizes and rng consumption order are fixed,
-    so the stream is deterministic per seed.
+    chunk of length |T|; then exactly |T| - 1 midpoint chunks; then the
+    random chunks. Chunk sizes and rng consumption order are fixed, so the
+    stream is deterministic per seed. The midpoint chunks depend on T:
+      - an array T, or a DirectionSet that is not exactly closed under
+        negation (see _mirror_half): chunk i holds (t_i + t_j)/2 for j > i,
+        so it has length |T| - 1 - i;
+      - a mirror-closed DirectionSet, with y_p the p-th of its h = |T|/2
+        rows t_ij, i < j: for each p, the minus chunk (y_p - y_q)/2 for
+        q >= p (length h - p), then, for p < h - 1, the plus chunk
+        (y_p + y_q)/2 for q > p (length h - 1 - p). The midpoints (a+b)/2
+        and (-a-b)/2 have equal violations, so each such mirror pair is
+        evaluated once: h^2 midpoints in h + (h - 1) = |T| - 1 chunks, where
+        the layout above has h (2h - 1). A row's weights name the member of
+        its mirror pair that comes first in that layout's order, so the
+        witness is the per-pair scan's unless midpoints of two different
+        mirror pairs tie exactly at the max.
 
     The midpoint tier takes its norms from Gram blocks (see
-    _midpoint_violations): O(|T|^2 (d + m)) time in BLAS and
-    O(_MIDPOINT_BLOCK * |T|) memory. Each midpoint chunk's max, and the first
-    index holding it, are bit-identical to the direct per-pair formula; every
-    other entry agrees with it to within rounding.
+    _midpoint_violations): O(|T|^2 (d + m)) time in BLAS, a quarter of it
+    for a mirror-closed DirectionSet, and O(_MIDPOINT_BLOCK * |T|) memory.
+    Each midpoint chunk's max, and the first index holding it, are
+    bit-identical to the direct formula 0.5 * (t_a + t_b) on the pairs its
+    weights name; every other entry agrees with it to within rounding.
 
     The random tier builds each chunk's hull points from point coordinates
     (see _sparse_violations): one (c x n) coefficient matrix and two GEMMs,
@@ -266,12 +280,21 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
     vert = np.abs(np.linalg.norm(PD, axis=1) - np.linalg.norm(D, axis=1))
     yield vert, lambda r: _scatter_weights(k, [r], [1.0])
 
-    # Tier 2: all pair midpoints, one chunk per first index. The generator
-    # expression drops the last Gram block before Tier 3 starts.
+    # Tier 2: all pair midpoints, over one sign of each direction when T is
+    # mirror-closed. The generator expression drops the last Gram block, and
+    # the del the gathered rows, before Tier 3 starts.
+    mirror = _mirror_half(T, D, PD)
+    if mirror is None:
+        half = neg = None
+        R, PR, signs = D, PD, (1,)
+    else:
+        half, neg = mirror
+        R, PR, signs = D[half], PD[half], (-1, 1)
     yield from (
-        (v, lambda r, i=i: _scatter_weights(k, [i, i + 1 + r], [0.5, 0.5]))
-        for i, v in enumerate(_midpoint_violations(D, PD))
+        (v, lambda r, p=p, sign=sign: _midpoint_weights(k, half, neg, p, sign, r))
+        for p, sign, v in _midpoint_violations(R, PR, signs)
     )
+    del R, PR
 
     # Tier 3: random hull points on sparse supports, from point coordinates.
     basis = _hull_basis(pi, T, D, PD)
@@ -377,76 +400,139 @@ def _sparse_violations(D: np.ndarray, PD: np.ndarray, basis, idx: np.ndarray, w:
     return v, b
 
 
-def _midpoint_violations(D: np.ndarray, PD: np.ndarray):
-    """Yield, for each i < |T| - 1, the violations at (t_i + t_j)/2, j > i.
+def _mirror_half(T, D: np.ndarray, PD: np.ndarray):
+    """(half, neg) when T is a DirectionSet exactly closed under negation,
+    else None: then every (i, j) in T.pairs has its (j, i) at row neg[r],
+    D[neg] == -D and PD[neg] == -PD. half lists the rows with i < j in
+    order. The directions are compared as values, so 0.0 against -0.0
+    passes (direction_set gives x_i - x_i = +0.0 both ways): no norm, sum or
+    difference's magnitude sees the sign of a zero. O(|T| (d + m)) time and
+    O(_MIDPOINT_BLOCK (d + m)) memory beyond the index arrays.
+    """
+    if not isinstance(T, DirectionSet) or T.pairs.shape != (D.shape[0], 2):
+        return None
+    i, j = T.pairs[:, 0], T.pairs[:, 1]
+    if i.min() < 0 or np.any(i == j):
+        return None
+    n = int(T.pairs.max()) + 1
+    key = i * n + j
+    order = np.argsort(key, kind="stable")
+    pos = np.searchsorted(key, j * n + i, sorter=order)
+    neg = order[np.minimum(pos, key.size - 1)]
+    # Every mirror present, and no pair twice (neg an involution).
+    if not (np.array_equal(key[neg], j * n + i) and np.array_equal(neg[neg], np.arange(key.size))):
+        return None
+    half = np.flatnonzero(i < j)
+    for lo in range(0, half.size, _MIDPOINT_BLOCK):
+        r = half[lo : lo + _MIDPOINT_BLOCK]
+        if not (np.array_equal(D[neg[r]], -D[r]) and np.array_equal(PD[neg[r]], -PD[r])):
+            return None
+    return half, neg
 
-    Per block of _MIDPOINT_BLOCK first indices, one GEMM on D and one on PD
-    give every ||a+b||^2 = ||a||^2 + ||b||^2 + 2<a, b>. Two kinds of entry
-    are then recomputed with the direct formula on 0.5 * (a + b), exactly as
-    a per-pair scan evaluates them:
-      - cancellation: ||a+b||^2 <= _CANCEL (||a||^2 + ||b||^2), or the same
-        for the images (antipodal pairs t and -t, or Pi nearly killing a+b),
-        where the Gram identity loses its relative accuracy;
-      - near-max: entries within two rounding bounds of their row's largest
-        Gram value.
-    The Gram and direct values of ||(a+b)/2||^2 differ by at most
+
+def _midpoint_weights(k: int, half, neg, p: int, sign: int, r: int) -> np.ndarray:
+    """Simplex weights over T's k directions of row r of the (p, sign) chunk
+    of _midpoint_violations, the midpoint (R_p + sign R_q)/2. With half =
+    None, R is T itself. Otherwise R is T[half] (see _mirror_half) and the
+    weights name whichever of (a, b) and (-a, -b) comes first in the
+    per-pair order (0, 1), (0, 2), ..., (k - 2, k - 1)."""
+    q = p + (sign > 0) + r
+    if half is None:
+        return _scatter_weights(k, [p, q], [0.5, 0.5])
+    a, b = half[p], half[q] if sign > 0 else neg[half[q]]
+    a, b = min(sorted((a, b)), sorted((neg[a], neg[b])))
+    return _scatter_weights(k, [a, b], [0.5, 0.5])
+
+
+def _midpoint_violations(R: np.ndarray, PR: np.ndarray, signs=(1,)):
+    """Yield (p, sign, v) with v[c] the violation at (R_p + sign R_q)/2 for
+    q = p + (sign > 0) + c: for each row p in order, one chunk per sign in
+    `signs` order, empty chunks skipped. signs = (1,) gives every pair
+    midpoint of R once, p < |R| - 1; signs = (-1, 1) gives each row against
+    itself and every later row with both signs, |R|^2 midpoints in all.
+
+    Per block of _MIDPOINT_BLOCK rows p, one GEMM on R and one on PR give
+    every 2<R_p, R_q>, q >= p (q > p for signs = (1,)), and so every
+    ||a +- b||^2 = ||a||^2 + ||b||^2 +- 2<a, b> of the block. Two kinds of
+    entry are then recomputed with the direct formula on 0.5 * (a +- b),
+    exactly as a per-pair scan evaluates them:
+      - cancellation: ||a+-b||^2 <= _CANCEL (||a||^2 + ||b||^2), or the same
+        for the images (antipodal pairs t and -t, or Pi nearly killing the
+        midpoint), where the Gram identity loses its relative accuracy;
+      - near-max: entries within two rounding bounds of their chunk's
+        largest Gram value.
+    The Gram and direct values of ||(a+-b)/2||^2 differ by at most
     gamma (||a||^2 + ||b||^2), gamma = (w + 4) u / (1 - (w + 4) u) with
     w = max(d, m) and u the unit roundoff, so outside the cancellation zone
     each norm differs by at most 2 gamma sqrt((||a||^2 + ||b||^2) / _CANCEL);
     `bound` doubles the sum over both sides to cover the square roots and
-    the subtraction. An entry left on its Gram
-    value is therefore strictly below its row's direct max, which keeps each
-    row's max and the first index holding it bit-identical to the scan.
+    the subtraction. An entry left on its Gram value is therefore strictly
+    below its chunk's direct max, which keeps each chunk's max and the first
+    index holding it bit-identical to the scan. Negation is exact and
+    x + (-y) = -((-x) + y) in floating point, so the direct value at
+    a + (-1) b equals a per-pair scan's at (-a) + b, or at a + b' for b' = -b.
     """
-    k = D.shape[0]
-    sq = np.einsum("ij,ij->i", D, D)
-    psq = np.einsum("ij,ij->i", PD, PD)
-    w = max(D.shape[1], PD.shape[1]) + 4
+    h = R.shape[0]
+    sq = np.einsum("ij,ij->i", R, R)
+    psq = np.einsum("ij,ij->i", PR, PR)
+    w = max(R.shape[1], PR.shape[1]) + 4
     u = np.finfo(np.float64).eps / 2
     gamma = w * u / (1.0 - w * u)
     bound = 4.0 * gamma * (
         math.sqrt(2.0 * sq.max()) + math.sqrt(2.0 * psq.max())
     ) / math.sqrt(_CANCEL)
-    for i0 in range(0, k - 1, _MIDPOINT_BLOCK):
-        i1 = min(i0 + _MIDPOINT_BLOCK, k - 1)
-        # Block entry (r, c) is the pair i = i0 + r, j = i0 + 1 + c; row r
-        # uses the columns c >= r.
-        q, s = _pair_sums(D, sq, i0, i1)
-        s *= _CANCEL
-        direct = q <= s
-        pq, s = _pair_sums(PD, psq, i0, i1)
-        s *= _CANCEL
-        direct |= pq <= s
-        del s
-        np.maximum(q, 0.0, out=q)
-        np.maximum(pq, 0.0, out=pq)
-        v = np.sqrt(pq)
-        v -= np.sqrt(q, out=q)
-        del q, pq
-        np.abs(v, out=v)
-        v *= 0.5
-        # Entries below the diagonal (c < r) are never yielded.
-        below = np.tril_indices(i1 - i0, -1)
-        v[below] = -np.inf
-        best = np.where(direct, -np.inf, v).max(axis=1)
-        direct |= v >= (best - 2.0 * bound)[:, None]
-        rs, cs = np.nonzero(direct)
-        del direct
-        for lo in range(0, rs.size, _MIDPOINT_DIRECT):
-            r, c = rs[lo : lo + _MIDPOINT_DIRECT], cs[lo : lo + _MIDPOINT_DIRECT]
-            a, b = i0 + r, i0 + 1 + c
-            v[r, c] = _norm_gap(0.5 * (D[a] + D[b]), 0.5 * (PD[a] + PD[b]))
+    # Without the minus sign the diagonal q = p is no pair, so it is skipped:
+    # column c of a block is q = i0 + skip + c, and row r's sign-s chunk
+    # starts at column r + (s > 0) - skip.
+    skip = 0 if -1 in signs else 1
+    for i0 in range(0, h - skip, _MIDPOINT_BLOCK):
+        i1 = min(i0 + _MIDPOINT_BLOCK, h - skip)
+        g, s = _gram_block(R, sq, i0, i1, skip)
+        pg, ps = _gram_block(PR, psq, i0, i1, skip)
+        chunks = []
+        for sign in signs:
+            # The plus sign comes last, so its sums take over g and pg.
+            if sign > 0:
+                q, pq = np.add(g, s, out=g), np.add(pg, ps, out=pg)
+            else:
+                q, pq = s - g, ps - pg
+            direct = q <= _CANCEL * s
+            direct |= pq <= _CANCEL * ps
+            np.maximum(q, 0.0, out=q)
+            np.maximum(pq, 0.0, out=pq)
+            v = np.sqrt(pq, out=pq)
+            v -= np.sqrt(q, out=q)
+            del q, pq
+            np.abs(v, out=v)
+            v *= 0.5
+            # Entries left of a row's chunk, all in the first i1 - i0
+            # columns since off <= 1, are never yielded.
+            off = (sign > 0) - skip
+            before = np.tril_indices(i1 - i0, off - 1)
+            v[before] = -np.inf
+            best = np.where(direct, -np.inf, v).max(axis=1)
+            direct |= v >= (best - 2.0 * bound)[:, None]
+            direct[before] = False
+            rs, cs = np.nonzero(direct)
+            del direct
+            for j in range(0, rs.size, _MIDPOINT_DIRECT):
+                r, c = rs[j : j + _MIDPOINT_DIRECT], cs[j : j + _MIDPOINT_DIRECT]
+                a, b = i0 + r, i0 + skip + c
+                v[r, c] = _norm_gap(0.5 * (R[a] + sign * R[b]), 0.5 * (PR[a] + sign * PR[b]))
+            chunks.append((sign, off, v))
+        del g, s, pg, ps
         for r in range(i1 - i0):
-            yield v[r, r:]
+            for sign, off, v in chunks:
+                if r + off < v.shape[1]:
+                    yield i0 + r, sign, v[r, r + off :]
 
 
-def _pair_sums(M: np.ndarray, sq: np.ndarray, i0: int, i1: int):
-    """(||M_i + M_j||^2, ||M_i||^2 + ||M_j||^2) for i in [i0, i1), j > i0."""
-    s = sq[i0:i1, None] + sq[None, i0 + 1 :]
-    q = M[i0:i1] @ M[i0 + 1 :].T
-    q *= 2.0
-    q += s
-    return q, s
+def _gram_block(M: np.ndarray, sq: np.ndarray, i0: int, i1: int, skip: int):
+    """(2 <M_p, M_q>, ||M_p||^2 + ||M_q||^2) for p in [i0, i1), q >= i0 + skip."""
+    s = sq[i0:i1, None] + sq[None, i0 + skip :]
+    g = M[i0:i1] @ M[i0 + skip :].T
+    g *= 2.0
+    return g, s
 
 
 def estimate_sampled(pi: SketchMatrix, T, samples: int, seed: int = 0) -> ChdEstimate:
@@ -487,11 +573,15 @@ def sampled_violations(pi: SketchMatrix, T, samples: int, seed: int = 0) -> np.n
     """The full violation population behind estimate_sampled, for quantile
     and distribution studies. Same stream, same seed semantics.
 
-    Layout: |T| vertices, then the pair midpoints in chunk order ((0, 1),
-    (0, 2), ..., (|T|-2, |T|-1)), then the random hull points by support
-    size, in the order 2, 3, ceil(sqrt(|T|)). Midpoint entries come from
-    Gram blocks; each chunk's max is exact and the rest agree with the
-    direct per-pair formula to within rounding (the bound in
+    Layout: |T| vertices, then the pair midpoints in chunk order, then the
+    random hull points by support size, in the order 2, 3, ceil(sqrt(|T|)).
+    For an array T the midpoints are all |T| (|T| - 1) / 2 pairs (0, 1),
+    (0, 2), ..., (|T|-2, |T|-1). A DirectionSet closed under negation
+    gives each mirror pair {(a+b)/2, (-a-b)/2}, whose violations are equal,
+    once: (|T|/2)^2 midpoints, about half as many, in the order of
+    _violation_stream. Midpoint entries come from Gram blocks; each chunk's
+    max is exact and the rest agree with the direct per-pair formula to
+    within rounding (the bound in
     _midpoint_violations is about 4e-10 for unit directions at d = 256;
     observed differences stay below 1e-15). Random entries come from GEMMs
     over the basis points, O(c n (d + m)) per chunk of c points for a

@@ -309,17 +309,24 @@ class TestMidpointTier:
 
     def test_stream_layout(self):
         # perfbench splits the tiers by this layout: one vertex chunk, then
-        # |T| - 1 midpoint chunks of lengths |T| - 1 - i, then random chunks.
+        # |T| - 1 midpoint chunks, then random chunks. Over a DirectionSet
+        # (mirror-closed, h = |T| / 2 rows t_ij with i < j) the midpoint
+        # chunks alternate minus (length h - p) and plus (length h - 1 - p);
+        # an array T keeps one chunk per first index, of length |T| - 1 - i.
         X = build_point_set(np.random.default_rng(41).standard_normal((6, 5)))
         Y = direction_set(X)
-        k = len(Y)
+        k, h = len(Y), len(Y) // 2
         pi = generate_sketch(3, 5, "gaussian", 2)
-        lengths = [v.shape[0] for v, _ in chd._violation_stream(pi, Y, 700, 3)]
-        assert lengths[0] == k
-        assert lengths[1:k] == [k - 1 - i for i in range(k - 1)]
-        assert sum(lengths[k:]) == 700
-        # |T| = 30: supports 2, 3 and 6 share 700 = 3 * 233 + 1 points
-        assert lengths[k:] == [234, 233, 233]
+        signed = [h - p - s for p in range(h) for s in (0, 1) if h - p - s > 0]
+        for T, midpoints in ((Y, signed), (Y.directions, [k - 1 - i for i in range(k - 1)])):
+            lengths = [v.shape[0] for v, _ in chd._violation_stream(pi, T, 700, 3)]
+            assert lengths[0] == k
+            assert len(midpoints) == k - 1
+            assert lengths[1:k] == midpoints
+            assert sum(lengths[k:]) == 700
+            # |T| = 30: supports 2, 3 and 6 share 700 = 3 * 233 + 1 points
+            assert lengths[k:] == [234, 233, 233]
+        assert signed[:4] == [15, 14, 14, 13] and sum(signed) == h * h
 
 
 class TestRandomTier:
@@ -495,6 +502,185 @@ class TestTierReport:
             assert est.tier_max == expect
             assert est.tier_max[est.witness_tier] == max(est.tier_max.values())
             assert abs(est.tier_max[est.witness_tier] - est.max_violation) <= 1e-12
+
+
+def mirror_index(Y):
+    """Row of (j, i) for each row (i, j) of Y.pairs, found by lookup."""
+    row = {pair: r for r, pair in enumerate(map(tuple, Y.pairs.tolist()))}
+    return np.array([row[(j, i)] for i, j in Y.pairs.tolist()], dtype=np.int64)
+
+
+def direct_pair_midpoints(D, PD, a, b):
+    """The per-pair formula at 0.5 * (t_a + t_b), as a per-pair scan evaluates it."""
+    x = 0.5 * (D[a] + D[b])
+    px = 0.5 * (PD[a] + PD[b])
+    return np.abs(np.sqrt(np.einsum("ij,ij->i", px, px)) - np.sqrt(np.einsum("ij,ij->i", x, x)))
+
+
+def midpoint_chunks(pi, T):
+    """(v, pairs) per midpoint chunk of the stream: pairs[r] = (a, b), a < b,
+    the two directions its builder gives weight 1/2."""
+    k = len(T)
+    stream = chd._violation_stream(pi, T, 1, 0)
+    next(stream)
+    for _ in range(k - 1):
+        v, builder = next(stream)
+        pairs = np.empty((v.size, 2), dtype=np.int64)
+        for r in range(v.size):
+            w = builder(r)
+            pairs[r] = np.flatnonzero(w)
+            assert np.array_equal(w[pairs[r]], [0.5, 0.5])
+        yield v, pairs
+
+
+def hand_built(Y, rows, **override):
+    """A DirectionSet of Y's rows `rows` (repeats allowed); keyword arrays
+    replace those rows' directions, pairs or distances."""
+    fields = {
+        f: np.array(override.get(f, getattr(Y, f)[rows]))
+        for f in ("directions", "pairs", "distances")
+    }
+    return DirectionSet(points=np.array(Y.points), **fields)
+
+
+def mirror_sets():
+    rng = np.random.default_rng(80)
+    for n, d in ((2, 3), (5, 4), (13, 9)):
+        yield direction_set(build_point_set(rng.standard_normal((n, d))))
+    yield direction_set(build_point_set(rng.standard_normal((9, 6)) + 1e6))
+    # Cube corners: x_i - x_j has exact zeros, +0.0 in both orders, so the
+    # mirror of a row is -D only up to the sign of zero.
+    corners = np.array([[(c >> b) & 1 for b in range(3)] for c in range(8)], dtype=np.float64)
+    yield direction_set(build_point_set(corners))
+
+
+def shuffled_instance():
+    """A mirror-closed DirectionSet whose rows are not in direction_set's
+    order, so a row t_ij, i < j, can follow its mirror t_ji."""
+    Y, pi = _gaussian_set(7, 5, 3, 86)()
+    return hand_built(Y, np.random.default_rng(86).permutation(len(Y))), pi
+
+
+MIRROR_INSTANCES = {
+    **{n: make for n, make in RANDOM_INSTANCES.items() if not n.startswith("array_")},
+    "shuffled": shuffled_instance,
+}
+
+
+class TestMirrorGuard:
+    def test_direction_set_is_mirror_closed(self):
+        for Y in mirror_sets():
+            neg = mirror_index(Y)
+            assert np.array_equal(Y.pairs[neg], Y.pairs[:, ::-1])
+            assert np.array_equal(Y.directions[neg], -Y.directions)
+            pi = generate_sketch(2, Y.points.shape[1], "gaussian", len(Y))
+            PD = Y.directions @ pi.entries.T
+            half, got = chd._mirror_half(Y, Y.directions, PD)
+            assert np.array_equal(got, neg)
+            assert np.array_equal(half, np.flatnonzero(Y.pairs[:, 0] < Y.pairs[:, 1]))
+
+    def test_cube_corners_take_the_signed_path(self):
+        # The exact zeros make D[neg] and -D differ in the sign of zero only;
+        # the guard compares values, and no norm sees that sign.
+        Y = list(mirror_sets())[-1]
+        D = Y.directions
+        assert np.any(np.signbit(D[mirror_index(Y)]) != np.signbit(-D))
+        pi = generate_sketch(2, 3, "gaussian", 81)
+        assert chd._mirror_half(Y, D, D @ pi.entries.T) is not None
+        for v, pairs in midpoint_chunks(pi, Y):
+            ref = direct_pair_midpoints(D, D @ pi.entries.T, pairs[:, 0], pairs[:, 1])
+            r = int(np.argmax(ref))
+            assert int(np.argmax(v)) == r and v[r] == ref[r]
+
+    def broken_sets(self):
+        """DirectionSets that are not exactly mirror-closed, with a sketch."""
+        Y = direction_set(build_point_set(np.random.default_rng(82).standard_normal((7, 5))))
+        every = np.arange(len(Y))
+        yield "missing mirror", hand_built(Y, every[~np.all(Y.pairs == [0, 1], axis=1)])
+        first = [0, mirror_index(Y)[0]]
+        yield "pair listed twice", hand_built(Y, np.concatenate([every, first]))
+        # x_0 - x_0 = 0 is its own mirror, so no row t_ij, i < j, holds it.
+        yield "diagonal pair", hand_built(
+            Y, every,
+            directions=np.vstack([Y.directions, np.zeros(5)]),
+            pairs=np.vstack([Y.pairs, [0, 0]]),
+            distances=np.append(Y.distances, 1.0),
+        )
+        nudged = np.array(Y.directions)
+        nudged[3, 2] = np.nextafter(nudged[3, 2], np.inf)
+        yield "one ulp off", hand_built(Y, every, directions=nudged)
+
+    def test_hand_built_sets_fall_back(self, blocks):
+        pi = generate_sketch(3, 5, "gaussian", 83)
+        for label, Y in self.broken_sets():
+            D = Y.directions
+            PD = D @ pi.entries.T
+            assert chd._mirror_half(Y, D, PD) is None, label
+            k = len(Y)
+            stream = chd._violation_stream(pi, Y, 10, 0)
+            next(stream)
+            for i, ref in enumerate(reference_midpoints(pi, D)):
+                v, builder = next(stream)
+                assert v.shape == (k - 1 - i,), label
+                r = int(np.argmax(ref))
+                assert int(np.argmax(v)) == r and v[r] == ref[r], label
+                w = np.zeros(k)
+                w[[i, i + 1 + r]] = 0.5
+                assert np.array_equal(builder(r), w), label
+            est = estimate_sampled(pi, Y, 300, seed=1)
+            arr = estimate_sampled(pi, D, 300, seed=1)
+            assert np.array_equal(est.witness.weights, arr.witness.weights), label
+            assert est.max_violation == arr.max_violation, label
+
+    def test_image_mirror_checked(self):
+        Y = direction_set(build_point_set(np.random.default_rng(84).standard_normal((5, 4))))
+        PD = Y.directions @ generate_sketch(3, 4, "gaussian", 84).entries.T
+        assert chd._mirror_half(Y, Y.directions, PD) is not None
+        PD[7, 1] = np.nextafter(PD[7, 1], -np.inf)
+        assert chd._mirror_half(Y, Y.directions, PD) is None
+
+
+class TestSignedMidpointTier:
+    @pytest.mark.parametrize("name", sorted(MIRROR_INSTANCES))
+    def test_chunks_match_the_pairs_they_name(self, name, blocks):
+        Y, pi = MIRROR_INSTANCES[name]()
+        D, k, h = Y.directions, len(Y), len(Y) // 2
+        PD = D @ pi.entries.T
+        assert chd._mirror_half(Y, D, PD) is not None
+        neg = mirror_index(Y)
+        named = []
+        for v, pairs in midpoint_chunks(pi, Y):
+            ref = direct_pair_midpoints(D, PD, pairs[:, 0], pairs[:, 1])
+            r = int(np.argmax(ref))
+            assert int(np.argmax(v)) == r and v[r] == ref[r]
+            assert float(np.max(np.abs(v - ref))) <= 1e-12
+            named += map(tuple, pairs.tolist())
+        # One midpoint per mirror pair {(a, b), (-a, -b)}, named by the
+        # member that comes first in the per-pair order.
+        mirrors = [tuple(sorted((neg[a], neg[b]))) for a, b in named]
+        assert len(named) == h * h
+        assert all(p <= q for p, q in zip(named, mirrors))
+        assert len(set(named) | set(mirrors)) == k * (k - 1) // 2
+
+    @pytest.mark.parametrize("name", sorted(MIRROR_INSTANCES))
+    def test_estimate_matches_full_scan(self, name, blocks):
+        Y, pi = MIRROR_INSTANCES[name]()
+        for seed in (0, 1, 2):
+            signed = estimate_sampled(pi, Y, 700, seed=seed)
+            full = estimate_sampled(pi, Y.directions, 700, seed=seed)
+            assert signed.max_violation == full.max_violation
+            assert np.array_equal(signed.witness.weights, full.witness.weights)
+            assert signed.witness_tier == full.witness_tier
+            assert signed.tier_max == full.tier_max
+
+    def test_two_points(self, blocks):
+        Y = direction_set(build_point_set(np.array([[0.3, -1.0, 2.0], [1.5, 0.25, -0.5]])))
+        pi = generate_sketch(2, 3, "gaussian", 85)
+        chunks = list(chd._violation_stream(pi, Y, 5, 0))
+        assert [v.shape[0] for v, _ in chunks[:2]] == [2, 1]
+        v, builder = chunks[1]
+        assert v[0] == 0.0
+        assert np.array_equal(builder(0), [0.5, 0.5])
 
 
 class TestRefineLocal:
