@@ -29,11 +29,13 @@ from .errors import (
 )
 from .extension import (
     EfnEmbedder,
+    ExactEmbedding,
     ExtensionSolution,
     SolverConfig,
     TerminalEmbedder,
     build_embedder,
     efn_extend,
+    exact_small_embedding,
     lift,
     solve_extension,
 )
@@ -55,10 +57,8 @@ from .harness import (
 from .seeding import derive_seed
 from .sketch import (
     DimensionPlan,
-    ExactEmbedding,
     SketchMatrix,
     apply_sketch,
-    exact_small_embedding,
     generate_sketch,
     load_sketch,
     plan_dimension,

@@ -16,23 +16,22 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import harness, pointio
 from .chd import estimate_sampled
 from .errors import EmbeddingError, FormatError
-from .extension import EfnEmbedder, SolverConfig, build_embedder
+from .extension import (
+    EfnEmbedder,
+    ExactEmbedding,
+    SolverConfig,
+    build_embedder,
+    exact_small_embedding,
+)
 from .geometry import build_point_set, direction_set
 from .seeding import derive_seed
-from .sketch import (
-    ExactEmbedding,
-    exact_small_embedding,
-    generate_sketch,
-    load_sketch,
-    plan_dimension,
-    save_sketch,
-)
+from .sketch import generate_sketch, load_sketch, plan_dimension, save_sketch
 
 BUNDLE_MAGIC = "TEBL"
 
@@ -58,16 +57,7 @@ class RunConfig:
     C: float
     distribution: str
     seed: int
-    solver_max_iters: int
-    solver_tol: float
-    solver_step_rule: str
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(
-            max_iters=self.solver_max_iters,
-            tol=self.solver_tol,
-            step_rule=self.solver_step_rule,
-        )
+    solver: SolverConfig
 
 
 def _dump_json(obj, path=None) -> str:
@@ -90,9 +80,7 @@ def _run_config(args) -> RunConfig:
         C=args.const_c,
         distribution=args.dist,
         seed=_resolve_seed(args.seed),
-        solver_max_iters=args.solver_iters,
-        solver_tol=args.solver_tol,
-        solver_step_rule=args.solver_step_rule,
+        solver=SolverConfig(args.solver_iters, args.solver_tol, args.solver_step_rule),
     )
 
 
@@ -196,11 +184,7 @@ def _save_bundle(out_dir: Path, cfg: RunConfig, X, plan, source, fmt) -> dict:
         "C": cfg.C,
         "distribution": cfg.distribution,
         "seed": cfg.seed,
-        "solver": {
-            "max_iters": cfg.solver_max_iters,
-            "tol": cfg.solver_tol,
-            "step_rule": cfg.solver_step_rule,
-        },
+        "solver": asdict(cfg.solver),
         "n": X.n,
         "d": X.d,
         "source": str(source),
@@ -209,7 +193,7 @@ def _save_bundle(out_dir: Path, cfg: RunConfig, X, plan, source, fmt) -> dict:
     if plan.mode == "sketch":
         pi = generate_sketch(plan.m, X.d, cfg.distribution, derive_seed(cfg.seed, "sketch"))
         save_sketch(pi, out_dir / "sketch.json", out_dir / "sketch.bin", C=cfg.C)
-        embedder = build_embedder(X, pi, cfg.epsilon, cfg.solver())
+        embedder = build_embedder(X, pi, cfg.epsilon, cfg.solver)
         pointio.write_points_bin(out_dir / "embedded.bin", embedder.embedded_X)
         meta["out_dim"] = embedder.out_dim
     else:
@@ -226,7 +210,9 @@ def load_bundle(bundle_dir):
     """Reconstruct the embedder (sketch or exact path) from a bundle dir.
 
     A config.json that is not JSON or lacks a key the commands read raises
-    FormatError; keys it does not read are ignored."""
+    FormatError; other top-level keys are ignored. The "solver" object of a
+    sketch bundle must hold exactly the SolverConfig fields that _save_bundle
+    wrote from it."""
     bundle_dir = Path(bundle_dir)
     cfg_path = bundle_dir / "config.json"
     if not cfg_path.exists():
@@ -241,6 +227,8 @@ def load_bundle(bundle_dir):
         sketch_mode = meta["mode"] == "sketch"
         if sketch_mode:
             s = meta["solver"]
+            if set(s) != {f.name for f in fields(SolverConfig)}:
+                raise KeyError(f"solver keys {sorted(s)}")
             solver = SolverConfig(int(s["max_iters"]), float(s["tol"]), str(s["step_rule"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{cfg_path}: corrupt bundle config: {exc!r}") from exc
@@ -250,7 +238,7 @@ def load_bundle(bundle_dir):
         embedder = build_embedder(X, pi, epsilon, solver)
     else:
         basis = pointio.read_points_bin(bundle_dir / "basis.bin")
-        embedder = ExactEmbedding(point_set=X, basis=basis)
+        embedder = ExactEmbedding(X=X, basis=basis)
     return embedder, meta
 
 
@@ -370,7 +358,7 @@ def _cmd_scaling(args) -> int:
         distribution=cfg.distribution,
         queries_per_mode=args.queries_per_mode,
         chd_samples=args.chd_samples,
-        solver=cfg.solver(),
+        solver=cfg.solver,
     )
     if args.out and args.out.endswith(".json"):
         _dump_json(rows, args.out)

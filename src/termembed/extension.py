@@ -1,4 +1,17 @@
-"""Query-time outer extension: feasibility solve plus the lift coordinate.
+"""Outer extensions: the three embedders and the query-time solve they share.
+
+Every map here is an outer extension (Mahabadi, Makarychev, Makarychev &
+Razenshteyn, STOC 2018): terminal x_i goes to (g(x_i), 0) for a base map g,
+and a query u to a head in g's space plus one tail coordinate.
+OuterExtension writes that contract once (out_dim, terminal_images, embed,
+embed_batch); the three frozen dataclasses below supply only the terminal
+set X, their base map's terminal rows and one per-row step:
+
+  * TerminalEmbedder, the sketch path: g = Pi, and the head comes from a
+    per-query feasibility solve (below);
+  * ExactEmbedding, the small-n path: g = coordinates in an orthonormal basis
+    of span{x_i - x_1}, zero distortion;
+  * EfnEmbedder, the snap-to-nearest baseline: (g(x_k), ||u - x_k||).
 
 Embedding a query u against a sketched terminal set works in two steps.
 First find u' in the radius-R ball of R^m (R = distance from u to its
@@ -10,12 +23,15 @@ v_i = (x_i - x_k)/||x_i - x_k||. Then lift to R^{m+1}:
 
 which preserves the anchor distance exactly and every other terminal
 distance up to the constraint residual plus the sketch's hull distortion.
-Terminals themselves map to (Pi x_i, 0).
 
 The feasibility step is a projected subgradient method rather than the
 semidefinite program the existence argument suggests; it is dependency-free
 and ample at desk scale, and a non-converged solve is still embeddable (the
 achieved residual is an honest distortion certificate).
+
+Every per-row path starts with geometry.nearest, which rejects a query of
+the wrong width (DimensionMismatch) or with a non-finite coordinate
+(NonFinitePoint).
 """
 from __future__ import annotations
 
@@ -25,15 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .geometry import (
-    RECORD_KEYS,
-    PointSet,
-    distances_to,
-    embed_batch_nearest,
-    embed_rows,
-    nearest,
-)
+from .errors import DimensionMismatch, NonFinitePoint
+from .geometry import PointSet, distances_to, nearest
 from .sketch import SketchMatrix, sketch_points
 
 _TINY = 1e-300
@@ -43,6 +52,9 @@ _TINY = 1e-300
 # would lose more than log10(1/_CANCEL) digits (near-duplicate terminals,
 # data far from the origin).
 _CANCEL = 1e-2
+
+# Keys of the per-query diagnostics record every embed_batch returns.
+RECORD_KEYS = ("residual", "iterations", "anchor_index", "converged")
 
 
 @dataclass(frozen=True)
@@ -73,13 +85,60 @@ class ExtensionSolution:
         self.u_prime.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class TerminalEmbedder:
-    """Frozen bundle answering embedding queries against a fixed sketch.
+class OuterExtension:
+    """The embedder contract, written once for the three embedders.
 
-    Immutable and shareable: every solve is independent and side-effect
-    free, so concurrent readers are safe.
+    A subclass is a frozen dataclass with a field X (the PointSet of
+    terminals) that supplies base_images, the (n, out_dim - 1) rows g(x_i) of
+    its base map, and _embed_one(u) -> (image of u, record with RECORD_KEYS),
+    which starts with geometry.nearest. Instances are immutable and every
+    query is independent, so concurrent readers are safe.
     """
+
+    @property
+    def out_dim(self) -> int:
+        return self.base_images.shape[1] + 1
+
+    @cached_property
+    def terminal_images(self) -> np.ndarray:
+        """(n, out_dim) read-only images (g(x_i), 0) of the terminals, the
+        trailing coordinate exactly 0."""
+        images = np.hstack([self.base_images, np.zeros((self.X.n, 1))])
+        images.setflags(write=False)
+        return images
+
+    def embed(self, u) -> np.ndarray:
+        """(out_dim,) image of the query u; raises DimensionMismatch or
+        NonFinitePoint."""
+        return self._embed_one(u)[0]
+
+    def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
+        """((q, out_dim) images of the rows of Q, one record per query).
+
+        Q is validated once: 2-D, width X.d (an empty (0, *) batch passes
+        whatever its width), finite."""
+        Q = np.asarray(Q, dtype=np.float64)
+        if Q.ndim != 2 or (Q.shape[0] and Q.shape[1] != self.X.d):
+            raise DimensionMismatch(f"queries have shape {Q.shape}, expected (*, {self.X.d})")
+        if not np.all(np.isfinite(Q)):
+            raise NonFinitePoint("queries must have finite coordinates")
+        images = np.empty((Q.shape[0], self.out_dim))
+        per_query = []
+        for i, u in enumerate(Q):
+            images[i], record = self._embed_one(u)
+            per_query.append(record)
+        return images, per_query
+
+    @staticmethod
+    def _solver_free(image: np.ndarray, k: int) -> tuple[np.ndarray, dict]:
+        """(image, record) of a map with no solve: residual 0, 0 iterations,
+        anchor k, converged."""
+        return image, dict(zip(RECORD_KEYS, (0.0, 0, k, True)))
+
+
+@dataclass(frozen=True)
+class TerminalEmbedder(OuterExtension):
+    """Frozen bundle answering embedding queries against a fixed sketch."""
 
     X: PointSet
     Pi: SketchMatrix
@@ -95,29 +154,16 @@ class TerminalEmbedder:
         return self.Pi.m
 
     @property
-    def out_dim(self) -> int:
-        return self.Pi.m + 1
-
-    @cached_property
-    def terminal_images(self) -> np.ndarray:
-        """(n, m+1) images of the terminals, trailing coordinate exactly 0."""
-        return np.hstack([self.embedded_X, np.zeros((self.X.n, 1))])
-
-    def embed(self, u) -> np.ndarray:
-        return lift(u, solve_extension(u, self), self)
+    def base_images(self) -> np.ndarray:
+        return self.embedded_X
 
     def embed_with_info(self, u):
         sol = solve_extension(u, self)
         return lift(u, sol, self), sol
 
-    def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
-        """((q, m+1) images of the rows of Q, one solver record per query)."""
-
-        def embed_one(u):
-            f, sol = self.embed_with_info(u)
-            return f, {key: getattr(sol, key) for key in RECORD_KEYS}
-
-        return embed_rows(self, Q, embed_one)
+    def _embed_one(self, u):
+        f, sol = self.embed_with_info(u)
+        return f, {key: getattr(sol, key) for key in RECORD_KEYS}
 
 
 def build_embedder(
@@ -276,42 +322,82 @@ def efn_extend(X: PointSet, f_of_X: np.ndarray, u) -> np.ndarray:
     (sqrt(10) in the worst case), which is exactly what the solver-based
     extension improves on.
     """
-    return _efn_anchored(X, f_of_X, u)[0]
-
-
-def _efn_anchored(X: PointSet, f_of_X, u) -> tuple[np.ndarray, int]:
-    """(efn_extend image, anchor index k), the anchor from geometry.nearest."""
-    f_of_X = np.asarray(f_of_X, dtype=np.float64)
-    if f_of_X.ndim != 2 or f_of_X.shape[0] != X.n:
-        raise DimensionMismatch(
-            f"base images have shape {f_of_X.shape}, expected ({X.n}, m)"
-        )
-    k, R = nearest(u, X)
-    return np.concatenate([f_of_X[k], [R]]), k
+    return EfnEmbedder(X, f_of_X).embed(u)
 
 
 @dataclass(frozen=True)
-class EfnEmbedder:
-    """Harness adapter running the snap-to-nearest baseline over a base map."""
+class EfnEmbedder(OuterExtension):
+    """The snap-to-nearest baseline over a base map given by its terminal
+    rows. base_images is kept as a read-only float64 view, so the caller's
+    array stays writable; one without n rows raises DimensionMismatch."""
 
     X: PointSet
     base_images: np.ndarray  # (n, m)
 
     def __post_init__(self):
-        self.base_images.setflags(write=False)
+        images = np.asarray(self.base_images, dtype=np.float64).view()
+        if images.ndim != 2 or images.shape[0] != self.X.n:
+            raise DimensionMismatch(
+                f"base images have shape {images.shape}, expected ({self.X.n}, m)"
+            )
+        images.setflags(write=False)
+        object.__setattr__(self, "base_images", images)
+
+    def _embed_one(self, u):
+        k, R = nearest(u, self.X)
+        return self._solver_free(np.concatenate([self.base_images[k], [R]]), k)
+
+
+@dataclass(frozen=True)
+class ExactEmbedding(OuterExtension):
+    """Zero-distortion terminal embedding for the small-n regime.
+
+    Holds an orthonormal basis (rows) of E = span{x_i - x_1}. The induced
+    map is u -> (coords of proj_E(u - x_1) in the basis, ||proj to E-perp||),
+    which preserves every distance to the terminal set exactly: terminals
+    live in E, so the perpendicular part of u - x_i never depends on i.
+    """
+
+    X: PointSet
+    basis: np.ndarray  # (r, d), orthonormal rows
+
+    def __post_init__(self):
+        self.basis.setflags(write=False)
 
     @property
-    def out_dim(self) -> int:
-        return self.base_images.shape[1] + 1
+    def rank(self) -> int:
+        return self.basis.shape[0]
 
     @cached_property
-    def terminal_images(self) -> np.ndarray:
-        return np.hstack([self.base_images, np.zeros((self.X.n, 1))])
+    def terminal_coords(self) -> np.ndarray:
+        """Basis coordinates of the terminals, shape (n, rank)."""
+        return (self.X.points - self.X.points[0]) @ self.basis.T
 
-    def embed(self, u) -> np.ndarray:
-        return efn_extend(self.X, self.base_images, u)
+    @property
+    def base_images(self) -> np.ndarray:
+        return self.terminal_coords
 
-    def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
-        return embed_batch_nearest(
-            self, Q, lambda u: _efn_anchored(self.X, self.base_images, u)
-        )
+    def _embed_one(self, u):
+        """A terminal (R = 0) maps to its row of terminal_images, trailing
+        coordinate exactly 0; recomputing its perpendicular part would leave
+        rounding there."""
+        u = np.asarray(u, dtype=np.float64).reshape(-1)
+        k, R = nearest(u, self.X)
+        if R == 0.0:
+            return self._solver_free(self.terminal_images[k].copy(), k)
+        w = u - self.X.points[0]
+        coords = self.basis @ w
+        perp = w - self.basis.T @ coords
+        return self._solver_free(np.concatenate([coords, [float(np.linalg.norm(perp))]]), k)
+
+
+def exact_small_embedding(X: PointSet) -> ExactEmbedding:
+    """Orthonormal basis of span{x_i - x_1}: the right singular vectors of
+    the (n, d) matrix of rows x_i - x_1 whose singular values exceed
+    s_max * max(n, d) * eps, numpy's matrix_rank rule. The rule is relative,
+    so the rank does not depend on the data's scale. Rank 0 (n = 1) is legal:
+    the map degenerates to u -> (||u - x_1||,).
+    """
+    _, s, vt = np.linalg.svd(X.points - X.points[0], full_matrices=False)
+    keep = s > s.max() * max(X.n, X.d) * np.finfo(np.float64).eps
+    return ExactEmbedding(X=X, basis=vt[keep])

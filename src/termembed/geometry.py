@@ -302,13 +302,20 @@ def nearest(u, X: PointSet) -> tuple[int, float]:
     normal number) covers products that underflow. So every index
     that can hold the exact minimum has s_i - b_i <= min_j (s_j + b_j); only
     those candidates are recomputed with the exact kernel. Where a square
-    could overflow ((max ||x_i|| + ||u||)^2 > max float / 4, or u is not
-    finite) or every index is a candidate (as when the squares underflow), it
-    takes the one full exact pass instead.
+    could overflow ((max ||x_i|| + ||u||)^2 > max float / 4) or every index
+    is a candidate (as when the squares underflow), it takes the one full
+    exact pass instead.
+
+    Every per-query path (solve_extension, the three embedders' embed and
+    embed_batch, efn_extend, nearest_point) calls this first, so it holds
+    their query checks: a u of the wrong width raises DimensionMismatch and
+    one with a NaN or infinite coordinate raises NonFinitePoint.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     if u.shape[0] != X.d:
         raise DimensionMismatch(f"query has dimension {u.shape[0]}, expected {X.d}")
+    if not np.all(np.isfinite(u)):
+        raise NonFinitePoint("query must have finite coordinates")
     uu = float(u @ u)
     u_norm = math.sqrt(uu)
     scale = float(X.norms.max()) + u_norm
@@ -329,39 +336,6 @@ def nearest_point(u, X: PointSet) -> int:
     return nearest(u, X)[0]
 
 
-# Keys of the per-query diagnostics record every embed_batch returns.
-RECORD_KEYS = ("residual", "iterations", "anchor_index", "converged")
-
-
-def embed_rows(E, Q, embed_one) -> tuple[np.ndarray, list[dict]]:
-    """Shared body of every embed_batch: validate Q once (2-D, width E.X.d,
-    finite; an empty (0, *) batch passes whatever its width), then stack
-    embed_one(u) -> (image, record) over its rows into ((q, E.out_dim), records)."""
-    Q = np.asarray(Q, dtype=np.float64)
-    if Q.ndim != 2 or (Q.shape[0] and Q.shape[1] != E.X.d):
-        raise DimensionMismatch(f"queries have shape {Q.shape}, expected (*, {E.X.d})")
-    if not np.all(np.isfinite(Q)):
-        raise NonFinitePoint("queries must have finite coordinates")
-    images = np.empty((Q.shape[0], E.out_dim))
-    per_query = []
-    for i, u in enumerate(Q):
-        images[i], record = embed_one(u)
-        per_query.append(record)
-    return images, per_query
-
-
-def embed_batch_nearest(E, Q, embed_anchored) -> tuple[np.ndarray, list[dict]]:
-    """embed_batch of the solver-free maps (exact path, snap-to-nearest):
-    embed_anchored(u) -> (image, index of the nearest terminal) per row, no
-    solve."""
-
-    def embed_one(u):
-        image, k = embed_anchored(u)
-        return image, dict(zip(RECORD_KEYS, (0.0, 0, k, True)))
-
-    return embed_rows(E, Q, embed_one)
-
-
 def direction_set(X: PointSet) -> DirectionSet:
     """Build the set of all n(n-1) unit directions (x_i - x_j)/||x_i - x_j||.
 
@@ -378,8 +352,9 @@ def direction_set(X: PointSet) -> DirectionSet:
         )
     idx_i, idx_j = np.where(~np.eye(n, dtype=bool))
     diffs = X.points[idx_i] - X.points[idx_j]
-    # Distinctness guarantees norms > 0.
-    norms = distance_matrix(X.points, X.points)[idx_i, idx_j]
+    # The kernel over the differences gives each distance_matrix entry bit
+    # for bit. Distinctness guarantees norms > 0.
+    norms = _kernel(diffs[None])[0]
     dirs = diffs / norms[:, None]
     pairs = np.column_stack([idx_i, idx_j]).astype(np.int64)
     return DirectionSet(directions=dirs, pairs=pairs, points=X.points, distances=norms)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chd import estimate_sampled
-from .extension import SolverConfig, build_embedder
+from .extension import SolverConfig, build_embedder, exact_small_embedding
 from .geometry import PointSet, direction_set, distance_matrix
 from .seeding import derive_seed
-from .sketch import exact_small_embedding, generate_sketch, plan_dimension
+from .sketch import generate_sketch, plan_dimension
 
 HISTOGRAM_BINS = 64
 
@@ -208,10 +208,12 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     """Embed every query and aggregate the distance ratios
     ||f(u) - f(x_i)|| / ||u - x_i|| against all terminals at positive distance.
 
-    E is anything with .X, .embed_batch(Q), and .terminal_images (the
-    sketch-path embedder, the exact small-n embedding, or the snap-to-nearest
-    baseline); max_residual is the largest solver residual among its
-    per-query records. Beyond embed_batch, the cost is one blocked distance
+    E is an extension.OuterExtension (the sketch-path embedder, the exact
+    small-n embedding, or the snap-to-nearest baseline); max_residual is the
+    largest solver residual among its per-query records. distortion is
+    ratio_max / ratio_min, None (JSON null) when no pair is at positive
+    distance or when some ratio is 0, as when a query's image coincides with
+    a terminal's. Beyond embed_batch, the cost is one blocked distance
     pass of the q queries against X and one of their images against the
     terminal images: O(q n (d + out_dim)) time and O(q n) memory for the
     two ratio matrices. Pairs are taken in (query, terminal) row-major order.
@@ -261,7 +263,7 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
         histogram_lo=lo,
         histogram_hi=hi,
         max_abs_ratio_dev=float(np.max(np.abs(ratio - 1.0), initial=0.0)),
-        distortion=None if lo is None else hi / lo,
+        distortion=hi / lo if lo else None,
         max_residual=float(max((rec["residual"] for rec in per_query), default=0.0)),
         max_anchor_rel_error=float(np.max(anchor_err, initial=0.0)),
         samplers=samplers,

@@ -1,5 +1,4 @@
-"""Scaled subgaussian sketch matrices, dimension planning, and the exact
-small-n embedding.
+"""Scaled subgaussian sketch matrices, dimension planning, and sketch I/O.
 
 The sketch is a dense m x d matrix with i.i.d. mean-0 variance-1 entries
 (Rademacher by default, Gaussian optional) scaled by 1/sqrt(m), so that
@@ -8,14 +7,13 @@ m = ceil(C * eps^-2 * ln(max(|Y|, 2))) with |Y| = n(n-1), the size of the
 direction set the guarantee must cover. When that formula meets or exceeds
 min(n, d), a rank-based exact embedding into at most min(n - 1, d) + 1
 dimensions is no wider and has zero distortion, so planning switches to the
-exact path.
+exact path (extension.exact_small_embedding).
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +24,10 @@ from .errors import (
     InvalidConstant,
     InvalidEpsilon,
 )
-from .geometry import PointSet, embed_batch_nearest, nearest
 
 RADEMACHER = "rademacher"
 GAUSSIAN = "gaussian"
 DEFAULT_C = 4.0
-
-GS_DROP_TOL = 1e-10  # residual norm below which a candidate adds no rank
 
 SKETCH_MAGIC = "TESK"
 
@@ -135,89 +130,6 @@ def sketch_points(pi: SketchMatrix, xs: np.ndarray) -> np.ndarray:
             f"points have shape {xs.shape}, expected (*, {pi.d})"
         )
     return xs @ pi.entries.T
-
-
-@dataclass(frozen=True)
-class ExactEmbedding:
-    """Zero-distortion terminal embedding for the small-n regime.
-
-    Holds an orthonormal basis (rows) of E = span{x_i - x_1}. The induced
-    map is u -> (coords of proj_E(u - x_1) in the basis, ||proj to E-perp||),
-    which preserves every distance to the terminal set exactly: terminals
-    live in E, so the perpendicular part of u - x_i never depends on i.
-    """
-
-    point_set: PointSet
-    basis: np.ndarray  # (r, d), orthonormal rows
-
-    def __post_init__(self):
-        self.basis.setflags(write=False)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.rank + 1
-
-    @property
-    def X(self) -> PointSet:
-        return self.point_set
-
-    def embed(self, u) -> np.ndarray:
-        return self._embed_anchored(u)[0]
-
-    def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
-        return embed_batch_nearest(self, Q, self._embed_anchored)
-
-    def _embed_anchored(self, u) -> tuple[np.ndarray, int]:
-        """(image of u, index k of its nearest terminal). A terminal (R = 0)
-        maps to its row of terminal_images, trailing coordinate exactly 0;
-        recomputing its perpendicular part would leave rounding there."""
-        u = np.asarray(u, dtype=np.float64).reshape(-1)
-        k, R = nearest(u, self.point_set)  # raises DimensionMismatch
-        if R == 0.0:
-            return self.terminal_images[k].copy(), k
-        w = u - self.point_set.points[0]
-        coords = self.basis @ w
-        perp = w - self.basis.T @ coords
-        return np.concatenate([coords, [float(np.linalg.norm(perp))]]), k
-
-    @cached_property
-    def terminal_coords(self) -> np.ndarray:
-        """Basis coordinates of the terminals, shape (n, rank)."""
-        shifted = self.point_set.points - self.point_set.points[0]
-        return shifted @ self.basis.T
-
-    @cached_property
-    def terminal_images(self) -> np.ndarray:
-        # Terminals lie in E by construction; their trailing coordinate is
-        # exactly 0 (outer-extension convention), not a recomputed residual.
-        n = self.point_set.n
-        return np.hstack([self.terminal_coords, np.zeros((n, 1))])
-
-
-def exact_small_embedding(X: PointSet) -> ExactEmbedding:
-    """Orthonormal basis of span{x_i - x_1} by Gram-Schmidt.
-
-    Re-orthogonalizes each candidate twice and drops it when its residual
-    norm falls below 1e-10, so the returned rows have Gram matrix within
-    ~1e-15 of the identity. Rank 0 (n = 1) is legal: the map degenerates
-    to u -> (||u - x_1||,).
-    """
-    pts = X.points
-    basis: list[np.ndarray] = []
-    for i in range(1, X.n):
-        v = pts[i] - pts[0]
-        for _ in range(2):
-            for b in basis:
-                v = v - np.dot(b, v) * b
-        norm = float(np.linalg.norm(v))
-        if norm > GS_DROP_TOL:
-            basis.append(v / norm)
-    mat = np.array(basis).reshape(len(basis), X.d)
-    return ExactEmbedding(point_set=X, basis=mat)
 
 
 def save_sketch(pi: SketchMatrix, header_path, data_path=None, C: float | None = None) -> None:

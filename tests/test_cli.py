@@ -6,6 +6,7 @@ import pytest
 
 from termembed.cli import load_bundle, main
 from termembed.errors import FormatError
+from termembed.extension import SolverConfig
 from termembed.pointio import read_points_bin, read_points_csv, write_points_bin, write_points_csv
 
 
@@ -249,6 +250,20 @@ class TestVerifyAndEval:
         assert "assert failed: distortion=None" in err and "max_ratio_dev" not in err
         assert report.exists()
 
+    def test_eval_zero_ratio_distortion_null_exits_3(self, tmp_path, points_csv, capsys):
+        bundle = tmp_path / "zero"
+        assert main(["build", points_csv, "--out", str(bundle),
+                     "--epsilon", "0.5", "--const-C", "0.5"]) == 0
+        sketch = bundle / "sketch.bin"
+        sketch.write_bytes(bytes(len(sketch.read_bytes())))  # Pi = 0: every image coincides
+        report = tmp_path / "eval.json"
+        rc = main(["eval", str(bundle), "--samplers", "member", "--queries-per-mode", "3",
+                   "--report", str(report), "--assert", "distortion=1e9"])
+        assert rc == 3
+        assert "assert failed: distortion=None" in capsys.readouterr().err
+        rep = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert rep["ratios"]["min"] == 0.0 and rep["distortion"] is None
+
     def test_verify_on_exact_bundle(self, tmp_path):
         pts = write_csv(tmp_path / "tiny.csv", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         bundle = tmp_path / "tinyb"
@@ -340,6 +355,34 @@ class TestBadInputs:
             load_bundle(bundle)
         rc = main(["verify-chd", str(bundle), "--samples", "50"])
         assert rc == 2 and capsys.readouterr().err.startswith("error:")
+
+    def test_solver_config_round_trip(self, tmp_path, points_csv):
+        bundle = tmp_path / "sk"
+        assert main(["build", points_csv, "--out", str(bundle), "--epsilon", "0.5",
+                     "--const-C", "0.5", "--solver-iters", "77", "--solver-tol", "0.01",
+                     "--solver-step-rule", "diminishing"]) == 0
+        meta = json.loads((bundle / "config.json").read_text())
+        assert meta["solver"] == {"max_iters": 77, "tol": 0.01, "step_rule": "diminishing"}
+        embedder, _ = load_bundle(bundle)
+        assert embedder.solver == SolverConfig(77, 0.01, "diminishing")
+
+    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    def test_solver_key_missing_or_extra_exits_2(self, tmp_path, points_csv, capsys, edit):
+        bundle = tmp_path / "sk"
+        assert main(["build", points_csv, "--out", str(bundle),
+                     "--epsilon", "0.5", "--const-C", "0.5"]) == 0
+        cfg = bundle / "config.json"
+        meta = json.loads(cfg.read_text())
+        if edit == "missing":
+            del meta["solver"]["tol"]
+        else:
+            meta["solver"]["threads"] = 1
+        cfg.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="solver"):
+            load_bundle(bundle)
+        rc = main(["verify-chd", str(bundle), "--samples", "50"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "header", [{"magic": "TESK", "m": 3}, ["TESK"], {"magic": "TESK", "d": "six"}]

@@ -263,6 +263,24 @@ class TestEfnExtend:
         assert np.allclose(E.embed((1.0,)), [0.0, 1.0])
         assert E.terminal_images.shape == (3, 2)
 
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_base_images_without_n_rows_raise_on_construction(self, rows):
+        X = build_point_set([(-1.0,), (0.0,), (2.0,)])
+        with pytest.raises(DimensionMismatch):
+            EfnEmbedder(X=X, base_images=np.zeros((rows, 2)))
+        with pytest.raises(DimensionMismatch):
+            EfnEmbedder(X=X, base_images=np.zeros(3))
+
+    def test_caller_array_stays_writable(self):
+        X = build_point_set([(-1.0,), (0.0,), (2.0,)])
+        imgs = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(efn_extend(X, imgs, (1.5,)), [4.0, 5.0, 0.5])
+        assert imgs.flags.writeable
+        E = EfnEmbedder(X=X, base_images=imgs)
+        imgs[0, 0] = 7.0
+        assert imgs.flags.writeable and E.base_images[0, 0] == 7.0
+        assert not E.base_images.flags.writeable
+
 
 def _three_embedders():
     rng = np.random.default_rng(11)
@@ -332,6 +350,32 @@ class TestEmbedBatch:
         Q[1, 2] = bad
         with pytest.raises(NonFinitePoint):
             any_embedder.embed_batch(Q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_single_query_raises(self, any_embedder, bad):
+        u = self.queries(any_embedder, count=1)[0]
+        u[2] = bad
+        with pytest.raises(NonFinitePoint):
+            any_embedder.embed(u)
+
+    def test_terminal_images_read_only(self, any_embedder):
+        images = any_embedder.terminal_images
+        assert images.shape == (any_embedder.X.n, any_embedder.out_dim)
+        assert not images.flags.writeable and np.all(images[:, -1] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_raises_in_every_per_query_function(bad):
+    E = _three_embedders()["sketch"]
+    u = E.X.points[3] + 0.5
+    u[1] = bad
+    for call in (
+        lambda: solve_extension(u, E),
+        lambda: efn_extend(E.X, E.embedded_X, u),
+        lambda: nearest_point(u, E.X),
+    ):
+        with pytest.raises(NonFinitePoint):
+            call()
 
 
 def _materialized_solve(u, E):

@@ -78,6 +78,12 @@ class TestNearestPoint:
         with pytest.raises(DimensionMismatch):
             nearest_point((1, 0, 0), X)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_raises(self, bad):
+        X = build_point_set([(0, 0), (3, 0)])
+        with pytest.raises(NonFinitePoint):
+            nearest_point((1.0, bad), X)
+
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
@@ -301,6 +307,13 @@ class TestDirectionSet:
         for arr in (Y.directions, Y.pairs, Y.points, Y.distances):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    @pytest.mark.parametrize("n, d, shift", [(2, 1, 0.0), (9, 6, 1e6), (64, 256, 0.0), (17, 300, 3.0)])
+    def test_distances_equal_distance_matrix(self, n, d, shift):
+        X = build_point_set(np.random.default_rng(n + d).standard_normal((n, d)) + shift)
+        Y = direction_set(X)
+        dist = distance_matrix(X.points, X.points)
+        assert np.array_equal(Y.distances, dist[Y.pairs[:, 0], Y.pairs[:, 1]])
 
     def test_close_pair_flagged(self):
         X = build_point_set([(0.0, 0.0), (1e-11, 0.0), (1.0, 0.0)])

@@ -347,6 +347,12 @@ class TestEvaluate:
         rep = evaluate(E, q, labels)
         assert rep.max_abs_ratio_dev <= 1e-9
 
+    def test_zero_ratio_leaves_distortion_undefined(self):
+        X = build_point_set(np.random.default_rng(6).standard_normal((5, 3)))
+        rep = evaluate(EfnEmbedder(X, np.zeros((5, 2))), X.points[:2])
+        assert rep.ratio_min == 0.0 and rep.ratio_max == 0.0 and rep.distortion is None
+        assert json.loads(rep.to_json(), parse_constant=_reject_constant)["distortion"] is None
+
     def test_efn_instance_ratios(self):
         X = build_point_set([(-1.0,), (0.0,), (2.0,)])
         E = EfnEmbedder(X=X, base_images=X.points)

@@ -18,6 +18,7 @@ from termembed import (
     save_sketch,
     sketch_points,
 )
+from termembed.geometry import distance_matrix
 from termembed.sketch import SketchMatrix
 
 
@@ -225,6 +226,17 @@ class TestExactSmallEmbedding:
     def test_rank_drops_for_collinear_points(self):
         X = build_point_set([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
         assert exact_small_embedding(X).rank == 1
+
+    @pytest.mark.parametrize("scale", [1e-11, 1.0, 1e11])
+    def test_rank_and_distances_independent_of_scale(self, scale):
+        rng = np.random.default_rng(5)
+        X = build_point_set(rng.standard_normal((6, 4)) * scale)
+        ex = exact_small_embedding(X)
+        assert ex.rank == 4
+        Q = X.points[0] + scale * rng.standard_normal((20, 4))
+        images, _ = ex.embed_batch(Q)
+        ratio = distance_matrix(images, ex.terminal_images) / distance_matrix(Q, X.points)
+        assert np.abs(ratio - 1.0).max() <= 1e-9
 
 
 class TestSerialization:
