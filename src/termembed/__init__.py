@@ -34,7 +34,6 @@ from .extension import (
     SolverConfig,
     TerminalEmbedder,
     build_embedder,
-    efn_extend,
     exact_small_embedding,
     lift,
     solve_extension,
@@ -58,7 +57,6 @@ from .seeding import derive_seed
 from .sketch import (
     DimensionPlan,
     SketchMatrix,
-    apply_sketch,
     generate_sketch,
     load_sketch,
     plan_dimension,
@@ -90,14 +88,12 @@ __all__ = [
     "SolverConfig",
     "TerminalEmbedder",
     "TooManyDirections",
-    "apply_sketch",
     "build_embedder",
     "build_point_set",
     "certify_grid",
     "derive_seed",
     "direction_set",
     "distances_to",
-    "efn_extend",
     "estimate_sampled",
     "evaluate",
     "exact_small_embedding",

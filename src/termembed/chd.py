@@ -116,7 +116,7 @@ def violation(pi: SketchMatrix, p) -> float:
     v = p.vector if isinstance(p, HullPoint) else np.asarray(p, dtype=np.float64)
     if v.shape[0] != pi.d:
         raise DimensionMismatch(f"vector has dimension {v.shape[0]}, expected {pi.d}")
-    return abs(float(np.linalg.norm(pi.entries @ v)) - float(np.linalg.norm(v)))
+    return float(_norm_gap(v[None], (pi.entries @ v)[None])[0])
 
 
 def _norm_gap(x: np.ndarray, px: np.ndarray) -> np.ndarray:
@@ -277,8 +277,7 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
     rng = np.random.default_rng(seed)
 
     # Tier 1: vertices.
-    vert = np.abs(np.linalg.norm(PD, axis=1) - np.linalg.norm(D, axis=1))
-    yield vert, lambda r: _scatter_weights(k, [r], [1.0])
+    yield _norm_gap(D, PD), lambda r: _scatter_weights(k, [r], [1.0])
 
     # Tier 2: all pair midpoints, over one sign of each direction when T is
     # mirror-closed. The generator expression drops the last Gram block, and
@@ -614,7 +613,7 @@ def refine_local(pi: SketchMatrix, T, start: HullPoint, iters: int = 20) -> ChdE
 
     x = lam @ D
     px = lam @ PD
-    cur = abs(float(np.linalg.norm(px)) - float(np.linalg.norm(x)))
+    cur = float(_norm_gap(x[None], px[None])[0])
     trace = [cur]
 
     for _ in range(max(0, iters)):

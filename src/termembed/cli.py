@@ -3,8 +3,9 @@
 Every subcommand is deterministic given its RunConfig: one global 64-bit
 seed (flag, else TE_SEED, else 0) fans out to labeled sub-seeds for the
 sketch, the query samplers, and the hull-distortion estimator, and the
-config is echoed into every artifact. stdout carries data (JSON lines or
-reports); stderr carries errors only.
+config is echoed into every artifact. scaling takes its (epsilon, C, seed)
+grid from --epsilons, --consts and --seeds alone. stdout carries data (JSON
+lines or reports); stderr carries errors only.
 
 Exit codes: 0 success, 1 usage, 2 input/dimension error, 3 assertion
 threshold failed (the report is still written).
@@ -23,6 +24,7 @@ from . import harness, pointio
 from .chd import estimate_sampled
 from .errors import EmbeddingError, FormatError
 from .extension import (
+    STEP_RULES,
     EfnEmbedder,
     ExactEmbedding,
     SolverConfig,
@@ -74,14 +76,8 @@ def _resolve_seed(value) -> int:
     return int(env) if env else 0
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        epsilon=args.epsilon,
-        C=args.const_c,
-        distribution=args.dist,
-        seed=_resolve_seed(args.seed),
-        solver=SolverConfig(args.solver_iters, args.solver_tol, args.solver_step_rule),
-    )
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(args.solver_iters, args.solver_tol, args.solver_step_rule)
 
 
 def _number(cast, lo):
@@ -121,19 +117,15 @@ def _sampler_modes(text: str) -> list[str]:
     return modes
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=0.25, help="distortion target in (0,1)")
-    p.add_argument("--const-C", dest="const_c", type=float, default=4.0,
-                   help="constant C in m = ceil(C * eps^-2 * ln|Y|)")
+def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
+    """The flags build and scaling share: sketch distribution, solver, point format."""
     p.add_argument("--dist", choices=["rademacher", "gaussian"], default="rademacher",
                    help="sketch entry distribution")
-    p.add_argument("--seed", type=int, default=None,
-                   help="global seed (default: TE_SEED env var, else 0)")
     p.add_argument("--solver-iters", type=_number(int, 0), default=5000,
                    help="feasibility solver iteration cap")
     p.add_argument("--solver-tol", type=_number(float, 0.0), default=1e-3,
                    help="relative slack on the eps*R residual target")
-    p.add_argument("--solver-step-rule", choices=["polyak", "diminishing"], default="polyak")
+    p.add_argument("--solver-step-rule", choices=STEP_RULES, default=STEP_RULES[0])
     p.add_argument("--format", dest="fmt", choices=["csv", "bin"], default=None,
                    help="override point-file format detection")
 
@@ -192,14 +184,14 @@ def _save_bundle(out_dir: Path, cfg: RunConfig, X, plan, source, fmt) -> dict:
     }
     if plan.mode == "sketch":
         pi = generate_sketch(plan.m, X.d, cfg.distribution, derive_seed(cfg.seed, "sketch"))
-        save_sketch(pi, out_dir / "sketch.json", out_dir / "sketch.bin", C=cfg.C)
+        save_sketch(pi, out_dir / "sketch.json", out_dir / "sketch.bin")
         embedder = build_embedder(X, pi, cfg.epsilon, cfg.solver)
         pointio.write_points_bin(out_dir / "embedded.bin", embedder.embedded_X)
         meta["out_dim"] = embedder.out_dim
     else:
         emb = exact_small_embedding(X)
         pointio.write_points_bin(out_dir / "basis.bin", emb.basis)
-        pointio.write_points_bin(out_dir / "embedded.bin", emb.terminal_coords)
+        pointio.write_points_bin(out_dir / "embedded.bin", emb.base_images)
         meta["rank"] = emb.rank
         meta["out_dim"] = emb.out_dim
     _dump_json(meta, out_dir / "config.json")
@@ -212,7 +204,8 @@ def load_bundle(bundle_dir):
     A config.json that is not JSON or lacks a key the commands read raises
     FormatError; other top-level keys are ignored. The "solver" object of a
     sketch bundle must hold exactly the SolverConfig fields that _save_bundle
-    wrote from it."""
+    wrote from it, with values SolverConfig accepts, and an exact bundle's
+    basis.bin must have d columns."""
     bundle_dir = Path(bundle_dir)
     cfg_path = bundle_dir / "config.json"
     if not cfg_path.exists():
@@ -234,10 +227,14 @@ def load_bundle(bundle_dir):
         raise FormatError(f"{cfg_path}: corrupt bundle config: {exc!r}") from exc
     X = build_point_set(pointio.read_points_bin(bundle_dir / "points.bin"))
     if sketch_mode:
-        pi, _ = load_sketch(bundle_dir / "sketch.json")
+        pi = load_sketch(bundle_dir / "sketch.json")
         embedder = build_embedder(X, pi, epsilon, solver)
     else:
         basis = pointio.read_points_bin(bundle_dir / "basis.bin")
+        if basis.shape[1] != X.d:
+            raise FormatError(
+                f"{bundle_dir / 'basis.bin'}: basis width {basis.shape[1]}, expected {X.d}"
+            )
         embedder = ExactEmbedding(X=X, basis=basis)
     return embedder, meta
 
@@ -247,7 +244,9 @@ def load_bundle(bundle_dir):
 
 
 def _cmd_build(args) -> int:
-    cfg = _run_config(args)
+    cfg = RunConfig(
+        args.epsilon, args.const_c, args.dist, _resolve_seed(args.seed), _solver_config(args)
+    )
     fmt = pointio.detect_format(args.points, args.fmt)
     X = build_point_set(pointio.read_points(args.points, fmt))
     plan = plan_dimension(X.n, cfg.epsilon, cfg.C, X.d)
@@ -323,7 +322,7 @@ def _cmd_eval(args) -> int:
         )
     target = embedder
     if args.baseline == "efn":
-        target = EfnEmbedder(X=embedder.X, base_images=embedder.terminal_images[:, :-1])
+        target = EfnEmbedder(X=embedder.X, base_images=embedder.base_images)
     report = harness.evaluate(
         target,
         queries,
@@ -347,7 +346,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    cfg = _run_config(args)
     fmt = pointio.detect_format(args.points, args.fmt)
     X = build_point_set(pointio.read_points(args.points, fmt))
     rows = harness.scaling_study(
@@ -355,10 +353,10 @@ def _cmd_scaling(args) -> int:
         args.epsilons,
         args.consts,
         args.seeds,
-        distribution=cfg.distribution,
+        distribution=args.dist,
         queries_per_mode=args.queries_per_mode,
         chd_samples=args.chd_samples,
-        solver=cfg.solver,
+        solver=_solver_config(args),
     )
     if args.out and args.out.endswith(".json"):
         _dump_json(rows, args.out)
@@ -381,7 +379,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build", help="sketch a point set into an embedder bundle")
     p.add_argument("points", help="terminal point file (.csv or .bin)")
     p.add_argument("--out", required=True, help="bundle directory to write")
-    _add_common(p)
+    p.add_argument("--epsilon", type=float, default=0.25, help="distortion target in (0,1)")
+    p.add_argument("--const-C", dest="const_c", type=float, default=4.0,
+                   help="constant C in m = ceil(C * eps^-2 * ln|Y|)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="global seed (default: TE_SEED env var, else 0)")
+    _add_sketch_flags(p)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="embed query points against a bundle")
@@ -418,7 +421,10 @@ def build_parser() -> _Parser:
                    help="e.g. max_ratio_dev=0.3 or distortion=1.5")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("scaling", help="factorial (epsilon, C, seed) distortion study")
+    # No abbreviations: --epsilon and --seed, which build takes, would
+    # otherwise parse as --epsilons and --seeds.
+    p = sub.add_parser("scaling", help="factorial (epsilon, C, seed) distortion study",
+                       allow_abbrev=False)
     p.add_argument("points")
     p.add_argument("--epsilons", type=_comma_list(float), required=True,
                    help="comma list, e.g. 0.5,0.25")
@@ -428,7 +434,7 @@ def build_parser() -> _Parser:
     p.add_argument("--queries-per-mode", type=_number(int, 1), default=10)
     p.add_argument("--chd-samples", type=_number(int, 1), default=2000)
     p.add_argument("--out", default=None, help=".csv or .json table (default: stdout CSV)")
-    _add_common(p)
+    _add_sketch_flags(p)
     p.set_defaults(func=_cmd_scaling)
 
     return parser

@@ -57,11 +57,26 @@ _CANCEL = 1e-2
 RECORD_KEYS = ("residual", "iterations", "anchor_index", "converged")
 
 
+# The solver's step rules; the first is the default.
+STEP_RULES = ("polyak", "diminishing")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of the feasibility solve. An unknown step_rule, a negative
+    max_iters, or a tol that is negative or not finite raises ValueError."""
+
     max_iters: int = 5000
     tol: float = 1e-3  # relative slack on the epsilon * R residual target
-    step_rule: str = "polyak"  # "polyak" | "diminishing"
+    step_rule: str = STEP_RULES[0]
+
+    def __post_init__(self):
+        if self.step_rule not in STEP_RULES:
+            raise ValueError(f"step_rule must be one of {STEP_RULES}, got {self.step_rule!r}")
+        if not self.max_iters >= 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -315,21 +330,14 @@ def lift(u, solution: ExtensionSolution, E: TerminalEmbedder) -> np.ndarray:
     return np.concatenate([head, [np.sqrt(max(sq, 0.0))]])
 
 
-def efn_extend(X: PointSet, f_of_X: np.ndarray, u) -> np.ndarray:
-    """Snap-to-nearest baseline extension: (f(x_k), ||u - x_k||).
-
-    Simple and fast, but its terminal distortion is bounded away from 1
-    (sqrt(10) in the worst case), which is exactly what the solver-based
-    extension improves on.
-    """
-    return EfnEmbedder(X, f_of_X).embed(u)
-
-
 @dataclass(frozen=True)
 class EfnEmbedder(OuterExtension):
-    """The snap-to-nearest baseline over a base map given by its terminal
-    rows. base_images is kept as a read-only float64 view, so the caller's
-    array stays writable; one without n rows raises DimensionMismatch."""
+    """The snap-to-nearest baseline u -> (f(x_k), ||u - x_k||) over a base map
+    f given by its terminal rows. Simple and fast, but its terminal distortion
+    is bounded away from 1 (sqrt(10) in the worst case), which is exactly what
+    the solver-based extension improves on. base_images is kept as a
+    read-only float64 view, so the caller's array stays writable; one
+    without n rows raises DimensionMismatch."""
 
     X: PointSet
     base_images: np.ndarray  # (n, m)
@@ -369,13 +377,9 @@ class ExactEmbedding(OuterExtension):
         return self.basis.shape[0]
 
     @cached_property
-    def terminal_coords(self) -> np.ndarray:
+    def base_images(self) -> np.ndarray:
         """Basis coordinates of the terminals, shape (n, rank)."""
         return (self.X.points - self.X.points[0]) @ self.basis.T
-
-    @property
-    def base_images(self) -> np.ndarray:
-        return self.terminal_coords
 
     def _embed_one(self, u):
         """A terminal (R = 0) maps to its row of terminal_images, trailing

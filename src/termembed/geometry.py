@@ -307,9 +307,9 @@ def nearest(u, X: PointSet) -> tuple[int, float]:
     exact pass instead.
 
     Every per-query path (solve_extension, the three embedders' embed and
-    embed_batch, efn_extend, nearest_point) calls this first, so it holds
-    their query checks: a u of the wrong width raises DimensionMismatch and
-    one with a NaN or infinite coordinate raises NonFinitePoint.
+    embed_batch, nearest_point) calls this first, so it holds their query
+    checks: a u of the wrong width raises DimensionMismatch and one with a
+    NaN or infinite coordinate raises NonFinitePoint.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     if u.shape[0] != X.d:

@@ -9,7 +9,6 @@ tight cases live near the terminal set and along its chords).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,17 +28,18 @@ DEFAULT_SHELL_FACTORS = (0.01, 0.1, 1.0, 10.0)
 DEFAULT_FAR_SCALE = 3.0
 
 
-def parse_mode(mode) -> tuple[str, float | None]:
-    """(kind, param) of a sampler mode: "kind", "kind:param" or a tuple.
+def parse_mode(mode: str) -> tuple[str, float | None]:
+    """(kind, param) of a sampler mode string, "kind" or "kind:param".
 
-    Raises ValueError for an unknown kind, a parameter given to box, member
-    or segment, or one missing or not finite for shell, shell_rel or far."""
-    kind, param = mode if isinstance(mode, tuple) else str(mode).partition(":")[::2]
-    if kind in ("box", "member", "segment") and param in (None, ""):
+    Raises ValueError for anything else: an unknown kind, a parameter given
+    to box, member or segment, or one missing or not finite for shell,
+    shell_rel or far."""
+    kind, _, param = str(mode).partition(":")
+    if kind in ("box", "member", "segment") and not param:
         return kind, None
     try:
         value = float(param) if kind in ("shell", "shell_rel", "far") else math.nan
-    except (TypeError, ValueError):
+    except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"bad sampler mode {mode!r}; e.g. box, shell:0.5 or far:3")
@@ -106,21 +106,16 @@ def default_suite_modes() -> list[str]:
 
 
 def mode_labels(modes) -> list[str]:
-    """The label of each sampler mode: a string mode is its own label, a tuple
-    (kind, param) is labeled "kind:param" ("kind" when param is None or "").
+    """The label of each sampler mode: the mode string itself.
 
-    Raises ValueError for a bad mode (see parse_mode) or two equal labels,
+    Raises ValueError for a bad mode (see parse_mode) or two equal modes,
     which would share a sub-seed and merge in evaluate's statistics."""
     labels = []
     for mode in modes:
-        kind, _ = parse_mode(mode)
-        if isinstance(mode, str):
-            label = mode
-        else:
-            label = kind if mode[1] in (None, "") else f"{kind}:{mode[1]}"
-        if label in labels:
-            raise ValueError(f"sampler mode {label!r} is given twice")
-        labels.append(label)
+        parse_mode(mode)
+        if mode in labels:
+            raise ValueError(f"sampler mode {mode!r} is given twice")
+        labels.append(mode)
     return labels
 
 
@@ -129,10 +124,10 @@ def sample_suite(
 ) -> tuple[np.ndarray, list[str]]:
     """Concatenate every sampler mode into one labeled query batch; each mode
     draws from the sub-seed of its label (see mode_labels)."""
-    modes = default_suite_modes() if modes is None else list(modes)
+    modes = default_suite_modes() if modes is None else modes
     chunks, labels = [], []
-    for mode, label in zip(modes, mode_labels(modes)):
-        chunks.append(sample_queries(X, mode, count_per_mode, derive_seed(seed, label)))
+    for label in mode_labels(modes):
+        chunks.append(sample_queries(X, label, count_per_mode, derive_seed(seed, label)))
         labels += [label] * count_per_mode
     return np.vstack(chunks), labels
 
@@ -183,9 +178,6 @@ class DistortionReport:
             "max_anchor_rel_error": self.max_anchor_rel_error,
             "samplers": self.samplers,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _ratio_stats(r: np.ndarray) -> dict:

@@ -58,12 +58,11 @@ class DimensionPlan:
 
     m always carries the formula value ceil(C * eps^-2 * ln(max(n(n-1), 2)));
     in exact_small mode the real output width is rank-determined later.
+    The caller keeps epsilon and C (the CLI writes both to config.json).
     """
 
     m: int
     mode: str  # "sketch" | "exact_small"
-    C: float
-    epsilon: float
 
 
 def plan_dimension(
@@ -89,7 +88,7 @@ def plan_dimension(
     except OverflowError:
         raise InvalidConstant(f"m = C eps^-2 ln|Y| overflows at C={C}, eps={epsilon}") from None
     mode = "exact_small" if m >= min(n, d or n) else "sketch"
-    return DimensionPlan(m=m, mode=mode, C=float(C), epsilon=float(epsilon))
+    return DimensionPlan(m=m, mode=mode)
 
 
 def generate_sketch(
@@ -114,14 +113,6 @@ def generate_sketch(
     )
 
 
-def apply_sketch(pi: SketchMatrix, x) -> np.ndarray:
-    """Exact matrix-vector product Pi @ x."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != pi.d:
-        raise DimensionMismatch(f"vector has dimension {x.shape[0]}, expected {pi.d}")
-    return pi.entries @ x
-
-
 def sketch_points(pi: SketchMatrix, xs: np.ndarray) -> np.ndarray:
     """Apply the sketch to the rows of an (n, d) array, giving (n, m)."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -132,8 +123,12 @@ def sketch_points(pi: SketchMatrix, xs: np.ndarray) -> np.ndarray:
     return xs @ pi.entries.T
 
 
-def save_sketch(pi: SketchMatrix, header_path, data_path=None, C: float | None = None) -> None:
-    """Serialize a sketch as a JSON header plus a binary double sidecar."""
+def save_sketch(pi: SketchMatrix, header_path, data_path=None) -> None:
+    """Serialize a sketch as a JSON header plus a binary double sidecar.
+
+    The header holds magic, m, d, distribution, seed and the sidecar's file
+    name (data_path, default header_path with suffix .bin), and nothing else:
+    the plan constant C lives in a bundle's config.json."""
     header_path = Path(header_path)
     if data_path is None:
         data_path = header_path.with_suffix(".bin")
@@ -144,7 +139,6 @@ def save_sketch(pi: SketchMatrix, header_path, data_path=None, C: float | None =
         "d": pi.d,
         "distribution": pi.distribution,
         "seed": pi.seed,
-        "C": C,
         "data": data_path.name,
     }
     header_path.write_text(
@@ -156,11 +150,12 @@ def save_sketch(pi: SketchMatrix, header_path, data_path=None, C: float | None =
     )
 
 
-def load_sketch(header_path) -> tuple[SketchMatrix, dict]:
-    """Load a serialized sketch; apply_sketch on the result is bit-exact.
+def load_sketch(header_path) -> SketchMatrix:
+    """Load a serialized sketch, bit-exact to the one save_sketch wrote.
 
     A header that is not a JSON object, has a bad magic, or lacks a valid
-    m, d, data, distribution or seed raises FormatError."""
+    m, d, data, distribution or seed raises FormatError; other keys (such as
+    the "C" that older headers carry) are ignored."""
     header_path = Path(header_path)
     try:
         header = json.loads(header_path.read_text(encoding="utf-8"))
@@ -183,4 +178,4 @@ def load_sketch(header_path) -> tuple[SketchMatrix, dict]:
             f"{data_path}: payload length {len(blob)} != expected {8 * m * d}"
         )
     entries = np.frombuffer(blob, dtype="<f8").reshape(m, d).astype(np.float64)
-    return SketchMatrix(entries=entries, distribution=distribution, seed=seed), header
+    return SketchMatrix(entries=entries, distribution=distribution, seed=seed)

@@ -24,7 +24,7 @@ def test_criterion_1_efn_sharpness():
     u=1 gives distances sqrt(2), sqrt(5) and terminal distortion sqrt(10)."""
     t0 = time.time()
     X = te.build_point_set([(-1.0,), (0.0,), (2.0,)])
-    f = te.efn_extend(X, X.points, (1.0,))
+    f = te.EfnEmbedder(X, X.points).embed((1.0,))
     d_minus1 = np.linalg.norm(f - np.array([-1.0, 0.0]))
     d_plus2 = np.linalg.norm(f - np.array([2.0, 0.0]))
     assert abs(d_minus1 - math.sqrt(2)) <= 1e-9

@@ -366,7 +366,10 @@ class TestBadInputs:
         embedder, _ = load_bundle(bundle)
         assert embedder.solver == SolverConfig(77, 0.01, "diminishing")
 
-    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    @pytest.mark.parametrize(
+        "edit",
+        ["missing", "extra", "step_rule=bogus", "max_iters=-1", "tol=-0.5", "tol=inf", "tol=nan"],
+    )
     def test_solver_key_missing_or_extra_exits_2(self, tmp_path, points_csv, capsys, edit):
         bundle = tmp_path / "sk"
         assert main(["build", points_csv, "--out", str(bundle),
@@ -375,8 +378,11 @@ class TestBadInputs:
         meta = json.loads(cfg.read_text())
         if edit == "missing":
             del meta["solver"]["tol"]
-        else:
+        elif edit == "extra":
             meta["solver"]["threads"] = 1
+        else:
+            key, value = edit.split("=")
+            meta["solver"][key] = value if key == "step_rule" else float(value)
         cfg.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match="solver"):
             load_bundle(bundle)
@@ -404,6 +410,19 @@ class TestBadInputs:
             rc = main(argv)
             err = capsys.readouterr().err
             assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+
+    def test_exact_basis_of_wrong_width_exits_2(self, tmp_path, capsys):
+        pts = write_csv(tmp_path / "wide.csv", np.random.default_rng(1).standard_normal((300, 6)))
+        bundle = tmp_path / "wide"
+        assert main(["build", pts, "--out", str(bundle), "--epsilon", "0.5",
+                     "--const-C", "0.5"]) == 0
+        write_points_bin(bundle / "basis.bin", np.eye(3, 5))
+        with pytest.raises(FormatError, match="basis.bin"):
+            load_bundle(bundle)
+        rc = main(["query", str(bundle), pts, str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_config_not_an_object_exits_2(self, tmp_path, bundle, capsys):
         (bundle / "config.json").write_text("[1, 2]\n")
@@ -445,6 +464,13 @@ class TestBadInputs:
             ["build", "{points}", "--out", "{out}", "--solver-tol", "inf"],
             ["build", "{points}", "--out", "{out}", "--solver-tol", "-1"],
             ["build", "{points}", "--out", "{out}", "--solver-iters", "-5"],
+            # build's plan flags; scaling takes its grid from --epsilons, --consts, --seeds
+            ["scaling", "{points}", "--epsilons", "0.5", "--consts", "0.5", "--seeds", "0",
+             "--epsilon", "0.1", "--out", "{out}"],
+            ["scaling", "{points}", "--epsilons", "0.5", "--consts", "0.5", "--seeds", "0",
+             "--const-C", "99", "--out", "{out}"],
+            ["scaling", "{points}", "--epsilons", "0.5", "--consts", "0.5", "--seeds", "0",
+             "--seed", "5", "--out", "{out}"],
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, tmp_path, bundle, points_csv, capsys, flags):

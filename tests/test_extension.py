@@ -11,7 +11,6 @@ from termembed import (
     build_embedder,
     build_point_set,
     direction_set,
-    efn_extend,
     estimate_sampled,
     exact_small_embedding,
     generate_sketch,
@@ -233,7 +232,7 @@ class TestScalarFact:
 class TestEfnExtend:
     def test_sharpness_instance(self):
         X = build_point_set([(-1.0,), (0.0,), (2.0,)])
-        f = efn_extend(X, X.points, (1.0,))
+        f = EfnEmbedder(X, X.points).embed((1.0,))
         assert np.allclose(f, [0.0, 1.0], atol=1e-15)
         d_minus1 = np.linalg.norm(f - np.array([-1.0, 0.0]))
         d_plus2 = np.linalg.norm(f - np.array([2.0, 0.0]))
@@ -248,13 +247,13 @@ class TestEfnExtend:
         rng = np.random.default_rng(10)
         X = build_point_set(rng.standard_normal((5, 3)))
         imgs = rng.standard_normal((5, 4))
-        f = efn_extend(X, imgs, X.points[2])
+        f = EfnEmbedder(X, imgs).embed(X.points[2])
         assert np.array_equal(f[:-1], imgs[2]) and f[-1] == 0.0
 
     def test_single_point_exact(self):
         X = build_point_set([(0.0, 0.0)])
         u = (3.0, 4.0)
-        f = efn_extend(X, np.zeros((1, 2)), u)
+        f = EfnEmbedder(X, np.zeros((1, 2))).embed(u)
         assert np.allclose(f, [0.0, 0.0, 5.0])
 
     def test_embedder_adapter(self):
@@ -274,9 +273,9 @@ class TestEfnExtend:
     def test_caller_array_stays_writable(self):
         X = build_point_set([(-1.0,), (0.0,), (2.0,)])
         imgs = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(efn_extend(X, imgs, (1.5,)), [4.0, 5.0, 0.5])
-        assert imgs.flags.writeable
         E = EfnEmbedder(X=X, base_images=imgs)
+        assert np.array_equal(E.embed((1.5,)), [4.0, 5.0, 0.5])
+        assert imgs.flags.writeable
         imgs[0, 0] = 7.0
         assert imgs.flags.writeable and E.base_images[0, 0] == 7.0
         assert not E.base_images.flags.writeable
@@ -371,7 +370,7 @@ def test_non_finite_query_raises_in_every_per_query_function(bad):
     u[1] = bad
     for call in (
         lambda: solve_extension(u, E),
-        lambda: efn_extend(E.X, E.embedded_X, u),
+        lambda: EfnEmbedder(E.X, E.embedded_X).embed(u),
         lambda: nearest_point(u, E.X),
     ):
         with pytest.raises(NonFinitePoint):

@@ -18,6 +18,7 @@ from termembed import (
 )
 from termembed.extension import EfnEmbedder
 from termembed import geometry, harness
+from termembed.cli import _dump_json
 from termembed.geometry import distances_to
 from termembed.harness import scaling_table_csv
 from termembed.seeding import derive_seed
@@ -88,8 +89,11 @@ class TestSamplers:
             sample_queries(X, mode, 5, seed=0)
 
     def test_tuple_mode(self, X):
-        a = sample_queries(X, ("shell", 0.5), 5, seed=2)
-        assert np.array_equal(a, sample_queries(X, "shell:0.5", 5, seed=2))
+        # "kind:param" is the one form of a parameterized mode.
+        with pytest.raises(ValueError, match="mode"):
+            sample_queries(X, ("shell", 0.5), 5, seed=2)
+        with pytest.raises(ValueError, match="mode"):
+            sample_suite(X, 2, seed=0, modes=[("shell", 0.5)])
 
     def test_suite_labels_align(self, X):
         q, labels = sample_suite(X, 4, seed=6)
@@ -102,14 +106,15 @@ class TestSamplers:
         want = [sample_queries(X, m, 3, derive_seed(6, m)) for m in modes]
         assert np.array_equal(q, np.vstack(want))
 
-    def test_tuple_modes_labeled_with_their_parameter(self, X):
-        q, labels = sample_suite(X, 3, seed=7, modes=[("shell", 0.1), ("shell", 1.0), ("box", None)])
+    def test_one_kind_two_parameters_draw_from_two_sub_seeds(self, X):
+        modes = ["shell:0.1", "shell:1.0", "box"]
+        q, labels = sample_suite(X, 3, seed=7, modes=modes)
         assert labels == ["shell:0.1"] * 3 + ["shell:1.0"] * 3 + ["box"] * 3
-        same, _ = sample_suite(X, 3, seed=7, modes=["shell:0.1", "shell:1.0", "box"])
-        assert np.array_equal(q, same)
+        want = [sample_queries(X, m, 3, derive_seed(7, m)) for m in modes]
+        assert np.array_equal(q, np.vstack(want))
 
     @pytest.mark.parametrize(
-        "modes", [["box", "box"], [("shell", 0.1), "shell:0.1"], [("far", 3), ("far", 3)]]
+        "modes", [["box", "box"], ["shell:0.1", "box", "shell:0.1"], ["far:3", "far:3"]]
     )
     def test_equal_labels_rejected(self, X, modes):
         with pytest.raises(ValueError, match="twice"):
@@ -325,7 +330,7 @@ class TestEvaluateParity:
                 assert rep.histogram_lo is rep.histogram_hi is None
                 assert rep.max_abs_ratio_dev == 0.0 and rep.max_anchor_rel_error == 0.0
                 assert (rep.raw_ratio is not None) == keep_raw
-                parsed = json.loads(rep.to_json(), parse_constant=_reject_constant)
+                parsed = json.loads(_dump_json(rep.to_dict()), parse_constant=_reject_constant)
                 assert parsed["distortion"] is None and parsed["ratios"]["min"] is None
 
 
@@ -351,7 +356,8 @@ class TestEvaluate:
         X = build_point_set(np.random.default_rng(6).standard_normal((5, 3)))
         rep = evaluate(EfnEmbedder(X, np.zeros((5, 2))), X.points[:2])
         assert rep.ratio_min == 0.0 and rep.ratio_max == 0.0 and rep.distortion is None
-        assert json.loads(rep.to_json(), parse_constant=_reject_constant)["distortion"] is None
+        parsed = json.loads(_dump_json(rep.to_dict()), parse_constant=_reject_constant)
+        assert parsed["distortion"] is None
 
     def test_efn_instance_ratios(self):
         X = build_point_set([(-1.0,), (0.0,), (2.0,)])
@@ -382,8 +388,8 @@ class TestEvaluate:
         pi = generate_sketch(16, 5, "rademacher", 3)
         E = build_embedder(X, pi, 0.25)
         q, labels = sample_suite(X, 5, seed=10)
-        a = evaluate(E, q, labels, config_echo={"seed": 10}).to_json()
-        b = evaluate(E, q, labels, config_echo={"seed": 10}).to_json()
+        a = _dump_json(evaluate(E, q, labels, config_echo={"seed": 10}).to_dict())
+        b = _dump_json(evaluate(E, q, labels, config_echo={"seed": 10}).to_dict())
         assert a == b
 
     def test_histogram_bins(self, X):
@@ -414,7 +420,7 @@ class TestEvaluate:
         E = build_embedder(X, pi, 0.25)
         q, labels = sample_suite(X, 4, seed=14)
         rep = evaluate(E, q, labels, config_echo={"epsilon": 0.25})
-        parsed = json.loads(rep.to_json())
+        parsed = json.loads(_dump_json(rep.to_dict()))
         assert parsed["config"]["epsilon"] == 0.25
         assert parsed["pair_count"] == rep.pair_count
         assert set(parsed["samplers"]) == set(labels)

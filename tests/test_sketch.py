@@ -9,7 +9,6 @@ from termembed import (
     FormatError,
     InvalidConstant,
     InvalidEpsilon,
-    apply_sketch,
     build_point_set,
     exact_small_embedding,
     generate_sketch,
@@ -116,26 +115,27 @@ class TestGenerateSketch:
 class TestApplySketch:
     def test_zero_maps_to_zero(self):
         pi = generate_sketch(6, 4, "rademacher", 0)
-        assert np.array_equal(apply_sketch(pi, np.zeros(4)), np.zeros(6))
+        assert np.array_equal(sketch_points(pi, np.zeros((3, 4))), np.zeros((3, 6)))
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         pi = generate_sketch(8, 5, "gaussian", 1)
         for _ in range(20):
             a, b = rng.standard_normal(2)
-            x, y = rng.standard_normal(5), rng.standard_normal(5)
-            lhs = apply_sketch(pi, a * x + b * y)
-            rhs = a * apply_sketch(pi, x) + b * apply_sketch(pi, y)
+            x, y = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
+            lhs = sketch_points(pi, a * x + b * y)
+            rhs = a * sketch_points(pi, x) + b * sketch_points(pi, y)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(lhs))
 
     def test_identity_case(self):
         pi = SketchMatrix(entries=np.eye(2), distribution="gaussian", seed=0)
-        assert np.array_equal(apply_sketch(pi, (1.0, 2.0)), [1.0, 2.0])
+        assert np.array_equal(sketch_points(pi, [(1.0, 2.0)]), [[1.0, 2.0]])
 
     def test_dimension_mismatch(self):
         pi = generate_sketch(6, 4, "rademacher", 0)
-        with pytest.raises(DimensionMismatch):
-            apply_sketch(pi, np.zeros(5))
+        for shape in [(1, 5), (2, 3), (4,)]:
+            with pytest.raises(DimensionMismatch):
+                sketch_points(pi, np.zeros(shape))
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(9)
@@ -143,7 +143,7 @@ class TestApplySketch:
         xs = rng.standard_normal((11, 3))
         batch = sketch_points(pi, xs)
         for i in range(11):
-            assert np.allclose(batch[i], apply_sketch(pi, xs[i]), atol=1e-14)
+            assert np.allclose(batch[i], sketch_points(pi, xs[i : i + 1])[0], atol=1e-14)
 
     def test_unbiased_norm_across_seeds(self):
         # average ||Pi x||^2 over 200 seeds within 10% of ||x||^2
@@ -242,19 +242,28 @@ class TestExactSmallEmbedding:
 class TestSerialization:
     def test_save_load_bit_exact(self, tmp_path):
         pi = generate_sketch(9, 5, "gaussian", 77)
-        save_sketch(pi, tmp_path / "pi.json", C=4.0)
-        back, header = load_sketch(tmp_path / "pi.json")
+        save_sketch(pi, tmp_path / "pi.json")
+        back = load_sketch(tmp_path / "pi.json")
         assert np.array_equal(back.entries, pi.entries)
         assert back.distribution == pi.distribution and back.seed == pi.seed
-        assert header["C"] == 4.0
 
-        x = np.random.default_rng(4).standard_normal(5)
-        assert np.array_equal(apply_sketch(back, x), apply_sketch(pi, x))
+        x = np.random.default_rng(4).standard_normal((1, 5))
+        assert np.array_equal(sketch_points(back, x), sketch_points(pi, x))
+
+    def test_header_keys(self, tmp_path):
+        pi = generate_sketch(4, 3, "rademacher", 1)
+        save_sketch(pi, tmp_path / "pi.json")
+        header = json.loads((tmp_path / "pi.json").read_text())
+        assert header == {"magic": "TESK", "m": 4, "d": 3, "distribution": "rademacher",
+                          "seed": 1, "data": "pi.bin"}
+        # Older headers also carry the plan constant C; it is ignored.
+        (tmp_path / "pi.json").write_text(json.dumps({**header, "C": 4.0}))
+        assert np.array_equal(load_sketch(tmp_path / "pi.json").entries, pi.entries)
 
     def test_save_is_deterministic(self, tmp_path):
         pi = generate_sketch(4, 3, "rademacher", 1)
-        save_sketch(pi, tmp_path / "a.json", tmp_path / "a.bin", C=2.0)
-        save_sketch(pi, tmp_path / "b.json", tmp_path / "b.bin", C=2.0)
+        save_sketch(pi, tmp_path / "a.json", tmp_path / "a.bin")
+        save_sketch(pi, tmp_path / "b.json", tmp_path / "b.bin")
         a = (tmp_path / "a.json").read_text().replace("a.bin", "x.bin")
         b = (tmp_path / "b.json").read_text().replace("b.bin", "x.bin")
         assert a == b
