@@ -36,7 +36,7 @@ _CHUNK_SPARSE = 512
 _GATHER_ROWS = 64
 # Rows per Gram block in the pair-midpoint tier. A block holds a few
 # (_MIDPOINT_BLOCK x |T|) float arrays, with |T|/2 columns over one sign of a
-# mirror-closed DirectionSet: small enough to stay in cache.
+# DirectionSet: small enough to stay in cache.
 _MIDPOINT_BLOCK = 64
 # Pairs per batch when the midpoint tier recomputes entries directly.
 _MIDPOINT_DIRECT = 4096
@@ -240,11 +240,10 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
     chunk of length |T|; then exactly |T| - 1 midpoint chunks; then the
     random chunks. Chunk sizes and rng consumption order are fixed, so the
     stream is deterministic per seed. The midpoint chunks depend on T:
-      - an array T, or a DirectionSet that is not exactly closed under
-        negation (see _mirror_half): chunk i holds (t_i + t_j)/2 for j > i,
-        so it has length |T| - 1 - i;
-      - a mirror-closed DirectionSet, with y_p the p-th of its h = |T|/2
-        rows t_ij, i < j: for each p, the minus chunk (y_p - y_q)/2 for
+      - an array T (the per-pair reference): chunk i holds (t_i + t_j)/2
+        for j > i, so it has length |T| - 1 - i;
+      - a DirectionSet, with y_p the p-th of its h = |T|/2 rows t_ij,
+        i < j (its half): for each p, the minus chunk (y_p - y_q)/2 for
         q >= p (length h - p), then, for p < h - 1, the plus chunk
         (y_p + y_q)/2 for q > p (length h - 1 - p). The midpoints (a+b)/2
         and (-a-b)/2 have equal violations, so each such mirror pair is
@@ -256,7 +255,7 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
 
     The midpoint tier takes its norms from Gram blocks (see
     _midpoint_violations): O(|T|^2 (d + m)) time in BLAS, a quarter of it
-    for a mirror-closed DirectionSet, and O(_MIDPOINT_BLOCK * |T|) memory.
+    for a DirectionSet, and O(_MIDPOINT_BLOCK * |T|) memory.
     Each midpoint chunk's max, and the first index holding it, are
     bit-identical to the direct formula 0.5 * (t_a + t_b) on the pairs its
     weights name; every other entry agrees with it to within rounding.
@@ -273,24 +272,23 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
         raise ValueError(f"samples must be >= 1, got {samples}")
     D = _as_direction_matrix(T, pi.d)
     k = D.shape[0]
-    PD = D @ pi.entries.T
+    PD = _images(pi, T, D)
+    if isinstance(T, DirectionSet):
+        half, mirror = T.half, T.mirror
+        R, PR, signs = D[half], PD[half], (-1, 1)
+    else:
+        half = mirror = None
+        R, PR, signs = D, PD, (1,)
     rng = np.random.default_rng(seed)
 
     # Tier 1: vertices.
     yield _norm_gap(D, PD), lambda r: _scatter_weights(k, [r], [1.0])
 
-    # Tier 2: all pair midpoints, over one sign of each direction when T is
-    # mirror-closed. The generator expression drops the last Gram block, and
+    # Tier 2: all pair midpoints, over one sign of each direction for a
+    # DirectionSet. The generator expression drops the last Gram block, and
     # the del the gathered rows, before Tier 3 starts.
-    mirror = _mirror_half(T, D, PD)
-    if mirror is None:
-        half = neg = None
-        R, PR, signs = D, PD, (1,)
-    else:
-        half, neg = mirror
-        R, PR, signs = D[half], PD[half], (-1, 1)
     yield from (
-        (v, lambda r, p=p, sign=sign: _midpoint_weights(k, half, neg, p, sign, r))
+        (v, lambda r, p=p, sign=sign: _midpoint_weights(k, half, mirror, p, sign, r))
         for p, sign, v in _midpoint_violations(R, PR, signs)
     )
     del R, PR
@@ -310,6 +308,18 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
             v, _ = _sparse_violations(D, PD, basis, idx, w)
             yield v, lambda r, idx=idx, w=w: _scatter_weights(k, idx[r], w[r])
             done += c
+
+
+def _images(pi: SketchMatrix, T, D: np.ndarray) -> np.ndarray:
+    """PD = D Pi^T, the images of T's directions D. For a DirectionSet, one
+    GEMM over its rows i < j gives those rows, and each mirror row is their
+    exact negation, so PD[T.mirror] == -PD holds by construction."""
+    if not isinstance(T, DirectionSet):
+        return D @ pi.entries.T
+    PD = np.empty((D.shape[0], pi.m))
+    PD[T.half] = D[T.half] @ pi.entries.T
+    PD[T.mirror[T.half]] = -PD[T.half]
+    return PD
 
 
 def _hull_basis(pi: SketchMatrix, T, D: np.ndarray, PD: np.ndarray):
@@ -399,47 +409,18 @@ def _sparse_violations(D: np.ndarray, PD: np.ndarray, basis, idx: np.ndarray, w:
     return v, b
 
 
-def _mirror_half(T, D: np.ndarray, PD: np.ndarray):
-    """(half, neg) when T is a DirectionSet exactly closed under negation,
-    else None: then every (i, j) in T.pairs has its (j, i) at row neg[r],
-    D[neg] == -D and PD[neg] == -PD. half lists the rows with i < j in
-    order. The directions are compared as values, so 0.0 against -0.0
-    passes (direction_set gives x_i - x_i = +0.0 both ways): no norm, sum or
-    difference's magnitude sees the sign of a zero. O(|T| (d + m)) time and
-    O(_MIDPOINT_BLOCK (d + m)) memory beyond the index arrays.
-    """
-    if not isinstance(T, DirectionSet) or T.pairs.shape != (D.shape[0], 2):
-        return None
-    i, j = T.pairs[:, 0], T.pairs[:, 1]
-    if i.min() < 0 or np.any(i == j):
-        return None
-    n = int(T.pairs.max()) + 1
-    key = i * n + j
-    order = np.argsort(key, kind="stable")
-    pos = np.searchsorted(key, j * n + i, sorter=order)
-    neg = order[np.minimum(pos, key.size - 1)]
-    # Every mirror present, and no pair twice (neg an involution).
-    if not (np.array_equal(key[neg], j * n + i) and np.array_equal(neg[neg], np.arange(key.size))):
-        return None
-    half = np.flatnonzero(i < j)
-    for lo in range(0, half.size, _MIDPOINT_BLOCK):
-        r = half[lo : lo + _MIDPOINT_BLOCK]
-        if not (np.array_equal(D[neg[r]], -D[r]) and np.array_equal(PD[neg[r]], -PD[r])):
-            return None
-    return half, neg
-
-
-def _midpoint_weights(k: int, half, neg, p: int, sign: int, r: int) -> np.ndarray:
+def _midpoint_weights(k: int, half, mirror, p: int, sign: int, r: int) -> np.ndarray:
     """Simplex weights over T's k directions of row r of the (p, sign) chunk
     of _midpoint_violations, the midpoint (R_p + sign R_q)/2. With half =
-    None, R is T itself. Otherwise R is T[half] (see _mirror_half) and the
-    weights name whichever of (a, b) and (-a, -b) comes first in the
-    per-pair order (0, 1), (0, 2), ..., (k - 2, k - 1)."""
+    None, R is T itself. Otherwise R is T[half] for a DirectionSet (half and
+    mirror are its index arrays) and the weights name whichever of (a, b) and
+    (-a, -b) comes first in the per-pair order (0, 1), (0, 2), ...,
+    (k - 2, k - 1)."""
     q = p + (sign > 0) + r
     if half is None:
         return _scatter_weights(k, [p, q], [0.5, 0.5])
-    a, b = half[p], half[q] if sign > 0 else neg[half[q]]
-    a, b = min(sorted((a, b)), sorted((neg[a], neg[b])))
+    a, b = half[p], half[q] if sign > 0 else mirror[half[q]]
+    a, b = min(sorted((a, b)), sorted((mirror[a], mirror[b])))
     return _scatter_weights(k, [a, b], [0.5, 0.5])
 
 
@@ -575,19 +556,17 @@ def sampled_violations(pi: SketchMatrix, T, samples: int, seed: int = 0) -> np.n
     Layout: |T| vertices, then the pair midpoints in chunk order, then the
     random hull points by support size, in the order 2, 3, ceil(sqrt(|T|)).
     For an array T the midpoints are all |T| (|T| - 1) / 2 pairs (0, 1),
-    (0, 2), ..., (|T|-2, |T|-1). A DirectionSet closed under negation
-    gives each mirror pair {(a+b)/2, (-a-b)/2}, whose violations are equal,
-    once: (|T|/2)^2 midpoints, about half as many, in the order of
+    (0, 2), ..., (|T|-2, |T|-1). A DirectionSet gives each mirror pair
+    {(a+b)/2, (-a-b)/2} once: (|T|/2)^2 midpoints in the order of
     _violation_stream. Midpoint entries come from Gram blocks; each chunk's
     max is exact and the rest agree with the direct per-pair formula to
-    within rounding (the bound in
-    _midpoint_violations is about 4e-10 for unit directions at d = 256;
-    observed differences stay below 1e-15). Random entries come from GEMMs
-    over the basis points, O(c n (d + m)) per chunk of c points for a
-    DirectionSet over n points and O(c |T| (d + m)) for an array; each
-    chunk's max is exact and the rest are within the per-row bound b_r of
-    _sparse_violations (3e-12 to 4e-12 for 64 Gaussian points in R^256 at
-    m = 34; observed differences stay below 1e-15).
+    within rounding (the bound in _midpoint_violations is about 4e-10 for
+    unit directions at d = 256; observed differences stay below 1e-15).
+    Random entries come from GEMMs over the basis points, O(c n (d + m)) per
+    chunk of c points for a DirectionSet over n points and O(c |T| (d + m))
+    for an array; each chunk's max is exact and the rest are within the
+    per-row bound b_r of _sparse_violations (3e-12 to 4e-12 for 64 Gaussian
+    points in R^256 at m = 34; observed differences stay below 1e-15).
     """
     return np.concatenate(
         [v for v, _ in _violation_stream(pi, T, samples, seed)]

@@ -198,25 +198,41 @@ def _save_bundle(out_dir: Path, cfg: RunConfig, X, plan, source, fmt) -> dict:
     return meta
 
 
+def _finite_float(text):
+    """A JSON number or constant (NaN, Infinity) as a float, which must be
+    finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def load_bundle(bundle_dir):
     """Reconstruct the embedder (sketch or exact path) from a bundle dir.
 
-    A config.json that is not JSON or lacks a key the commands read raises
-    FormatError; other top-level keys are ignored. The "solver" object of a
-    sketch bundle must hold exactly the SolverConfig fields that _save_bundle
-    wrote from it, with values SolverConfig accepts, and an exact bundle's
-    basis.bin must have d columns."""
+    A config.json that is not strict JSON (NaN, Infinity, or a number that
+    overflows to one), lacks a key the commands read, or has an epsilon
+    outside (0, 1) raises FormatError; other top-level keys are ignored. The
+    "solver" object of a sketch bundle must hold exactly the SolverConfig
+    fields that _save_bundle wrote from it, with values SolverConfig accepts,
+    and an exact bundle's basis.bin must have d columns."""
     bundle_dir = Path(bundle_dir)
     cfg_path = bundle_dir / "config.json"
     if not cfg_path.exists():
         raise FormatError(f"{bundle_dir}: not a bundle (missing config.json)")
     try:
-        meta = json.loads(cfg_path.read_text(encoding="utf-8"))
+        meta = json.loads(
+            cfg_path.read_text(encoding="utf-8"),
+            parse_constant=_finite_float,
+            parse_float=_finite_float,
+        )
         magic = meta.get("magic") if isinstance(meta, dict) else None
         if magic != BUNDLE_MAGIC:
             raise FormatError(f"{cfg_path}: bad magic {magic!r}")
         int(meta["seed"])  # read later by verify-chd and eval
         epsilon = float(meta["epsilon"])
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon {epsilon} outside (0, 1)")
         sketch_mode = meta["mode"] == "sketch"
         if sketch_mode:
             s = meta["solver"]

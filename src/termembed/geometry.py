@@ -7,7 +7,7 @@ knobs beyond the documented ones. Distances use plain double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -185,22 +185,46 @@ def _screened_neighbor_scales(X: PointSet):
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """All n(n-1) normalized ordered differences of a point set.
+    """All n(n-1) normalized ordered differences of a point set, derived from
+    its points alone (empty for n = 1).
 
-    directions[r] = (x_i - x_j) / distances[r], where (i, j) = pairs[r], x_i
-    is row i of points, and distances[r] = ||x_i - x_j|| is the
-    distance_matrix entry. Closed under negation by construction, since
-    (i, j) and (j, i) both appear.
+    Row r holds the pair (i, j) = pairs[r], i != j, in lexicographic order,
+    so r = i (n - 1) + j - (j > i); directions[r] = (x_i - x_j) /
+    distances[r], with distances[r] = ||x_i - x_j|| the distance_matrix
+    entry. half lists the rows with i < j in order, and mirror[r] is the row
+    of (j, i). x_j - x_i is exactly -(x_i - x_j) and both give the same
+    distance, so directions[mirror] == -directions and T = -T hold by
+    construction (as values: a coordinate where x_i and x_j agree is +0.0 in
+    both rows).
     """
 
-    directions: np.ndarray  # (n(n-1), d)
-    pairs: np.ndarray  # (n(n-1), 2) ints
     points: np.ndarray  # (n, d), the point set's rows
-    distances: np.ndarray  # (n(n-1),)
+    directions: np.ndarray = field(init=False)  # (n(n-1), d)
+    pairs: np.ndarray = field(init=False)  # (n(n-1), 2) int64
+    distances: np.ndarray = field(init=False)  # (n(n-1),)
+    half: np.ndarray = field(init=False)  # (n(n-1)/2,) rows with i < j
+    mirror: np.ndarray = field(init=False)  # (n(n-1),) row of (j, i)
 
     def __post_init__(self):
-        for arr in (self.directions, self.pairs, self.points, self.distances):
+        n = self.points.shape[0]
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        diffs = self.points[i]
+        diffs -= self.points[j]
+        # The kernel over the differences gives each distance_matrix entry
+        # bit for bit. Distinctness guarantees norms > 0.
+        norms = _kernel(diffs[None])[0]
+        diffs /= norms[:, None]
+        self.points.setflags(write=False)
+        derived = {
+            "directions": diffs,
+            "pairs": np.column_stack([i, j]).astype(np.int64),
+            "distances": norms,
+            "half": np.flatnonzero(i < j),
+            "mirror": j * (n - 1) + i - (i > j),
+        }
+        for name, arr in derived.items():
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.directions.shape[0]
@@ -337,24 +361,6 @@ def nearest_point(u, X: PointSet) -> int:
 
 
 def direction_set(X: PointSet) -> DirectionSet:
-    """Build the set of all n(n-1) unit directions (x_i - x_j)/||x_i - x_j||.
-
-    Pairs are enumerated lexicographically over (i, j), i != j, so the
-    layout is deterministic. Empty for n = 1.
-    """
-    n, d = X.n, X.d
-    if n < 2:
-        return DirectionSet(
-            directions=np.zeros((0, d)),
-            pairs=np.zeros((0, 2), dtype=np.int64),
-            points=X.points,
-            distances=np.zeros(0),
-        )
-    idx_i, idx_j = np.where(~np.eye(n, dtype=bool))
-    diffs = X.points[idx_i] - X.points[idx_j]
-    # The kernel over the differences gives each distance_matrix entry bit
-    # for bit. Distinctness guarantees norms > 0.
-    norms = _kernel(diffs[None])[0]
-    dirs = diffs / norms[:, None]
-    pairs = np.column_stack([idx_i, idx_j]).astype(np.int64)
-    return DirectionSet(directions=dirs, pairs=pairs, points=X.points, distances=norms)
+    """The DirectionSet of X: all n(n-1) unit directions (x_i - x_j)/||x_i -
+    x_j|| in lexicographic (i, j) order."""
+    return DirectionSet(points=X.points)

@@ -142,9 +142,7 @@ class DistortionReport:
     ratio_min: float | None
     ratio_max: float | None
     ratio_mean: float | None
-    histogram_counts: list
-    histogram_lo: float | None
-    histogram_hi: float | None
+    histogram_counts: list  # over [ratio_min, ratio_max]
     max_abs_ratio_dev: float
     distortion: float | None
     max_residual: float
@@ -167,8 +165,8 @@ class DistortionReport:
                 "max": self.ratio_max,
                 "mean": self.ratio_mean,
                 "histogram": {
-                    "lo": self.histogram_lo,
-                    "hi": self.histogram_hi,
+                    "lo": self.ratio_min,
+                    "hi": self.ratio_max,
                     "counts": self.histogram_counts,
                 },
             },
@@ -252,8 +250,6 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
         ratio_max=hi,
         ratio_mean=stats["mean"],
         histogram_counts=_histogram(ratio, lo, hi),
-        histogram_lo=lo,
-        histogram_hi=hi,
         max_abs_ratio_dev=float(np.max(np.abs(ratio - 1.0), initial=0.0)),
         distortion=hi / lo if lo else None,
         max_residual=float(max((rec["residual"] for rec in per_query), default=0.0)),
@@ -310,11 +306,9 @@ def scaling_study(
                     )
                     if Y is None:
                         Y = direction_set(X)
-                    chd_v = (
-                        estimate_sampled(pi, Y, chd_samples, derive_seed(seed, "chd")).max_violation
-                        if len(Y)
-                        else 0.0
-                    )
+                    chd_v = estimate_sampled(
+                        pi, Y, chd_samples, derive_seed(seed, "chd")
+                    ).max_violation
                     E = build_embedder(X, pi, eps, solver)
                 else:
                     chd_v = 0.0

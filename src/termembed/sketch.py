@@ -168,7 +168,7 @@ def load_sketch(header_path) -> SketchMatrix:
         m, d = int(header["m"]), int(header["d"])
         data_path = header_path.parent / header["data"]
         distribution, seed = str(header["distribution"]), int(header["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{header_path}: corrupt sketch header: {exc!r}") from exc
     if m < 1 or d < 1:
         raise FormatError(f"{header_path}: sketch shape ({m}, {d}) is not positive")

@@ -533,111 +533,63 @@ def midpoint_chunks(pi, T):
         yield v, pairs
 
 
-def hand_built(Y, rows, **override):
-    """A DirectionSet of Y's rows `rows` (repeats allowed); keyword arrays
-    replace those rows' directions, pairs or distances."""
-    fields = {
-        f: np.array(override.get(f, getattr(Y, f)[rows]))
-        for f in ("directions", "pairs", "distances")
-    }
-    return DirectionSet(points=np.array(Y.points), **fields)
-
-
 def mirror_sets():
     rng = np.random.default_rng(80)
     for n, d in ((2, 3), (5, 4), (13, 9)):
         yield direction_set(build_point_set(rng.standard_normal((n, d))))
     yield direction_set(build_point_set(rng.standard_normal((9, 6)) + 1e6))
+    yield direction_set(build_point_set(rng.standard_normal((1, 3))))  # empty
     # Cube corners: x_i - x_j has exact zeros, +0.0 in both orders, so the
     # mirror of a row is -D only up to the sign of zero.
     corners = np.array([[(c >> b) & 1 for b in range(3)] for c in range(8)], dtype=np.float64)
     yield direction_set(build_point_set(corners))
 
 
-def shuffled_instance():
-    """A mirror-closed DirectionSet whose rows are not in direction_set's
-    order, so a row t_ij, i < j, can follow its mirror t_ji."""
-    Y, pi = _gaussian_set(7, 5, 3, 86)()
-    return hand_built(Y, np.random.default_rng(86).permutation(len(Y))), pi
-
-
-MIRROR_INSTANCES = {
-    **{n: make for n, make in RANDOM_INSTANCES.items() if not n.startswith("array_")},
-    "shuffled": shuffled_instance,
-}
+MIRROR_INSTANCES = {n: make for n, make in RANDOM_INSTANCES.items() if not n.startswith("array_")}
 
 
 class TestMirrorGuard:
     def test_direction_set_is_mirror_closed(self):
         for Y in mirror_sets():
             neg = mirror_index(Y)
+            assert np.array_equal(Y.mirror, neg)
+            assert np.array_equal(Y.half, np.flatnonzero(Y.pairs[:, 0] < Y.pairs[:, 1]))
             assert np.array_equal(Y.pairs[neg], Y.pairs[:, ::-1])
             assert np.array_equal(Y.directions[neg], -Y.directions)
+            assert Y.half.size * 2 == len(Y) == Y.mirror.size
+
+    def test_stream_images_are_exact_negations(self):
+        for Y in mirror_sets():
+            if len(Y) == 0:
+                continue
             pi = generate_sketch(2, Y.points.shape[1], "gaussian", len(Y))
-            PD = Y.directions @ pi.entries.T
-            half, got = chd._mirror_half(Y, Y.directions, PD)
-            assert np.array_equal(got, neg)
-            assert np.array_equal(half, np.flatnonzero(Y.pairs[:, 0] < Y.pairs[:, 1]))
+            PD = chd._images(pi, Y, Y.directions)
+            assert np.array_equal(PD[Y.mirror], -PD)
+            assert np.array_equal(np.signbit(PD[Y.mirror]), ~np.signbit(PD))
+            v = next(chd._violation_stream(pi, Y, 1, 0))[0]
+            assert np.array_equal(v[Y.mirror], v)
+
+    def test_derived_fields_are_not_arguments(self):
+        Y = list(mirror_sets())[1]
+        for name in ("directions", "pairs", "distances", "half", "mirror"):
+            with pytest.raises(TypeError):
+                DirectionSet(points=np.array(Y.points), **{name: getattr(Y, name)})
+        again = DirectionSet(points=np.array(Y.points))
+        for name in ("directions", "pairs", "distances", "half", "mirror"):
+            assert np.array_equal(getattr(again, name), getattr(Y, name))
+            assert not getattr(again, name).flags.writeable
 
     def test_cube_corners_take_the_signed_path(self):
-        # The exact zeros make D[neg] and -D differ in the sign of zero only;
-        # the guard compares values, and no norm sees that sign.
+        # The exact zeros make D[mirror] and -D differ in the sign of zero
+        # only; no norm sees that sign.
         Y = list(mirror_sets())[-1]
         D = Y.directions
-        assert np.any(np.signbit(D[mirror_index(Y)]) != np.signbit(-D))
+        assert np.any(np.signbit(D[Y.mirror]) != np.signbit(-D))
         pi = generate_sketch(2, 3, "gaussian", 81)
-        assert chd._mirror_half(Y, D, D @ pi.entries.T) is not None
         for v, pairs in midpoint_chunks(pi, Y):
             ref = direct_pair_midpoints(D, D @ pi.entries.T, pairs[:, 0], pairs[:, 1])
             r = int(np.argmax(ref))
             assert int(np.argmax(v)) == r and v[r] == ref[r]
-
-    def broken_sets(self):
-        """DirectionSets that are not exactly mirror-closed, with a sketch."""
-        Y = direction_set(build_point_set(np.random.default_rng(82).standard_normal((7, 5))))
-        every = np.arange(len(Y))
-        yield "missing mirror", hand_built(Y, every[~np.all(Y.pairs == [0, 1], axis=1)])
-        first = [0, mirror_index(Y)[0]]
-        yield "pair listed twice", hand_built(Y, np.concatenate([every, first]))
-        # x_0 - x_0 = 0 is its own mirror, so no row t_ij, i < j, holds it.
-        yield "diagonal pair", hand_built(
-            Y, every,
-            directions=np.vstack([Y.directions, np.zeros(5)]),
-            pairs=np.vstack([Y.pairs, [0, 0]]),
-            distances=np.append(Y.distances, 1.0),
-        )
-        nudged = np.array(Y.directions)
-        nudged[3, 2] = np.nextafter(nudged[3, 2], np.inf)
-        yield "one ulp off", hand_built(Y, every, directions=nudged)
-
-    def test_hand_built_sets_fall_back(self, blocks):
-        pi = generate_sketch(3, 5, "gaussian", 83)
-        for label, Y in self.broken_sets():
-            D = Y.directions
-            PD = D @ pi.entries.T
-            assert chd._mirror_half(Y, D, PD) is None, label
-            k = len(Y)
-            stream = chd._violation_stream(pi, Y, 10, 0)
-            next(stream)
-            for i, ref in enumerate(reference_midpoints(pi, D)):
-                v, builder = next(stream)
-                assert v.shape == (k - 1 - i,), label
-                r = int(np.argmax(ref))
-                assert int(np.argmax(v)) == r and v[r] == ref[r], label
-                w = np.zeros(k)
-                w[[i, i + 1 + r]] = 0.5
-                assert np.array_equal(builder(r), w), label
-            est = estimate_sampled(pi, Y, 300, seed=1)
-            arr = estimate_sampled(pi, D, 300, seed=1)
-            assert np.array_equal(est.witness.weights, arr.witness.weights), label
-            assert est.max_violation == arr.max_violation, label
-
-    def test_image_mirror_checked(self):
-        Y = direction_set(build_point_set(np.random.default_rng(84).standard_normal((5, 4))))
-        PD = Y.directions @ generate_sketch(3, 4, "gaussian", 84).entries.T
-        assert chd._mirror_half(Y, Y.directions, PD) is not None
-        PD[7, 1] = np.nextafter(PD[7, 1], -np.inf)
-        assert chd._mirror_half(Y, Y.directions, PD) is None
 
 
 class TestSignedMidpointTier:
@@ -646,7 +598,6 @@ class TestSignedMidpointTier:
         Y, pi = MIRROR_INSTANCES[name]()
         D, k, h = Y.directions, len(Y), len(Y) // 2
         PD = D @ pi.entries.T
-        assert chd._mirror_half(Y, D, PD) is not None
         neg = mirror_index(Y)
         named = []
         for v, pairs in midpoint_chunks(pi, Y):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -391,7 +392,31 @@ class TestBadInputs:
         assert rc == 2 and err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "header", [{"magic": "TESK", "m": 3}, ["TESK"], {"magic": "TESK", "d": "six"}]
+        "key, literal",
+        [("epsilon", "NaN"), ("epsilon", "-Infinity"), ("C", "Infinity"), ("C", "1e400"),
+         ("epsilon", "-0.5"), ("epsilon", "0.0"), ("epsilon", "1.0")],
+    )
+    def test_non_strict_or_out_of_range_config_exits_2(self, tmp_path, points_csv, capsys,
+                                                         key, literal):
+        bundle = tmp_path / "sk"
+        assert main(["build", points_csv, "--out", str(bundle),
+                     "--epsilon", "0.5", "--const-C", "0.5"]) == 0
+        cfg = bundle / "config.json"
+        text, count = re.subn(rf'"{key}":[^,}}]+', f'"{key}":{literal}', cfg.read_text())
+        assert count == 1
+        cfg.write_text(text)
+        with pytest.raises(FormatError, match="config.json"):
+            load_bundle(bundle)
+        for argv in (["eval", str(bundle), "--queries-per-mode", "2"],
+                     ["verify-chd", str(bundle), "--samples", "50"]):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "header",
+        [{"magic": "TESK", "m": 3}, ["TESK"], {"magic": "TESK", "d": "six"},
+         {"magic": "TESK", "d": float("inf")}],
     )
     def test_corrupt_sketch_header_exits_2(self, tmp_path, points_csv, capsys, header):
         bundle = tmp_path / "sk"

@@ -259,8 +259,6 @@ def _loop_evaluate(E, queries, labels=None, keep_raw=False):
         ratio_max=hi,
         ratio_mean=float(allr.mean()),
         histogram_counts=hist,
-        histogram_lo=lo,
-        histogram_hi=hi,
         max_abs_ratio_dev=float(np.max(np.abs(allr - 1.0))),
         distortion=float(hi / lo),
         max_residual=float(max((rec["residual"] for rec in per_query), default=0.0)),
@@ -327,7 +325,8 @@ class TestEvaluateParity:
                 rep = evaluate(E, q, labels, keep_raw=keep_raw)
                 assert rep.pair_count == 0 and rep.samplers == {} and rep.histogram_counts == []
                 assert rep.ratio_min is rep.ratio_max is rep.ratio_mean is rep.distortion is None
-                assert rep.histogram_lo is rep.histogram_hi is None
+                hist = rep.to_dict()["ratios"]["histogram"]
+                assert hist == {"lo": None, "hi": None, "counts": []}
                 assert rep.max_abs_ratio_dev == 0.0 and rep.max_anchor_rel_error == 0.0
                 assert (rep.raw_ratio is not None) == keep_raw
                 parsed = json.loads(_dump_json(rep.to_dict()), parse_constant=_reject_constant)

@@ -75,6 +75,15 @@ class TestPlanDimension:
         for n, eps, C in [(16, 0.5, 4.0), (10**6, 0.25, 4.0), (1, 0.5, 4.0)]:
             assert plan_dimension(n, eps, C, d=10**7) == plan_dimension(n, eps, C)
 
+    def test_single_point_always_exact(self):
+        # m >= 1 = min(1, d) for every valid (eps, C, d), so n = 1 never
+        # sketches: scaling_study relies on it to skip an empty direction set.
+        for eps in (1e-3, 0.1, 0.5, 0.999):
+            for C in (1e-12, 0.25, 1.0, 4.0, 1e6):
+                for d in (None, 1, 2, 256, 10**7):
+                    plan = plan_dimension(1, eps, C, d)
+                    assert plan.mode == "exact_small" and plan.m >= 1
+
     def test_nonpositive_d(self):
         with pytest.raises(ValueError):
             plan_dimension(10, 0.5, 4, d=0)
