@@ -207,15 +207,28 @@ def _finite_float(text):
     return value
 
 
+def _typed(obj, key, types):
+    """obj[key] if it is an instance of types and not a bool (JSON true and
+    false load as bools, a subclass of int); raises KeyError or TypeError, so
+    a value of the wrong JSON type is never coerced."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key} must be a JSON {names}, got {value!r}")
+    return value
+
+
 def load_bundle(bundle_dir):
     """Reconstruct the embedder (sketch or exact path) from a bundle dir.
 
     A config.json that is not strict JSON (NaN, Infinity, or a number that
     overflows to one), lacks a key the commands read, or has an epsilon
     outside (0, 1) raises FormatError; other top-level keys are ignored. The
-    "solver" object of a sketch bundle must hold exactly the SolverConfig
-    fields that _save_bundle wrote from it, with values SolverConfig accepts,
-    and an exact bundle's basis.bin must have d columns."""
+    seed must be a JSON integer and epsilon a number. The "solver" object of a
+    sketch bundle must hold exactly the SolverConfig fields that _save_bundle
+    wrote from it: max_iters an integer, tol a number and step_rule a string,
+    with values SolverConfig accepts. An exact bundle's basis.bin must have d
+    columns."""
     bundle_dir = Path(bundle_dir)
     cfg_path = bundle_dir / "config.json"
     if not cfg_path.exists():
@@ -229,8 +242,8 @@ def load_bundle(bundle_dir):
         magic = meta.get("magic") if isinstance(meta, dict) else None
         if magic != BUNDLE_MAGIC:
             raise FormatError(f"{cfg_path}: bad magic {magic!r}")
-        int(meta["seed"])  # read later by verify-chd and eval
-        epsilon = float(meta["epsilon"])
+        _typed(meta, "seed", (int,))  # read later by verify-chd and eval
+        epsilon = float(_typed(meta, "epsilon", (int, float)))
         if not 0.0 < epsilon < 1.0:
             raise ValueError(f"epsilon {epsilon} outside (0, 1)")
         sketch_mode = meta["mode"] == "sketch"
@@ -238,7 +251,11 @@ def load_bundle(bundle_dir):
             s = meta["solver"]
             if set(s) != {f.name for f in fields(SolverConfig)}:
                 raise KeyError(f"solver keys {sorted(s)}")
-            solver = SolverConfig(int(s["max_iters"]), float(s["tol"]), str(s["step_rule"]))
+            solver = SolverConfig(
+                _typed(s, "max_iters", (int,)),
+                float(_typed(s, "tol", (int, float))),
+                s["step_rule"],  # SolverConfig accepts only the strings in STEP_RULES
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{cfg_path}: corrupt bundle config: {exc!r}") from exc
     X = build_point_set(pointio.read_points_bin(bundle_dir / "points.bin"))
@@ -288,7 +305,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_verify_chd(args) -> int:
     embedder, meta = load_bundle(args.bundle)
-    seed = _resolve_seed(args.seed) if args.seed is not None else int(meta["seed"])
+    seed = _resolve_seed(args.seed) if args.seed is not None else meta["seed"]
     report: dict = {
         "m": meta.get("m_plan"),
         "epsilon": meta["epsilon"],
@@ -327,7 +344,7 @@ def _cmd_verify_chd(args) -> int:
 
 def _cmd_eval(args) -> int:
     embedder, meta = load_bundle(args.bundle)
-    seed = _resolve_seed(args.seed) if args.seed is not None else int(meta["seed"])
+    seed = _resolve_seed(args.seed) if args.seed is not None else meta["seed"]
     if args.queries_file:
         fmt = pointio.detect_format(args.queries_file, None)
         queries = pointio.read_points(args.queries_file, fmt)

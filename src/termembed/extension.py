@@ -27,7 +27,12 @@ distance up to the constraint residual plus the sketch's hull distortion.
 The feasibility step is a projected subgradient method rather than the
 semidefinite program the existence argument suggests; it is dependency-free
 and ample at desk scale, and a non-converged solve is still embeddable (the
-achieved residual is an honest distortion certificate).
+achieved residual is an honest distortion certificate). Its default step is
+Polyak's rule with the optimal value estimated as LEVEL * epsilon * R rather
+than 0: at m = O(eps^-2 log n) the problem is feasible at residual
+epsilon * R, but its optimum sits well above 0 (near 0.2 R on tight
+sketches), so a step aimed at 0 overshoots every time and the iterates
+zigzag instead of settling below the target.
 
 Every per-row path starts with geometry.nearest, which rejects a query of
 the wrong width (DimensionMismatch) or with a non-finite coordinate
@@ -59,6 +64,13 @@ RECORD_KEYS = ("residual", "iterations", "anchor_index", "converged")
 
 # The solver's step rules; the first is the default.
 STEP_RULES = ("polyak", "diminishing")
+
+# The polyak rule steps toward the level LEVEL * epsilon * R, not toward 0.
+# LEVEL must stay below 1: the loop runs only while the worst residual g
+# exceeds epsilon * R * (1 + tol), so g - level stays positive and no step
+# points the wrong way; at LEVEL >= 1 a step just above the target would
+# vanish or reverse.
+LEVEL = 0.8
 
 
 @dataclass(frozen=True)
@@ -206,8 +218,12 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
 
       * start at z0 = R * Pi(u - x_k) / max(||Pi(u - x_k)||, 1e-300), the
         minimax witness direction, which is typically near-feasible
-      * Polyak step toward target 0 on the active constraint, then radial
-        projection back onto the ball
+      * Polyak step on the active constraint a toward the level
+        l = LEVEL * epsilon * R, not toward 0 (the optimum sits well above
+        0; see the module docstring): step (g - l)/||w_a||^2, with g the
+        current residual and w_a row a of the constraint matrix, then
+        radial projection back onto the ball. A bundle that stores
+        step_rule "polyak" runs this step.
       * track the best iterate; stop once its residual is within
         epsilon * R * (1 + tol) or max_iters is exhausted
 
@@ -276,6 +292,7 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
 
     cfg = E.solver
     target = E.epsilon * R * (1.0 + cfg.tol)
+    level = LEVEL * E.epsilon * R
 
     r = residual(z)
     abs_r = np.abs(r)
@@ -293,7 +310,7 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
         if cfg.step_rule == "diminishing":
             step = sign * R / ((it + 1) * max(np.sqrt(denom), _TINY))
         else:
-            step = sign * g / denom
+            step = sign * (g - level) / denom
         z = z - step * w_a
         nz = math.sqrt(float(z @ z))  # == np.linalg.norm(z), without its overhead
         if nz > R:

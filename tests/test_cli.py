@@ -369,7 +369,10 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "edit",
-        ["missing", "extra", "step_rule=bogus", "max_iters=-1", "tol=-0.5", "tol=inf", "tol=nan"],
+        ["missing", "extra", "step_rule=bogus", "max_iters=-1", "tol=-0.5", "tol=inf", "tol=nan",
+         # a JSON value of the wrong type is rejected, never coerced
+         "max_iters=2.5", "max_iters=true", 'max_iters="7"', 'tol="0.001"', "tol=false",
+         "step_rule=7", "seed=2.5", "seed=true", 'seed="7"'],
     )
     def test_solver_key_missing_or_extra_exits_2(self, tmp_path, points_csv, capsys, edit):
         bundle = tmp_path / "sk"
@@ -382,10 +385,14 @@ class TestBadInputs:
         elif edit == "extra":
             meta["solver"]["threads"] = 1
         else:
-            key, value = edit.split("=")
-            meta["solver"][key] = value if key == "step_rule" else float(value)
+            key, text = edit.split("=")
+            try:
+                value = json.loads(text)
+            except ValueError:  # bogus, inf, nan
+                value = text if key == "step_rule" else float(text)
+            (meta if key == "seed" else meta["solver"])[key] = value
         cfg.write_text(json.dumps(meta))
-        with pytest.raises(FormatError, match="solver"):
+        with pytest.raises(FormatError, match="corrupt bundle config"):
             load_bundle(bundle)
         rc = main(["verify-chd", str(bundle), "--samples", "50"])
         err = capsys.readouterr().err

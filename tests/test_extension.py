@@ -16,9 +16,13 @@ from termembed import (
     generate_sketch,
     lift,
     nearest_point,
+    plan_dimension,
+    sample_queries,
     solve_extension,
 )
+from termembed import extension
 from termembed.extension import EfnEmbedder, ExtensionSolution
+from termembed.geometry import nearest
 from termembed.sketch import SketchMatrix
 
 
@@ -112,6 +116,22 @@ class TestSolveExtension:
         t = (diff / norms[:, None]) @ (u - E.X.points[sol.anchor_index])
         start_resid = np.max(np.abs(W @ z0 - t)) / sol.radius
         assert sol.residual <= start_resid + 1e-12
+
+    def test_level_step_caps_fewer_tight_segment_solves(self):
+        # A tight shape: n=600, d=256, eps=0.25, C=0.25 (m=52), 25 segment
+        # queries; data, sketch and sampler seed 5. A Polyak step aimed at
+        # residual 0 overshoots the optimum (well above 0 here) and capped 2
+        # of these 25 solves at max_iters; the level step caps 1.
+        rng = np.random.default_rng(5)
+        X = build_point_set(rng.standard_normal((600, 256)))
+        plan = plan_dimension(X.n, 0.25, 0.25, X.d)
+        assert plan.m == 52
+        E = build_embedder(X, generate_sketch(plan.m, X.d, "rademacher", 5), 0.25)
+        Q = sample_queries(X, "segment", 25, 5)
+        sols = [solve_extension(u, E) for u in Q]
+        assert sum(sol.iterations == E.solver.max_iters for sol in sols) < 2
+        for u, sol in zip(Q, sols):
+            assert (sol.anchor_index, sol.radius) == nearest(u, X)
 
 
 class TestLift:
@@ -415,7 +435,7 @@ def _materialized_solve(u, E):
         if cfg.step_rule == "diminishing":
             step = sign * R / ((it + 1) * max(np.sqrt(denom), 1e-300))
         else:
-            step = sign * g / denom
+            step = sign * (g - extension.LEVEL * E.epsilon * R) / denom
         z = z - step * W[a]
         nz = float(np.linalg.norm(z))
         if nz > R:
