@@ -227,8 +227,9 @@ def load_bundle(bundle_dir):
     seed must be a JSON integer and epsilon a number. The "solver" object of a
     sketch bundle must hold exactly the SolverConfig fields that _save_bundle
     wrote from it: max_iters an integer, tol a number and step_rule a string,
-    with values SolverConfig accepts. An exact bundle's basis.bin must have d
-    columns."""
+    with values SolverConfig accepts. The mode must be "sketch" or
+    "exact_small", and m_plan a JSON integer, equal to the m of sketch.json
+    on a sketch bundle. An exact bundle's basis.bin must have d columns."""
     bundle_dir = Path(bundle_dir)
     cfg_path = bundle_dir / "config.json"
     if not cfg_path.exists():
@@ -246,6 +247,9 @@ def load_bundle(bundle_dir):
         epsilon = float(_typed(meta, "epsilon", (int, float)))
         if not 0.0 < epsilon < 1.0:
             raise ValueError(f"epsilon {epsilon} outside (0, 1)")
+        if meta["mode"] not in ("sketch", "exact_small"):
+            raise ValueError(f"unknown mode {meta['mode']!r}; expected 'sketch' or 'exact_small'")
+        m_plan = _typed(meta, "m_plan", (int,))  # reported by verify-chd
         sketch_mode = meta["mode"] == "sketch"
         if sketch_mode:
             s = meta["solver"]
@@ -261,6 +265,8 @@ def load_bundle(bundle_dir):
     X = build_point_set(pointio.read_points_bin(bundle_dir / "points.bin"))
     if sketch_mode:
         pi = load_sketch(bundle_dir / "sketch.json")
+        if pi.m != m_plan:
+            raise FormatError(f"{cfg_path}: m_plan {m_plan} differs from the sketch's m = {pi.m}")
         embedder = build_embedder(X, pi, epsilon, solver)
     else:
         basis = pointio.read_points_bin(bundle_dir / "basis.bin")

@@ -17,9 +17,9 @@ from .errors import DimensionMismatch, DuplicatePoint, EmptyInput, NonFinitePoin
 # float64 values per distance-block temporary: 2 MB, about one core's L2
 # cache; 32 MB blocks measured up to 1.9x slower.
 BLOCK_ELEMENTS = 2**18
-# The Gram screens (nearest, PointSet.neighbor_scales) are trusted only while
-# (||a|| + ||b||)^2 stays below this for every pair they compare, so no
-# square in the screen or in the exact kernel overflows.
+# The Gram screens (nearest, PointSet.neighbor_scales, harness.evaluate) are
+# trusted only while (||a|| + ||b||)^2 stays below this for every pair they
+# compare, so no square in the screen or in the exact kernel overflows.
 _GRAM_MAX = np.finfo(np.float64).max / 4
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -53,20 +53,19 @@ class PointSet:
 
         Both are bit-identical to the min and max of the exact blocked pass
         over all pairs (distance_row_blocks(X, X)), mostly without it. The
-        Gram screen s_ij = ||x_i||^2 - 2<x_i, x_j> + ||x_j||^2 comes from
-        row-blocked GEMMs X[block] X^T and the cached ||x_i||^2; a GEMM's dot
-        products obey the same gamma_d rounding bound as nearest's
-        matrix-vector product, so each entry is within b_ij =
-        _gram_bound(d, ||x_i||, ||x_j||) of the exact kernel's squared
-        distance. Only the off-diagonal entries that could hold their row's
-        minimum (s_ij - b_ij <= min_{k != i} (s_ik + b_ik)) or the global
-        maximum (s_ij + b_ij >= max (s - b)) are recomputed with the exact
-        kernel. That costs O(n^2 d) GEMM flops, about one exact entry per row
-        on Gaussian data, and temporaries of at most about 1.5
-        BLOCK_ELEMENTS values together (no n x n array). Where a square
-        could overflow ((2 max ||x_i||)^2 > max float / 4) or every entry of
-        some row is a candidate (as when the squares underflow), it takes
-        the exact pass.
+        shared Gram screen _gram_screen (which harness.evaluate also runs)
+        gives, from row-blocked GEMMs X[block] X^T and the cached
+        ||x_i||^2, every s_ij = ||x_i||^2 - 2<x_i, x_j> + ||x_j||^2 within
+        b_ij = _gram_bound(d, ||x_i||, ||x_j||) of the exact kernel's squared
+        distance; this method sets the diagonal (i, i) itself. Only the
+        off-diagonal entries that could hold their row's minimum (s_ij - b_ij
+        <= min_{k != i} (s_ik + b_ik)) or the global maximum (s_ij + b_ij >=
+        max (s - b)) are recomputed with the exact kernel. That costs O(n^2 d)
+        GEMM flops, about one exact entry per row on Gaussian data, and
+        temporaries of at most about 1.5 BLOCK_ELEMENTS values together (no
+        n x n array). Where a square could overflow ((2 max ||x_i||)^2 > max
+        float / 4) or every entry of some row is a candidate (as when the
+        squares underflow), it takes the exact pass.
         """
         if self.n == 1:
             nn, diameter = np.ones(1), 0.0
@@ -111,75 +110,98 @@ def _exact_neighbor_scales(points: np.ndarray) -> tuple[np.ndarray, float]:
     return nn, diameter
 
 
-def _gram_screen(X: PointSet, rows: np.ndarray):
-    """Yield (block, lo, hi) over consecutive blocks of the index array rows:
-    lo and hi are the Gram screen of X.points[block] against every point,
-    minus and plus its rounding bound, with the diagonal entries (i, i)
-    set to -inf. lo and hi are views into two buffers that the next block
-    overwrites. Each (len(block), n) array (lo, hi and the bound) and the
-    gathered rows hold at most max(BLOCK_ELEMENTS / 8, n, d) values: 256 KB
-    blocks measured as fast as 2 MB ones on a 600 x 256 set, with a lower
-    peak RSS."""
-    n, d = X.n, X.d
-    step = max(1, BLOCK_ELEMENTS // (8 * max(n, d)))
-    lo_buf, hi_buf = np.empty((2, min(step, rows.size), n))
+def _gram_overflows(sq_a: np.ndarray, sq_b: np.ndarray) -> bool:
+    """Whether a Gram screen of points with squared norms sq_a against points
+    with squared norms sq_b could overflow: (max ||a|| + max ||b||)^2 above
+    _GRAM_MAX."""
+    scale = math.sqrt(float(sq_a.max())) + math.sqrt(float(sq_b.max()))
+    return not scale * scale <= _GRAM_MAX
+
+
+def _screen_rows(n: int, *widths: int) -> int:
+    """Rows per Gram screen block against n columns, within the distance
+    budget: each (rows, n) array and each gathered (rows, width) block holds
+    at most max(BLOCK_ELEMENTS / 8, n, width) values. 256 KB blocks measured
+    as fast as 2 MB ones on a 600 x 256 set, with a lower peak RSS."""
+    return max(1, BLOCK_ELEMENTS // (8 * max(n, *widths)))
+
+
+def _gram_screen(A: np.ndarray, sq_a: np.ndarray, B: np.ndarray, sq_b: np.ndarray, rows, step: int):
+    """Yield (block, lo, hi) over consecutive blocks of `step` entries of the
+    index array rows. lo and hi are the Gram screen
+
+        s_ij = ||a_i||^2 - 2 <a_i, b_j> + ||b_j||^2
+
+    of A[block] against every row of B (one GEMM per block, with the cached
+    squared norms sq_a and sq_b), minus and plus b_ij = _gram_bound(d,
+    ||a_i||, ||b_j||). A GEMM's dot products obey the same gamma_d rounding
+    bound as nearest's matrix-vector product, so the exact kernel's squared
+    distance ||a_i - b_j||^2 lies in [lo_ij, hi_ij]. lo and hi are views into
+    two buffers that the next block overwrites; the caller may write into
+    them. The caller checks _gram_overflows first."""
+    d = A.shape[1]
+    norms_a, norms_b = np.sqrt(sq_a), np.sqrt(sq_b)
+    lo_buf, hi_buf = np.empty((2, min(step, rows.size), B.shape[0]))
     for start in range(0, rows.size, step):
         block = rows[start : start + step]
         lo, hi = lo_buf[: block.size], hi_buf[: block.size]
-        np.matmul(X.points[block], X.points.T, out=hi)
+        np.matmul(A[block], B.T, out=hi)
         hi *= -2.0
-        hi += X.sq_norms[block, None]
-        hi += X.sq_norms
-        b = _gram_bound(d, X.norms[block, None], X.norms)
+        hi += sq_a[block, None]
+        hi += sq_b
+        b = _gram_bound(d, norms_a[block, None], norms_b)
         np.subtract(hi, b, out=lo)
         hi += b
         del b
-        diag = (np.arange(block.size), block)
-        lo[diag] = hi[diag] = -np.inf
         yield block, lo, hi
 
 
-def _pair_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Exact kernel distances ||points[i_t] - points[j_t]|| for index arrays i
-    and j, each bit-identical to that entry of distance_row_blocks; the two
+def _pair_distances(A: np.ndarray, B: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Exact kernel distances ||A[i_t] - B[j_t]|| for index arrays i and j,
+    each bit-identical to that entry of distance_row_blocks(A, B); the two
     gathered (chunk, d) arrays hold at most max(BLOCK_ELEMENTS, 2 d) values
     together."""
     out = np.empty(i.size)
-    step = max(1, BLOCK_ELEMENTS // (2 * points.shape[1]))
+    step = max(1, BLOCK_ELEMENTS // (2 * A.shape[1]))
     for start in range(0, i.size, step):
         part = slice(start, start + step)
-        diff = points[i[part]]
-        diff -= points[j[part]]
+        diff = A[i[part]]
+        diff -= B[j[part]]
         out[part] = _kernel(diff[None])[0]
     return out
 
 
 def _screened_neighbor_scales(X: PointSet):
-    """neighbor_scales from the Gram screen (see there), or None where a
-    square could overflow or every entry of some row is a nearest-neighbor
-    candidate."""
-    scale = 2.0 * float(X.norms.max())
-    if scale * scale > _GRAM_MAX:
+    """neighbor_scales from the Gram screen of X against itself (see there),
+    or None where a square could overflow or every entry of some row is a
+    nearest-neighbor candidate."""
+    pts, sq = X.points, X.sq_norms
+    if _gram_overflows(sq, sq):
         return None
+    step = _screen_rows(X.n, X.d)
     nn = np.empty(X.n)
     row_max = np.empty(X.n)  # max_{j != i} (s_ij + b_ij)
     floor = -np.inf  # max_{i != j} (s_ij - b_ij), below the squared diameter
-    for block, lo, hi in _gram_screen(X, np.arange(X.n)):
+    for block, lo, hi in _gram_screen(pts, sq, pts, sq, np.arange(X.n), step):
+        # The diagonal (i, i) is no pair: -inf keeps it out of both maxima,
+        # +inf out of the minimum.
+        diag = (np.arange(block.size), block)
+        lo[diag] = hi[diag] = -np.inf
         floor = max(floor, float(lo.max()))
         row_max[block] = hi.max(axis=1)
-        diag = (np.arange(block.size), block)
         lo[diag] = hi[diag] = np.inf
         cand = lo <= hi.min(axis=1, keepdims=True)
         counts = cand.sum(axis=1)
         if counts.max() == X.n - 1:
             return None
         a, j = np.nonzero(cand)
-        dist = _pair_distances(X.points, block[a], j)
+        dist = _pair_distances(pts, pts, block[a], j)
         nn[block] = np.minimum.reduceat(dist, np.cumsum(counts) - counts)
     diameter = 0.0
-    for block, _, hi in _gram_screen(X, np.flatnonzero(row_max >= floor)):
+    for block, _, hi in _gram_screen(pts, sq, pts, sq, np.flatnonzero(row_max >= floor), step):
+        hi[np.arange(block.size), block] = -np.inf
         a, j = np.nonzero(hi >= floor)
-        diameter = max(diameter, float(_pair_distances(X.points, block[a], j).max(initial=0.0)))
+        diameter = max(diameter, float(_pair_distances(pts, pts, block[a], j).max(initial=0.0)))
     return nn, diameter
 
 

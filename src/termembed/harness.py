@@ -16,7 +16,15 @@ import numpy as np
 
 from .chd import estimate_sampled
 from .extension import SolverConfig, build_embedder, exact_small_embedding
-from .geometry import PointSet, direction_set, distance_matrix
+from .geometry import (
+    PointSet,
+    _gram_overflows,
+    _gram_screen,
+    _pair_distances,
+    _screen_rows,
+    direction_set,
+    distance_matrix,
+)
 from .seeding import derive_seed
 from .sketch import generate_sketch, plan_dimension
 
@@ -178,20 +186,187 @@ class DistortionReport:
         }
 
 
-def _ratio_stats(r: np.ndarray) -> dict:
+def _ratio_stats(r: np.ndarray, lo, hi) -> dict:
+    """count, min, max and mean of the ratios r, whose exact min and max are
+    lo and hi."""
     if r.size == 0:
         return {"count": 0, "min": None, "max": None, "mean": None}
-    return {"count": int(r.size), "min": float(r.min()), "max": float(r.max()), "mean": float(r.mean())}
+    return {"count": int(r.size), "min": float(lo), "max": float(hi), "mean": float(r.mean())}
+
+
+def _binned(lo, hi) -> bool:
+    """Whether [lo, hi] splits into HISTOGRAM_BINS finite bins. A
+    near-degenerate range (ratios identical to a few ulps) collapses to one."""
+    return hi - lo > HISTOGRAM_BINS * np.spacing(max(abs(lo), abs(hi), 1.0))
 
 
 def _histogram(r: np.ndarray, lo, hi) -> list:
     if r.size == 0:
         return []
-    # A near-degenerate range (ratios identical to a few ulps) cannot be
-    # split into 64 finite bins; collapse to one.
-    if hi - lo > HISTOGRAM_BINS * np.spacing(max(abs(lo), abs(hi), 1.0)):
+    if _binned(lo, hi):
         return np.histogram(r, bins=HISTOGRAM_BINS, range=(lo, hi))[0].astype(int).tolist()
     return [int(r.size)]
+
+
+def _bin_index(r: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The np.histogram bin of each value of r in [edges[0], edges[-1]] over
+    HISTOGRAM_BINS uniform bins, max {i < HISTOGRAM_BINS : edges[i] <= r}:
+    the arithmetic estimate, corrected by one edge comparison each way, as
+    np.histogram computes it."""
+    k = ((r - edges[0]) / (edges[-1] - edges[0]) * HISTOGRAM_BINS).astype(np.intp)
+    np.minimum(k, HISTOGRAM_BINS - 1, out=k)
+    k -= r < edges[k]
+    k += (r >= edges[k + 1]) & (k < HISTOGRAM_BINS - 1)
+    return k
+
+
+# Relative widening of a screened ratio interval: it covers the rounding of
+# the interval's square roots, quotient and widening, and of the exact ratio's
+# quotient.
+_RATIO_SLACK = 4.0 * float(np.finfo(np.float64).eps)
+
+
+class _PairRatios:
+    """Ratio intervals ||f(u) - f(x_i)|| / ||u - x_i|| of q queries against
+    n terminals, as two (q, n) arrays lo <= hi: equal to the exact ratio
+    where an entry was recomputed, NaN where the exact distance is 0 (no
+    pair). sq_error (kept only for the raw dump) holds |e^2 - d^2|, exact
+    where recomputed and from the screen's midpoints elsewhere.
+    anchor_error is the largest |e_k - d_k| / d_k over the queries whose
+    nearest terminal k (lowest index on ties) is at positive distance. See
+    evaluate for the rules."""
+
+    def __init__(self, queries, points, images, terminal_images, keep_raw: bool):
+        self.pairs = (queries, points, images, terminal_images)
+        self.lo, self.hi = np.empty((2, queries.shape[0], points.shape[0]))
+        self.sq_error = np.empty(self.lo.shape) if keep_raw else None
+        self.anchor_error = 0.0
+        if not self._screen():
+            self._exact()
+
+    def extremes(self, group: np.ndarray, groups: int):
+        """(min, max) arrays of the exact ratios of each group of queries
+        (group[i] is query i's group), NaN for a group with no pair. First
+        recomputes every entry whose interval could hold one of them."""
+        lo, hi = self.lo, self.hi
+        low, high = self._bounds(group, groups)
+        self._settle((lo < hi) & ((lo <= low[group, None]) | (hi >= high[group, None])))
+        return self._bounds(group, groups)
+
+    def settle_bins(self, edges: np.ndarray) -> None:
+        """Recompute every open interval that holds one of the histogram's
+        edges. After extremes, an open interval lies inside (edges[0],
+        edges[-1]); one that reaches no edge past its lower end's bin puts
+        its midpoint in the exact ratio's bin."""
+        cand = self.lo < self.hi
+        cand[cand] = self.hi[cand] >= edges[_bin_index(self.lo[cand], edges) + 1]
+        self._settle(cand)
+
+    def ratios(self):
+        """(mask, ratio): the (q, n) pair mask, and the intervals' midpoints
+        over it in row-major order (the exact ratio where recomputed). Call
+        last: the midpoints overwrite hi."""
+        lo, mid = self.lo, self.hi
+        mid -= lo
+        mid *= 0.5
+        mid += lo  # lo + (hi - lo) / 2 is lo itself where lo == hi
+        mask = ~np.isnan(lo)
+        return mask, mid[mask]
+
+    def _bounds(self, group, groups):
+        # Per group, the min of hi and the max of lo: bounds on the exact
+        # extremes, equal to them once every entry that could hold one is
+        # exact.
+        row_min = np.fmin.reduce(self.hi, axis=1, initial=np.nan)
+        row_max = np.fmax.reduce(self.lo, axis=1, initial=np.nan)
+        members = [group == g for g in range(groups)]
+        return (
+            np.array([np.fmin.reduce(row_min[m], initial=np.nan) for m in members]),
+            np.array([np.fmax.reduce(row_max[m], initial=np.nan) for m in members]),
+        )
+
+    def _settle(self, cand: np.ndarray) -> None:
+        a, j = np.nonzero(cand)
+        if 2 * a.size > cand.size:
+            # As when every ratio is 1 to a few ulps (the exact path): the
+            # blocked passes beat gathering the pairs.
+            self._exact()
+        elif a.size:  # an empty query file has width 0
+            self._set_exact(a, j, *self._distances(a, j))
+
+    def _distances(self, a, j):
+        Q, P, F, T = self.pairs
+        return _pair_distances(Q, P, a, j), _pair_distances(F, T, a, j)
+
+    def _set_exact(self, a, j, d, e) -> None:
+        self.lo[a, j] = self.hi[a, j] = np.divide(e, d, out=np.full(d.shape, np.nan), where=d > 0.0)
+        if self.sq_error is not None:
+            self.sq_error[a, j] = np.abs(e**2 - d**2)
+
+    def _note_anchors(self, anchor, anchor_image) -> None:
+        at = anchor > 0.0
+        err = np.abs(anchor_image[at] - anchor[at]) / anchor[at]
+        self.anchor_error = max(self.anchor_error, float(np.max(err, initial=0.0)))
+
+    def _exact(self) -> None:
+        Q, P, F, T = self.pairs
+        dists, edists = distance_matrix(Q, P), distance_matrix(F, T)
+        rows = np.arange(dists.shape[0])
+        k = dists.argmin(axis=1)
+        self.anchor_error = 0.0
+        self._note_anchors(dists[rows, k], edists[rows, k])
+        self.lo.fill(np.nan)
+        np.divide(edists, dists, out=self.lo, where=dists > 0.0)
+        self.hi[...] = self.lo
+        if self.sq_error is not None:
+            np.abs(edists**2 - dists**2, out=self.sq_error)
+
+    def _screen(self) -> bool:
+        """Fill the table from the two Gram screens, blocked by query rows,
+        recomputing the entries that decide the pair mask and the anchors.
+        False where a square could overflow or a block would recompute more
+        than half its entries; the exact passes then fill everything."""
+        Q, P, F, T = self.pairs
+        if Q.shape[0] == 0:
+            return False
+        sq = [np.einsum("ij,ij->i", A, A) for A in self.pairs]
+        if _gram_overflows(sq[0], sq[1]) or _gram_overflows(sq[2], sq[3]):
+            return False
+        rows = np.arange(Q.shape[0])
+        step = _screen_rows(P.shape[0], Q.shape[1], F.shape[1])
+        screens = zip(
+            _gram_screen(Q, sq[0], P, sq[1], rows, step), _gram_screen(F, sq[2], T, sq[3], rows, step)
+        )
+        for (block, lo_d, hi_d), (_, lo_e, hi_e) in screens:
+            redo = lo_d <= hi_d.min(axis=1, keepdims=True)  # could be the anchor
+            redo |= lo_d <= hi_d - lo_d  # D could be at most 2 b_d, or 0
+            if 2 * np.count_nonzero(redo) > redo.size:
+                return False
+            out = slice(block[0], block[0] + block.size)
+            if self.sq_error is not None:
+                np.abs((lo_e + hi_e) / 2.0 - (lo_d + hi_d) / 2.0, out=self.sq_error[out])
+            # sqrt of the e^2 bounds over sqrt of the d^2 bounds. Entries with
+            # lo_d <= 0 are in redo, and overwritten below.
+            for v in (lo_d, lo_e):
+                np.maximum(v, 0.0, out=v)
+            for v in (lo_d, hi_d, lo_e, hi_e):
+                np.sqrt(v, out=v)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(lo_e, hi_d, out=self.lo[out])
+                np.divide(hi_e, lo_d, out=self.hi[out])
+            self.lo[out] *= 1.0 - _RATIO_SLACK
+            self.hi[out] *= 1.0 + _RATIO_SLACK
+            a, j = np.nonzero(redo)
+            d, e = self._distances(block[a], j)
+            self._set_exact(block[a], j, d, e)
+            # Each row's minimum lies among its exact entries; argmin keeps
+            # the lowest index on ties, as in the exact pass.
+            hi_d.fill(np.inf)
+            hi_d[a, j], hi_e[a, j] = d, e
+            local = np.arange(block.size)
+            k = hi_d.argmin(axis=1)
+            self._note_anchors(hi_d[local, k], hi_e[local, k])
+        return True
 
 
 def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) -> DistortionReport:
@@ -203,45 +378,85 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     largest solver residual among its per-query records. distortion is
     ratio_max / ratio_min, None (JSON null) when no pair is at positive
     distance or when some ratio is 0, as when a query's image coincides with
-    a terminal's. Beyond embed_batch, the cost is one blocked distance
-    pass of the q queries against X and one of their images against the
-    terminal images: O(q n (d + out_dim)) time and O(q n) memory for the
-    two ratio matrices. Pairs are taken in (query, terminal) row-major order.
+    a terminal's. Pairs are taken in (query, terminal) row-major order.
+
+    Cost. Beyond embed_batch, two Gram screens (geometry._gram_screen): the
+    q queries against X and their images against the terminal images, one
+    GEMM each per block of query rows, O(q n (d + out_dim)) flops. Memory is
+    two (q, n) ratio arrays (three with keep_raw) plus block temporaries of
+    about BLOCK_ELEMENTS / 8 values each. Each screened squared distance s
+    is within b = geometry._gram_bound(dim, ||a||, ||b||) of the exact
+    kernel's, so each ratio lies in [sqrt(s_e - b_e) / sqrt(s_d + b_d),
+    sqrt(s_e + b_e) / sqrt(s_d - b_d)], widened by 4 eps. A pair is
+    recomputed with the exact kernel (bit-identical to distance_matrix) when
+      - s_d - b_d <= 2 b_d, which decides pair_count: every pair with exact
+        squared distance D <= 2 b_d is exact;
+      - it could be its query's nearest terminal (the anchor);
+      - its interval could hold the minimum or the maximum ratio, overall or
+        of its sampler label;
+      - its interval holds one of the 65 histogram bin edges.
+    On Gaussian data that is about one pair per query. Where a square could
+    overflow, or one of these steps would recompute more than half the
+    pairs it looks at (a block of the screen, on data far from the origin
+    against its spread; the extremes, when every ratio is 1 to a few ulps
+    as on the exact path), it takes two exact blocked distance passes
+    instead, and every value is exact.
+
+    Exact keys. query_count, pair_count, ratios.min, ratios.max, the
+    histogram, max_abs_ratio_dev, distortion, max_residual,
+    max_anchor_rel_error, and each sampler's count, min and max are
+    bit-identical to those of the exact passes. ratios.mean and
+    samplers.*.mean average the intervals' midpoints (the exact ratio where
+    recomputed). A screened pair has D > 2 b_d, and its midpoint is within
+
+        w = sqrt(E + 2 b_e) / sqrt(D - 2 b_d) - sqrt(max(E - 2 b_e, 0)) / sqrt(D + 2 b_d)
+
+    of its exact ratio r, up to 8 eps r, with E the exact squared image
+    distance: about r (b_d / D + b_e / E), near 1e-13 r on the tight
+    workload. So each mean is within the largest w of the exact mean, plus
+    the rounding of the two sums, each at most (log2 N + 16) eps ratio_max
+    over N pairs.
+
+    keep_raw keeps the per-pair arrays of the --raw-dump CSV: query index,
+    terminal index, ratio and |e^2 - d^2|. The last two are exact for
+    recomputed pairs; for a screened pair they are the midpoint above and
+    |s_e - s_d|, within w and b_d + b_e of the exact values.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries.reshape(1, -1)
     images, per_query = E.embed_batch(queries)
-    dists = distance_matrix(queries, E.X.points)
-    edists = distance_matrix(images, E.terminal_images)
-
-    mask = dists > 0.0
-    q_idx, p_idx = np.nonzero(mask)
-    ratio = edists[mask] / dists[mask]
-    nearest = (np.arange(dists.shape[0]), dists.argmin(axis=1))
-    anchor, anchor_image = dists[nearest], edists[nearest]
-    at = anchor > 0.0
-    anchor_err = np.abs(anchor_image[at] - anchor[at]) / anchor[at]
+    table = _PairRatios(queries, E.X.points, images, E.terminal_images, keep_raw)
+    row_labels = [None] * len(queries) if labels is None else labels
+    names = sorted(set(row_labels))
+    index = {lab: i for i, lab in enumerate(names)}
+    group = np.array([index[lab] for lab in row_labels], dtype=np.int64)
+    label_min, label_max = table.extremes(group, len(names))
+    ratio_min = float(np.fmin.reduce(label_min, initial=np.nan))
+    ratio_max = float(np.fmax.reduce(label_max, initial=np.nan))
+    if _binned(ratio_min, ratio_max):
+        range_ = (ratio_min, ratio_max)
+        table.settle_bins(np.histogram_bin_edges(np.empty(0), bins=HISTOGRAM_BINS, range=range_))
+    mask, ratio = table.ratios()
 
     samplers = {}
     if labels is not None:
-        names = sorted(set(labels))
-        index = {lab: i for i, lab in enumerate(names)}
-        pair_label = np.array([index[lab] for lab in labels], dtype=np.int64)[q_idx]
+        pair_label = np.repeat(group, mask.sum(axis=1))
         for i, lab in enumerate(names):
             r = ratio[pair_label == i]
             if r.size:
-                samplers[lab] = _ratio_stats(r)
+                samplers[lab] = _ratio_stats(r, label_min[i], label_max[i])
 
-    stats = _ratio_stats(ratio)
+    stats = _ratio_stats(ratio, ratio_min, ratio_max)
     lo, hi = stats["min"], stats["max"]
     raw = {}
     if keep_raw:
+        q_idx, p_idx = np.nonzero(mask)
         raw = {
             "raw_query_index": q_idx,
             "raw_point_index": p_idx,
             "raw_ratio": ratio,
-            "raw_sq_error": np.abs(edists[mask] ** 2 - dists[mask] ** 2),
+            "raw_sq_error": table.sq_error[mask],
         }
     return DistortionReport(
         query_count=int(queries.shape[0]),
@@ -250,10 +465,10 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
         ratio_max=hi,
         ratio_mean=stats["mean"],
         histogram_counts=_histogram(ratio, lo, hi),
-        max_abs_ratio_dev=float(np.max(np.abs(ratio - 1.0), initial=0.0)),
+        max_abs_ratio_dev=max(abs(lo - 1.0), abs(hi - 1.0)) if ratio.size else 0.0,
         distortion=hi / lo if lo else None,
         max_residual=float(max((rec["residual"] for rec in per_query), default=0.0)),
-        max_anchor_rel_error=float(np.max(anchor_err, initial=0.0)),
+        max_anchor_rel_error=table.anchor_error,
         samplers=samplers,
         config=dict(config_echo or {}),
         **raw,

@@ -461,6 +461,64 @@ class TestBadInputs:
         rc, err = self._query(tmp_path, bundle, capsys)
         assert rc == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("mode", ["exact", "Sketch", "", 3, None])
+    def test_unknown_mode_exits_2(self, tmp_path, bundle, capsys, mode):
+        # Only "sketch" and "exact_small" load; any other mode is named in
+        # the error, not taken for the exact path (which would die on a
+        # missing basis.bin).
+        cfg = bundle / "config.json"
+        meta = json.loads(cfg.read_text())
+        meta["mode"] = mode
+        cfg.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="unknown mode"):
+            load_bundle(bundle)
+        for argv in (["eval", str(bundle), "--queries-per-mode", "2"],
+                     ["verify-chd", str(bundle), "--samples", "50"]):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+            assert f"unknown mode {mode!r}" in err and "basis.bin" not in err
+
+    @pytest.mark.parametrize("m_plan", [7, 0, 7.0, "7", True, None, "missing"])
+    def test_m_plan_not_the_sketch_m_exits_2(self, tmp_path, points_csv, capsys, m_plan):
+        bundle = tmp_path / "sk"
+        assert main(["build", points_csv, "--out", str(bundle),
+                     "--epsilon", "0.5", "--const-C", "0.5"]) == 0
+        cfg = bundle / "config.json"
+        meta = json.loads(cfg.read_text())
+        m = json.loads((bundle / "sketch.json").read_text())["m"]
+        assert meta["m_plan"] == m and m != 7
+        if m_plan == "missing":
+            del meta["m_plan"]
+        else:
+            meta["m_plan"] = m_plan
+        cfg.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="m_plan"):
+            load_bundle(bundle)
+        rc = main(["verify-chd", str(bundle), "--samples", "50"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+
+    def test_m_plan_not_an_integer_exits_2(self, tmp_path, bundle, capsys):
+        cfg = bundle / "config.json"
+        meta = json.loads(cfg.read_text())
+        meta["m_plan"] = "banana"
+        cfg.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="m_plan"):
+            load_bundle(bundle)
+        rc = main(["verify-chd", str(bundle), "--samples", "50"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+
+    def test_verify_chd_reports_the_sketch_m(self, tmp_path, points_csv):
+        bundle = tmp_path / "sk"
+        assert main(["build", points_csv, "--out", str(bundle),
+                     "--epsilon", "0.5", "--const-C", "0.5"]) == 0
+        report = tmp_path / "chd.json"
+        assert main(["verify-chd", str(bundle), "--samples", "50", "--report", str(report)]) == 0
+        m = json.loads((bundle / "sketch.json").read_text())["m"]
+        assert json.loads(report.read_text())["m"] == m
+
     def test_bundle_with_threads_key_still_loads(self, tmp_path, bundle, capsys):
         qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(4).standard_normal((3, 12)))
         assert main(["query", str(bundle), qpath, str(tmp_path / "new.csv")]) == 0

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termembed import (
     SolverConfig,
@@ -200,15 +203,15 @@ class TestDistanceBlocks:
             passes.append((A is X.points, B is X.points))
             return original_blocks(A, B)
 
-        def counting_screen(Y, rows):
-            screens.append(Y)
-            return original_screen(Y, rows)
+        def counting_screen(A, sq_a, B, sq_b, rows, step):
+            screens.append((A, B))
+            return original_screen(A, sq_a, B, sq_b, rows, step)
 
         monkeypatch.setattr(geometry, "distance_row_blocks", counting_blocks)
         monkeypatch.setattr(geometry, "_gram_screen", counting_screen)
         first = sample_suite(X, 4, seed=6)[0]
         assert (True, True) not in passes
-        assert screens and all(Y is X for Y in screens)
+        assert screens and all(A is B is X.points for A, B in screens)
         count = len(screens)
         sample_suite(X, 4, seed=7)
         assert (True, True) not in passes and len(screens) == count
@@ -260,7 +263,7 @@ def _loop_evaluate(E, queries, labels=None, keep_raw=False):
         ratio_mean=float(allr.mean()),
         histogram_counts=hist,
         max_abs_ratio_dev=float(np.max(np.abs(allr - 1.0))),
-        distortion=float(hi / lo),
+        distortion=hi / lo if lo else None,
         max_residual=float(max((rec["residual"] for rec in per_query), default=0.0)),
         max_anchor_rel_error=float(max_anchor_err),
         samplers={
@@ -281,13 +284,65 @@ def _loop_evaluate(E, queries, labels=None, keep_raw=False):
     return report
 
 
-def _assert_reports_identical(got, want):
+def _assert_reports_identical(got, want, skip=()):
     for f in dataclasses.fields(harness.DistortionReport):
+        if f.name in skip:
+            continue
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), f.name
         else:
             assert type(a) is type(b) and a == b, f.name
+
+
+_EPS = float(np.finfo(np.float64).eps)
+# The fields evaluate computes from screened values (see its docstring).
+_SCREENED = {"ratio_mean", "samplers", "raw_ratio", "raw_sq_error"}
+
+
+def _screen_tolerances(E, queries):
+    """Per-pair bounds on evaluate's screened ratio and |e^2 - d^2|, from the
+    exact squared distances D, E2 and geometry._gram_bound, as derived in
+    evaluate's docstring: a pair with D <= 2 b_d must be exact."""
+    images = E.embed_batch(queries)[0]
+    terminals = E.terminal_images
+    D = geometry.distance_matrix(queries, E.X.points) ** 2
+    E2 = geometry.distance_matrix(images, terminals) ** 2
+    norms = [np.sqrt(np.einsum("ij,ij->i", A, A)) for A in (queries, E.X.points, images, terminals)]
+    b_d = geometry._gram_bound(queries.shape[1], norms[0][:, None], norms[1])
+    b_e = geometry._gram_bound(images.shape[1], norms[2][:, None], norms[3])
+    screened = D > 2 * b_d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.sqrt(E2 + 2 * b_e) / np.sqrt(D - 2 * b_d)
+        lower = np.sqrt(np.maximum(E2 - 2 * b_e, 0.0)) / np.sqrt(D + 2 * b_d)
+        w = np.where(screened, (upper - lower) + 8 * _EPS * upper, 0.0)
+    sq = np.where(screened, 2 * (b_d + b_e) + 4 * _EPS * (D + E2), 0.0)
+    mask = D > 0.0
+    return w[mask], sq[mask], np.nonzero(mask)[0]
+
+
+def _assert_reports_match(got, want, E, queries, labels=None):
+    """Every field of got equals want's, except the screened ones, which
+    agree within evaluate's documented bounds."""
+    _assert_reports_identical(got, want, skip=_SCREENED)
+    w, sq, q_idx = _screen_tolerances(E, np.asarray(queries, dtype=np.float64))
+
+    def mean_tol(w, r):
+        return w.max(initial=0.0) + 2 * (np.log2(max(r.size, 1)) + 16) * _EPS * r.max(initial=0.0)
+
+    if want.raw_ratio is not None:
+        assert np.all(np.abs(got.raw_ratio - want.raw_ratio) <= w)
+        assert np.all(np.abs(got.raw_sq_error - want.raw_sq_error) <= sq)
+        assert abs(got.ratio_mean - want.ratio_mean) <= mean_tol(w, want.raw_ratio)
+    else:
+        assert abs(got.ratio_mean - want.ratio_mean) <= mean_tol(w, np.full(w.size, want.ratio_max))
+    assert got.samplers.keys() == want.samplers.keys()
+    for lab, stats in want.samplers.items():
+        mine = np.array([labels[i] == lab for i in q_idx], dtype=bool)
+        for key in ("count", "min", "max"):
+            assert type(got.samplers[lab][key]) is type(stats[key]) and got.samplers[lab][key] == stats[key]
+        tol = mean_tol(w[mine], np.full(int(mine.sum()), stats["max"]))
+        assert abs(got.samplers[lab]["mean"] - stats["mean"]) <= tol, lab
 
 
 class TestEvaluateParity:
@@ -315,7 +370,7 @@ class TestEvaluateParity:
         labels = labels + ["member"] + labels[:20] if with_labels else None
         for keep_raw in (False, True):
             got = evaluate(embedder, q, labels, keep_raw=keep_raw)
-            _assert_reports_identical(got, _loop_evaluate(embedder, q, labels, keep_raw))
+            _assert_reports_match(got, _loop_evaluate(embedder, q, labels, keep_raw), embedder, q, labels)
 
     def test_no_pair_at_positive_distance(self):
         X = build_point_set([[0.5, -1.0]])
@@ -490,3 +545,139 @@ class TestScalingStudy:
         X = build_point_set(np.random.default_rng(4).standard_normal((4, 3)))
         with pytest.raises(ValueError):
             scaling_study(X, [], [1.0], [0])
+
+
+def _sketch_embedder(X, m, seed=4):
+    return build_embedder(X, generate_sketch(m, X.d, "rademacher", seed), 0.25, SolverConfig(max_iters=50))
+
+
+@pytest.fixture
+def screen_calls(monkeypatch):
+    """Counts evaluate's exact recomputes (pairs against the terminals) and
+    its exact full passes."""
+    calls = {"recomputed": 0, "exact_passes": 0}
+    pair_distances, distance_matrix = harness._pair_distances, harness.distance_matrix
+
+    def counting_pairs(A, B, i, j):
+        # One call for the distances, one for the image distances.
+        calls["recomputed"] += i.size / 2
+        return pair_distances(A, B, i, j)
+
+    def counting_matrix(A, B):
+        calls["exact_passes"] += 1
+        return distance_matrix(A, B)
+
+    monkeypatch.setattr(harness, "_pair_distances", counting_pairs)
+    monkeypatch.setattr(harness, "distance_matrix", counting_matrix)
+    return calls
+
+
+class TestEvaluateScreen:
+    """evaluate against the exact per-query loop on inputs that stress the
+    Gram screen: every key outside the two means is bit-identical, and the
+    means agree within the documented bound."""
+
+    MODES = ["box", "segment", "member", "shell_rel:0.01", "shell_rel:1.0", "far:3"]
+
+    def _check(self, E, q, labels):
+        for keep_raw in (False, True):
+            got = evaluate(E, q, labels, keep_raw=keep_raw)
+            _assert_reports_match(got, _loop_evaluate(E, q, labels, keep_raw), E, q, labels)
+
+    def test_terminals_and_repeated_queries(self, screen_calls):
+        X = build_point_set(np.random.default_rng(31).standard_normal((40, 8)))
+        E = _sketch_embedder(X, 5)
+        q, labels = sample_suite(X, 4, seed=2, modes=self.MODES)
+        # Zero-distance pairs (each terminal), and repeated rows of both kinds.
+        q = np.vstack([X.points, q, X.points[:10], q[:15]])
+        labels = ["member"] * 40 + labels + ["member"] * 10 + labels[:15]
+        self._check(E, q, labels)
+        assert screen_calls["exact_passes"] == 0
+
+    def test_near_duplicate_terminals(self, screen_calls):
+        rng = np.random.default_rng(32)
+        base = rng.standard_normal((20, 8))
+        X = build_point_set(np.vstack([base, base + 1e-9 * rng.standard_normal(base.shape)]))
+        E = _sketch_embedder(X, 5)
+        q, labels = sample_suite(X, 4, seed=3, modes=self.MODES)
+        q = np.vstack([q, X.points, base + 5e-10 * rng.standard_normal(base.shape)])
+        labels = labels + ["member"] * 40 + ["twin"] * 20
+        self._check(E, q, labels)
+        assert screen_calls["exact_passes"] == 0
+
+    def test_shifted_set_takes_the_exact_passes(self, screen_calls):
+        # Far from the origin against its spread, the screen rules out
+        # nothing: evaluate takes the exact passes, and every key is exact.
+        X = build_point_set(np.random.default_rng(33).standard_normal((30, 8)) + 1e8)
+        E = _sketch_embedder(X, 5)
+        q, labels = sample_suite(X, 4, seed=4, modes=self.MODES)
+        for keep_raw in (False, True):
+            got = evaluate(E, q, labels, keep_raw=keep_raw)
+            _assert_reports_identical(got, _loop_evaluate(E, q, labels, keep_raw))
+        assert screen_calls["exact_passes"] == 4
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        d=st.integers(1, 5),
+        grid=st.booleans(),
+        kind=st.sampled_from(["sketch", "exact", "efn"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_small_sets(self, seed, n, d, grid, kind):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n, d))
+        if grid:
+            # Coordinates on a half-integer grid: ties between distances.
+            pts = np.round(2 * pts) / 2
+        X = build_point_set(np.unique(pts, axis=0))
+        if kind == "exact":
+            E = exact_small_embedding(X)
+        else:
+            E = _sketch_embedder(X, max(1, d - 1), seed % 1000)
+            if kind == "efn":
+                E = EfnEmbedder(X=X, base_images=E.terminal_images[:, :-1])
+        q = rng.standard_normal((int(rng.integers(1, 15)), X.d))
+        if grid:
+            q = np.round(2 * q) / 2
+        q = np.vstack([q, X.points[rng.integers(0, X.n, size=3)], rng.standard_normal((1, X.d)) + 0.5])
+        labels = [str(v) for v in rng.integers(0, 3, size=q.shape[0])]
+        self._check(E, q, labels)
+
+    def test_interval_on_a_histogram_edge_is_recomputed(self, monkeypatch):
+        # Ratios 0.5 and 2.5 set the histogram range, so its edges are
+        # 0.5 + k / 32. The pair (query 2, terminal 0) has ratio 14 / 14 =
+        # 1.0, on edge 16, and is neither an anchor nor an extreme: only the
+        # edge rule recomputes it.
+        X = build_point_set([[0.0], [10.0]])
+        queries = np.array([[4.0], [-2.0], [14.0]])
+        images = np.array([[2.0], [-5.0], [14.0]])
+        E = SimpleNamespace(
+            X=X, terminal_images=X.points, embed_batch=lambda Q: (images, [{"residual": 0.0}] * len(Q))
+        )
+        recomputed = []
+        pair_distances = harness._pair_distances
+
+        def recording(A, B, i, j):
+            if B is X.points:
+                recomputed.extend(zip(i.tolist(), j.tolist()))
+            return pair_distances(A, B, i, j)
+
+        monkeypatch.setattr(harness, "_pair_distances", recording)
+        rep = evaluate(E, queries)
+        assert (rep.ratio_min, rep.ratio_max) == (0.5, 2.5) and rep.histogram_counts[16] == 2
+        assert (2, 0) in recomputed
+        monkeypatch.setattr(harness, "_pair_distances", pair_distances)
+        _assert_reports_identical(evaluate(E, queries), _loop_evaluate(E, queries))
+
+    def test_screen_recomputes_few_entries(self, screen_calls):
+        # The tight workload's shape: 200 default-suite queries against a
+        # 600 x 256 Gaussian set at m = 52.
+        X = build_point_set(np.random.default_rng(34).standard_normal((600, 256)))
+        plan = plan_dimension(X.n, 0.25, 0.25, X.d)
+        E = build_embedder(X, generate_sketch(plan.m, X.d, "rademacher", 5), 0.25)
+        q, labels = sample_suite(X, 25, seed=6)
+        rep = evaluate(E, q, labels)
+        assert q.shape[0] == 200 and rep.pair_count == 200 * 600 - 25
+        assert screen_calls["exact_passes"] == 0
+        assert 0 < screen_calls["recomputed"] < 0.02 * 200 * 600
