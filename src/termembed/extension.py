@@ -34,8 +34,10 @@ epsilon * R, but its optimum sits well above 0 (near 0.2 R on tight
 sketches), so a step aimed at 0 overshoots every time and the iterates
 zigzag instead of settling below the target.
 
-Every per-row path starts with geometry.nearest, which rejects a query of
-the wrong width (DimensionMismatch) or with a non-finite coordinate
+Every row's anchor (k, R) comes from geometry: embed_batch finds all of
+them with one blocked screen (nearest_batch) after checking the batch, and a
+single query goes through geometry.nearest, which rejects a query of the
+wrong width (DimensionMismatch) or with a non-finite coordinate
 (NonFinitePoint).
 """
 from __future__ import annotations
@@ -47,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinitePoint
-from .geometry import PointSet, distances_to, nearest
+from .geometry import PointSet, distances_to, nearest, nearest_batch
 from .sketch import SketchMatrix, sketch_points
 
 _TINY = 1e-300
@@ -95,10 +97,10 @@ class SolverConfig:
 class ExtensionSolution:
     """One query's feasibility solve.
 
-    residual is the max constraint violation normalized by radius; it is
-    recomputed from scratch on the returned point, so it can be trusted even
-    when converged is False (the lift is still valid, the distortion bound
-    just degrades to the residual level).
+    residual is the max constraint violation at the returned point,
+    normalized by radius: the solver's own evaluation of that point, so it
+    can be trusted even when converged is False (the lift is still valid,
+    the distortion bound just degrades to the residual level).
     """
 
     u_prime: np.ndarray  # (m,)
@@ -117,9 +119,10 @@ class OuterExtension:
 
     A subclass is a frozen dataclass with a field X (the PointSet of
     terminals) that supplies base_images, the (n, out_dim - 1) rows g(x_i) of
-    its base map, and _embed_one(u) -> (image of u, record with RECORD_KEYS),
-    which starts with geometry.nearest. Instances are immutable and every
-    query is independent, so concurrent readers are safe.
+    its base map, and _embed_one(u, anchor) -> (image of u, record with
+    RECORD_KEYS), where anchor = (k, R) is geometry.nearest(u, X). Instances
+    are immutable and every query is independent, so concurrent readers are
+    safe.
     """
 
     @property
@@ -137,13 +140,15 @@ class OuterExtension:
     def embed(self, u) -> np.ndarray:
         """(out_dim,) image of the query u; raises DimensionMismatch or
         NonFinitePoint."""
-        return self._embed_one(u)[0]
+        return self._embed_one(u, nearest(u, self.X))[0]
 
     def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
         """((q, out_dim) images of the rows of Q, one record per query).
 
         Q is validated once: 2-D, width X.d (an empty (0, *) batch passes
-        whatever its width), finite."""
+        whatever its width), finite. One geometry.nearest_batch call finds
+        every row's anchor, the same (k, R) that embed finds row by row, so
+        each image equals embed(u) bit for bit."""
         Q = np.asarray(Q, dtype=np.float64)
         if Q.ndim != 2 or (Q.shape[0] and Q.shape[1] != self.X.d):
             raise DimensionMismatch(f"queries have shape {Q.shape}, expected (*, {self.X.d})")
@@ -151,8 +156,8 @@ class OuterExtension:
             raise NonFinitePoint("queries must have finite coordinates")
         images = np.empty((Q.shape[0], self.out_dim))
         per_query = []
-        for i, u in enumerate(Q):
-            images[i], record = self._embed_one(u)
+        for i, (u, k, R) in enumerate(zip(Q, *nearest_batch(Q, self.X))):
+            images[i], record = self._embed_one(u, (int(k), float(R)))
             per_query.append(record)
         return images, per_query
 
@@ -184,12 +189,12 @@ class TerminalEmbedder(OuterExtension):
     def base_images(self) -> np.ndarray:
         return self.embedded_X
 
-    def embed_with_info(self, u):
-        sol = solve_extension(u, self)
+    def embed_with_info(self, u, anchor=None):
+        sol = solve_extension(u, self, anchor)
         return lift(u, sol, self), sol
 
-    def _embed_one(self, u):
-        f, sol = self.embed_with_info(u)
+    def _embed_one(self, u, anchor):
+        f, sol = self.embed_with_info(u, anchor)
         return f, {key: getattr(sol, key) for key in RECORD_KEYS}
 
 
@@ -210,10 +215,12 @@ def build_embedder(
     )
 
 
-def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
+def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
     """Projected-subgradient feasibility solve for one query.
 
-    With anchor k = nearest terminal and R = ||u - x_k||, minimizes
+    With anchor k = nearest terminal and R = ||u - x_k|| (anchor = (k, R) as
+    geometry.nearest(u, E.X) gives it, which is called when anchor is None),
+    minimizes
     g(z) = max_i |<z, Pi v_i> - <u - x_k, v_i>| over the ball ||z|| <= R:
 
       * start at z0 = R * Pi(u - x_k) / max(||Pi(u - x_k)||, 1e-300), the
@@ -230,18 +237,18 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
     Degenerate cases short-circuit: R = 0 (u is a terminal) and n = 1 (no
     constraints) both return z = 0 with residual 0.
 
-    Cost per query: three matvecs over X (the anchor screen of
-    geometry.nearest, the Gram direction norms, the targets), an exact
-    distance recompute of the anchor candidates (those within nearest's
-    rounding bound of the minimum, usually one row) and of the rows the
-    cancellation guard sends to the direct formula, and one matvec over Pi X
-    per residual evaluation (warm start, each iteration, the final
-    recompute). No (n-1) x d or (n-1) x m temporary is built, except for the
-    guarded rows.
+    Cost per query: two matvecs over X (the Gram direction norms, the
+    targets), an exact distance recompute of the rows the cancellation guard
+    sends to the direct formula, and one matvec over Pi X per residual
+    evaluation (warm start, each iteration). The anchor search costs one
+    matvec over X plus an exact recompute of its candidates (usually one
+    row) when solve_extension finds it; embed_batch finds every row's anchor
+    up front with a blocked GEMM screen instead. No (n-1) x d or (n-1) x m
+    temporary is built, except for the guarded rows.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     X = E.X
-    k, R = nearest(u, X)  # raises DimensionMismatch
+    k, R = nearest(u, X) if anchor is None else anchor
     m = E.m
     if R == 0.0 or X.n == 1:
         return ExtensionSolution(
@@ -323,15 +330,13 @@ def solve_extension(u, E: TerminalEmbedder) -> ExtensionSolution:
             best_z = z.copy()
         it += 1
 
-    # Recompute the residual from scratch on the returned point.
-    final = float(np.max(np.abs(residual(best_z))))
     return ExtensionSolution(
         u_prime=best_z,
         radius=R,
-        residual=final / R,
+        residual=best_g / R,
         iterations=it,
         anchor_index=k,
-        converged=final <= target,
+        converged=best_g <= target,
     )
 
 
@@ -368,8 +373,8 @@ class EfnEmbedder(OuterExtension):
         images.setflags(write=False)
         object.__setattr__(self, "base_images", images)
 
-    def _embed_one(self, u):
-        k, R = nearest(u, self.X)
+    def _embed_one(self, u, anchor):
+        k, R = anchor
         return self._solver_free(np.concatenate([self.base_images[k], [R]]), k)
 
 
@@ -398,12 +403,12 @@ class ExactEmbedding(OuterExtension):
         """Basis coordinates of the terminals, shape (n, rank)."""
         return (self.X.points - self.X.points[0]) @ self.basis.T
 
-    def _embed_one(self, u):
+    def _embed_one(self, u, anchor):
         """A terminal (R = 0) maps to its row of terminal_images, trailing
         coordinate exactly 0; recomputing its perpendicular part would leave
         rounding there."""
         u = np.asarray(u, dtype=np.float64).reshape(-1)
-        k, R = nearest(u, self.X)
+        k, R = anchor
         if R == 0.0:
             return self._solver_free(self.terminal_images[k].copy(), k)
         w = u - self.X.points[0]

@@ -17,9 +17,10 @@ from .errors import DimensionMismatch, DuplicatePoint, EmptyInput, NonFinitePoin
 # float64 values per distance-block temporary: 2 MB, about one core's L2
 # cache; 32 MB blocks measured up to 1.9x slower.
 BLOCK_ELEMENTS = 2**18
-# The Gram screens (nearest, PointSet.neighbor_scales, harness.evaluate) are
-# trusted only while (||a|| + ||b||)^2 stays below this for every pair they
-# compare, so no square in the screen or in the exact kernel overflows.
+# The Gram screens (nearest_batch, PointSet.neighbor_scales,
+# harness.evaluate) are trusted only while (||a|| + ||b||)^2 stays below this
+# for every pair they compare, so no square in the screen or in the exact
+# kernel overflows.
 _GRAM_MAX = np.finfo(np.float64).max / 4
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -91,11 +92,23 @@ class PointSet:
         return norms
 
 
-def _gram_bound(d: int, norms_a, norms_b):
-    """Bound on the gap between a Gram screen entry ||a||^2 - 2<a, b> +
+def _gram_bound(d: int, norms_a, norms_b, out=None) -> np.ndarray:
+    """Bound b on the gap between a Gram screen entry s = ||a||^2 - 2<a, b> +
     ||b||^2 and the exact kernel's squared distance ||a - b||^2 in R^d, for
-    points of the given norms (broadcast); derived in nearest."""
-    return (d + 4) * _EPS * (norms_a + norms_b) ** 2 + 4 * d * _TINY
+    points of the given norms (broadcast):
+
+        b = (d + 4) eps (||a|| + ||b||)^2 + 4 d tiny.
+
+    In units of eps (||a|| + ||b||)^2, (d + 2)/2 bound the screen's dot
+    product (a GEMM's or a matrix-vector product's alike, gamma_d) and sums,
+    (d + 5)/2 the kernel's differences, sum and square root, and 1/2 is left
+    for rounding in b itself; 4 d tiny (the smallest normal number) covers
+    products that underflow. b goes into out if given, with no temporary."""
+    out = np.add(norms_a, norms_b, out=out)
+    np.square(out, out=out)
+    out *= (d + 4) * _EPS
+    out += 4 * d * _TINY
+    return out
 
 
 def _exact_neighbor_scales(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -134,25 +147,23 @@ def _gram_screen(A: np.ndarray, sq_a: np.ndarray, B: np.ndarray, sq_b: np.ndarra
 
     of A[block] against every row of B (one GEMM per block, with the cached
     squared norms sq_a and sq_b), minus and plus b_ij = _gram_bound(d,
-    ||a_i||, ||b_j||). A GEMM's dot products obey the same gamma_d rounding
-    bound as nearest's matrix-vector product, so the exact kernel's squared
-    distance ||a_i - b_j||^2 lies in [lo_ij, hi_ij]. lo and hi are views into
-    two buffers that the next block overwrites; the caller may write into
-    them. The caller checks _gram_overflows first."""
+    ||a_i||, ||b_j||), so the exact kernel's squared distance
+    ||a_i - b_j||^2 lies in [lo_ij, hi_ij]. lo and hi are views into two
+    buffers that the next block overwrites; the caller may write into them.
+    The caller checks _gram_overflows first."""
     d = A.shape[1]
     norms_a, norms_b = np.sqrt(sq_a), np.sqrt(sq_b)
-    lo_buf, hi_buf = np.empty((2, min(step, rows.size), B.shape[0]))
+    lo_buf, hi_buf, b_buf = np.empty((3, min(step, rows.size), B.shape[0]))
     for start in range(0, rows.size, step):
         block = rows[start : start + step]
-        lo, hi = lo_buf[: block.size], hi_buf[: block.size]
+        lo, hi, b = lo_buf[: block.size], hi_buf[: block.size], b_buf[: block.size]
         np.matmul(A[block], B.T, out=hi)
         hi *= -2.0
         hi += sq_a[block, None]
         hi += sq_b
-        b = _gram_bound(d, norms_a[block, None], norms_b)
+        _gram_bound(d, norms_a[block, None], norms_b, b)
         np.subtract(hi, b, out=lo)
         hi += b
-        del b
         yield block, lo, hi
 
 
@@ -331,50 +342,61 @@ def distances_to(u, X: PointSet, rows=None) -> np.ndarray:
     return distance_matrix(u, X.points if rows is None else X.points[rows])[0]
 
 
+def nearest_batch(Q: np.ndarray, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """(k, R): for every row u of Q (a validated (q, X.d) float64 array), the
+    index of the closest point of X and its distance, each bit-identical to
+    argmin and min of distances_to(u, X) (ties go to the lowest index), mostly
+    without that full exact pass; k is int64, R float64.
+
+    Row blocks of _screen_rows(n, d) queries each take one Gram screen
+    (_gram_screen, one GEMM against X with the cached ||x_i||^2): every index
+    that can hold its row's exact minimum has lo_ui <= min_j hi_uj, and only
+    those candidates are recomputed with the exact kernel (_pair_distances),
+    so no value that reaches k or R comes from the GEMM and no row depends on
+    the batch around it. Where a square could overflow ((max ||x_i|| + max
+    ||u||)^2 > max float / 4) it takes the exact blocked pass instead.
+    """
+    q = Q.shape[0]
+    k, R = np.empty(q, dtype=np.int64), np.empty(q)
+    if q == 0:
+        return k, R
+    sq_q = np.einsum("ij,ij->i", Q, Q)
+    if _gram_overflows(sq_q, X.sq_norms):
+        for start, dist in distance_row_blocks(Q, X.points):
+            k[start : start + dist.shape[0]] = dist.argmin(axis=1)
+            R[start : start + dist.shape[0]] = dist.min(axis=1)
+        return k, R
+    step = _screen_rows(X.n, X.d)
+    for block, lo, hi in _gram_screen(Q, sq_q, X.points, X.sq_norms, np.arange(q), step):
+        a, j = np.nonzero(lo <= hi.min(axis=1, keepdims=True))
+        dist = _pair_distances(Q, X.points, block[a], j)
+        counts = np.bincount(a, minlength=block.size)
+        R[block] = np.minimum.reduceat(dist, np.cumsum(counts) - counts)
+        # nonzero lists each row's candidates in ascending index order, so a
+        # row's first hit of its minimum is the lowest such index.
+        hit = np.flatnonzero(dist == R[block][a])
+        k[block] = j[hit[np.searchsorted(a[hit], np.arange(block.size))]]
+    return k, R
+
+
 def nearest(u, X: PointSet) -> tuple[int, float]:
     """(k, R): the index of the closest point of X to u and its distance,
     bit-identical to argmin and min of distances_to(u, X) (ties go to the
-    lowest index), mostly without that full exact pass.
+    lowest index): the one-row call of nearest_batch.
 
-    A Gram screen s_i = ||x_i||^2 - 2<x_i, u> + ||u||^2 (one matrix-vector
-    product over X, cached ||x_i||^2) is within b_i of the exact kernel's
-    squared distance, with
-
-        b_i = (d + 4) eps (||x_i|| + ||u||)^2 + 4 d tiny:
-
-    in units of eps (||x_i|| + ||u||)^2, (d + 2)/2 bound the screen's dot
-    products and sums, (d + 5)/2 the kernel's differences, sum and square
-    root, and 1/2 is left for rounding in b itself; 4 d tiny (the smallest
-    normal number) covers products that underflow. So every index
-    that can hold the exact minimum has s_i - b_i <= min_j (s_j + b_j); only
-    those candidates are recomputed with the exact kernel. Where a square
-    could overflow ((max ||x_i|| + ||u||)^2 > max float / 4) or every index
-    is a candidate (as when the squares underflow), it takes the one full
-    exact pass instead.
-
-    Every per-query path (solve_extension, the three embedders' embed and
-    embed_batch, nearest_point) calls this first, so it holds their query
-    checks: a u of the wrong width raises DimensionMismatch and one with a
-    NaN or infinite coordinate raises NonFinitePoint.
+    Every single-query path (the three embedders' embed, solve_extension and
+    embed_with_info without an anchor, nearest_point) calls this first, so it
+    holds their query checks: a u of the wrong width raises
+    DimensionMismatch and one with a NaN or infinite coordinate raises
+    NonFinitePoint.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     if u.shape[0] != X.d:
         raise DimensionMismatch(f"query has dimension {u.shape[0]}, expected {X.d}")
     if not np.all(np.isfinite(u)):
         raise NonFinitePoint("query must have finite coordinates")
-    uu = float(u @ u)
-    u_norm = math.sqrt(uu)
-    scale = float(X.norms.max()) + u_norm
-    rows = None
-    if scale * scale <= _GRAM_MAX:
-        s = X.sq_norms - 2.0 * (X.points @ u) + uu
-        b = _gram_bound(X.d, X.norms, u_norm)
-        rows = np.flatnonzero(s - b <= np.min(s + b))
-        if rows.size == X.n:
-            rows = None
-    dists = distances_to(u, X, rows)
-    j = int(np.argmin(dists))
-    return (j if rows is None else int(rows[j])), float(dists[j])
+    k, R = nearest_batch(u[None], X)
+    return int(k[0]), float(R[0])
 
 
 def nearest_point(u, X: PointSet) -> int:

@@ -24,6 +24,7 @@ from termembed import extension
 from termembed.extension import EfnEmbedder, ExtensionSolution
 from termembed.geometry import nearest
 from termembed.sketch import SketchMatrix
+from test_geometry import _record_exact_work
 
 
 def identity_embedder(pts, epsilon=1e-9):
@@ -328,6 +329,20 @@ class TestEmbedBatch:
         assert images.shape == (Q.shape[0], E.out_dim)
         assert np.array_equal(images, np.vstack([E.embed(u) for u in Q]))
 
+    @pytest.mark.parametrize("shift", [0.0, 1e8])
+    def test_batch_anchors_equal_stacked_embed(self, shift):
+        # At 1e8 from the origin every terminal is an anchor candidate of every
+        # row; the batch anchor search must still hand each row nearest's anchor.
+        sketch = _three_embedders()["sketch"]
+        X = build_point_set(sketch.X.points + shift)
+        E = build_embedder(X, sketch.Pi, sketch.epsilon)
+        rng = np.random.default_rng(27)
+        Q = np.vstack([shift + 2.0 * rng.standard_normal((30, X.d)), X.points])
+        for emb in (E, exact_small_embedding(X), EfnEmbedder(X, E.embedded_X)):
+            images, per_query = emb.embed_batch(Q)
+            assert np.array_equal(images, np.vstack([emb.embed(u) for u in Q]))
+            assert [rec["anchor_index"] for rec in per_query] == [nearest_point(u, X) for u in Q]
+
     def test_per_query_records(self, any_embedder):
         E = any_embedder
         Q = self.queries(E)
@@ -529,42 +544,30 @@ class TestFactoredSolver:
         # Gaussian data: one anchor candidate, no row in the cancellation zone.
         rng = np.random.default_rng(25)
         E = random_embedder(rng, n=200, d=16, m=5)
-        seen = _record_distance_rows(monkeypatch)
+        seen = _record_exact_work(monkeypatch)
         u = E.X.points[3] if on_terminal else rng.standard_normal(16)
         sol = solve_extension(u, E)
         assert (sol.radius == 0.0) == on_terminal
-        assert seen == [[sol.anchor_index]]
+        assert seen == [("anchor", [(0, sol.anchor_index)])]
 
     def test_guarded_rows_take_exact_norms(self, monkeypatch):
         rng = np.random.default_rng(26)
         pts = rng.standard_normal((30, 8))
         pts[1:4] = pts[0] + 1e-3 * rng.standard_normal((3, 8))
         E = self.embedder(pts, 5)
-        seen = _record_distance_rows(monkeypatch)
+        seen = _record_exact_work(monkeypatch)
         sol = solve_extension(pts[0] + 1e-4 * rng.standard_normal(8), E)
         assert sol.anchor_index in (0, 1, 2, 3)
-        assert seen == [[sol.anchor_index], [i for i in range(4) if i != sol.anchor_index]]
-
-
-def _record_distance_rows(monkeypatch):
-    """Patch distances_to where geometry.nearest and solve_extension look it
-    up; return the row subsets asked for, in call order (None: full pass)."""
-    import termembed.extension as extension
-    import termembed.geometry as geometry
-
-    seen = []
-    for module in (extension, geometry):
-        monkeypatch.setattr(
-            module, "distances_to",
-            lambda u, X, rows=None, f=module.distances_to:
-                seen.append(None if rows is None else [int(i) for i in rows]) or f(u, X, rows),
-        )
-    return seen
+        guarded = [i for i in range(4) if i != sol.anchor_index]
+        assert seen == [("anchor", [(0, sol.anchor_index)]), ("guarded", guarded),
+                        ("blocks", 1, 3)]
 
 
 def test_efn_embed_batch_no_full_distance_pass(monkeypatch):
+    # One anchor search for the whole batch; each row recomputes only its
+    # anchor, and no blocked pass runs.
     E = _three_embedders()["efn"]
     Q = TestEmbedBatch.queries(E, count=5)
-    seen = _record_distance_rows(monkeypatch)
+    seen = _record_exact_work(monkeypatch)
     _, per_query = E.embed_batch(Q)
-    assert seen == [[rec["anchor_index"]] for rec in per_query]
+    assert seen == [("anchor", [(i, rec["anchor_index"]) for i, rec in enumerate(per_query)])]

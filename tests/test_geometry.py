@@ -12,7 +12,7 @@ from termembed import (
     nearest_point,
 )
 from termembed import geometry
-from termembed.geometry import distance_matrix, nearest
+from termembed.geometry import distance_matrix, nearest, nearest_batch
 from test_harness import _broadcast_diameter, _broadcast_nearest_neighbor_dists
 
 
@@ -158,21 +158,33 @@ def _small(rng):
     ]
 
 
+def _assert_nearest_matches(Q, X):
+    """nearest_batch(Q, X) and nearest(u, X) for each row u both give the
+    argmin and min of the full exact pass."""
+    k, R = nearest_batch(Q, X)
+    assert k.dtype == np.int64 and R.dtype == np.float64
+    full = [_full_pass(u, X) for u in Q]
+    assert k.tolist() == [kk for kk, _ in full]
+    assert np.array_equal(R, [r for _, r in full])
+    assert [nearest(u, X) for u in Q] == full
+
+
 class TestNearest:
-    """geometry.nearest (Gram screen plus exact recompute of the candidates)
-    gives exactly the argmin and min of the full exact pass."""
+    """geometry.nearest and nearest_batch (Gram screen plus exact recompute
+    of the candidates) give exactly the argmin and min of the full exact
+    pass."""
 
     @pytest.mark.parametrize("family", [_ties, _sphere, _shells, _small])
     @pytest.mark.parametrize(
         "shift,scale", [(0.0, 1.0), (1e6, 1.0), (1e8, 1.0), (0.0, 1e-160), (0.0, 1e160)]
     )
     def test_matches_full_pass(self, family, shift, scale):
+        # Each family's queries, then its terminals as queries (R = 0).
         rng = np.random.default_rng(13)
         for pts, Q in family(rng):
             X = build_point_set((pts + shift) * scale)
-            for u in (Q + shift) * scale:
-                with np.errstate(over="ignore"):
-                    assert nearest(u, X) == _full_pass(u, X)
+            with np.errstate(over="ignore"):
+                _assert_nearest_matches((np.vstack([Q, pts]) + shift) * scale, X)
 
     @pytest.mark.parametrize("n,d", [(1, 1), (40, 1), (40, 7), (300, 64), (30, 257)])
     def test_row_subset_bit_identical(self, n, d):
@@ -183,6 +195,102 @@ class TestNearest:
         for rows in (np.arange(n), [n - 1], rng.permutation(n)[: max(1, n // 3)], [0, 0]):
             rows = np.asarray(rows)
             assert np.array_equal(distances_to(u, X, rows), full[rows])
+
+
+def _record_exact_work(monkeypatch):
+    """Patch the exact kernel's entry points and return what they are asked
+    for, in call order: ("anchor", [(query row, terminal), ...]) for each
+    recompute of the anchor search's candidates (geometry._pair_distances),
+    ("guarded", rows) for solve_extension's exact norms (distances_to), and
+    ("blocks", rows of A, rows of B) for each blocked pass
+    (geometry.distance_row_blocks, which distances_to runs too)."""
+    from termembed import extension
+
+    seen = []
+    pairs, rows = geometry._pair_distances, extension.distances_to
+    blocks = geometry.distance_row_blocks
+    monkeypatch.setattr(
+        geometry, "_pair_distances",
+        lambda A, B, i, j: seen.append(("anchor", list(zip(i.tolist(), j.tolist()))))
+        or pairs(A, B, i, j),
+    )
+    monkeypatch.setattr(
+        extension, "distances_to",
+        lambda u, X, r: seen.append(("guarded", [int(i) for i in r])) or rows(u, X, r),
+    )
+    monkeypatch.setattr(
+        geometry, "distance_row_blocks",
+        lambda A, B: seen.append(("blocks", A.shape[0], B.shape[0])) or blocks(A, B),
+    )
+    return seen
+
+
+class TestNearestBatch:
+    """geometry.nearest_batch: which exact work it does, and the cases the
+    families above leave out."""
+
+    def test_exact_ties_take_lowest_index(self):
+        rng = np.random.default_rng(14)
+        for pts, Q in _ties(rng):
+            X = build_point_set(pts)
+            k, R = nearest_batch(np.vstack([Q, Q]), X)
+            dists = distances_to(Q[0], X)
+            assert np.sum(dists == dists.min()) > 1
+            assert k.tolist() == [int(np.flatnonzero(dists == dists.min())[0])] * 2
+
+    def test_close_terminals(self):
+        rng = np.random.default_rng(15)
+        pts = rng.standard_normal((30, 6))
+        pts[1:4] = pts[0] + 1e-9 * rng.standard_normal((3, 6))
+        Q = np.vstack([pts[0] + 1e-10 * rng.standard_normal((10, 6)), pts[:4]])
+        _assert_nearest_matches(Q, build_point_set(pts))
+
+    def test_shifted_set_recomputes_every_entry(self, monkeypatch):
+        # 1e8 from the origin the bound exceeds every gap: all n entries of
+        # every row are candidates, and the result is still exact.
+        rng = np.random.default_rng(16)
+        pts = rng.standard_normal((40, 16)) + 1e8
+        Q = 1e8 + rng.standard_normal((12, 16))
+        X = build_point_set(pts)
+        seen = _record_exact_work(monkeypatch)
+        nearest_batch(Q, X)
+        assert seen == [("anchor", [(i, j) for i in range(12) for j in range(40)])]
+        monkeypatch.undo()
+        _assert_nearest_matches(Q, X)
+
+    def test_huge_scale_takes_exact_pass(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        pts = rng.standard_normal((20, 4)) * 1e154
+        Q = np.vstack([rng.standard_normal((5, 4)) * 1e154, pts[:2]])
+        X = build_point_set(pts)
+        seen = _record_exact_work(monkeypatch)
+        nearest_batch(Q, X)
+        assert seen == [("blocks", 7, 20)]
+        monkeypatch.undo()
+        _assert_nearest_matches(Q, X)
+
+    def test_gaussian_recomputes_one_entry_per_row(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        X = build_point_set(rng.standard_normal((200, 16)))
+        seen = _record_exact_work(monkeypatch)
+        k, _ = nearest_batch(rng.standard_normal((50, 16)), X)
+        assert seen == [("anchor", list(enumerate(k.tolist())))]
+
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_empty_batch(self, d):
+        X = build_point_set(np.arange(3.0 * d).reshape(3, d))
+        k, R = nearest_batch(np.zeros((0, d)), X)
+        assert k.shape == R.shape == (0,)
+        assert k.dtype == np.int64 and R.dtype == np.float64
+
+    def test_batch_spans_several_screen_blocks(self):
+        rng = np.random.default_rng(19)
+        pts = rng.standard_normal((300, 64))
+        X = build_point_set(pts)
+        step = geometry._screen_rows(X.n, X.d)
+        Q = np.vstack([rng.standard_normal((2 * step, 64)), pts[: step + 7]])
+        assert Q.shape[0] > 3 * step
+        _assert_nearest_matches(Q, X)
 
 
 def _equidistant(rng):
