@@ -1,7 +1,9 @@
 """Command-line surface: build, query, verify-chd, eval, scaling.
 
-Every subcommand is deterministic given its RunConfig: one global 64-bit
-seed (flag, else TE_SEED, else 0) fans out to labeled sub-seeds for the
+Every subcommand is deterministic. build takes one global 64-bit seed
+(--seed, else TE_SEED, else 0) and stores it in the bundle; verify-chd and
+eval use the bundle's seed unless their --seed overrides it, and no other
+command reads TE_SEED. The seed fans out to labeled sub-seeds for the
 sketch, the query samplers, and the hull-distortion estimator, and the
 config is echoed into every artifact. scaling takes its (epsilon, C, seed)
 grid from --epsilons, --consts and --seeds alone. stdout carries data (JSON
@@ -17,14 +19,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import harness, pointio
 from .chd import estimate_sampled
 from .errors import EmbeddingError, FormatError
 from .extension import (
-    STEP_RULES,
     EfnEmbedder,
     ExactEmbedding,
     SolverConfig,
@@ -53,15 +54,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    epsilon: float
-    C: float
-    distribution: str
-    seed: int
-    solver: SolverConfig
-
-
 def _dump_json(obj, path=None) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     if path is not None:
@@ -70,14 +62,19 @@ def _dump_json(obj, path=None) -> str:
 
 
 def _resolve_seed(value) -> int:
+    """build's seed: the --seed value, else TE_SEED, else 0; a TE_SEED that
+    is not an integer is a usage error."""
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("TE_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise _UsageError(f"TE_SEED must be an integer, got {env!r}") from None
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(args.solver_iters, args.solver_tol, args.solver_step_rule)
+    return SolverConfig(args.solver_iters, args.solver_tol)
 
 
 def _number(cast, lo):
@@ -125,7 +122,6 @@ def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
                    help="feasibility solver iteration cap")
     p.add_argument("--solver-tol", type=_number(float, 0.0), default=1e-3,
                    help="relative slack on the eps*R residual target")
-    p.add_argument("--solver-step-rule", choices=STEP_RULES, default=STEP_RULES[0])
     p.add_argument("--format", dest="fmt", choices=["csv", "bin"], default=None,
                    help="override point-file format detection")
 
@@ -165,27 +161,28 @@ def _check_asserts(pairs, measured: dict) -> int:
 # bundle I/O
 
 
-def _save_bundle(out_dir: Path, cfg: RunConfig, X, plan, source, fmt) -> dict:
+def _save_bundle(out_dir: Path, X, plan, *, epsilon, C, distribution, seed, solver,
+                 source, fmt) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     pointio.write_points_bin(out_dir / "points.bin", X.points)
     meta = {
         "magic": BUNDLE_MAGIC,
         "mode": plan.mode,
         "m_plan": plan.m,
-        "epsilon": cfg.epsilon,
-        "C": cfg.C,
-        "distribution": cfg.distribution,
-        "seed": cfg.seed,
-        "solver": asdict(cfg.solver),
+        "epsilon": epsilon,
+        "C": C,
+        "distribution": distribution,
+        "seed": seed,
+        "solver": asdict(solver),
         "n": X.n,
         "d": X.d,
         "source": str(source),
         "format": fmt,
     }
     if plan.mode == "sketch":
-        pi = generate_sketch(plan.m, X.d, cfg.distribution, derive_seed(cfg.seed, "sketch"))
+        pi = generate_sketch(plan.m, X.d, distribution, derive_seed(seed, "sketch"))
         save_sketch(pi, out_dir / "sketch.json", out_dir / "sketch.bin")
-        embedder = build_embedder(X, pi, cfg.epsilon, cfg.solver)
+        embedder = build_embedder(X, pi, epsilon, solver)
         pointio.write_points_bin(out_dir / "embedded.bin", embedder.embedded_X)
         meta["out_dim"] = embedder.out_dim
     else:
@@ -224,10 +221,14 @@ def load_bundle(bundle_dir):
     A config.json that is not strict JSON (NaN, Infinity, or a number that
     overflows to one), lacks a key the commands read, or has an epsilon
     outside (0, 1) raises FormatError; other top-level keys are ignored. The
-    seed must be a JSON integer and epsilon a number. The "solver" object of a
-    sketch bundle must hold exactly the SolverConfig fields that _save_bundle
-    wrote from it: max_iters an integer, tol a number and step_rule a string,
-    with values SolverConfig accepts. The mode must be "sketch" or
+    seed must be a JSON integer and epsilon a number. The "solver" object,
+    which every bundle stores and a sketch bundle's embedder runs, must hold
+    exactly the SolverConfig fields that _save_bundle wrote from it, with
+    values SolverConfig accepts (max_iters an integer, tol a number). A
+    "step_rule", which bundles written while the solver had two step rules
+    also store, is dropped when it is "polyak" (the one step left); any
+    other value is a FormatError naming it, since loading it as that step
+    would change the algorithm. The mode must be "sketch" or
     "exact_small", and m_plan a JSON integer, equal to the m of sketch.json
     on a sketch bundle. An exact bundle's basis.bin must have d columns."""
     bundle_dir = Path(bundle_dir)
@@ -250,20 +251,17 @@ def load_bundle(bundle_dir):
         if meta["mode"] not in ("sketch", "exact_small"):
             raise ValueError(f"unknown mode {meta['mode']!r}; expected 'sketch' or 'exact_small'")
         m_plan = _typed(meta, "m_plan", (int,))  # reported by verify-chd
-        sketch_mode = meta["mode"] == "sketch"
-        if sketch_mode:
-            s = meta["solver"]
-            if set(s) != {f.name for f in fields(SolverConfig)}:
-                raise KeyError(f"solver keys {sorted(s)}")
-            solver = SolverConfig(
-                _typed(s, "max_iters", (int,)),
-                float(_typed(s, "tol", (int, float))),
-                s["step_rule"],  # SolverConfig accepts only the strings in STEP_RULES
-            )
+        s = {**meta["solver"]}  # a copy: meta is echoed into reports
+        rule = s.pop("step_rule", "polyak")
+        if rule != "polyak":
+            raise ValueError(f"retired solver step_rule {rule!r}; only 'polyak' loads")
+        if set(s) != {f.name for f in fields(SolverConfig)}:
+            raise KeyError(f"solver keys {sorted(s)}")
+        solver = SolverConfig(**s)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{cfg_path}: corrupt bundle config: {exc!r}") from exc
     X = build_point_set(pointio.read_points_bin(bundle_dir / "points.bin"))
-    if sketch_mode:
+    if meta["mode"] == "sketch":
         pi = load_sketch(bundle_dir / "sketch.json")
         if pi.m != m_plan:
             raise FormatError(f"{cfg_path}: m_plan {m_plan} differs from the sketch's m = {pi.m}")
@@ -283,13 +281,14 @@ def load_bundle(bundle_dir):
 
 
 def _cmd_build(args) -> int:
-    cfg = RunConfig(
-        args.epsilon, args.const_c, args.dist, _resolve_seed(args.seed), _solver_config(args)
-    )
+    seed, solver = _resolve_seed(args.seed), _solver_config(args)
     fmt = pointio.detect_format(args.points, args.fmt)
     X = build_point_set(pointio.read_points(args.points, fmt))
-    plan = plan_dimension(X.n, cfg.epsilon, cfg.C, X.d)
-    meta = _save_bundle(Path(args.out), cfg, X, plan, args.points, fmt)
+    plan = plan_dimension(X.n, args.epsilon, args.const_c, X.d)
+    meta = _save_bundle(
+        Path(args.out), X, plan, epsilon=args.epsilon, C=args.const_c, distribution=args.dist,
+        seed=seed, solver=solver, source=args.points, fmt=fmt,
+    )
     sys.stdout.write(
         _dump_json({"mode": meta["mode"], "m": meta["m_plan"], "out_dim": meta["out_dim"]})
     )
@@ -311,9 +310,9 @@ def _cmd_query(args) -> int:
 
 def _cmd_verify_chd(args) -> int:
     embedder, meta = load_bundle(args.bundle)
-    seed = _resolve_seed(args.seed) if args.seed is not None else meta["seed"]
+    seed = meta["seed"] if args.seed is None else args.seed
     report: dict = {
-        "m": meta.get("m_plan"),
+        "m": meta["m_plan"],
         "epsilon": meta["epsilon"],
         "seed": seed,
     }
@@ -350,7 +349,7 @@ def _cmd_verify_chd(args) -> int:
 
 def _cmd_eval(args) -> int:
     embedder, meta = load_bundle(args.bundle)
-    seed = _resolve_seed(args.seed) if args.seed is not None else meta["seed"]
+    seed = meta["seed"] if args.seed is None else args.seed
     if args.queries_file:
         fmt = pointio.detect_format(args.queries_file, None)
         queries = pointio.read_points(args.queries_file, fmt)
@@ -451,7 +450,7 @@ def build_parser() -> _Parser:
                    help="comma list, e.g. box,member,shell:0.5,far:3 (default: full suite)")
     p.add_argument("--queries-file", default=None,
                    help="evaluate these points instead of sampled queries")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="override the bundle seed")
     p.add_argument("--baseline", choices=["solver", "efn"], default="solver",
                    help="efn swaps in the snap-to-nearest baseline extension")
     p.add_argument("--report", default=None)

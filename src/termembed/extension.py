@@ -27,8 +27,8 @@ distance up to the constraint residual plus the sketch's hull distortion.
 The feasibility step is a projected subgradient method rather than the
 semidefinite program the existence argument suggests; it is dependency-free
 and ample at desk scale, and a non-converged solve is still embeddable (the
-achieved residual is an honest distortion certificate). Its default step is
-Polyak's rule with the optimal value estimated as LEVEL * epsilon * R rather
+achieved residual is an honest distortion certificate). Its one step rule is
+Polyak's, with the optimal value estimated as LEVEL * epsilon * R rather
 than 0: at m = O(eps^-2 log n) the problem is feasible at residual
 epsilon * R, but its optimum sits well above 0 (near 0.2 R on tight
 sketches), so a step aimed at 0 overshoots every time and the iterates
@@ -43,6 +43,7 @@ wrong width (DimensionMismatch) or with a non-finite coordinate
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,11 +64,7 @@ _CANCEL = 1e-2
 # Keys of the per-query diagnostics record every embed_batch returns.
 RECORD_KEYS = ("residual", "iterations", "anchor_index", "converged")
 
-
-# The solver's step rules; the first is the default.
-STEP_RULES = ("polyak", "diminishing")
-
-# The polyak rule steps toward the level LEVEL * epsilon * R, not toward 0.
+# The solver steps toward the level LEVEL * epsilon * R, not toward 0.
 # LEVEL must stay below 1: the loop runs only while the worst residual g
 # exceeds epsilon * R * (1 + tol), so g - level stays positive and no step
 # points the wrong way; at LEVEL >= 1 a step just above the target would
@@ -77,16 +74,19 @@ LEVEL = 0.8
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of the feasibility solve. An unknown step_rule, a negative
-    max_iters, or a tol that is negative or not finite raises ValueError."""
+    """Settings of the feasibility solve. max_iters must be an integral
+    number and tol a real one, neither a bool (numpy scalars pass), else
+    TypeError; a negative max_iters, or a tol that is negative or not
+    finite, raises ValueError."""
 
     max_iters: int = 5000
     tol: float = 1e-3  # relative slack on the epsilon * R residual target
-    step_rule: str = STEP_RULES[0]
 
     def __post_init__(self):
-        if self.step_rule not in STEP_RULES:
-            raise ValueError(f"step_rule must be one of {STEP_RULES}, got {self.step_rule!r}")
+        for name, kind in (("max_iters", numbers.Integral), ("tol", numbers.Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
         if not self.max_iters >= 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
         if not 0.0 <= self.tol < math.inf:
@@ -225,12 +225,11 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
 
       * start at z0 = R * Pi(u - x_k) / max(||Pi(u - x_k)||, 1e-300), the
         minimax witness direction, which is typically near-feasible
-      * Polyak step on the active constraint a toward the level
-        l = LEVEL * epsilon * R, not toward 0 (the optimum sits well above
-        0; see the module docstring): step (g - l)/||w_a||^2, with g the
-        current residual and w_a row a of the constraint matrix, then
-        radial projection back onto the ball. A bundle that stores
-        step_rule "polyak" runs this step.
+      * Polyak step, the one step rule, on the active constraint a toward
+        the level l = LEVEL * epsilon * R, not toward 0 (the optimum sits
+        well above 0; see the module docstring): step (g - l)/||w_a||^2,
+        with g the current residual and w_a row a of the constraint matrix,
+        then radial projection back onto the ball
       * track the best iterate; stop once its residual is within
         epsilon * R * (1 + tol) or max_iters is exhausted
 
@@ -314,10 +313,7 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
         if denom <= _TINY:
             break  # active constraint has a null direction; cannot improve it
         sign = 1.0 if r[a] >= 0.0 else -1.0
-        if cfg.step_rule == "diminishing":
-            step = sign * R / ((it + 1) * max(np.sqrt(denom), _TINY))
-        else:
-            step = sign * (g - level) / denom
+        step = sign * (g - level) / denom
         z = z - step * w_a
         nz = math.sqrt(float(z @ z))  # == np.linalg.norm(z), without its overhead
         if nz > R:

@@ -344,6 +344,14 @@ class TestBadInputs:
         rc, err = self._query(tmp_path, bundle, capsys)
         assert rc == 2 and err.startswith("error:")
 
+    def test_retired_step_rule_exits_2(self, tmp_path, bundle, capsys):
+        cfg = bundle / "config.json"
+        meta = json.loads(cfg.read_text())
+        meta["solver"]["step_rule"] = "diminishing"
+        cfg.write_text(json.dumps(meta))
+        rc, err = self._query(tmp_path, bundle, capsys)
+        assert rc == 2 and err.startswith("error:") and "'diminishing'" in err
+
     def test_missing_solver_exits_2(self, tmp_path, points_csv, capsys):
         bundle = tmp_path / "sk"
         assert main(["build", points_csv, "--out", str(bundle),
@@ -360,16 +368,46 @@ class TestBadInputs:
     def test_solver_config_round_trip(self, tmp_path, points_csv):
         bundle = tmp_path / "sk"
         assert main(["build", points_csv, "--out", str(bundle), "--epsilon", "0.5",
-                     "--const-C", "0.5", "--solver-iters", "77", "--solver-tol", "0.01",
-                     "--solver-step-rule", "diminishing"]) == 0
+                     "--const-C", "0.5", "--solver-iters", "77", "--solver-tol", "0.01"]) == 0
         meta = json.loads((bundle / "config.json").read_text())
-        assert meta["solver"] == {"max_iters": 77, "tol": 0.01, "step_rule": "diminishing"}
+        assert meta["solver"] == {"max_iters": 77, "tol": 0.01}
         embedder, _ = load_bundle(bundle)
-        assert embedder.solver == SolverConfig(77, 0.01, "diminishing")
+        assert embedder.solver == SolverConfig(77, 0.01)
+
+    def test_stored_polyak_step_rule_loads_as_fresh(self, tmp_path, points_csv):
+        # Bundles written while the solver had two step rules store
+        # "step_rule": "polyak"; it names the one step left and is dropped.
+        fresh, legacy = tmp_path / "fresh", tmp_path / "legacy"
+        for bundle in (fresh, legacy):
+            assert main(["build", points_csv, "--out", str(bundle), "--epsilon", "0.5",
+                         "--const-C", "0.5", "--seed", "3"]) == 0
+        cfg = legacy / "config.json"
+        meta = json.loads(cfg.read_text())
+        meta["solver"]["step_rule"] = "polyak"
+        cfg.write_text(json.dumps(meta))
+        (E_fresh, _), (E_legacy, legacy_meta) = load_bundle(fresh), load_bundle(legacy)
+        assert legacy_meta["solver"]["step_rule"] == "polyak"  # echoed as stored
+        assert E_legacy.solver == E_fresh.solver == SolverConfig()
+        assert E_legacy.epsilon == E_fresh.epsilon
+        assert np.array_equal(E_legacy.Pi.entries, E_fresh.Pi.entries)
+        assert np.array_equal(E_legacy.embedded_X, E_fresh.embedded_X)
+        qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(4).standard_normal((6, 12)))
+        for bundle in (fresh, legacy):
+            assert main(["query", str(bundle), qpath, str(tmp_path / f"{bundle.name}.csv")]) == 0
+        assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "legacy.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["build", "scaling"])
+    def test_step_rule_flag_is_gone(self, tmp_path, points_csv, capsys, command):
+        grid = ["--epsilons", "0.5", "--consts", "0.5", "--seeds", "1"] if command == "scaling" else []
+        rc = main([command, points_csv, "--out", str(tmp_path / "out"), *grid,
+                   "--solver-step-rule", "polyak"])
+        assert rc == 1 and capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "edit",
-        ["missing", "extra", "step_rule=bogus", "max_iters=-1", "tol=-0.5", "tol=inf", "tol=nan",
+        ["missing", "extra", "step_rule=diminishing", "step_rule=bogus", "max_iters=-1",
+         "tol=-0.5", "tol=inf", "tol=nan",
          # a JSON value of the wrong type is rejected, never coerced
          "max_iters=2.5", "max_iters=true", 'max_iters="7"', 'tol="0.001"', "tol=false",
          "step_rule=7", "seed=2.5", "seed=true", 'seed="7"'],
@@ -397,6 +435,8 @@ class TestBadInputs:
         rc = main(["verify-chd", str(bundle), "--samples", "50"])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+        if edit.startswith("step_rule="):
+            assert f"step_rule {value!r}" in err  # the retired rule is named
 
     @pytest.mark.parametrize(
         "key, literal",
@@ -616,3 +656,11 @@ class TestSeedFallback:
                      "--epsilon", "0.5", "--const-C", "0.5", "--seed", "5"]) == 0
         cfg = json.loads((out1 / "config.json").read_text())
         assert cfg["seed"] == 5
+
+    def test_bad_te_seed_is_usage_error(self, tmp_path, points_csv, monkeypatch, capsys):
+        monkeypatch.setenv("TE_SEED", "abc")
+        out = tmp_path / "b1"
+        rc = main(["build", points_csv, "--out", str(out), "--epsilon", "0.5", "--const-C", "0.5"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("usage error:") and "TE_SEED" in err
+        assert not out.exists()

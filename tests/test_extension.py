@@ -100,24 +100,6 @@ class TestSolveExtension:
         with pytest.raises(DimensionMismatch):
             solve_extension((1.0, 2.0, 3.0), E)
 
-    def test_diminishing_step_rule(self):
-        rng = np.random.default_rng(44)
-        E = random_embedder(rng, n=10, d=6, m=20, epsilon=1e-6,
-                            max_iters=3000, step_rule="diminishing")
-        u = rng.standard_normal(6)
-        sol = solve_extension(u, E)
-        assert np.linalg.norm(sol.u_prime) <= sol.radius + 1e-12
-        # must do no worse than the warm start
-        z0 = sol.radius * (E.Pi.entries @ (u - E.X.points[sol.anchor_index]))
-        z0 /= max(np.linalg.norm(z0), 1e-300)
-        others = np.arange(E.X.n) != sol.anchor_index
-        diff = E.X.points[others] - E.X.points[sol.anchor_index]
-        norms = np.linalg.norm(diff, axis=1)
-        W = (diff / norms[:, None]) @ E.Pi.entries.T
-        t = (diff / norms[:, None]) @ (u - E.X.points[sol.anchor_index])
-        start_resid = np.max(np.abs(W @ z0 - t)) / sol.radius
-        assert sol.residual <= start_resid + 1e-12
-
     def test_level_step_caps_fewer_tight_segment_solves(self):
         # A tight shape: n=600, d=256, eps=0.25, C=0.25 (m=52), 25 segment
         # queries; data, sketch and sampler seed 5. A Polyak step aimed at
@@ -133,6 +115,21 @@ class TestSolveExtension:
         assert sum(sol.iterations == E.solver.max_iters for sol in sols) < 2
         for u, sol in zip(Q, sols):
             assert (sol.anchor_index, sol.radius) == nearest(u, X)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "kw", [{"max_iters": 2.5}, {"max_iters": True}, {"tol": True}, {"tol": np.bool_(False)},
+               {"tol": "0.001"}],
+    )
+    def test_wrong_type_rejected(self, kw):
+        with pytest.raises(TypeError, match=next(iter(kw))):
+            SolverConfig(**kw)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = SolverConfig(max_iters=np.int64(5), tol=np.float32(0.5))
+        assert cfg == SolverConfig(5, 0.5)
+        assert SolverConfig(tol=0) == SolverConfig(tol=0.0)
 
 
 class TestLift:
@@ -447,10 +444,7 @@ def _materialized_solve(u, E):
         if denom <= 1e-300:
             break
         sign = 1.0 if r[a] >= 0.0 else -1.0
-        if cfg.step_rule == "diminishing":
-            step = sign * R / ((it + 1) * max(np.sqrt(denom), 1e-300))
-        else:
-            step = sign * (g - extension.LEVEL * E.epsilon * R) / denom
+        step = sign * (g - extension.LEVEL * E.epsilon * R) / denom
         z = z - step * W[a]
         nz = float(np.linalg.norm(z))
         if nz > R:
@@ -526,12 +520,6 @@ class TestFactoredSolver:
         pts = rng.standard_normal((20, 10))
         E = self.embedder(pts + 1e6, 6)
         self.assert_matches(E, 1e6 + 1.5 * rng.standard_normal((10, 10)))
-
-    def test_diminishing_step_rule(self):
-        rng = np.random.default_rng(23)
-        pts = rng.standard_normal((20, 8))
-        E = self.embedder(pts, 5, epsilon=1e-3, step_rule="diminishing")
-        self.assert_matches(E, rng.standard_normal((8, 8)))
 
     def test_two_points_and_terminal_queries(self):
         rng = np.random.default_rng(24)
