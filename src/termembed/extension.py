@@ -34,6 +34,21 @@ epsilon * R, but its optimum sits well above 0 (near 0.2 R on tight
 sketches), so a step aimed at 0 overshoots every time and the iterates
 zigzag instead of settling below the target.
 
+The solve also certifies itself. By minimax duality (Narayanan-Nelson,
+arXiv 1810.09250) the best worst residual equals the maximum over mu in the
+l1 unit ball of phi(mu) = -R ||W^T mu|| - t^T mu, for constraint rows W and
+targets t, so every mu bounds it from below. A solve that has not met its
+target after FW_AFTER iterations runs Frank-Wolfe on phi beside the loop
+(_frank_wolfe); once the bound exceeds the target and the loop's best point
+is within GAP_TOL * R of it, the solve stops as certified infeasible instead
+of running to max_iters. The bound also sharpens the loop: a lower bound
+above LEVEL * epsilon * R is a better estimate of the optimum, so the step
+aims at it instead. Frank-Wolfe stays the bound's solver: as a primal solver
+its recovered points (each on the sphere ||z|| = R) trail the loop's, and
+are kept only when they beat it. Where the optimum lies inside the ball
+(small m), the dual's maximizer has W^T mu = 0, where phi has no gradient,
+and Frank-Wolfe can stall below it; such a solve runs on to max_iters.
+
 Every row's anchor (k, R) comes from geometry: embed_batch finds all of
 them with one blocked screen (nearest_batch) after checking the batch, and a
 single query goes through geometry.nearest, which rejects a query of the
@@ -42,6 +57,7 @@ wrong width (DimensionMismatch) or with a non-finite coordinate
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -62,14 +78,29 @@ _TINY = 1e-300
 _CANCEL = 1e-2
 
 # Keys of the per-query diagnostics record every embed_batch returns.
-RECORD_KEYS = ("residual", "iterations", "anchor_index", "converged")
+RECORD_KEYS = ("residual", "iterations", "anchor_index", "converged", "lower_bound", "status")
+# How a solve ended: its target met; the target proven out of reach, with the
+# returned point within GAP_TOL * R of the optimum; or max_iters ran out first.
+STATUSES = ("feasible", "infeasible", "undecided")
 
-# The solver steps toward the level LEVEL * epsilon * R, not toward 0.
-# LEVEL must stay below 1: the loop runs only while the worst residual g
-# exceeds epsilon * R * (1 + tol), so g - level stays positive and no step
-# points the wrong way; at LEVEL >= 1 a step just above the target would
-# vanish or reverse.
+# The solver steps toward the level LEVEL * epsilon * R, not toward 0, or
+# toward the dual lower bound lb once that is higher. LEVEL must stay below
+# 1: the loop runs only while the worst residual g exceeds
+# epsilon * R * (1 + tol), so g - level stays positive and no step points
+# the wrong way; at LEVEL >= 1 a step just above the target would vanish or
+# reverse. g >= lb always, and a solve with g - lb within rounding of 0 has
+# stopped on the certificate before it steps.
 LEVEL = 0.8
+
+# The dual bound starts once the loop has run FW_AFTER iterations without
+# meeting its target, so every solve that ends sooner (nearly all of them)
+# costs and returns exactly what the loop alone gives. From then on each
+# iteration adds one Frank-Wolfe step, one more residual evaluation.
+FW_AFTER = 16
+# A solve whose dual bound lb exceeds the target stops as infeasible once its
+# best worst residual g is within GAP_TOL * R of lb: the returned point is then
+# within GAP_TOL * R of the best any point in the ball can do.
+GAP_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -101,6 +132,13 @@ class ExtensionSolution:
     normalized by radius: the solver's own evaluation of that point, so it
     can be trusted even when converged is False (the lift is still valid,
     the distortion bound just degrades to the residual level).
+
+    lower_bound is a certified lower bound on the best residual any point of
+    the ball reaches, normalized by radius, with 0 <= lower_bound <= residual.
+    It is None when the solve computed no bound (it met its target before
+    the dual started), and 0.0 for a trivial solve (R = 0 or one terminal).
+    status is one of STATUSES; it is "feasible" exactly when converged is
+    True, else ValueError.
     """
 
     u_prime: np.ndarray  # (m,)
@@ -109,8 +147,12 @@ class ExtensionSolution:
     iterations: int
     anchor_index: int
     converged: bool
+    lower_bound: float | None = None
+    status: str = "feasible"
 
     def __post_init__(self):
+        if self.status not in STATUSES or (self.status == "feasible") != self.converged:
+            raise ValueError(f"status {self.status!r} with converged={self.converged!r}")
         self.u_prime.setflags(write=False)
 
 
@@ -164,8 +206,8 @@ class OuterExtension:
     @staticmethod
     def _solver_free(image: np.ndarray, k: int) -> tuple[np.ndarray, dict]:
         """(image, record) of a map with no solve: residual 0, 0 iterations,
-        anchor k, converged."""
-        return image, dict(zip(RECORD_KEYS, (0.0, 0, k, True)))
+        anchor k, converged, lower bound 0, feasible."""
+        return image, dict(zip(RECORD_KEYS, (0.0, 0, k, True, 0.0, "feasible")))
 
 
 @dataclass(frozen=True)
@@ -216,7 +258,8 @@ def build_embedder(
 
 
 def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
-    """Projected-subgradient feasibility solve for one query.
+    """Projected-subgradient feasibility solve for one query, with a dual
+    certificate.
 
     With anchor k = nearest terminal and R = ||u - x_k|| (anchor = (k, R) as
     geometry.nearest(u, E.X) gives it, which is called when anchor is None),
@@ -226,24 +269,35 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
       * start at z0 = R * Pi(u - x_k) / max(||Pi(u - x_k)||, 1e-300), the
         minimax witness direction, which is typically near-feasible
       * Polyak step, the one step rule, on the active constraint a toward
-        the level l = LEVEL * epsilon * R, not toward 0 (the optimum sits
-        well above 0; see the module docstring): step (g - l)/||w_a||^2,
-        with g the current residual and w_a row a of the constraint matrix,
-        then radial projection back onto the ball
-      * track the best iterate; stop once its residual is within
-        epsilon * R * (1 + tol) or max_iters is exhausted
+        the level l = max(LEVEL * epsilon * R, lb), not toward 0 (the
+        optimum sits well above 0; see the module docstring): step
+        (g - l)/||w_a||^2, with g the current residual and w_a row a of the
+        constraint matrix, then radial projection back onto the ball
+      * from iteration FW_AFTER on, one Frank-Wolfe step on the dual as well
+        (_frank_wolfe): it raises the lower bound lb (until then -inf) and
+        offers its own primal point, kept when it beats the best iterate
+      * track the best iterate g*; stop with status "feasible" once
+        g* <= epsilon * R * (1 + tol), "infeasible" once lb exceeds that
+        target and g* - lb <= GAP_TOL * R, or "undecided" when max_iters
+        runs out first. An active constraint with a null row is fixed at
+        |t_a| whatever z is; that value is then the optimum and lb, and the
+        solve stops there under the same rules.
 
     Degenerate cases short-circuit: R = 0 (u is a terminal) and n = 1 (no
-    constraints) both return z = 0 with residual 0.
+    constraints) both return z = 0 with residual 0 and lower bound 0.
 
     Cost per query: two matvecs over X (the Gram direction norms, the
     targets), an exact distance recompute of the rows the cancellation guard
     sends to the direct formula, and one matvec over Pi X per residual
-    evaluation (warm start, each iteration). The anchor search costs one
-    matvec over X plus an exact recompute of its candidates (usually one
-    row) when solve_extension finds it; embed_batch finds every row's anchor
-    up front with a blocked GEMM screen instead. No (n-1) x d or (n-1) x m
-    temporary is built, except for the guarded rows.
+    evaluation (warm start, each iteration, and each Frank-Wolfe step after
+    FW_AFTER iterations, so two per iteration there, until Frank-Wolfe
+    reaches a fixed point). A solve that reaches the dual also takes two
+    O(n m) passes over Pi X (Gram row norms) to pick its starting vertex;
+    the dual holds O(m) state. The anchor search costs one matvec over X
+    plus an exact recompute of its candidates (usually one row) when
+    solve_extension finds it; embed_batch finds every row's anchor up front
+    with a blocked GEMM screen instead. No (n-1) x d or (n-1) x m temporary
+    is built, except for the guarded rows.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     X = E.X
@@ -257,6 +311,7 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
             iterations=0,
             anchor_index=k,
             converged=True,
+            lower_bound=0.0,
         )
 
     # Constraint system in unit directions v_i = (x_i - x_k)/||x_i - x_k||,
@@ -290,6 +345,20 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
         r[k] = 0.0
         return r
 
+    def row(i):
+        return (PX[i] - PX_k) / norms[i]
+
+    def vertex():
+        """Row maximizing the dual at a vertex, |t_j| - R ||w_j||. Row norms
+        come from the Gram identity over Pi X, the guarded rows' from W_close;
+        row k is the dummy."""
+        sq = np.einsum("ij,ij->i", PX, PX) - 2.0 * (PX @ PX_k) + float(PX_k @ PX_k)
+        w_sq = np.maximum(sq, 0.0) / (norms * norms)
+        w_sq[close] = np.einsum("ij,ij->i", W_close, W_close)
+        score = np.abs(t) - R * np.sqrt(w_sq)
+        score[k] = -math.inf
+        return int(score.argmax())
+
     pip = E.Pi.entries @ P
     z = R * pip / max(float(np.linalg.norm(pip)), _TINY)
     nz = float(np.linalg.norm(z))
@@ -299,21 +368,25 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
     cfg = E.solver
     target = E.epsilon * R * (1.0 + cfg.tol)
     level = LEVEL * E.epsilon * R
+    gap = GAP_TOL * R
 
     r = residual(z)
     abs_r = np.abs(r)
     g = float(abs_r.max())
     best_z = z.copy()
     best_g = g
+    lb = -math.inf  # best lower bound on the optimal g so far
+    dual = None
     it = 0
     while best_g > target and it < cfg.max_iters:
         a = int(abs_r.argmax())
-        w_a = (PX[a] - PX_k) / norms[a]
+        w_a = row(a)
         denom = float(w_a @ w_a)
         if denom <= _TINY:
-            break  # active constraint has a null direction; cannot improve it
+            lb = max(lb, abs(float(t[a])))  # a null row fixes constraint a at |t_a|
+            break
         sign = 1.0 if r[a] >= 0.0 else -1.0
-        step = sign * (g - level) / denom
+        step = sign * (g - max(level, lb)) / denom
         z = z - step * w_a
         nz = math.sqrt(float(z @ z))  # == np.linalg.norm(z), without its overhead
         if nz > R:
@@ -325,7 +398,23 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
             best_g = g
             best_z = z.copy()
         it += 1
+        if best_g > target and it >= FW_AFTER:
+            if dual is None:
+                dual = _frank_wolfe(residual, row, t, vertex(), R)
+            phi, z_fw, g_fw = next(dual)
+            lb = max(lb, phi)
+            if g_fw < best_g:
+                best_g = g_fw
+                best_z = z_fw
+            if lb > target and best_g - lb <= gap:
+                break
 
+    if best_g <= target:
+        status = "feasible"
+    elif lb > target and best_g - lb <= gap:
+        status = "infeasible"
+    else:
+        status = "undecided"
     return ExtensionSolution(
         u_prime=best_z,
         radius=R,
@@ -333,7 +422,59 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
         iterations=it,
         anchor_index=k,
         converged=best_g <= target,
+        # Both 0 and best_g bound the optimum; a bound beyond them is rounding.
+        lower_bound=None if lb == -math.inf else min(max(0.0, lb), best_g) / R,
+        status=status,
     )
+
+
+def _frank_wolfe(residual, row, t, j, R):
+    """Frank-Wolfe ascent on the dual phi(mu) = -R ||a|| - c over the l1 unit
+    ball, a = W^T mu and c = t^T mu, from the vertex -sign(t_j) e_j.
+
+    Only a (m,) and c are kept. At z = -R a / ||a|| (0 when a = 0, scaled
+    into the ball), residual(z) is the gradient of phi at mu, and its largest
+    magnitude is both the worst residual of z and the Frank-Wolfe upper bound
+    on max phi. Each next() yields (phi(mu), z, max |residual(z)|) and then,
+    on the following next(), moves mu toward the vertex sign(r_i) e_i of the
+    largest |r_i| by the exact line search: minimizing R ||a + s d|| + s delta
+    over s in [0, 1] is a quadratic in s. A step of length 0 leaves mu a fixed
+    point, so from then on the last item repeats without another residual.
+    """
+    sign = -1.0 if t[j] >= 0.0 else 1.0
+    a = sign * row(j)
+    c = sign * float(t[j])
+    while True:
+        norm_a = math.sqrt(float(a @ a))
+        z = a * (-R / norm_a) if norm_a > 0.0 else np.zeros_like(a)
+        nz = math.sqrt(float(z @ z))
+        if nz > R:
+            z *= R / nz
+        r = residual(z)
+        abs_r = np.abs(r)
+        i = int(abs_r.argmax())
+        item = (-R * norm_a - c, z, float(abs_r[i]))
+        yield item
+        sign = 1.0 if r[i] >= 0.0 else -1.0
+        d = sign * row(i) - a
+        delta = sign * float(t[i]) - c
+        s = _line_search(norm_a * norm_a, float(a @ d), float(d @ d), delta, R)
+        if s == 0.0:
+            yield from itertools.repeat(item)
+        a = a + s * d
+        c = c + s * delta
+
+
+def _line_search(aa, ad, dd, delta, R):
+    """argmin over s in [0, 1] of h(s) = R ||a + s d|| + s delta, given
+    aa = ||a||^2, ad = <a, d>, dd = ||d||^2. h is convex; where |delta| >=
+    R ||d|| its slope never changes sign, else its stationary point solves
+    R (ad + s dd) = -delta ||a + s d||, squared a quadratic in s."""
+    q = R * R * dd - delta * delta
+    if q <= 0.0:
+        return 1.0 if delta < 0.0 else 0.0
+    s = (-ad - delta * math.sqrt(max(aa * dd - ad * ad, 0.0) / q)) / dd
+    return min(max(s, 0.0), 1.0)
 
 
 def lift(u, solution: ExtensionSolution, E: TerminalEmbedder) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chd import estimate_sampled
-from .extension import SolverConfig, build_embedder, exact_small_embedding
+from .extension import STATUSES, SolverConfig, build_embedder, exact_small_embedding
 from .geometry import (
     PointSet,
     _gram_overflows,
@@ -154,6 +154,7 @@ class DistortionReport:
     max_abs_ratio_dev: float
     distortion: float | None
     max_residual: float
+    status_counts: dict  # per-query solve statuses: feasible, infeasible, undecided
     max_anchor_rel_error: float
     samplers: dict
     config: dict = field(default_factory=dict)
@@ -181,6 +182,7 @@ class DistortionReport:
             "max_abs_ratio_dev": self.max_abs_ratio_dev,
             "distortion": self.distortion,
             "max_residual": self.max_residual,
+            "status_counts": self.status_counts,
             "max_anchor_rel_error": self.max_anchor_rel_error,
             "samplers": self.samplers,
         }
@@ -375,7 +377,11 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
 
     E is an extension.OuterExtension (the sketch-path embedder, the exact
     small-n embedding, or the snap-to-nearest baseline); max_residual is the
-    largest solver residual among its per-query records. distortion is
+    largest solver residual among its per-query records, and status_counts
+    counts their statuses (extension.STATUSES), so a max_residual certified
+    out of reach, a property of the sketch, reads apart from a solve that
+    ran out of iterations. The paths without a solve count every query
+    feasible. distortion is
     ratio_max / ratio_min, None (JSON null) when no pair is at positive
     distance or when some ratio is 0, as when a query's image coincides with
     a terminal's. Pairs are taken in (query, terminal) row-major order.
@@ -403,7 +409,7 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     instead, and every value is exact.
 
     Exact keys. query_count, pair_count, ratios.min, ratios.max, the
-    histogram, max_abs_ratio_dev, distortion, max_residual,
+    histogram, max_abs_ratio_dev, distortion, max_residual, status_counts,
     max_anchor_rel_error, and each sampler's count, min and max are
     bit-identical to those of the exact passes. ratios.mean and
     samplers.*.mean average the intervals' midpoints (the exact ratio where
@@ -468,6 +474,7 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
         max_abs_ratio_dev=max(abs(lo - 1.0), abs(hi - 1.0)) if ratio.size else 0.0,
         distortion=hi / lo if lo else None,
         max_residual=float(max((rec["residual"] for rec in per_query), default=0.0)),
+        status_counts={s: sum(rec["status"] == s for rec in per_query) for s in STATUSES},
         max_anchor_rel_error=table.anchor_error,
         samplers=samplers,
         config=dict(config_echo or {}),

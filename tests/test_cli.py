@@ -130,10 +130,13 @@ class TestQuery:
     def test_diagnostics_sidecar(self, tmp_path, bundle):
         qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(6).standard_normal((3, 12)))
         assert main(["query", str(bundle), qpath, str(tmp_path / "out.csv")]) == 0
-        diag = json.loads((tmp_path / "out.csv.diag.json").read_text())
+        text = (tmp_path / "out.csv.diag.json").read_text()
+        diag = json.loads(text, parse_constant=_reject_constant)
         assert diag["queries"] == 3
         for entry in diag["per_query"]:
-            assert {"residual", "iterations", "anchor_index", "converged"} <= set(entry)
+            assert set(entry) == {"residual", "iterations", "anchor_index", "converged",
+                                  "lower_bound", "status"}
+            assert entry["status"] in ("feasible", "infeasible", "undecided")
 
     def test_query_determinism(self, tmp_path, bundle):
         qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(7).standard_normal((3, 12)))
@@ -239,6 +242,7 @@ class TestVerifyAndEval:
         rep = json.loads(text, parse_constant=_reject_constant)
         assert rep["pair_count"] == 0 and rep["query_count"] == 0
         assert rep["distortion"] is None and rep["ratios"]["min"] is None
+        assert rep["status_counts"] == {"feasible": 0, "infeasible": 0, "undecided": 0}
 
     def test_eval_assert_on_undefined_statistic_exits_3(self, tmp_path, bundle, capsys):
         qpath = tmp_path / "empty.csv"

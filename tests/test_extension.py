@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termembed import (
     DimensionMismatch,
@@ -115,6 +117,132 @@ class TestSolveExtension:
         assert sum(sol.iterations == E.solver.max_iters for sol in sols) < 2
         for u, sol in zip(Q, sols):
             assert (sol.anchor_index, sol.radius) == nearest(u, X)
+
+
+def _constraints(u, E, k):
+    """Materialized rows W and targets t of the solve anchored at k."""
+    mask = np.arange(E.X.n) != k
+    diff = E.X.points[mask] - E.X.points[k]
+    norms = np.linalg.norm(diff, axis=1)
+    W = (E.embedded_X[mask] - E.embedded_X[k]) / norms[:, None]
+    return W, (diff / norms[:, None]) @ (np.asarray(u) - E.X.points[k])
+
+
+def _exact_optimum_m1(W, t, R):
+    """min over |z| <= R of max_i |w_i z - t_i| for m = 1: the objective is
+    convex and piecewise linear, so the minimum is at an end of [-R, R], a
+    root w_i z = t_i, or a crossing w_i z - t_i = +-(w_j z - t_j)."""
+    w, cand = W[:, 0], [-R, R]
+    for i in range(len(w)):
+        for j in range(len(w)):
+            for sgn in (1.0, -1.0):
+                den = w[i] - sgn * w[j]
+                if den != 0.0:
+                    cand.append((t[i] - sgn * t[j]) / den)
+    z = np.clip(np.array(cand), -R, R)
+    return float(np.min(np.max(np.abs(np.outer(z, w) - t), axis=1)))
+
+
+class TestDualCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 10),
+        d=st.integers(1, 5),
+        m=st.integers(1, 3),
+        epsilon=st.sampled_from([0.01, 0.05, 0.2]),
+        max_iters=st.integers(extension.FW_AFTER, 200),
+    )
+    def test_lower_bound_below_every_point(self, seed, n, d, m, epsilon, max_iters):
+        rng = np.random.default_rng(seed)
+        X = build_point_set(rng.standard_normal((n, d)))
+        pi = generate_sketch(m, d, "gaussian", seed)
+        E = build_embedder(X, pi, epsilon, SolverConfig(max_iters=max_iters))
+        u = 2.0 * rng.standard_normal(d)
+        sol = solve_extension(u, E)
+        assert sol.status in extension.STATUSES
+        assert (sol.status == "feasible") == sol.converged
+        if sol.lower_bound is None:
+            assert sol.status != "infeasible"
+            return
+        assert 0.0 <= sol.lower_bound <= sol.residual
+        if sol.radius == 0.0:
+            return
+        # independent of the solver: no point of the ball beats the bound
+        R = sol.radius
+        W, t = _constraints(u, E, sol.anchor_index)
+        Z = rng.standard_normal((256, m))
+        Z *= R * rng.uniform(size=(256, 1)) ** (1.0 / m) / np.linalg.norm(Z, axis=1, keepdims=True)
+        tol = 1e-12 * (R + float(np.abs(t).max()))
+        assert sol.lower_bound * R <= np.min(np.max(np.abs(Z @ W.T - t), axis=1)) + tol
+        if m == 1:
+            assert sol.lower_bound * R <= _exact_optimum_m1(W, t, R) + tol
+        if sol.status == "infeasible":
+            assert sol.lower_bound > epsilon * (1.0 + E.solver.tol)
+            assert sol.residual - sol.lower_bound <= extension.GAP_TOL
+
+    def test_small_m_certified_infeasible_early(self):
+        # m=3 against 24 constraints at eps=0.02: no query reaches the target,
+        # and the certificate ends some solves long before max_iters. The
+        # others have their optimum inside the ball, where the dual stalls.
+        rng = np.random.default_rng(4)
+        E = random_embedder(rng, n=25, d=8, m=3, epsilon=0.02, max_iters=1000)
+        sols = [solve_extension(u, E) for u in 2.0 * rng.standard_normal((20, 8))]
+        infeasible = [sol for sol in sols if sol.status == "infeasible"]
+        assert len(infeasible) >= 2
+        for sol in infeasible:
+            assert sol.iterations < E.solver.max_iters and not sol.converged
+            assert sol.lower_bound > E.epsilon * (1.0 + E.solver.tol)
+            assert sol.residual - sol.lower_bound <= extension.GAP_TOL
+        for sol in sols:
+            assert sol.status == "infeasible" or sol.iterations == E.solver.max_iters
+
+    def test_dual_points_stay_in_the_ball(self, monkeypatch):
+        # Frank-Wolfe's recovered points are kept when they beat the loop's;
+        # they lie on the sphere ||z|| = R, and the lift keeps the anchor
+        # distance exact.
+        recovered = []
+        frank_wolfe = extension._frank_wolfe
+
+        def spy(*args):
+            for item in frank_wolfe(*args):
+                recovered.append(item[1])
+                yield item
+
+        monkeypatch.setattr(extension, "_frank_wolfe", spy)
+        rng = np.random.default_rng(3)
+        E = random_embedder(rng, n=40, d=16, m=2, epsilon=0.05, max_iters=1000)
+        kept = 0
+        for u in 2.0 * rng.standard_normal((20, 16)):
+            recovered.clear()
+            f, sol = E.embed_with_info(u)
+            if not any(np.array_equal(sol.u_prime, z) for z in recovered):
+                continue
+            kept += 1
+            R = sol.radius
+            assert np.linalg.norm(sol.u_prime) <= R * (1.0 + 4 * np.finfo(float).eps)
+            d_emb = np.linalg.norm(f - E.terminal_images[sol.anchor_index])
+            assert abs(d_emb - R) <= 1e-12 * max(1.0, R)
+        assert kept >= 1
+
+    def test_null_row_fixes_the_bound(self):
+        # Pi kills the direction of x_1 - x_0, so the constraint along it
+        # stays at |t_1| = 0.3 = R whatever u' is: the optimum is 1.0.
+        X = build_point_set([(0.0, 0.0), (1.0, 0.0), (0.0, 5.0)])
+        pi = SketchMatrix(entries=np.array([[0.0, 1.0]]), distribution="gaussian", seed=0)
+        E = build_embedder(X, pi, 0.25)
+        sol = solve_extension((0.3, 0.0), E)
+        assert (sol.anchor_index, sol.radius) == (0, 0.3)
+        assert sol.lower_bound == 1.0 and sol.residual == 1.0
+        assert sol.status == "infeasible" and not sol.converged and sol.iterations == 0
+
+    def test_record_carries_the_certificate(self):
+        with pytest.raises(ValueError, match="status"):
+            ExtensionSolution(np.zeros(2), 1.0, 0.5, 3, 0, False)
+        with pytest.raises(ValueError, match="status"):
+            ExtensionSolution(np.zeros(2), 1.0, 0.0, 3, 0, True, None, "infeasible")
+        with pytest.raises(ValueError, match="status"):
+            ExtensionSolution(np.zeros(2), 1.0, 0.5, 3, 0, False, None, "capped")
 
 
 class TestSolverConfig:
@@ -353,6 +481,8 @@ class TestEmbedBatch:
                     "iterations": sol.iterations,
                     "anchor_index": sol.anchor_index,
                     "converged": sol.converged,
+                    "lower_bound": sol.lower_bound,
+                    "status": sol.status,
                 }
             else:
                 expected = {
@@ -360,6 +490,8 @@ class TestEmbedBatch:
                     "iterations": 0,
                     "anchor_index": nearest_point(u, E.X),
                     "converged": True,
+                    "lower_bound": 0.0,
+                    "status": "feasible",
                 }
             assert rec == expected
             assert type(rec["anchor_index"]) is int
@@ -411,15 +543,15 @@ def test_non_finite_query_raises_in_every_per_query_function(bad):
 
 def _materialized_solve(u, E):
     """The solver as it was with the (n-1) x d direction matrix V and the
-    (n-1) x m matrix W built explicitly per query: the reference the
-    factored solve_extension is held to."""
+    (n-1) x m matrix W built explicitly per query, with its Frank-Wolfe dual
+    on that W and t: the reference the factored solve_extension is held to."""
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     X = E.X
     dists = np.sqrt(np.einsum("ij,ij->i", X.points - u, X.points - u))
     k = int(np.argmin(dists))
     R = float(dists[k])
     if R == 0.0 or X.n == 1:
-        return ExtensionSolution(np.zeros(E.m), R, 0.0, 0, k, True)
+        return ExtensionSolution(np.zeros(E.m), R, 0.0, 0, k, True, 0.0, "feasible")
     mask = np.arange(X.n) != k
     diff = X.points[mask] - X.points[k]
     norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -435,16 +567,19 @@ def _materialized_solve(u, E):
         z *= R / nz
     cfg = E.solver
     target = E.epsilon * R * (1.0 + cfg.tol)
+    gap = extension.GAP_TOL * R
     r = W @ z - t
     g = float(np.max(np.abs(r)))
     best_z, best_g, it = z.copy(), g, 0
+    lb, fw = -math.inf, None  # fw = [W^T mu, t^T mu] once the dual starts
     while best_g > target and it < cfg.max_iters:
         a = int(np.argmax(np.abs(r)))
         denom = row_sq[a]
         if denom <= 1e-300:
+            lb = max(lb, abs(t[a]))
             break
         sign = 1.0 if r[a] >= 0.0 else -1.0
-        step = sign * (g - extension.LEVEL * E.epsilon * R) / denom
+        step = sign * (g - max(extension.LEVEL * E.epsilon * R, lb)) / denom
         z = z - step * W[a]
         nz = float(np.linalg.norm(z))
         if nz > R:
@@ -454,8 +589,43 @@ def _materialized_solve(u, E):
         if g < best_g:
             best_g, best_z = g, z.copy()
         it += 1
+        if best_g <= target or it < extension.FW_AFTER:
+            continue
+        if fw is None:
+            j = int(np.argmax(np.abs(t) - R * np.sqrt(row_sq)))
+            fw = [-np.sign(t[j]) * W[j], -abs(t[j])]
+        fa, fc = fw
+        norm_a = float(np.linalg.norm(fa))
+        lb = max(lb, -R * norm_a - fc)
+        z_fw = -R * fa / norm_a if norm_a > 0.0 else np.zeros(E.m)
+        nz = float(np.linalg.norm(z_fw))
+        if nz > R:
+            z_fw *= R / nz
+        grad = W @ z_fw - t
+        i = int(np.argmax(np.abs(grad)))
+        if abs(grad[i]) < best_g:
+            best_g, best_z = float(abs(grad[i])), z_fw
+        if lb > target and best_g - lb <= gap:
+            break
+        # exact line search of R ||fa + s d|| + s delta over s in [0, 1]
+        d = np.sign(grad[i]) * W[i] - fa
+        delta = np.sign(grad[i]) * t[i] - fc
+        aa, ad, dd = fa @ fa, fa @ d, d @ d
+        q = R * R * dd - delta * delta
+        if q <= 0.0:
+            s = 1.0 if delta < 0.0 else 0.0
+        else:
+            s = min(max((-ad - delta * np.sqrt(max(aa * dd - ad * ad, 0.0) / q)) / dd, 0.0), 1.0)
+        fw = [fa + s * d, fc + s * delta]
     final = float(np.max(np.abs(W @ best_z - t)))
-    return ExtensionSolution(best_z, R, final / R, it, k, final <= target)
+    if final <= target:
+        status = "feasible"
+    elif lb > target and final - lb <= gap:
+        status = "infeasible"
+    else:
+        status = "undecided"
+    lower = None if lb == -math.inf else min(max(0.0, lb), final) / R
+    return ExtensionSolution(best_z, R, final / R, it, k, final <= target, lower, status)
 
 
 def _shell_queries(rng, pts, count, rel):
@@ -486,6 +656,11 @@ class TestFactoredSolver:
             assert new.radius == ref.radius
             assert new.iterations == ref.iterations
             assert new.converged == ref.converged
+            assert new.status == ref.status
+            if ref.lower_bound is None:
+                assert new.lower_bound is None
+            else:
+                assert abs(new.lower_bound - ref.lower_bound) <= 1e-12
             gap = np.max(np.abs(new.u_prime - ref.u_prime), initial=0.0)
             assert gap <= 1e-12 * max(1.0, ref.radius)
             assert abs(new.residual - ref.residual) <= 1e-12

@@ -265,6 +265,10 @@ def _loop_evaluate(E, queries, labels=None, keep_raw=False):
         max_abs_ratio_dev=float(np.max(np.abs(allr - 1.0))),
         distortion=hi / lo if lo else None,
         max_residual=float(max((rec["residual"] for rec in per_query), default=0.0)),
+        status_counts={
+            status: sum(1 for rec in per_query if rec["status"] == status)
+            for status in ("feasible", "infeasible", "undecided")
+        },
         max_anchor_rel_error=float(max_anchor_err),
         samplers={
             lab: {
@@ -429,6 +433,17 @@ class TestEvaluate:
         worst = max(E.embed_with_info(u)[1].residual for u in q)
         assert worst > 0.0 and rep.max_residual == worst
         assert evaluate(exact_small_embedding(X), q, labels).max_residual == 0.0
+
+    def test_status_counts_sum_to_query_count(self, X):
+        # m=2 at eps=0.01: the three statuses all occur (4, 10 and 18 of 32)
+        E = build_embedder(X, generate_sketch(2, 5, "rademacher", 12), 0.01, SolverConfig(max_iters=200))
+        q, labels = sample_suite(X, 4, seed=9)
+        counts = evaluate(E, q, labels).status_counts
+        statuses = [E.embed_with_info(u)[1].status for u in q]
+        assert counts == {s: statuses.count(s) for s in ("feasible", "infeasible", "undecided")}
+        assert sum(counts.values()) == len(q) and min(counts.values()) > 0
+        exact = evaluate(exact_small_embedding(X), q, labels).status_counts
+        assert exact == {"feasible": len(q), "infeasible": 0, "undecided": 0}
 
     def test_ratios_finite_and_positive(self, X):
         pi = generate_sketch(24, 5, "rademacher", 12)
@@ -652,8 +667,9 @@ class TestEvaluateScreen:
         X = build_point_set([[0.0], [10.0]])
         queries = np.array([[4.0], [-2.0], [14.0]])
         images = np.array([[2.0], [-5.0], [14.0]])
+        record = {"residual": 0.0, "status": "feasible"}
         E = SimpleNamespace(
-            X=X, terminal_images=X.points, embed_batch=lambda Q: (images, [{"residual": 0.0}] * len(Q))
+            X=X, terminal_images=X.points, embed_batch=lambda Q: (images, [record] * len(Q))
         )
         recomputed = []
         pair_distances = harness._pair_distances
