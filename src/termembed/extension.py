@@ -286,10 +286,11 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
     Degenerate cases short-circuit: R = 0 (u is a terminal) and n = 1 (no
     constraints) both return z = 0 with residual 0 and lower bound 0.
 
-    Cost per query: two matvecs over X (the Gram direction norms, the
-    targets), an exact distance recompute of the rows the cancellation guard
-    sends to the direct formula, and one matvec over Pi X per residual
-    evaluation (warm start, each iteration, and each Frank-Wolfe step after
+    Cost per query: one n x 2 product over X, a single pass that gives both
+    the Gram direction norms and the targets; exact distances and guarded
+    constraint rows only for the rows the cancellation guard sends to the
+    direct formula (none on well-spread data); and one matvec over Pi X per
+    residual evaluation (warm start, each iteration, and each Frank-Wolfe step after
     FW_AFTER iterations, so two per iteration there, until Frank-Wolfe
     reaches a fixed point). A solve that reaches the dual also takes two
     O(n m) passes over Pi X (Gram row norms) to pick its starting vertex;
@@ -323,17 +324,21 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
     pts, PX = X.points, E.embedded_X
     x_k, PX_k = pts[k], PX[k]
     P = u - x_k
-    sq_dist = X.sq_norms - 2.0 * (pts @ x_k) + X.sq_norms[k]
+    # One pass over X for both <x_i, x_k> and <x_i, P>: an n x 2 product
+    # reads X once where two matvecs read it twice.
+    dots = pts @ np.column_stack([x_k, P])
+    sq_dist = X.sq_norms - 2.0 * dots[:, 0] + X.sq_norms[k]
     close = np.flatnonzero(~(sq_dist >= _CANCEL * (X.norms + X.norms[k]) ** 2))
     close = close[close != k]
-    sq_dist[close] = 1.0
     sq_dist[k] = 1.0
+    if close.size:
+        sq_dist[close] = 1.0
     norms = np.sqrt(sq_dist)
+    t = (dots[:, 1] - x_k @ P) / norms
     if close.size:
         norms[close] = distances_to(x_k, X, close)
-    t = (pts @ P - x_k @ P) / norms
-    W_close = (PX[close] - PX_k) / norms[close, None]
-    t[close] = ((pts[close] - x_k) / norms[close, None]) @ P
+        W_close = (PX[close] - PX_k) / norms[close, None]
+        t[close] = ((pts[close] - x_k) / norms[close, None]) @ P
 
     def residual(z):
         r = PX @ z
@@ -354,14 +359,16 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
         row k is the dummy."""
         sq = np.einsum("ij,ij->i", PX, PX) - 2.0 * (PX @ PX_k) + float(PX_k @ PX_k)
         w_sq = np.maximum(sq, 0.0) / (norms * norms)
-        w_sq[close] = np.einsum("ij,ij->i", W_close, W_close)
+        if close.size:
+            w_sq[close] = np.einsum("ij,ij->i", W_close, W_close)
         score = np.abs(t) - R * np.sqrt(w_sq)
         score[k] = -math.inf
         return int(score.argmax())
 
     pip = E.Pi.entries @ P
-    z = R * pip / max(float(np.linalg.norm(pip)), _TINY)
-    nz = float(np.linalg.norm(z))
+    # math.sqrt(v @ v) is what np.linalg.norm(v) computes, without its overhead.
+    z = R * pip / max(math.sqrt(float(pip @ pip)), _TINY)
+    nz = math.sqrt(float(z @ z))
     if nz > R:
         z *= R / nz
 
@@ -372,14 +379,14 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
 
     r = residual(z)
     abs_r = np.abs(r)
-    g = float(abs_r.max())
+    a = int(abs_r.argmax())  # the active constraint; g is its |residual|
+    g = float(abs_r[a])
     best_z = z.copy()
     best_g = g
     lb = -math.inf  # best lower bound on the optimal g so far
     dual = None
     it = 0
     while best_g > target and it < cfg.max_iters:
-        a = int(abs_r.argmax())
         w_a = row(a)
         denom = float(w_a @ w_a)
         if denom <= _TINY:
@@ -388,12 +395,13 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
         sign = 1.0 if r[a] >= 0.0 else -1.0
         step = sign * (g - max(level, lb)) / denom
         z = z - step * w_a
-        nz = math.sqrt(float(z @ z))  # == np.linalg.norm(z), without its overhead
+        nz = math.sqrt(float(z @ z))
         if nz > R:
             z *= R / nz
         r = residual(z)
         abs_r = np.abs(r)
-        g = float(abs_r.max())
+        a = int(abs_r.argmax())
+        g = float(abs_r[a])
         if g < best_g:
             best_g = g
             best_z = z.copy()

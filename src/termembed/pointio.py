@@ -4,10 +4,20 @@ TEPT layout: 16-byte header = magic b"TEPT", u32 n, u32 d, u32 reserved(0),
 all little-endian, followed by n*d IEEE-754 doubles, row-major, little-endian.
 CSV floats are written with Python's shortest round-trip repr, so a
 write/read cycle is bit-exact in both formats.
+
+A CSV file is read by np.loadtxt, numpy's C parser. Its fields go through
+CPython's correctly rounded string-to-double routine, the one float() uses,
+so every file it reads gives the array float() would. The line parser
+(_read_csv_lines) defines what is accepted and how a bad file is reported
+(a FormatError naming path:line). np.loadtxt rejects some inputs the line
+parser accepts (whitespace-only lines, a 1_0 token) and names errors by row
+and column, so any file it rejects or finds no rows in is read again by the
+line parser, which returns its array or raises its FormatError.
 """
 from __future__ import annotations
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +64,24 @@ def write_points_csv(path, arr: np.ndarray) -> None:
 
 
 def read_points_csv(path) -> np.ndarray:
+    """(n, d) float64 rows of a CSV point file, (0, 0) when it holds none;
+    raises FormatError (path:line) on a bad token or a ragged row."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            arr = np.loadtxt(
+                path, delimiter=",", ndmin=2, comments=None, dtype=np.float64, encoding="utf-8"
+            )
+    except (ValueError, OSError):
+        arr = None
+    if arr is None or not arr.shape[0]:
+        return _read_csv_lines(path)
+    return arr
+
+
+def _read_csv_lines(path) -> np.ndarray:
+    """The reference CSV reader: one line at a time, blank and
+    whitespace-only lines skipped, tokens parsed by float()."""
     rows = []
     d = None
     with open(path, "r", encoding="utf-8") as fh:

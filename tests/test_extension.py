@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -724,6 +725,53 @@ class TestFactoredSolver:
         guarded = [i for i in range(4) if i != sol.anchor_index]
         assert seen == [("anchor", [(0, sol.anchor_index)]), ("guarded", guarded),
                         ("blocks", 1, 3)]
+
+    @staticmethod
+    def solve_locals(E, u):
+        """(solve_extension(u, E), the names bound in its frame when it
+        returns): a name the solve never assigned is absent."""
+        code, names = solve_extension.__code__, set()
+
+        def local(frame, event, arg):
+            if event == "return":
+                names.update(frame.f_locals)
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+        try:
+            sol = solve_extension(u, E)
+        finally:
+            sys.settrace(previous)
+        return sol, names
+
+    def test_unguarded_solve_skips_guarded_rows(self, monkeypatch):
+        # Gaussian data: no row in the cancellation zone, so no exact norms
+        # and no guarded constraint rows.
+        rng = np.random.default_rng(27)
+        E = self.embedder(rng.standard_normal((200, 16)), 5)
+        seen = _record_exact_work(monkeypatch)
+        sol, names = self.solve_locals(E, rng.standard_normal(16))
+        assert sol.radius > 0.0
+        assert seen == [("anchor", [(0, sol.anchor_index)])]
+        assert "W_close" not in names
+
+    @pytest.mark.parametrize("case", ["near_duplicates", "shifted"])
+    def test_guarded_solve_builds_guarded_rows(self, monkeypatch, case):
+        rng = np.random.default_rng(28)
+        pts = rng.standard_normal((30, 8))
+        if case == "near_duplicates":
+            pts[1:4] = pts[0] + 1e-9 * rng.standard_normal((3, 8))
+            u = pts[0] + 1e-3 * rng.standard_normal(8)
+        else:
+            pts += 1e8
+            u = pts[5] + 0.5 * rng.standard_normal(8)
+        E = self.embedder(pts, 5)
+        seen = _record_exact_work(monkeypatch)
+        sol, names = self.solve_locals(E, u)
+        assert sol.radius > 0.0
+        assert any(entry[0] == "guarded" for entry in seen)
+        assert "W_close" in names
 
 
 def test_efn_embed_batch_no_full_distance_pass(monkeypatch):

@@ -1,9 +1,12 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from termembed import FormatError
+from termembed import FormatError, pointio
 from termembed.pointio import (
     detect_format,
     read_points,
@@ -89,3 +92,77 @@ def test_read_points_dispatch(tmp_path, arr):
     write_points_csv(c, arr)
     write_points_bin(b, arr)
     assert np.array_equal(read_points(c), read_points(b))
+
+
+# Tokens the line parser accepts (float() strips surrounding whitespace and
+# takes underscores between digits) and tokens it rejects.
+_TOKENS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from([" 1.5 ", "+2e-3", "nan", "-inf", "1_0", "", "#c", '"1"']),
+)
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row", "row", "row", "ragged", "blank", "spaces"]))
+        if kind == "blank":
+            text = ""
+        elif kind == "spaces":
+            text = draw(st.sampled_from([" ", "\t", " \t  "]))
+        else:
+            cols = width if kind == "row" else draw(st.integers(1, 4))
+            text = ",".join(draw(st.lists(_TOKENS, min_size=cols, max_size=cols)))
+        lines.append(text + draw(_LINE_ENDS))
+    return "".join(lines)
+
+
+def _outcome(reader, path):
+    try:
+        arr = reader(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "array", arr.shape, arr.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_csv_texts())
+def test_csv_reader_matches_line_parser(tmp_path_factory, text):
+    # Same bits (NaN payloads and signed zeros included), or the same
+    # FormatError message, as the reference line parser.
+    path = tmp_path_factory.mktemp("csv") / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_points_csv, path) == _outcome(pointio._read_csv_lines, path)
+
+
+def test_well_formed_csv_skips_line_parser(tmp_path, arr, monkeypatch):
+    path = tmp_path / "p.csv"
+    write_points_csv(path, arr)
+
+    def refuse(path):
+        raise AssertionError("line parser called on a well-formed file")
+
+    monkeypatch.setattr(pointio, "_read_csv_lines", refuse)
+    assert np.array_equal(read_points_csv(path), arr)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "  \n\t\r\n", " "])
+def test_blank_csv_gives_zero_points_without_warning(tmp_path, text):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_points_csv(path).shape == (0, 0)
+
+
+def test_missing_csv_error_matches_line_parser(tmp_path):
+    # The CLI prints an OSError's text (exit 2): it must not change with the reader.
+    path = tmp_path / "missing.csv"
+    with pytest.raises(FileNotFoundError) as new:
+        read_points_csv(path)
+    with pytest.raises(FileNotFoundError) as ref:
+        pointio._read_csv_lines(path)
+    assert str(new.value) == str(ref.value)
