@@ -26,6 +26,7 @@ from . import harness, pointio
 from .chd import estimate_sampled
 from .errors import EmbeddingError, FormatError
 from .extension import (
+    TOL,
     EfnEmbedder,
     ExactEmbedding,
     SolverConfig,
@@ -73,10 +74,6 @@ def _resolve_seed(value) -> int:
         raise _UsageError(f"TE_SEED must be an integer, got {env!r}") from None
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(args.solver_iters, args.solver_tol)
-
-
 def _number(cast, lo):
     """argparse type: a finite cast(text) >= lo; anything else is a usage error."""
 
@@ -120,8 +117,6 @@ def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
                    help="sketch entry distribution")
     p.add_argument("--solver-iters", type=_number(int, 0), default=5000,
                    help="feasibility solver iteration cap")
-    p.add_argument("--solver-tol", type=_number(float, 0.0), default=1e-3,
-                   help="relative slack on the eps*R residual target")
     p.add_argument("--format", dest="fmt", choices=["csv", "bin"], default=None,
                    help="override point-file format detection")
 
@@ -224,11 +219,12 @@ def load_bundle(bundle_dir):
     seed must be a JSON integer and epsilon a number. The "solver" object,
     which every bundle stores and a sketch bundle's embedder runs, must hold
     exactly the SolverConfig fields that _save_bundle wrote from it, with
-    values SolverConfig accepts (max_iters an integer, tol a number). A
-    "step_rule", which bundles written while the solver had two step rules
-    also store, is dropped when it is "polyak" (the one step left); any
-    other value is a FormatError naming it, since loading it as that step
-    would change the algorithm. The mode must be "sketch" or
+    values SolverConfig accepts (max_iters an integer). Two retired keys
+    that older bundles store are dropped when they hold the value the solver
+    now fixes: "step_rule" when it is "polyak" (the one step left) and "tol"
+    when it equals extension.TOL (the target's slack). Any other value of
+    either is a FormatError naming it, since loading it would change the
+    algorithm. The mode must be "sketch" or
     "exact_small", and m_plan a JSON integer, equal to the m of sketch.json
     on a sketch bundle. An exact bundle's basis.bin must have d columns."""
     bundle_dir = Path(bundle_dir)
@@ -252,9 +248,10 @@ def load_bundle(bundle_dir):
             raise ValueError(f"unknown mode {meta['mode']!r}; expected 'sketch' or 'exact_small'")
         m_plan = _typed(meta, "m_plan", (int,))  # reported by verify-chd
         s = {**meta["solver"]}  # a copy: meta is echoed into reports
-        rule = s.pop("step_rule", "polyak")
-        if rule != "polyak":
-            raise ValueError(f"retired solver step_rule {rule!r}; only 'polyak' loads")
+        for key, fixed in (("step_rule", "polyak"), ("tol", TOL)):
+            value = s.pop(key, fixed)
+            if value != fixed:
+                raise ValueError(f"retired solver {key} {value!r}; only {fixed!r} loads")
         if set(s) != {f.name for f in fields(SolverConfig)}:
             raise KeyError(f"solver keys {sorted(s)}")
         solver = SolverConfig(**s)
@@ -281,7 +278,7 @@ def load_bundle(bundle_dir):
 
 
 def _cmd_build(args) -> int:
-    seed, solver = _resolve_seed(args.seed), _solver_config(args)
+    seed, solver = _resolve_seed(args.seed), SolverConfig(args.solver_iters)
     fmt = pointio.detect_format(args.points, args.fmt)
     X = build_point_set(pointio.read_points(args.points, fmt))
     plan = plan_dimension(X.n, args.epsilon, args.const_c, X.d)
@@ -394,7 +391,7 @@ def _cmd_scaling(args) -> int:
         distribution=args.dist,
         queries_per_mode=args.queries_per_mode,
         chd_samples=args.chd_samples,
-        solver=_solver_config(args),
+        solver=SolverConfig(args.solver_iters),
     )
     if args.out and args.out.endswith(".json"):
         _dump_json(rows, args.out)

@@ -49,11 +49,14 @@ are kept only when they beat it. Where the optimum lies inside the ball
 (small m), the dual's maximizer has W^T mu = 0, where phi has no gradient,
 and Frank-Wolfe can stall below it; such a solve runs on to max_iters.
 
-Every row's anchor (k, R) comes from geometry: embed_batch finds all of
-them with one blocked screen (nearest_batch) after checking the batch, and a
-single query goes through geometry.nearest, which rejects a query of the
-wrong width (DimensionMismatch) or with a non-finite coordinate
-(NonFinitePoint).
+A solve meets its target when its worst residual is at most
+epsilon * R * (1 + TOL); its status (STATUSES) is the one stored outcome, and
+converged reads it.
+
+Every row's anchor (k, R) comes from geometry.nearest_batch, one blocked
+screen per batch (a single query goes through geometry.nearest, its one-row
+call), which also holds the query checks: a query of the wrong width raises
+DimensionMismatch, one with a non-finite coordinate NonFinitePoint.
 """
 from __future__ import annotations
 
@@ -65,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinitePoint
+from .errors import DimensionMismatch
 from .geometry import PointSet, distances_to, nearest, nearest_batch
 from .sketch import SketchMatrix, sketch_points
 
@@ -86,7 +89,7 @@ STATUSES = ("feasible", "infeasible", "undecided")
 # The solver steps toward the level LEVEL * epsilon * R, not toward 0, or
 # toward the dual lower bound lb once that is higher. LEVEL must stay below
 # 1: the loop runs only while the worst residual g exceeds
-# epsilon * R * (1 + tol), so g - level stays positive and no step points
+# epsilon * R * (1 + TOL), so g - level stays positive and no step points
 # the wrong way; at LEVEL >= 1 a step just above the target would vanish or
 # reverse. g >= lb always, and a solve with g - lb within rounding of 0 has
 # stopped on the certificate before it steps.
@@ -101,27 +104,25 @@ FW_AFTER = 16
 # best worst residual g is within GAP_TOL * R of lb: the returned point is then
 # within GAP_TOL * R of the best any point in the ball can do.
 GAP_TOL = 0.02
+# The target's relative slack: a solve is feasible once its worst residual is
+# at most epsilon * R * (1 + TOL). The slack absorbs rounding at epsilon * R,
+# so a residual that meets the target up to a few ulps is not chased further.
+TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of the feasibility solve. max_iters must be an integral
-    number and tol a real one, neither a bool (numpy scalars pass), else
-    TypeError; a negative max_iters, or a tol that is negative or not
-    finite, raises ValueError."""
+    number, not a bool (numpy integers pass), else TypeError; a negative one
+    raises ValueError."""
 
     max_iters: int = 5000
-    tol: float = 1e-3  # relative slack on the epsilon * R residual target
 
     def __post_init__(self):
-        for name, kind in (("max_iters", numbers.Integral), ("tol", numbers.Real)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise TypeError(f"max_iters must be Integral, got {self.max_iters!r}")
         if not self.max_iters >= 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
-        if not 0.0 <= self.tol < math.inf:
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -130,15 +131,14 @@ class ExtensionSolution:
 
     residual is the max constraint violation at the returned point,
     normalized by radius: the solver's own evaluation of that point, so it
-    can be trusted even when converged is False (the lift is still valid,
+    can be trusted even when the target was missed (the lift is still valid,
     the distortion bound just degrades to the residual level).
 
     lower_bound is a certified lower bound on the best residual any point of
     the ball reaches, normalized by radius, with 0 <= lower_bound <= residual.
     It is None when the solve computed no bound (it met its target before
     the dual started), and 0.0 for a trivial solve (R = 0 or one terminal).
-    status is one of STATUSES; it is "feasible" exactly when converged is
-    True, else ValueError.
+    status is how the solve ended, one of STATUSES, else ValueError.
     """
 
     u_prime: np.ndarray  # (m,)
@@ -146,14 +146,18 @@ class ExtensionSolution:
     residual: float
     iterations: int
     anchor_index: int
-    converged: bool
     lower_bound: float | None = None
     status: str = "feasible"
 
     def __post_init__(self):
-        if self.status not in STATUSES or (self.status == "feasible") != self.converged:
-            raise ValueError(f"status {self.status!r} with converged={self.converged!r}")
+        if self.status not in STATUSES:
+            raise ValueError(f"unknown status {self.status!r}; expected one of {STATUSES}")
         self.u_prime.setflags(write=False)
+
+    @property
+    def converged(self) -> bool:
+        """Whether the solve met its target: status "feasible"."""
+        return self.status == "feasible"
 
 
 class OuterExtension:
@@ -181,24 +185,20 @@ class OuterExtension:
 
     def embed(self, u) -> np.ndarray:
         """(out_dim,) image of the query u; raises DimensionMismatch or
-        NonFinitePoint."""
+        NonFinitePoint (geometry.nearest checks u)."""
         return self._embed_one(u, nearest(u, self.X))[0]
 
     def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
         """((q, out_dim) images of the rows of Q, one record per query).
 
-        Q is validated once: 2-D, width X.d (an empty (0, *) batch passes
-        whatever its width), finite. One geometry.nearest_batch call finds
-        every row's anchor, the same (k, R) that embed finds row by row, so
-        each image equals embed(u) bit for bit."""
+        One geometry.nearest_batch call checks Q and finds every row's
+        anchor, the same (k, R) that embed finds row by row, so each image
+        equals embed(u) bit for bit."""
         Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim != 2 or (Q.shape[0] and Q.shape[1] != self.X.d):
-            raise DimensionMismatch(f"queries have shape {Q.shape}, expected (*, {self.X.d})")
-        if not np.all(np.isfinite(Q)):
-            raise NonFinitePoint("queries must have finite coordinates")
+        anchors = nearest_batch(Q, self.X)
         images = np.empty((Q.shape[0], self.out_dim))
         per_query = []
-        for i, (u, k, R) in enumerate(zip(Q, *nearest_batch(Q, self.X))):
+        for i, (u, k, R) in enumerate(zip(Q, *anchors)):
             images[i], record = self._embed_one(u, (int(k), float(R)))
             per_query.append(record)
         return images, per_query
@@ -277,7 +277,7 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
         (_frank_wolfe): it raises the lower bound lb (until then -inf) and
         offers its own primal point, kept when it beats the best iterate
       * track the best iterate g*; stop with status "feasible" once
-        g* <= epsilon * R * (1 + tol), "infeasible" once lb exceeds that
+        g* <= epsilon * R * (1 + TOL), "infeasible" once lb exceeds that
         target and g* - lb <= GAP_TOL * R, or "undecided" when max_iters
         runs out first. An active constraint with a null row is fixed at
         |t_a| whatever z is; that value is then the optimum and lb, and the
@@ -311,7 +311,6 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
             residual=0.0,
             iterations=0,
             anchor_index=k,
-            converged=True,
             lower_bound=0.0,
         )
 
@@ -372,8 +371,7 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
     if nz > R:
         z *= R / nz
 
-    cfg = E.solver
-    target = E.epsilon * R * (1.0 + cfg.tol)
+    target = E.epsilon * R * (1.0 + TOL)
     level = LEVEL * E.epsilon * R
     gap = GAP_TOL * R
 
@@ -386,7 +384,7 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
     lb = -math.inf  # best lower bound on the optimal g so far
     dual = None
     it = 0
-    while best_g > target and it < cfg.max_iters:
+    while best_g > target and it < E.solver.max_iters:
         w_a = row(a)
         denom = float(w_a @ w_a)
         if denom <= _TINY:
@@ -429,7 +427,6 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
         residual=best_g / R,
         iterations=it,
         anchor_index=k,
-        converged=best_g <= target,
         # Both 0 and best_g bound the optimum; a bound beyond them is rounding.
         lower_bound=None if lb == -math.inf else min(max(0.0, lb), best_g) / R,
         status=status,

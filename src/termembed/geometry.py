@@ -342,11 +342,16 @@ def distances_to(u, X: PointSet, rows=None) -> np.ndarray:
     return distance_matrix(u, X.points if rows is None else X.points[rows])[0]
 
 
-def nearest_batch(Q: np.ndarray, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
-    """(k, R): for every row u of Q (a validated (q, X.d) float64 array), the
-    index of the closest point of X and its distance, each bit-identical to
-    argmin and min of distances_to(u, X) (ties go to the lowest index), mostly
-    without that full exact pass; k is int64, R float64.
+def nearest_batch(Q, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """(k, R): for every row u of Q, the index of the closest point of X and
+    its distance, each bit-identical to argmin and min of distances_to(u, X)
+    (ties go to the lowest index), mostly without that full exact pass; k is
+    int64, R float64.
+
+    This holds the query checks of every path that embeds a query: Q (any
+    array-like) must be 2-D with X.d columns, else DimensionMismatch (an
+    empty (0, *) batch passes whatever its width), and finite, else
+    NonFinitePoint.
 
     Row blocks of _screen_rows(n, d) queries each take one Gram screen
     (_gram_screen, one GEMM against X with the cached ||x_i||^2): every index
@@ -356,6 +361,11 @@ def nearest_batch(Q: np.ndarray, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
     the batch around it. Where a square could overflow ((max ||x_i|| + max
     ||u||)^2 > max float / 4) it takes the exact blocked pass instead.
     """
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.ndim != 2 or (Q.shape[0] and Q.shape[1] != X.d):
+        raise DimensionMismatch(f"query array has shape {Q.shape}, expected (*, {X.d})")
+    if not np.all(np.isfinite(Q)):
+        raise NonFinitePoint("query coordinates must be finite")
     q = Q.shape[0]
     k, R = np.empty(q, dtype=np.int64), np.empty(q)
     if q == 0:
@@ -382,20 +392,11 @@ def nearest_batch(Q: np.ndarray, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
 def nearest(u, X: PointSet) -> tuple[int, float]:
     """(k, R): the index of the closest point of X to u and its distance,
     bit-identical to argmin and min of distances_to(u, X) (ties go to the
-    lowest index): the one-row call of nearest_batch.
-
-    Every single-query path (the three embedders' embed, solve_extension and
-    embed_with_info without an anchor, nearest_point) calls this first, so it
-    holds their query checks: a u of the wrong width raises
-    DimensionMismatch and one with a NaN or infinite coordinate raises
-    NonFinitePoint.
+    lowest index): the one-row call of nearest_batch, whose checks it
+    shares (DimensionMismatch for a u of the wrong width, NonFinitePoint for
+    a NaN or infinite coordinate).
     """
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    if u.shape[0] != X.d:
-        raise DimensionMismatch(f"query has dimension {u.shape[0]}, expected {X.d}")
-    if not np.all(np.isfinite(u)):
-        raise NonFinitePoint("query must have finite coordinates")
-    k, R = nearest_batch(u[None], X)
+    k, R = nearest_batch(np.reshape(np.asarray(u, np.float64), (1, -1)), X)
     return int(k[0]), float(R[0])
 
 

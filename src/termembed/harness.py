@@ -235,16 +235,23 @@ class _PairRatios:
     pair). sq_error (kept only for the raw dump) holds |e^2 - d^2|, exact
     where recomputed and from the screen's midpoints elsewhere.
     anchor_error is the largest |e_k - d_k| / d_k over the queries whose
-    nearest terminal k (lowest index on ties) is at positive distance. See
+    anchor k (anchors[i], an intp array) is at positive distance. See
     evaluate for the rules."""
 
-    def __init__(self, queries, points, images, terminal_images, keep_raw: bool):
+    def __init__(self, queries, points, images, terminal_images, anchors, keep_raw: bool):
         self.pairs = (queries, points, images, terminal_images)
         self.lo, self.hi = np.empty((2, queries.shape[0], points.shape[0]))
         self.sq_error = np.empty(self.lo.shape) if keep_raw else None
-        self.anchor_error = 0.0
         if not self._screen():
             self._exact()
+        # Recompute each anchor pair but those at distance 0, which are exact
+        # already (NaN) and have no error.
+        rows = np.flatnonzero(~np.isnan(self.lo[np.arange(anchors.size), anchors]))
+        self.anchor_error = 0.0
+        if rows.size:  # an empty query file has width 0
+            d, e = self._distances(rows, anchors[rows])
+            self._set_exact(rows, anchors[rows], d, e)
+            self.anchor_error = float(np.max(np.abs(e - d) / d))
 
     def extremes(self, group: np.ndarray, groups: int):
         """(min, max) arrays of the exact ratios of each group of queries
@@ -305,18 +312,9 @@ class _PairRatios:
         if self.sq_error is not None:
             self.sq_error[a, j] = np.abs(e**2 - d**2)
 
-    def _note_anchors(self, anchor, anchor_image) -> None:
-        at = anchor > 0.0
-        err = np.abs(anchor_image[at] - anchor[at]) / anchor[at]
-        self.anchor_error = max(self.anchor_error, float(np.max(err, initial=0.0)))
-
     def _exact(self) -> None:
         Q, P, F, T = self.pairs
         dists, edists = distance_matrix(Q, P), distance_matrix(F, T)
-        rows = np.arange(dists.shape[0])
-        k = dists.argmin(axis=1)
-        self.anchor_error = 0.0
-        self._note_anchors(dists[rows, k], edists[rows, k])
         self.lo.fill(np.nan)
         np.divide(edists, dists, out=self.lo, where=dists > 0.0)
         self.hi[...] = self.lo
@@ -325,7 +323,7 @@ class _PairRatios:
 
     def _screen(self) -> bool:
         """Fill the table from the two Gram screens, blocked by query rows,
-        recomputing the entries that decide the pair mask and the anchors.
+        recomputing the entries that decide the pair mask.
         False where a square could overflow or a block would recompute more
         than half its entries; the exact passes then fill everything."""
         Q, P, F, T = self.pairs
@@ -340,8 +338,7 @@ class _PairRatios:
             _gram_screen(Q, sq[0], P, sq[1], rows, step), _gram_screen(F, sq[2], T, sq[3], rows, step)
         )
         for (block, lo_d, hi_d), (_, lo_e, hi_e) in screens:
-            redo = lo_d <= hi_d.min(axis=1, keepdims=True)  # could be the anchor
-            redo |= lo_d <= hi_d - lo_d  # D could be at most 2 b_d, or 0
+            redo = lo_d <= hi_d - lo_d  # D could be at most 2 b_d, or 0
             if 2 * np.count_nonzero(redo) > redo.size:
                 return False
             out = slice(block[0], block[0] + block.size)
@@ -359,15 +356,7 @@ class _PairRatios:
             self.lo[out] *= 1.0 - _RATIO_SLACK
             self.hi[out] *= 1.0 + _RATIO_SLACK
             a, j = np.nonzero(redo)
-            d, e = self._distances(block[a], j)
-            self._set_exact(block[a], j, d, e)
-            # Each row's minimum lies among its exact entries; argmin keeps
-            # the lowest index on ties, as in the exact pass.
-            hi_d.fill(np.inf)
-            hi_d[a, j], hi_e[a, j] = d, e
-            local = np.arange(block.size)
-            k = hi_d.argmin(axis=1)
-            self._note_anchors(hi_d[local, k], hi_e[local, k])
+            self._set_exact(block[a], j, *self._distances(block[a], j))
         return True
 
 
@@ -381,7 +370,9 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     counts their statuses (extension.STATUSES), so a max_residual certified
     out of reach, a property of the sketch, reads apart from a solve that
     ran out of iterations. The paths without a solve count every query
-    feasible. distortion is
+    feasible. max_anchor_rel_error is the largest |e_k - d_k| / d_k over
+    the queries at positive distance d_k from their anchor k, the
+    anchor_index of their record (e_k the image distance). distortion is
     ratio_max / ratio_min, None (JSON null) when no pair is at positive
     distance or when some ratio is 0, as when a query's image coincides with
     a terminal's. Pairs are taken in (query, terminal) row-major order.
@@ -397,7 +388,7 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     recomputed with the exact kernel (bit-identical to distance_matrix) when
       - s_d - b_d <= 2 b_d, which decides pair_count: every pair with exact
         squared distance D <= 2 b_d is exact;
-      - it could be its query's nearest terminal (the anchor);
+      - it is its query's anchor, read from the query's record;
       - its interval could hold the minimum or the maximum ratio, overall or
         of its sampler label;
       - its interval holds one of the 65 histogram bin edges.
@@ -432,7 +423,8 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     if queries.ndim == 1:
         queries = queries.reshape(1, -1)
     images, per_query = E.embed_batch(queries)
-    table = _PairRatios(queries, E.X.points, images, E.terminal_images, keep_raw)
+    anchors = np.array([rec["anchor_index"] for rec in per_query], dtype=np.intp)
+    table = _PairRatios(queries, E.X.points, images, E.terminal_images, anchors, keep_raw)
     row_labels = [None] * len(queries) if labels is None else labels
     names = sorted(set(row_labels))
     index = {lab: i for i, lab in enumerate(names)}

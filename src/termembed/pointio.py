@@ -81,26 +81,31 @@ def read_points_csv(path) -> np.ndarray:
 
 def _read_csv_lines(path) -> np.ndarray:
     """The reference CSV reader: one line at a time, blank and
-    whitespace-only lines skipped, tokens parsed by float()."""
+    whitespace-only lines skipped, tokens parsed by float(). A file that is
+    not UTF-8 is a FormatError naming the path."""
     rows = []
     d = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split(",")
-            try:
-                vals = [float(t) for t in toks]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if d is None:
-                d = len(vals)
-            elif len(vals) != d:
-                raise FormatError(
-                    f"{path}:{lineno}: row has {len(vals)} columns, expected {d}"
-                )
-            rows.append(vals)
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        toks = line.split(",")
+        try:
+            vals = [float(t) for t in toks]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if d is None:
+            d = len(vals)
+        elif len(vals) != d:
+            raise FormatError(
+                f"{path}:{lineno}: row has {len(vals)} columns, expected {d}"
+            )
+        rows.append(vals)
     if not rows:
         return np.zeros((0, 0))
     return np.array(rows, dtype=np.float64)

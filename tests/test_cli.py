@@ -372,11 +372,11 @@ class TestBadInputs:
     def test_solver_config_round_trip(self, tmp_path, points_csv):
         bundle = tmp_path / "sk"
         assert main(["build", points_csv, "--out", str(bundle), "--epsilon", "0.5",
-                     "--const-C", "0.5", "--solver-iters", "77", "--solver-tol", "0.01"]) == 0
+                     "--const-C", "0.5", "--solver-iters", "77"]) == 0
         meta = json.loads((bundle / "config.json").read_text())
-        assert meta["solver"] == {"max_iters": 77, "tol": 0.01}
+        assert meta["solver"] == {"max_iters": 77}
         embedder, _ = load_bundle(bundle)
-        assert embedder.solver == SolverConfig(77, 0.01)
+        assert embedder.solver == SolverConfig(77)
 
     def test_stored_polyak_step_rule_loads_as_fresh(self, tmp_path, points_csv):
         # Bundles written while the solver had two step rules store
@@ -400,11 +400,54 @@ class TestBadInputs:
             assert main(["query", str(bundle), qpath, str(tmp_path / f"{bundle.name}.csv")]) == 0
         assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "legacy.csv").read_bytes()
 
+    def test_stored_default_tol_loads_as_fresh(self, tmp_path, points_csv):
+        # Bundles written while the target's slack was a flag store "tol";
+        # the default 0.001 is the constant extension.TOL, and is dropped.
+        fresh, legacy = tmp_path / "fresh", tmp_path / "legacy"
+        for bundle in (fresh, legacy):
+            assert main(["build", points_csv, "--out", str(bundle), "--epsilon", "0.5",
+                         "--const-C", "0.5", "--seed", "3"]) == 0
+        assert "tol" not in json.loads((fresh / "config.json").read_text())["solver"]
+        cfg = legacy / "config.json"
+        meta = json.loads(cfg.read_text())
+        meta["solver"]["tol"] = 0.001
+        cfg.write_text(json.dumps(meta))
+        (E_fresh, _), (E_legacy, _) = load_bundle(fresh), load_bundle(legacy)
+        assert E_legacy.solver == E_fresh.solver == SolverConfig()
+        qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(5).standard_normal((6, 12)))
+        for bundle in (fresh, legacy):
+            assert main(["query", str(bundle), qpath, str(tmp_path / f"{bundle.name}.csv")]) == 0
+        assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "legacy.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", [0.01, -0.5, "0.001", False])
+    def test_stored_other_tol_exits_2(self, tmp_path, points_csv, capsys, value):
+        bundle = tmp_path / "sk"
+        assert main(["build", points_csv, "--out", str(bundle),
+                     "--epsilon", "0.5", "--const-C", "0.5"]) == 0
+        cfg = bundle / "config.json"
+        meta = json.loads(cfg.read_text())
+        meta["solver"]["tol"] = value
+        cfg.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=f"tol {value!r}"):
+            load_bundle(bundle)
+        rc = main(["query", str(bundle), points_csv, str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"tol {value!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("command", ["build", "scaling"])
     def test_step_rule_flag_is_gone(self, tmp_path, points_csv, capsys, command):
         grid = ["--epsilons", "0.5", "--consts", "0.5", "--seeds", "1"] if command == "scaling" else []
         rc = main([command, points_csv, "--out", str(tmp_path / "out"), *grid,
                    "--solver-step-rule", "polyak"])
+        assert rc == 1 and capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["build", "scaling"])
+    def test_tol_flag_is_gone(self, tmp_path, points_csv, capsys, command):
+        grid = ["--epsilons", "0.5", "--consts", "0.5", "--seeds", "1"] if command == "scaling" else []
+        rc = main([command, points_csv, "--out", str(tmp_path / "out"), *grid,
+                   "--solver-tol", "0.01"])
         assert rc == 1 and capsys.readouterr().err.startswith("usage error:")
         assert not (tmp_path / "out").exists()
 
@@ -423,7 +466,7 @@ class TestBadInputs:
         cfg = bundle / "config.json"
         meta = json.loads(cfg.read_text())
         if edit == "missing":
-            del meta["solver"]["tol"]
+            del meta["solver"]["max_iters"]
         elif edit == "extra":
             meta["solver"]["threads"] = 1
         else:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -90,7 +91,7 @@ class TestSolveExtension:
     def test_not_converged_is_diagnostic(self):
         rng = np.random.default_rng(3)
         # m=2 with 19 constraints and a 1-iteration cap cannot converge
-        E = random_embedder(rng, n=20, d=16, m=2, max_iters=1, tol=1e-3)
+        E = random_embedder(rng, n=20, d=16, m=2, max_iters=1)
         u = rng.standard_normal(16)
         sol = solve_extension(u, E)
         assert not sol.converged
@@ -179,7 +180,7 @@ class TestDualCertificate:
         if m == 1:
             assert sol.lower_bound * R <= _exact_optimum_m1(W, t, R) + tol
         if sol.status == "infeasible":
-            assert sol.lower_bound > epsilon * (1.0 + E.solver.tol)
+            assert sol.lower_bound > epsilon * (1.0 + extension.TOL)
             assert sol.residual - sol.lower_bound <= extension.GAP_TOL
 
     def test_small_m_certified_infeasible_early(self):
@@ -193,7 +194,7 @@ class TestDualCertificate:
         assert len(infeasible) >= 2
         for sol in infeasible:
             assert sol.iterations < E.solver.max_iters and not sol.converged
-            assert sol.lower_bound > E.epsilon * (1.0 + E.solver.tol)
+            assert sol.lower_bound > E.epsilon * (1.0 + extension.TOL)
             assert sol.residual - sol.lower_bound <= extension.GAP_TOL
         for sol in sols:
             assert sol.status == "infeasible" or sol.iterations == E.solver.max_iters
@@ -239,11 +240,21 @@ class TestDualCertificate:
 
     def test_record_carries_the_certificate(self):
         with pytest.raises(ValueError, match="status"):
-            ExtensionSolution(np.zeros(2), 1.0, 0.5, 3, 0, False)
+            ExtensionSolution(np.zeros(2), 1.0, 0.5, 3, 0, None, "capped")
         with pytest.raises(ValueError, match="status"):
-            ExtensionSolution(np.zeros(2), 1.0, 0.0, 3, 0, True, None, "infeasible")
-        with pytest.raises(ValueError, match="status"):
-            ExtensionSolution(np.zeros(2), 1.0, 0.5, 3, 0, False, None, "capped")
+            ExtensionSolution(np.zeros(2), 1.0, 0.5, 3, 0, None, None)
+
+    def test_converged_reads_the_status(self):
+        # status is the one stored outcome: converged is a read-only view
+        # of it, not a field.
+        assert "converged" not in {f.name for f in dataclasses.fields(ExtensionSolution)}
+        for status in extension.STATUSES:
+            sol = ExtensionSolution(np.zeros(2), 1.0, 0.5, 3, 0, None, status)
+            assert sol.converged is (status == "feasible")
+            with pytest.raises(AttributeError):
+                sol.converged = True
+        with pytest.raises(TypeError):
+            ExtensionSolution(np.zeros(2), 1.0, 0.0, 3, 0, converged=True)
 
 
 class TestSolverConfig:
@@ -256,9 +267,8 @@ class TestSolverConfig:
             SolverConfig(**kw)
 
     def test_numpy_scalars_accepted(self):
-        cfg = SolverConfig(max_iters=np.int64(5), tol=np.float32(0.5))
-        assert cfg == SolverConfig(5, 0.5)
-        assert SolverConfig(tol=0) == SolverConfig(tol=0.0)
+        assert SolverConfig(max_iters=np.int64(5)) == SolverConfig(5)
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["max_iters"]
 
 
 class TestLift:
@@ -269,7 +279,7 @@ class TestLift:
         E = self._embedder()
         sol = ExtensionSolution(
             u_prime=np.zeros(2), radius=2.0, residual=0.0, iterations=0,
-            anchor_index=0, converged=True,
+            anchor_index=0,
         )
         f = lift((0.0, 2.0), sol, E)
         assert np.allclose(f, [0.0, 0.0, 2.0])
@@ -278,7 +288,7 @@ class TestLift:
         E = self._embedder()
         sol = ExtensionSolution(
             u_prime=np.array([2.0, 0.0]), radius=2.0, residual=0.0,
-            iterations=0, anchor_index=0, converged=True,
+            iterations=0, anchor_index=0,
         )
         assert lift((2.0, 0.0), sol, E)[-1] == 0.0
 
@@ -288,7 +298,7 @@ class TestLift:
         excess = r * math.sqrt(1 + 1e-14)
         sol = ExtensionSolution(
             u_prime=np.array([excess, 0.0]), radius=r, residual=0.0,
-            iterations=0, anchor_index=0, converged=True,
+            iterations=0, anchor_index=0,
         )
         f = lift((2.0, 0.0), sol, E)
         assert f[-1] == 0.0 and not np.any(np.isnan(f))
@@ -552,7 +562,7 @@ def _materialized_solve(u, E):
     k = int(np.argmin(dists))
     R = float(dists[k])
     if R == 0.0 or X.n == 1:
-        return ExtensionSolution(np.zeros(E.m), R, 0.0, 0, k, True, 0.0, "feasible")
+        return ExtensionSolution(np.zeros(E.m), R, 0.0, 0, k, 0.0, "feasible")
     mask = np.arange(X.n) != k
     diff = X.points[mask] - X.points[k]
     norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -567,7 +577,7 @@ def _materialized_solve(u, E):
     if nz > R:
         z *= R / nz
     cfg = E.solver
-    target = E.epsilon * R * (1.0 + cfg.tol)
+    target = E.epsilon * R * (1.0 + extension.TOL)
     gap = extension.GAP_TOL * R
     r = W @ z - t
     g = float(np.max(np.abs(r)))
@@ -626,7 +636,7 @@ def _materialized_solve(u, E):
     else:
         status = "undecided"
     lower = None if lb == -math.inf else min(max(0.0, lb), final) / R
-    return ExtensionSolution(best_z, R, final / R, it, k, final <= target, lower, status)
+    return ExtensionSolution(best_z, R, final / R, it, k, lower, status)
 
 
 def _shell_queries(rng, pts, count, rel):

@@ -166,3 +166,44 @@ def test_missing_csv_error_matches_line_parser(tmp_path):
     with pytest.raises(FileNotFoundError) as ref:
         pointio._read_csv_lines(path)
     assert str(new.value) == str(ref.value)
+
+
+def test_non_utf8_csv_is_format_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff1.0,2.0\n")
+    with pytest.raises(FormatError, match="bad.csv"):
+        read_points_csv(path)
+
+
+@pytest.mark.parametrize("command", ["query", "build"])
+def test_cli_non_utf8_csv_exits_2(tmp_path, capsys, command):
+    from termembed.cli import main
+
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff1.0,2.0\n")
+    if command == "query":
+        pts = tmp_path / "pts.csv"
+        write_points_csv(pts, np.random.default_rng(0).standard_normal((12, 2)))
+        assert main(["build", str(pts), "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        argv, out = ["query", str(tmp_path / "b"), str(bad), str(tmp_path / "out.csv")], "out.csv"
+    else:
+        argv, out = ["build", str(bad), "--out", str(tmp_path / "new")], "new"
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and "bad.csv" in err and "Traceback" not in err
+    assert not (tmp_path / out).exists()
+
+
+def test_csv_write_bytes_are_shortest_repr(tmp_path):
+    # Each value is written as Python's shortest round-trip repr, specials
+    # included; ",".join(map(repr, row.tolist())) gives the same bytes.
+    rng = np.random.default_rng(9)
+    arr = rng.standard_normal((200, 228)) * 10.0 ** rng.integers(-300, 300, size=(200, 228))
+    specials = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, np.nan, np.inf, -np.inf]
+    arr[:, : len(specials)] = specials
+    path = tmp_path / "p.csv"
+    write_points_csv(path, arr)
+    text = path.read_bytes().decode("utf-8")
+    assert text.startswith("-0.0,5e-324,1.7976931348623157e+308,0.1,3.0,nan,inf,-inf,")
+    assert text == "".join(",".join(map(repr, row.tolist())) + "\n" for row in arr)

@@ -276,6 +276,32 @@ class TestNearestBatch:
         k, _ = nearest_batch(rng.standard_normal((50, 16)), X)
         assert seen == [("anchor", list(enumerate(k.tolist())))]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "width"])
+    def test_single_query_and_one_row_batch_fail_alike(self, monkeypatch, bad):
+        # nearest holds no checks of its own: the one-row nearest_batch call
+        # raises for both.
+        X = build_point_set([(0.0, 0.0), (3.0, 0.0)])
+        u = np.array([1.0, 0.0, 0.0]) if bad == "width" else np.array([1.0, float(bad)])
+        error = DimensionMismatch if bad == "width" else NonFinitePoint
+        calls = []
+        batch = geometry.nearest_batch
+        monkeypatch.setattr(geometry, "nearest_batch", lambda Q, X: calls.append(Q) or batch(Q, X))
+        with pytest.raises(error):
+            nearest(u, X)
+        assert len(calls) == 1 and calls[0].shape == (1, u.size)
+        with pytest.raises(error):
+            batch(u[None], X)
+
+    def test_checks_any_array_like(self):
+        X = build_point_set([(0.0, 0.0), (3.0, 0.0)])
+        k, R = nearest_batch([[1, 0], [3, 1]], X)
+        assert k.tolist() == [0, 1] and R.tolist() == [1.0, 1.0]
+        for shape in [(2,), (1, 1, 2), (2, 3), (1, 0)]:
+            with pytest.raises(DimensionMismatch):
+                nearest_batch(np.zeros(shape), X)
+        with pytest.raises(NonFinitePoint):
+            nearest_batch([[0.0, 1.0], [np.inf, 0.0]], X)
+
     @pytest.mark.parametrize("d", [1, 7])
     def test_empty_batch(self, d):
         X = build_point_set(np.arange(3.0 * d).reshape(3, d))

@@ -667,10 +667,8 @@ class TestEvaluateScreen:
         X = build_point_set([[0.0], [10.0]])
         queries = np.array([[4.0], [-2.0], [14.0]])
         images = np.array([[2.0], [-5.0], [14.0]])
-        record = {"residual": 0.0, "status": "feasible"}
-        E = SimpleNamespace(
-            X=X, terminal_images=X.points, embed_batch=lambda Q: (images, [record] * len(Q))
-        )
+        records = [{"residual": 0.0, "status": "feasible", "anchor_index": k} for k in (0, 0, 1)]
+        E = SimpleNamespace(X=X, terminal_images=X.points, embed_batch=lambda Q: (images, records))
         recomputed = []
         pair_distances = harness._pair_distances
 
@@ -685,6 +683,41 @@ class TestEvaluateScreen:
         assert (2, 0) in recomputed
         monkeypatch.setattr(harness, "_pair_distances", pair_distances)
         _assert_reports_identical(evaluate(E, queries), _loop_evaluate(E, queries))
+
+    def test_anchor_error_is_taken_at_the_records_anchor(self, monkeypatch):
+        # The record names terminal 1 (distance 6, image distance 3) as the
+        # anchor of query 0, not its nearest terminal 0 (distance 4, image
+        # distance 7): evaluate reads the anchor, it does not search again.
+        X = build_point_set([[0.0], [10.0]])
+        queries, images = np.array([[4.0]]), np.array([[7.0]])
+        record = {"residual": 0.0, "status": "feasible", "anchor_index": 1}
+        E = SimpleNamespace(X=X, terminal_images=X.points, embed_batch=lambda Q: (images, [record]))
+        recomputed = []
+        pair_distances = harness._pair_distances
+
+        def recording(A, B, i, j):
+            if B is X.points:
+                recomputed.extend(zip(i.tolist(), j.tolist()))
+            return pair_distances(A, B, i, j)
+
+        monkeypatch.setattr(harness, "_pair_distances", recording)
+        rep = evaluate(E, queries)
+        assert rep.max_anchor_rel_error == 0.5 and (0, 1) in recomputed
+
+    def test_tie_heavy_grid_recomputes_no_more(self, screen_calls):
+        # Half-integer coordinates: many queries tie between terminals. The
+        # anchor comes from the records, so no tied candidate is recomputed
+        # for the anchor search (113 pairs here when evaluate searched for
+        # the anchors itself).
+        rng = np.random.default_rng(35)
+        X = build_point_set(np.unique(np.round(2 * rng.standard_normal((60, 4))) / 2, axis=0))
+        E = _sketch_embedder(X, 3)
+        q = np.vstack([np.round(2 * rng.standard_normal((80, 4))) / 2, X.points[:10]])
+        labels = ["grid"] * 80 + ["member"] * 10
+        evaluate(E, q, labels)
+        assert screen_calls["exact_passes"] == 0
+        assert 0 < screen_calls["recomputed"] <= 113
+        self._check(E, q, labels)
 
     def test_screen_recomputes_few_entries(self, screen_calls):
         # The tight workload's shape: 200 default-suite queries against a
