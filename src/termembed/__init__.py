@@ -51,7 +51,6 @@ from .harness import (
     evaluate,
     sample_queries,
     sample_suite,
-    scaling_study,
 )
 from .seeding import derive_seed
 from .sketch import (
@@ -108,7 +107,6 @@ __all__ = [
     "sample_suite",
     "sampled_violations",
     "save_sketch",
-    "scaling_study",
     "sketch_points",
     "solve_extension",
     "violation",

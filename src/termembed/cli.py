@@ -15,6 +15,7 @@ threshold failed (the report is still written).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -156,6 +157,15 @@ def _check_asserts(pairs, measured: dict) -> int:
 # bundle I/O
 
 
+def _embedder(X, plan, epsilon, distribution, seed, solver):
+    """The embedder a DimensionPlan makes of X: on the sketch path, a sketch
+    drawn from the "sketch" sub-seed of seed; else the exact path's basis."""
+    if plan.mode == "sketch":
+        pi = generate_sketch(plan.m, X.d, distribution, derive_seed(seed, "sketch"))
+        return build_embedder(X, pi, epsilon, solver)
+    return exact_small_embedding(X)
+
+
 def _save_bundle(out_dir: Path, X, plan, *, epsilon, C, distribution, seed, solver,
                  source, fmt) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,18 +184,14 @@ def _save_bundle(out_dir: Path, X, plan, *, epsilon, C, distribution, seed, solv
         "source": str(source),
         "format": fmt,
     }
+    embedder = _embedder(X, plan, epsilon, distribution, seed, solver)
     if plan.mode == "sketch":
-        pi = generate_sketch(plan.m, X.d, distribution, derive_seed(seed, "sketch"))
-        save_sketch(pi, out_dir / "sketch.json", out_dir / "sketch.bin")
-        embedder = build_embedder(X, pi, epsilon, solver)
-        pointio.write_points_bin(out_dir / "embedded.bin", embedder.embedded_X)
-        meta["out_dim"] = embedder.out_dim
+        save_sketch(embedder.Pi, out_dir / "sketch.json", out_dir / "sketch.bin")
     else:
-        emb = exact_small_embedding(X)
-        pointio.write_points_bin(out_dir / "basis.bin", emb.basis)
-        pointio.write_points_bin(out_dir / "embedded.bin", emb.base_images)
-        meta["rank"] = emb.rank
-        meta["out_dim"] = emb.out_dim
+        pointio.write_points_bin(out_dir / "basis.bin", embedder.basis)
+        meta["rank"] = embedder.rank
+    pointio.write_points_bin(out_dir / "embedded.bin", embedder.base_images)
+    meta["out_dim"] = embedder.out_dim
     _dump_json(meta, out_dir / "config.json")
     return meta
 
@@ -305,6 +311,31 @@ def _cmd_query(args) -> int:
     return EXIT_OK
 
 
+_NO_WITNESS = {"max_violation": 0.0, "witness_weights": [], "witness_tier": None, "tier_max": {}}
+
+
+def _audit(embedder, Y, samples, seed) -> dict:
+    """verify-chd's witness fields for a sketch-path embedder and the
+    direction set Y of its terminals: the sampled hull-distortion estimate
+    (chd.estimate_sampled) on the "chd" sub-seed of seed."""
+    if len(Y) == 0:
+        return {"method": "sampled", **_NO_WITNESS}
+    est = estimate_sampled(embedder.Pi, Y, samples, derive_seed(seed, "chd"))
+    return {
+        "method": est.method,
+        "max_violation": est.max_violation,
+        "witness_weights": [float(w) for w in est.witness.weights],
+        "witness_tier": est.witness_tier,
+        "tier_max": est.tier_max,
+    }
+
+
+def _suite(X, per_mode, seed, modes=None):
+    """eval's sampled queries and their labels: harness.sample_suite on the
+    "samplers" sub-seed of seed (modes None: the default suite)."""
+    return harness.sample_suite(X, per_mode, derive_seed(seed, "samplers"), modes)
+
+
 def _cmd_verify_chd(args) -> int:
     embedder, meta = load_bundle(args.bundle)
     seed = meta["seed"] if args.seed is None else args.seed
@@ -313,28 +344,12 @@ def _cmd_verify_chd(args) -> int:
         "epsilon": meta["epsilon"],
         "seed": seed,
     }
-    no_witness = {"max_violation": 0.0, "witness_weights": [], "witness_tier": None, "tier_max": {}}
     if meta["mode"] != "sketch":
         # The exact path is an isometry on the terminal span; there is no
         # sketch to audit.
-        report.update({"method": "exact_small", **no_witness})
+        report.update({"method": "exact_small", **_NO_WITNESS})
     else:
-        Y = direction_set(embedder.X)
-        if len(Y) == 0:
-            report.update({"method": "sampled", **no_witness})
-        else:
-            est = estimate_sampled(
-                embedder.Pi, Y, args.samples, derive_seed(seed, "chd")
-            )
-            report.update(
-                {
-                    "method": est.method,
-                    "max_violation": est.max_violation,
-                    "witness_weights": [float(w) for w in est.witness.weights],
-                    "witness_tier": est.witness_tier,
-                    "tier_max": est.tier_max,
-                }
-            )
+        report.update(_audit(embedder, direction_set(embedder.X), args.samples, seed))
 
     text = _dump_json(report, args.report)
     if args.report is None:
@@ -352,9 +367,7 @@ def _cmd_eval(args) -> int:
         queries = pointio.read_points(args.queries_file, fmt)
         labels = ["file"] * queries.shape[0]
     else:
-        queries, labels = harness.sample_suite(
-            embedder.X, args.queries_per_mode, derive_seed(seed, "samplers"), args.samplers
-        )
+        queries, labels = _suite(embedder.X, args.queries_per_mode, seed, args.samplers)
     target = embedder
     if args.baseline == "efn":
         target = EfnEmbedder(X=embedder.X, base_images=embedder.base_images)
@@ -380,25 +393,39 @@ def _cmd_eval(args) -> int:
     return _check_asserts(args.asserts, measured)
 
 
+_SCALING_COLUMNS = ("epsilon", "C", "seed", "m", "mode", "chd_max_violation", "max_ratio_dev")
+
+
 def _cmd_scaling(args) -> int:
+    """One row per (epsilon, C, seed) cell, as build, verify-chd and eval
+    report it on a bundle built with those values: the plan's m and mode,
+    verify-chd's max_violation over --chd-samples (0 on the exact path, an
+    isometry on the terminal span) and eval's max_abs_ratio_dev over the
+    default suite. The direction set depends on X alone, so it is built
+    once, on the first sketch-path cell."""
     fmt = pointio.detect_format(args.points, args.fmt)
     X = build_point_set(pointio.read_points(args.points, fmt))
-    rows = harness.scaling_study(
-        X,
-        args.epsilons,
-        args.consts,
-        args.seeds,
-        distribution=args.dist,
-        queries_per_mode=args.queries_per_mode,
-        chd_samples=args.chd_samples,
-        solver=SolverConfig(args.solver_iters),
-    )
+    solver = SolverConfig(args.solver_iters)
+    rows, Y = [], None
+    for eps, C, seed in itertools.product(args.epsilons, args.consts, args.seeds):
+        plan = plan_dimension(X.n, eps, C, X.d)
+        embedder = _embedder(X, plan, eps, args.dist, seed, solver)
+        chd = 0.0
+        if plan.mode == "sketch":
+            Y = direction_set(X) if Y is None else Y
+            chd = float(_audit(embedder, Y, args.chd_samples, seed)["max_violation"])
+        report = harness.evaluate(embedder, *_suite(X, args.queries_per_mode, seed))
+        values = (eps, C, seed, plan.m, plan.mode, chd, report.max_abs_ratio_dev)
+        rows.append(dict(zip(_SCALING_COLUMNS, values)))
     if args.out and args.out.endswith(".json"):
         _dump_json(rows, args.out)
-    elif args.out:
-        Path(args.out).write_text(harness.scaling_table_csv(rows), encoding="utf-8")
+        return EXIT_OK
+    lines = [",".join(_SCALING_COLUMNS)] + [",".join(map(str, row.values())) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(harness.scaling_table_csv(rows))
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -18,7 +18,8 @@ class DuplicatePoint(EmbeddingError):
 
 
 class NonFinitePoint(EmbeddingError):
-    """A coordinate was NaN or infinite."""
+    """A coordinate was NaN or infinite, or a point's norm exceeded
+    geometry.MAX_NORM."""
 
 
 class InvalidEpsilon(EmbeddingError):

@@ -22,6 +22,15 @@ BLOCK_ELEMENTS = 2**18
 # for every pair they compare, so no square in the screen or in the exact
 # kernel overflows.
 _GRAM_MAX = np.finfo(np.float64).max / 4
+# The largest point or query norm accepted (build_point_set, nearest_batch).
+# Between two such vectors the largest squares the package forms stay far
+# below float64's 2^1024: the Gram screens' (||a|| + ||b||)^2 and the squared
+# difference norms are at most 2^1002, and the warm start's R * Pi (u - x_k)
+# is at most 2^1002 ||Pi||. The sampled queries of harness.sample_queries
+# reach past the points (a far:s query lies up to about (1 + 2s) max ||x_i||
+# from the origin, a box query up to three times the bounding box's reach),
+# so eval on a point set near the bound can reject its own queries.
+MAX_NORM = 2.0**500
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -263,11 +272,30 @@ class DirectionSet:
         return self.directions.shape[0]
 
 
+def _checked_sq_norms(A: np.ndarray, what: str) -> np.ndarray:
+    """The squared norms of the rows of A, the einsum PointSet.sq_norms
+    takes; NonFinitePoint, naming the first bad row, unless every row is
+    finite with a squared norm of at most MAX_NORM^2."""
+    sq = np.einsum("ij,ij->i", A, A)
+    bad = np.flatnonzero(~(sq <= MAX_NORM * MAX_NORM))  # NaN and inf fail too
+    if bad.size:
+        i = int(bad[0])
+        if not np.all(np.isfinite(A[i])):
+            raise NonFinitePoint(f"{what} {i} has a non-finite coordinate")
+        norm = math.hypot(*A[i].tolist())  # finite where sq[i] overflowed
+        raise NonFinitePoint(
+            f"{what} {i} has norm {norm:.4g}, above the bound MAX_NORM = 2**500 "
+            f"(about {MAX_NORM:.4g}) within which float64 holds every squared distance"
+        )
+    return sq
+
+
 def build_point_set(raw) -> PointSet:
     """Validate a list of d-vectors (or an (n, d) array) into a PointSet.
 
-    Raises EmptyInput, DimensionMismatch (ragged rows), NonFinitePoint,
-    or DuplicatePoint (exact coordinate equality; -0.0 counts as 0.0).
+    Raises EmptyInput, DimensionMismatch (ragged rows), NonFinitePoint (a
+    NaN or infinite coordinate, or a norm above MAX_NORM), or DuplicatePoint
+    (exact coordinate equality; -0.0 counts as 0.0).
     Input order is preserved.
     """
     if isinstance(raw, np.ndarray):
@@ -291,8 +319,7 @@ def build_point_set(raw) -> PointSet:
         pts = np.vstack(rows)
     if pts.shape[1] == 0:
         raise DimensionMismatch("points must have dimension >= 1")
-    if not np.all(np.isfinite(pts)):
-        raise NonFinitePoint("points must have finite coordinates")
+    _checked_sq_norms(pts, "point")
 
     # Exact duplicate detection. Adding 0.0 maps -0.0 to +0.0 so that rows
     # equal under IEEE comparison hash identically.
@@ -350,8 +377,8 @@ def nearest_batch(Q, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
 
     This holds the query checks of every path that embeds a query: Q (any
     array-like) must be 2-D with X.d columns, else DimensionMismatch (an
-    empty (0, *) batch passes whatever its width), and finite, else
-    NonFinitePoint.
+    empty (0, *) batch passes whatever its width), and finite with every
+    row's norm at most MAX_NORM, else NonFinitePoint.
 
     Row blocks of _screen_rows(n, d) queries each take one Gram screen
     (_gram_screen, one GEMM against X with the cached ||x_i||^2): every index
@@ -364,13 +391,11 @@ def nearest_batch(Q, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or (Q.shape[0] and Q.shape[1] != X.d):
         raise DimensionMismatch(f"query array has shape {Q.shape}, expected (*, {X.d})")
-    if not np.all(np.isfinite(Q)):
-        raise NonFinitePoint("query coordinates must be finite")
     q = Q.shape[0]
     k, R = np.empty(q, dtype=np.int64), np.empty(q)
     if q == 0:
         return k, R
-    sq_q = np.einsum("ij,ij->i", Q, Q)
+    sq_q = _checked_sq_norms(Q, "query")
     if _gram_overflows(sq_q, X.sq_norms):
         for start, dist in distance_row_blocks(Q, X.points):
             k[start : start + dist.shape[0]] = dist.argmin(axis=1)
@@ -394,7 +419,7 @@ def nearest(u, X: PointSet) -> tuple[int, float]:
     bit-identical to argmin and min of distances_to(u, X) (ties go to the
     lowest index): the one-row call of nearest_batch, whose checks it
     shares (DimensionMismatch for a u of the wrong width, NonFinitePoint for
-    a NaN or infinite coordinate).
+    a NaN or infinite coordinate or a norm above MAX_NORM).
     """
     k, R = nearest_batch(np.reshape(np.asarray(u, np.float64), (1, -1)), X)
     return int(k[0]), float(R[0])

@@ -1,5 +1,4 @@
-"""Empirical distortion measurement: query samplers, ratio statistics, and
-scaling studies.
+"""Empirical distortion measurement: query samplers and ratio statistics.
 
 The supremum over all queries is not computable, so the sampler suite is
 adversarially minded instead: uniform box fill, points on segments between
@@ -14,19 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chd import estimate_sampled
-from .extension import STATUSES, SolverConfig, build_embedder, exact_small_embedding
+from .extension import STATUSES
 from .geometry import (
     PointSet,
     _gram_overflows,
     _gram_screen,
     _pair_distances,
     _screen_rows,
-    direction_set,
     distance_matrix,
 )
 from .seeding import derive_seed
-from .sketch import generate_sketch, plan_dimension
 
 HISTOGRAM_BINS = 64
 
@@ -488,66 +484,3 @@ def write_raw_csv(report: DistortionReport, path) -> None:
         ):
             fh.write(f"{int(q)},{int(p)},{repr(float(r))},{repr(float(s))}\n")
 
-
-def scaling_study(
-    X: PointSet,
-    epsilons,
-    Cs,
-    seeds,
-    distribution: str = "rademacher",
-    queries_per_mode: int = 10,
-    chd_samples: int = 2000,
-    solver: SolverConfig | None = None,
-) -> list[dict]:
-    """Full factorial (epsilon, C, seed) run.
-
-    Each row reports the planned m and mode, the sampled hull-distortion
-    estimate for the direction set (0 for the exact path, which is an
-    isometry on it), and the measured worst ratio deviation over the default
-    query suite.
-    """
-    if not epsilons or not Cs or not seeds:
-        raise ValueError("epsilons, Cs, and seeds must be nonempty")
-    rows = []
-    Y = None  # depends on X only; built on the first sketch-mode row
-    for eps in epsilons:
-        for C in Cs:
-            plan = plan_dimension(X.n, eps, C, X.d)
-            for seed in seeds:
-                if plan.mode == "sketch":
-                    pi = generate_sketch(
-                        plan.m, X.d, distribution, derive_seed(seed, "sketch")
-                    )
-                    if Y is None:
-                        Y = direction_set(X)
-                    chd_v = estimate_sampled(
-                        pi, Y, chd_samples, derive_seed(seed, "chd")
-                    ).max_violation
-                    E = build_embedder(X, pi, eps, solver)
-                else:
-                    chd_v = 0.0
-                    E = exact_small_embedding(X)
-                queries, labels = sample_suite(
-                    X, queries_per_mode, derive_seed(seed, "samplers")
-                )
-                rep = evaluate(E, queries, labels)
-                rows.append(
-                    {
-                        "epsilon": float(eps),
-                        "C": float(C),
-                        "seed": int(seed),
-                        "m": int(plan.m),
-                        "mode": plan.mode,
-                        "chd_max_violation": float(chd_v),
-                        "max_ratio_dev": rep.max_abs_ratio_dev,
-                    }
-                )
-    return rows
-
-
-def scaling_table_csv(rows: list[dict]) -> str:
-    cols = ["epsilon", "C", "seed", "m", "mode", "chd_max_violation", "max_ratio_dev"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"

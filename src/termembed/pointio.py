@@ -59,7 +59,7 @@ def write_points_csv(path, arr: np.ndarray) -> None:
     arr = np.asarray(arr, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
         for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

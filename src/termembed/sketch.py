@@ -155,7 +155,9 @@ def load_sketch(header_path) -> SketchMatrix:
 
     A header that is not a JSON object, has a bad magic, or lacks a valid
     m, d, data, distribution or seed raises FormatError; other keys (such as
-    the "C" that older headers carry) are ignored."""
+    the "C" that older headers carry) are ignored. data must be a bare file
+    name, as save_sketch writes it, so the sidecar lies beside the header,
+    and a sidecar holding a NaN or infinite entry is a FormatError too."""
     header_path = Path(header_path)
     try:
         header = json.loads(header_path.read_text(encoding="utf-8"))
@@ -166,16 +168,24 @@ def load_sketch(header_path) -> SketchMatrix:
         raise FormatError(f"{header_path}: bad magic {magic!r}")
     try:
         m, d = int(header["m"]), int(header["d"])
-        data_path = header_path.parent / header["data"]
-        distribution, seed = str(header["distribution"]), int(header["seed"])
+        data, distribution, seed = header["data"], str(header["distribution"]), int(header["seed"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{header_path}: corrupt sketch header: {exc!r}") from exc
     if m < 1 or d < 1:
         raise FormatError(f"{header_path}: sketch shape ({m}, {d}) is not positive")
+    # save_sketch writes a bare file name: anything else could name a file
+    # outside the header's directory.
+    if not isinstance(data, str) or data in ("", "..") or Path(data).name != data:
+        raise FormatError(f"{header_path}: data {data!r} is not a file name beside the header")
+    data_path = header_path.parent / data
     blob = data_path.read_bytes()
     if len(blob) != 8 * m * d:
         raise FormatError(
             f"{data_path}: payload length {len(blob)} != expected {8 * m * d}"
         )
     entries = np.frombuffer(blob, dtype="<f8").reshape(m, d).astype(np.float64)
+    # min and max propagate NaN and reach any infinity, with no (m, d)
+    # temporary, which np.isfinite would allocate.
+    if not (math.isfinite(entries.min()) and math.isfinite(entries.max())):
+        raise FormatError(f"{data_path}: sketch entries must be finite")
     return SketchMatrix(entries=entries, distribution=distribution, seed=seed)

@@ -5,10 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from termembed import cli
 from termembed.cli import load_bundle, main
 from termembed.errors import FormatError
 from termembed.extension import SolverConfig
 from termembed.pointio import read_points_bin, read_points_csv, write_points_bin, write_points_csv
+from termembed.sketch import plan_dimension
 
 
 def write_csv(path, arr):
@@ -637,9 +639,10 @@ class TestBadInputs:
              "--queries-per-mode", "0", "--out", "{out}"],
             ["scaling", "{points}", "--epsilons", "half", "--consts", "0.5", "--seeds", "0",
              "--out", "{out}"],
-            ["build", "{points}", "--out", "{out}", "--solver-tol", "nan"],
-            ["build", "{points}", "--out", "{out}", "--solver-tol", "inf"],
-            ["build", "{points}", "--out", "{out}", "--solver-tol", "-1"],
+            ["build", "{points}", "--out", "{out}", "--solver-iters", "2.5"],
+            ["build", "{points}", "--out", "{out}", "--solver-iters", "nan"],
+            ["scaling", "{points}", "--epsilons", "0.5", "--consts", "0.5", "--seeds", "0",
+             "--solver-iters", "-1", "--out", "{out}"],
             ["build", "{points}", "--out", "{out}", "--solver-iters", "-5"],
             # build's plan flags; scaling takes its grid from --epsilons, --consts, --seeds
             ["scaling", "{points}", "--epsilons", "0.5", "--consts", "0.5", "--seeds", "0",
@@ -667,6 +670,13 @@ class TestBadInputs:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+def _scaling_rows(tmp_path, points, epsilons, consts, seeds, *flags):
+    out = tmp_path / "scaling.json"
+    assert main(["scaling", points, "--epsilons", epsilons, "--consts", consts,
+                 "--seeds", seeds, *flags, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
 class TestScalingCommand:
     def test_csv_output(self, tmp_path, points_csv):
         out = tmp_path / "table.csv"
@@ -685,6 +695,97 @@ class TestScalingCommand:
         assert rc == 0
         rows = json.loads(out.read_text())
         assert rows[0]["epsilon"] == 0.5
+
+    def test_rows_echo_grid_and_plan_m(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", np.random.default_rng(1).standard_normal((12, 12)))
+        rows = _scaling_rows(tmp_path, path, "0.5", "0.5,1.0", "0,1",
+                             "--queries-per-mode", "3", "--chd-samples", "100")
+        assert [(r["epsilon"], r["C"], r["seed"]) for r in rows] == [
+            (0.5, 0.5, 0), (0.5, 0.5, 1), (0.5, 1.0, 0), (0.5, 1.0, 1)
+        ]
+        for row in rows:
+            plan = plan_dimension(12, row["epsilon"], row["C"], 12)
+            assert row["m"] == plan.m and row["mode"] == plan.mode
+
+    def test_doubling_C_median_violation_not_worse(self, tmp_path):
+        # sketch mode for both C values: n=32, d=32, eps=0.5 (m=14, 28)
+        path = write_csv(tmp_path / "p.csv", np.random.default_rng(2).standard_normal((32, 32)))
+        rows = _scaling_rows(tmp_path, path, "0.5", "0.5,1.0", "0,1,2,3,4",
+                             "--queries-per-mode", "2", "--chd-samples", "400")
+        by_c = {}
+        for row in rows:
+            assert row["mode"] == "sketch"
+            by_c.setdefault(row["C"], []).append(row["chd_max_violation"])
+        assert np.median(by_c[1.0]) <= np.median(by_c[0.5])
+
+    def test_plan_uses_dimension(self, tmp_path):
+        # n=12, d=6, eps=0.5: m=10 (C=0.5) is < n but >= d, so the exact path
+        path = write_csv(tmp_path / "p.csv", np.random.default_rng(1).standard_normal((12, 6)))
+        rows = _scaling_rows(tmp_path, path, "0.5", "0.5", "0",
+                             "--queries-per-mode", "2", "--chd-samples", "50")
+        assert plan_dimension(12, 0.5, 0.5).mode == "sketch"
+        assert rows[0]["m"] == 10 and rows[0]["mode"] == "exact_small"
+        assert rows[0]["chd_max_violation"] == 0.0
+
+    def test_csv_table_shape(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "p.csv", np.random.default_rng(3).standard_normal((6, 4)))
+        assert main(["scaling", path, "--epsilons", "0.5", "--consts", "1.0", "--seeds", "0",
+                     "--queries-per-mode", "2", "--chd-samples", "50"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "epsilon,C,seed,m,mode,chd_max_violation,max_ratio_dev"
+        assert len(lines) == 2 and lines[1].startswith("0.5,1.0,0,")
+
+    def test_direction_set_built_once_per_call(self, tmp_path, monkeypatch):
+        pts = np.random.default_rng(1).standard_normal((12, 12))
+        path = write_csv(tmp_path / "p.csv", pts)
+        built = []
+        original = cli.direction_set
+        monkeypatch.setattr(cli, "direction_set", lambda P: built.append(P) or original(P))
+        rows = _scaling_rows(tmp_path, path, "0.5,0.9", "0.5,1.0", "0,1",
+                             "--queries-per-mode", "2", "--chd-samples", "50")
+        assert sum(row["mode"] == "sketch" for row in rows) == 6
+        assert len(built) == 1 and np.array_equal(built[0].points, pts)
+        built.clear()
+        _scaling_rows(tmp_path, path, "0.5", "1.0", "0", "--queries-per-mode", "2")
+        assert built == []  # exact path only: no direction set
+
+    def test_empty_grid_is_usage_error(self, tmp_path, points_csv, capsys):
+        grid = {"--epsilons": "0.5", "--consts": "0.5", "--seeds": "0"}
+        for flag in grid:
+            argv = [f for pair in {**grid, flag: ""}.items() for f in pair]
+            before = sorted(tmp_path.rglob("*"))
+            rc = main(["scaling", points_csv, *argv, "--out", str(tmp_path / "s.json")])
+            out, err = capsys.readouterr()
+            assert rc == 1 and err.startswith("usage error:") and out == ""
+            assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "shape, eps, dist, tier",
+        [((60, 40), "0.5", "gaussian", "midpoint"), ((8, 8), "0.9", "gaussian", "random"),
+         ((12, 6), "0.5", "rademacher", None)],
+        ids=["sketch", "random_witness", "exact_small"],
+    )
+    def test_row_equals_verify_chd_and_eval(self, tmp_path, shape, eps, dist, tier):
+        # A scaling cell is what build, verify-chd and eval report on a bundle
+        # built with the same epsilon, C, seed and --dist. The 8-point set's
+        # witness comes from the random tier, so it depends on the seed.
+        path = write_csv(tmp_path / "p.csv", np.random.default_rng(5).standard_normal(shape))
+        plan = ["--dist", dist, "--solver-iters", "300"]
+        [row] = _scaling_rows(tmp_path, path, eps, "0.5", "3", "--queries-per-mode", "3",
+                              "--chd-samples", "3000", *plan)
+        bundle = str(tmp_path / "b")
+        assert main(["build", path, "--out", bundle, "--epsilon", eps, "--const-C", "0.5",
+                     "--seed", "3", *plan]) == 0
+        chd, ev = tmp_path / "chd.json", tmp_path / "eval.json"
+        assert main(["verify-chd", bundle, "--samples", "3000", "--seed", "3",
+                     "--report", str(chd)]) == 0
+        assert main(["eval", bundle, "--queries-per-mode", "3", "--seed", "3",
+                     "--report", str(ev)]) == 0
+        chd, ev = json.loads(chd.read_text()), json.loads(ev.read_text())
+        assert chd["witness_tier"] == tier and row["mode"] == ev["config"]["mode"]
+        assert row["m"] == ev["config"]["m_plan"]
+        assert row["chd_max_violation"] == chd["max_violation"]
+        assert row["max_ratio_dev"] == ev["max_abs_ratio_dev"]
 
 
 class TestSeedFallback:

@@ -259,8 +259,8 @@ class TestDualCertificate:
 
 class TestSolverConfig:
     @pytest.mark.parametrize(
-        "kw", [{"max_iters": 2.5}, {"max_iters": True}, {"tol": True}, {"tol": np.bool_(False)},
-               {"tol": "0.001"}],
+        "kw", [{"max_iters": 2.5}, {"max_iters": True}, {"max_iters": np.bool_(True)},
+               {"max_iters": "5"}, {"max_iters": 5.0}],
     )
     def test_wrong_type_rejected(self, kw):
         with pytest.raises(TypeError, match=next(iter(kw))):

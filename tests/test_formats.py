@@ -196,14 +196,18 @@ def test_cli_non_utf8_csv_exits_2(tmp_path, capsys, command):
 
 
 def test_csv_write_bytes_are_shortest_repr(tmp_path):
-    # Each value is written as Python's shortest round-trip repr, specials
-    # included; ",".join(map(repr, row.tolist())) gives the same bytes.
+    # Each value is written as Python's shortest round-trip repr of the
+    # float, specials included.
     rng = np.random.default_rng(9)
     arr = rng.standard_normal((200, 228)) * 10.0 ** rng.integers(-300, 300, size=(200, 228))
-    specials = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, np.nan, np.inf, -np.inf]
+    specials = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, np.nan, np.inf, -np.inf,
+                -5e-324, -1.7976931348623157e308, 1e16, 1e-05]
     arr[:, : len(specials)] = specials
     path = tmp_path / "p.csv"
     write_points_csv(path, arr)
     text = path.read_bytes().decode("utf-8")
-    assert text.startswith("-0.0,5e-324,1.7976931348623157e+308,0.1,3.0,nan,inf,-inf,")
-    assert text == "".join(",".join(map(repr, row.tolist())) + "\n" for row in arr)
+    assert text.startswith(
+        "-0.0,5e-324,1.7976931348623157e+308,0.1,3.0,nan,inf,-inf,"
+        "-5e-324,-1.7976931348623157e+308,1e+16,1e-05,"
+    )
+    assert text == "".join(",".join(repr(float(v)) for v in row) + "\n" for row in arr)

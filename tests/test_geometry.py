@@ -158,6 +158,20 @@ def _small(rng):
     ]
 
 
+def _above_max_norm(pts):
+    return np.sqrt(np.einsum("ij,ij->i", pts, pts)).max() > geometry.MAX_NORM
+
+
+def _point_set(pts):
+    """build_point_set(pts), or for points above geometry.MAX_NORM, which it
+    refuses, a PointSet built directly."""
+    if not _above_max_norm(pts):
+        return build_point_set(pts)
+    with pytest.raises(NonFinitePoint, match="MAX_NORM"):
+        build_point_set(pts)
+    return geometry.PointSet(points=np.array(pts, dtype=np.float64))
+
+
 def _assert_nearest_matches(Q, X):
     """nearest_batch(Q, X) and nearest(u, X) for each row u both give the
     argmin and min of the full exact pass."""
@@ -182,9 +196,15 @@ class TestNearest:
         # Each family's queries, then its terminals as queries (R = 0).
         rng = np.random.default_rng(13)
         for pts, Q in family(rng):
-            X = build_point_set((pts + shift) * scale)
-            with np.errstate(over="ignore"):
-                _assert_nearest_matches((np.vstack([Q, pts]) + shift) * scale, X)
+            pts, Q = (pts + shift) * scale, (np.vstack([Q, pts]) + shift) * scale
+            if _above_max_norm(pts):
+                # Squared distances overflow: both the points and the queries are refused.
+                with pytest.raises(NonFinitePoint, match="MAX_NORM"):
+                    build_point_set(pts)
+                with pytest.raises(NonFinitePoint, match="MAX_NORM"):
+                    nearest_batch(Q, geometry.PointSet(points=pts))
+                continue
+            _assert_nearest_matches(Q, build_point_set(pts))
 
     @pytest.mark.parametrize("n,d", [(1, 1), (40, 1), (40, 7), (300, 64), (30, 257)])
     def test_row_subset_bit_identical(self, n, d):
@@ -260,14 +280,18 @@ class TestNearestBatch:
 
     def test_huge_scale_takes_exact_pass(self, monkeypatch):
         rng = np.random.default_rng(17)
+        # Points this far out pass only as a PointSet built directly, and
+        # queries only up to geometry.MAX_NORM.
         pts = rng.standard_normal((20, 4)) * 1e154
-        Q = np.vstack([rng.standard_normal((5, 4)) * 1e154, pts[:2]])
-        X = build_point_set(pts)
+        Q = rng.standard_normal((5, 4)) * 1e149
+        X = _point_set(pts)
         seen = _record_exact_work(monkeypatch)
         nearest_batch(Q, X)
-        assert seen == [("blocks", 7, 20)]
+        assert seen == [("blocks", 5, 20)]
         monkeypatch.undo()
         _assert_nearest_matches(Q, X)
+        with pytest.raises(NonFinitePoint, match="MAX_NORM"):
+            nearest_batch(pts[:2], X)
 
     def test_gaussian_recomputes_one_entry_per_row(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -366,7 +390,7 @@ class TestNeighborScales:
             if not _distinct(pts):  # the 1e-9 pair at shift 1e8
                 continue
             with np.errstate(over="ignore"):
-                nn, diameter = build_point_set(pts).neighbor_scales
+                nn, diameter = _point_set(pts).neighbor_scales
                 assert np.array_equal(nn, _broadcast_nearest_neighbor_dists(pts))
                 assert diameter == _broadcast_diameter(pts)
 

@@ -17,13 +17,11 @@ from termembed import (
     plan_dimension,
     sample_queries,
     sample_suite,
-    scaling_study,
 )
 from termembed.extension import EfnEmbedder
 from termembed import geometry, harness
 from termembed.cli import _dump_json
 from termembed.geometry import distances_to
-from termembed.harness import scaling_table_csv
 from termembed.seeding import derive_seed
 from termembed.sketch import SketchMatrix
 
@@ -493,73 +491,6 @@ class TestEvaluate:
         assert parsed["config"]["epsilon"] == 0.25
         assert parsed["pair_count"] == rep.pair_count
         assert set(parsed["samplers"]) == set(labels)
-
-
-class TestScalingStudy:
-    def test_rows_echo_and_m_consistency(self):
-        X = build_point_set(np.random.default_rng(1).standard_normal((12, 12)))
-        rows = scaling_study(
-            X, epsilons=[0.5], Cs=[0.5, 1.0], seeds=[0, 1],
-            queries_per_mode=3, chd_samples=100,
-        )
-        assert len(rows) == 4
-        for row in rows:
-            assert row["epsilon"] == 0.5
-            plan = plan_dimension(X.n, row["epsilon"], row["C"])
-            assert row["m"] == plan.m and row["mode"] == plan.mode
-
-    def test_doubling_C_median_violation_not_worse(self):
-        # sketch mode for both C values: n=32, d=32, eps=0.5 (m=14, 28)
-        X = build_point_set(np.random.default_rng(2).standard_normal((32, 32)))
-        rows = scaling_study(
-            X, epsilons=[0.5], Cs=[0.5, 1.0], seeds=[0, 1, 2, 3, 4],
-            queries_per_mode=2, chd_samples=400,
-        )
-        by_c = {}
-        for row in rows:
-            assert row["mode"] == "sketch"
-            by_c.setdefault(row["C"], []).append(row["chd_max_violation"])
-        assert np.median(by_c[1.0]) <= np.median(by_c[0.5])
-
-    def test_plan_uses_dimension(self):
-        # n=12, d=6, eps=0.5: m=10 (C=0.5) is < n but >= d, so the exact path
-        X = build_point_set(np.random.default_rng(1).standard_normal((12, 6)))
-        rows = scaling_study(X, epsilons=[0.5], Cs=[0.5], seeds=[0],
-                             queries_per_mode=2, chd_samples=50)
-        assert plan_dimension(X.n, 0.5, 0.5).mode == "sketch"
-        assert rows[0]["m"] == 10 and rows[0]["mode"] == "exact_small"
-        assert rows[0]["chd_max_violation"] == 0.0
-
-    def test_csv_table_shape(self):
-        X = build_point_set(np.random.default_rng(3).standard_normal((6, 4)))
-        rows = scaling_study(
-            X, epsilons=[0.5], Cs=[1.0], seeds=[0],
-            queries_per_mode=2, chd_samples=50,
-        )
-        text = scaling_table_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("epsilon,C,seed,m,mode")
-        assert len(lines) == 2
-
-    def test_direction_set_built_once_per_call(self, monkeypatch):
-        X = build_point_set(np.random.default_rng(1).standard_normal((12, 12)))
-        built = []
-        original = harness.direction_set
-        monkeypatch.setattr(harness, "direction_set", lambda P: built.append(P) or original(P))
-        rows = scaling_study(
-            X, epsilons=[0.5, 0.9], Cs=[0.5, 1.0], seeds=[0, 1],
-            queries_per_mode=2, chd_samples=50,
-        )
-        assert sum(row["mode"] == "sketch" for row in rows) == 6
-        assert len(built) == 1 and built[0] is X
-        built.clear()
-        scaling_study(X, epsilons=[0.5], Cs=[1.0], seeds=[0], queries_per_mode=2)
-        assert built == []  # exact path only: no direction set
-
-    def test_empty_grid_rejected(self):
-        X = build_point_set(np.random.default_rng(4).standard_normal((4, 3)))
-        with pytest.raises(ValueError):
-            scaling_study(X, [], [1.0], [0])
 
 
 def _sketch_embedder(X, m, seed=4):

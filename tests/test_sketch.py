@@ -77,7 +77,7 @@ class TestPlanDimension:
 
     def test_single_point_always_exact(self):
         # m >= 1 = min(1, d) for every valid (eps, C, d), so n = 1 never
-        # sketches: scaling_study relies on it to skip an empty direction set.
+        # sketches: a sketch-path plan always has a nonempty direction set.
         for eps in (1e-3, 0.1, 0.5, 0.999):
             for C in (1e-12, 0.25, 1.0, 4.0, 1e6):
                 for d in (None, 1, 2, 256, 10**7):
