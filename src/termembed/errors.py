@@ -19,7 +19,11 @@ class DuplicatePoint(EmbeddingError):
 
 class NonFinitePoint(EmbeddingError):
     """A coordinate was NaN or infinite, or a point's norm exceeded
-    geometry.MAX_NORM."""
+    geometry.MAX_NORM. row is the index of the refused row, when known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class InvalidEpsilon(EmbeddingError):

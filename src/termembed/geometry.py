@@ -281,11 +281,12 @@ def _checked_sq_norms(A: np.ndarray, what: str) -> np.ndarray:
     if bad.size:
         i = int(bad[0])
         if not np.all(np.isfinite(A[i])):
-            raise NonFinitePoint(f"{what} {i} has a non-finite coordinate")
+            raise NonFinitePoint(f"{what} {i} has a non-finite coordinate", i)
         norm = math.hypot(*A[i].tolist())  # finite where sq[i] overflowed
         raise NonFinitePoint(
             f"{what} {i} has norm {norm:.4g}, above the bound MAX_NORM = 2**500 "
-            f"(about {MAX_NORM:.4g}) within which float64 holds every squared distance"
+            f"(about {MAX_NORM:.4g}) within which float64 holds every squared distance",
+            i,
         )
     return sq
 

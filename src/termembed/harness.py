@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFinitePoint
 from .extension import STATUSES
 from .geometry import (
     PointSet,
@@ -414,11 +415,21 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     terminal index, ratio and |e^2 - d^2|. The last two are exact for
     recomputed pairs; for a screened pair they are the midpoint above and
     |s_e - s_d|, within w and b_d + b_e of the exact values.
+
+    A query that embed_batch refuses (NonFinitePoint: a non-finite
+    coordinate or a norm above geometry.MAX_NORM) raises NonFinitePoint
+    again with its row's label appended, so a sampled suite that reaches
+    past the bound names the sampler that drew the row.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries.reshape(1, -1)
-    images, per_query = E.embed_batch(queries)
+    try:
+        images, per_query = E.embed_batch(queries)
+    except NonFinitePoint as exc:
+        if labels is None or exc.row is None:
+            raise
+        raise NonFinitePoint(f"{exc}; its sampler label is {labels[exc.row]}", exc.row) from None
     anchors = np.array([rec["anchor_index"] for rec in per_query], dtype=np.intp)
     table = _PairRatios(queries, E.X.points, images, E.terminal_images, anchors, keep_raw)
     row_labels = [None] * len(queries) if labels is None else labels

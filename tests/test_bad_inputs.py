@@ -220,6 +220,10 @@ def test_just_inside_max_norm_stays_finite(tmp_path, mode):
     # near the bound eval can refuse its own queries, with the same error.
     assert_input_error(["eval", bundle, "--report", tmp_path / "suite.json"], "2**500")
     assert not (tmp_path / "suite.json").exists()
+    # The error names the refused row's sampler: the box reaches past the points.
+    assert run(["eval", bundle, "--report", tmp_path / "suite.json"])[2].endswith(
+        "; its sampler label is box\n"
+    )
 
 
 @pytest.mark.parametrize("escape", ["absolute", "parent"])

@@ -634,6 +634,80 @@ class TestSignedMidpointTier:
         assert np.array_equal(builder(0), [0.5, 0.5])
 
 
+def reference_estimate(pi, T, samples, seed):
+    """The witness loop of estimate_sampled as written before its loop did
+    O(1) work per chunk, kept as the reference for its witness rule."""
+    D = chd._as_direction_matrix(T, pi.d)
+    best_v = -1.0
+    best_weights = None
+    best_tier = None
+    tier_max: dict = {}
+    for chunk, (v, builder) in enumerate(chd._violation_stream(pi, T, samples, seed)):
+        tier = "vertex" if chunk == 0 else "midpoint" if chunk < D.shape[0] else "random"
+        r = int(np.argmax(v))
+        tier_max[tier] = max(tier_max.get(tier, -1.0), float(v[r]))
+        if v[r] > best_v:
+            best_v = float(v[r])
+            best_weights = builder(r)
+            best_tier = tier
+    witness = make_hull_point(D, best_weights)
+    return chd.ChdEstimate(
+        max_violation=violation(pi, witness),
+        witness=witness,
+        method="sampled",
+        witness_tier=best_tier,
+        tier_max=tier_max,
+    )
+
+
+def assert_same_estimate(pi, T, samples, seed):
+    est = estimate_sampled(pi, T, samples, seed=seed)
+    ref = reference_estimate(pi, T, samples, seed)
+    assert est.max_violation == ref.max_violation
+    assert np.array_equal(est.witness.weights, ref.witness.weights)
+    assert est.witness_tier == ref.witness_tier
+    assert est.tier_max == ref.tier_max
+    assert list(est.tier_max) == list(ref.tier_max)
+    assert all(type(x) is float for x in est.tier_max.values())
+    return est
+
+
+class TestWitnessRule:
+    def test_midpoint_instances(self, blocks):
+        for T, pi in midpoint_instances():
+            for seed in (0, 1):
+                assert_same_estimate(pi, T, 300, seed)
+
+    @pytest.mark.parametrize("name", sorted(RANDOM_INSTANCES))
+    def test_random_instances(self, name):
+        T, pi = RANDOM_INSTANCES[name]()
+        for seed in (0, 1):
+            assert_same_estimate(pi, T, 700, seed)
+
+    def test_mirror_sets(self, blocks):
+        for Y in mirror_sets():
+            if len(Y) == 0:
+                continue
+            pi = generate_sketch(2, Y.points.shape[1], "gaussian", len(Y))
+            for seed in (0, 1):
+                assert_same_estimate(pi, Y, 300, seed)
+
+    def test_first_occurrence_wins_a_tie(self):
+        # T = [a, a, b]: the midpoint (a + a)/2 is a, so the midpoint chunk
+        # ties the vertex a exactly at the max; the vertex chunk comes first.
+        # Pi = diag(2, 1) gives a = e1 the largest violation, 1. At these
+        # seeds no random point exceeds it (a point on a alone may round to
+        # (1 + ulp) a, which would), and some tie it.
+        T = np.array([[1.0, 0.0], [1.0, 0.0], [0.6, 0.8]])
+        pi = SketchMatrix(entries=np.diag([2.0, 1.0]), distribution="gaussian", seed=0)
+        for seed in (0, 1, 2):
+            est = assert_same_estimate(pi, T, 20, seed)
+            assert est.tier_max["vertex"] == est.tier_max["midpoint"] == 1.0
+            assert est.tier_max["random"] <= 1.0
+            assert est.witness_tier == "vertex"
+            assert np.array_equal(est.witness.weights, [1.0, 0.0, 0.0])
+
+
 class TestRefineLocal:
     def _instance(self):
         rng = np.random.default_rng(18)
