@@ -24,6 +24,7 @@ from .errors import (
     FormatError,
     InvalidConstant,
     InvalidEpsilon,
+    InvalidMatrix,
     NonFinitePoint,
     TooManyDirections,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "HullPoint",
     "InvalidConstant",
     "InvalidEpsilon",
+    "InvalidMatrix",
     "NonFinitePoint",
     "PointSet",
     "SketchMatrix",

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import harness, pointio
 from .chd import estimate_sampled
-from .errors import EmbeddingError, FormatError
+from .errors import DimensionMismatch, EmbeddingError, FormatError, InvalidMatrix
 from .extension import (
     TOL,
     EfnEmbedder,
@@ -168,6 +168,8 @@ def _embedder(X, plan, epsilon, distribution, seed, solver):
 
 def _save_bundle(out_dir: Path, X, plan, *, epsilon, C, distribution, seed, solver,
                  source, fmt) -> dict:
+    # The embedder first: a sketch above sketch.MAX_FROBENIUS writes nothing.
+    embedder = _embedder(X, plan, epsilon, distribution, seed, solver)
     out_dir.mkdir(parents=True, exist_ok=True)
     pointio.write_points_bin(out_dir / "points.bin", X.points)
     meta = {
@@ -184,7 +186,6 @@ def _save_bundle(out_dir: Path, X, plan, *, epsilon, C, distribution, seed, solv
         "source": str(source),
         "format": fmt,
     }
-    embedder = _embedder(X, plan, epsilon, distribution, seed, solver)
     if plan.mode == "sketch":
         save_sketch(embedder.Pi, out_dir / "sketch.json", out_dir / "sketch.bin")
     else:
@@ -232,7 +233,8 @@ def load_bundle(bundle_dir):
     either is a FormatError naming it, since loading it would change the
     algorithm. The mode must be "sketch" or
     "exact_small", and m_plan a JSON integer, equal to the m of sketch.json
-    on a sketch bundle. An exact bundle's basis.bin must have d columns."""
+    on a sketch bundle. A sketch.bin or basis.bin that SketchMatrix or
+    ExactEmbedding refuses is a FormatError naming the file."""
     bundle_dir = Path(bundle_dir)
     cfg_path = bundle_dir / "config.json"
     if not cfg_path.exists():
@@ -270,12 +272,11 @@ def load_bundle(bundle_dir):
             raise FormatError(f"{cfg_path}: m_plan {m_plan} differs from the sketch's m = {pi.m}")
         embedder = build_embedder(X, pi, epsilon, solver)
     else:
-        basis = pointio.read_points_bin(bundle_dir / "basis.bin")
-        if basis.shape[1] != X.d:
-            raise FormatError(
-                f"{bundle_dir / 'basis.bin'}: basis width {basis.shape[1]}, expected {X.d}"
-            )
-        embedder = ExactEmbedding(X=X, basis=basis)
+        basis_path = bundle_dir / "basis.bin"
+        try:
+            embedder = ExactEmbedding(X=X, basis=pointio.read_points_bin(basis_path))
+        except (DimensionMismatch, InvalidMatrix) as exc:
+            raise FormatError(f"{basis_path}: {exc}") from None
     return embedder, meta
 
 

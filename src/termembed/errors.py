@@ -38,5 +38,11 @@ class TooManyDirections(EmbeddingError):
     """Grid certification is limited to very small direction sets."""
 
 
+class InvalidMatrix(EmbeddingError):
+    """A sketch or exact-path basis outside the rules that keep every square
+    finite: a non-finite sketch entry, a sketch Frobenius norm above
+    sketch.MAX_FROBENIUS, or basis rows that are not orthonormal."""
+
+
 class FormatError(EmbeddingError):
     """Malformed point file or serialized artifact."""

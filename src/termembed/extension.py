@@ -68,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidMatrix
 from .geometry import PointSet, distances_to, nearest, nearest_batch
 from .sketch import SketchMatrix, sketch_points
 
@@ -79,6 +79,10 @@ _TINY = 1e-300
 # would lose more than log10(1/_CANCEL) digits (near-duplicate terminals,
 # data far from the origin).
 _CANCEL = 1e-2
+# The largest entry of |B B^T - I| an exact-path basis B may have. SVD bases
+# measured at most about 4e-15, on data scaled by 1e-11 or 1e140 or shifted by
+# 1e8 too; a basis.bin off by a scale factor is far above it.
+BASIS_TOL = 1e-9
 
 # Keys of the per-query diagnostics record every embed_batch returns.
 RECORD_KEYS = ("residual", "iterations", "anchor_index", "converged", "lower_bound", "status")
@@ -318,8 +322,8 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
     # kept factored over X and Pi X: t_i = (<x_i, P> - <x_k, P>)/norms_i and
     # row i of W is (Pi x_i - Pi x_k)/norms_i, with norms_i^2 from the Gram
     # identity. Entry k is a dummy row (norm 1) whose residual is forced to 0.
-    # Rows in the cancellation zone (or with a NaN Gram norm, from squares
-    # that overflow) take exact norms and the direct difference form instead.
+    # Rows in the cancellation zone take exact norms and the direct
+    # difference form instead.
     pts, PX = X.points, E.embedded_X
     x_k, PX_k = pts[k], PX[k]
     P = u - x_k
@@ -528,13 +532,23 @@ class ExactEmbedding(OuterExtension):
     map is u -> (coords of proj_E(u - x_1) in the basis, ||proj to E-perp||),
     which preserves every distance to the terminal set exactly: terminals
     live in E, so the perpendicular part of u - x_i never depends on i.
+    A basis without X.d columns raises DimensionMismatch, and one whose rows
+    are not orthonormal (an entry of |B B^T - I| above BASIS_TOL, or not
+    finite) raises InvalidMatrix.
     """
 
     X: PointSet
     basis: np.ndarray  # (r, d), orthonormal rows
 
     def __post_init__(self):
-        self.basis.setflags(write=False)
+        B = self.basis
+        if B.shape[1] != self.X.d:
+            raise DimensionMismatch(f"basis width {B.shape[1]}, expected {self.X.d}")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
+            err = float(np.abs(B @ B.T - np.eye(B.shape[0])).max(initial=0.0))
+        if not err <= BASIS_TOL:
+            raise InvalidMatrix(f"basis rows are not orthonormal: max |B B^T - I| = {err:.3g}")
+        B.setflags(write=False)
 
     @property
     def rank(self) -> int:

@@ -20,16 +20,17 @@ BLOCK_ELEMENTS = 2**18
 # The Gram screens (nearest_batch, PointSet.neighbor_scales,
 # harness.evaluate) are trusted only while (||a|| + ||b||)^2 stays below this
 # for every pair they compare, so no square in the screen or in the exact
-# kernel overflows.
+# kernel overflows; rows within MAX_NORM always are.
 _GRAM_MAX = np.finfo(np.float64).max / 4
-# The largest point or query norm accepted (build_point_set, nearest_batch).
-# Between two such vectors the largest squares the package forms stay far
-# below float64's 2^1024: the Gram screens' (||a|| + ||b||)^2 and the squared
-# difference norms are at most 2^1002, and the warm start's R * Pi (u - x_k)
-# is at most 2^1002 ||Pi||. The sampled queries of harness.sample_queries
-# reach past the points (a far:s query lies up to about (1 + 2s) max ||x_i||
-# from the origin, a box query up to three times the bounding box's reach),
-# so eval on a point set near the bound can reject its own queries.
+# The largest point or query norm accepted (PointSet's invariant, and
+# nearest_batch's query check). Between two such vectors the Gram screens'
+# (||a|| + ||b||)^2 and the squared distances are at most (2 * 2^500)^2 =
+# 2^1002. A sketch has ||Pi||_F <= sketch.MAX_FROBENIUS = 2^10, so the warm
+# start's ||Pi (u - x_k)||^2 <= ||Pi||_F^2 ||u - x_k||^2 is at most 2^1022.
+# The sampled queries of harness.sample_queries reach past the points (a
+# far:s query lies up to about (1 + 2s) max ||x_i|| from the origin, a box
+# query up to three times the bounding box's reach), so eval on a point set
+# near the bound can reject its own queries.
 MAX_NORM = 2.0**500
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -37,12 +38,35 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered set of n distinct points in R^d."""
+    """An ordered set of n >= 1 distinct points in R^d (d >= 1), each finite
+    with a norm of at most MAX_NORM. Construction checks this, in that order
+    (DimensionMismatch or EmptyInput, NonFinitePoint naming the first bad
+    row, DuplicatePoint with -0.0 equal to 0.0). points becomes a read-only
+    float64 array; sq_norms keeps the check's squared norms ||x_i||^2."""
 
     points: np.ndarray  # (n, d), read-only
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n,), read-only
 
     def __post_init__(self):
-        self.points.setflags(write=False)
+        pts = np.asarray(self.points, dtype=np.float64)
+        if pts.ndim != 2:
+            raise DimensionMismatch(f"expected 2-D point array, got ndim={pts.ndim}")
+        if pts.shape[0] == 0:
+            raise EmptyInput("point set must contain at least one point")
+        if pts.shape[1] == 0:
+            raise DimensionMismatch("points must have dimension >= 1")
+        sq = _checked_sq_norms(pts, "point")
+        # Exact duplicates: adding 0.0 maps -0.0 to +0.0, so rows equal under
+        # IEEE comparison have equal bytes.
+        seen: dict[bytes, int] = {}
+        for i in range(pts.shape[0]):
+            j = seen.setdefault((pts[i] + 0.0).tobytes(), i)
+            if j != i:
+                raise DuplicatePoint(f"points {j} and {i} are identical")
+        pts.setflags(write=False)
+        sq.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "sq_norms", sq)
 
     @property
     def n(self) -> int:
@@ -73,9 +97,10 @@ class PointSet:
         max (s - b)) are recomputed with the exact kernel. That costs O(n^2 d)
         GEMM flops, about one exact entry per row on Gaussian data, and
         temporaries of at most about 1.5 BLOCK_ELEMENTS values together (no
-        n x n array). Where a square could overflow ((2 max ||x_i||)^2 > max
-        float / 4) or every entry of some row is a candidate (as when the
-        squares underflow), it takes the exact pass.
+        n x n array). Where every entry of some row is a candidate (as when
+        the squares underflow, or on data far from the origin against its
+        spread) it takes the exact pass. No square overflows: the points are
+        within MAX_NORM.
         """
         if self.n == 1:
             nn, diameter = np.ones(1), 0.0
@@ -83,14 +108,6 @@ class PointSet:
             nn, diameter = _screened_neighbor_scales(self) or _exact_neighbor_scales(self.points)
         nn.setflags(write=False)
         return nn, diameter
-
-    @cached_property
-    def sq_norms(self) -> np.ndarray:
-        """(n,) read-only squared Euclidean norms ||x_i||^2, computed on first
-        use."""
-        sq = np.einsum("ij,ij->i", self.points, self.points)
-        sq.setflags(write=False)
-        return sq
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -133,9 +150,9 @@ def _exact_neighbor_scales(points: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _gram_overflows(sq_a: np.ndarray, sq_b: np.ndarray) -> bool:
-    """Whether a Gram screen of points with squared norms sq_a against points
-    with squared norms sq_b could overflow: (max ||a|| + max ||b||)^2 above
-    _GRAM_MAX."""
+    """Whether a Gram screen of rows with squared norms sq_a against rows with
+    squared norms sq_b could overflow: (max ||a|| + max ||b||)^2 above
+    _GRAM_MAX; only the images that harness.evaluate screens can."""
     scale = math.sqrt(float(sq_a.max())) + math.sqrt(float(sq_b.max()))
     return not scale * scale <= _GRAM_MAX
 
@@ -159,7 +176,8 @@ def _gram_screen(A: np.ndarray, sq_a: np.ndarray, B: np.ndarray, sq_b: np.ndarra
     ||a_i||, ||b_j||), so the exact kernel's squared distance
     ||a_i - b_j||^2 lies in [lo_ij, hi_ij]. lo and hi are views into two
     buffers that the next block overwrites; the caller may write into them.
-    The caller checks _gram_overflows first."""
+    Rows within MAX_NORM cannot overflow; the image screen of
+    harness.evaluate checks _gram_overflows first."""
     d = A.shape[1]
     norms_a, norms_b = np.sqrt(sq_a), np.sqrt(sq_b)
     lo_buf, hi_buf, b_buf = np.empty((3, min(step, rows.size), B.shape[0]))
@@ -193,11 +211,8 @@ def _pair_distances(A: np.ndarray, B: np.ndarray, i: np.ndarray, j: np.ndarray) 
 
 def _screened_neighbor_scales(X: PointSet):
     """neighbor_scales from the Gram screen of X against itself (see there),
-    or None where a square could overflow or every entry of some row is a
-    nearest-neighbor candidate."""
+    or None where every entry of some row is a nearest-neighbor candidate."""
     pts, sq = X.points, X.sq_norms
-    if _gram_overflows(sq, sq):
-        return None
     step = _screen_rows(X.n, X.d)
     nn = np.empty(X.n)
     row_max = np.empty(X.n)  # max_{j != i} (s_ij + b_ij)
@@ -273,9 +288,9 @@ class DirectionSet:
 
 
 def _checked_sq_norms(A: np.ndarray, what: str) -> np.ndarray:
-    """The squared norms of the rows of A, the einsum PointSet.sq_norms
-    takes; NonFinitePoint, naming the first bad row, unless every row is
-    finite with a squared norm of at most MAX_NORM^2."""
+    """The squared norms of the rows of A (PointSet keeps them as sq_norms);
+    NonFinitePoint, naming the first bad row, unless every row is finite
+    with a squared norm of at most MAX_NORM^2."""
     sq = np.einsum("ij,ij->i", A, A)
     bad = np.flatnonzero(~(sq <= MAX_NORM * MAX_NORM))  # NaN and inf fail too
     if bad.size:
@@ -292,45 +307,24 @@ def _checked_sq_norms(A: np.ndarray, what: str) -> np.ndarray:
 
 
 def build_point_set(raw) -> PointSet:
-    """Validate a list of d-vectors (or an (n, d) array) into a PointSet.
-
-    Raises EmptyInput, DimensionMismatch (ragged rows), NonFinitePoint (a
-    NaN or infinite coordinate, or a norm above MAX_NORM), or DuplicatePoint
-    (exact coordinate equality; -0.0 counts as 0.0).
-    Input order is preserved.
+    """The PointSet of a list of d-vectors or an (n, d) array (copied), in
+    input order. It only converts: an empty or 0-D array raises EmptyInput,
+    a 1-D array is one point, and list rows of unequal length raise
+    DimensionMismatch; PointSet checks the rest (DimensionMismatch,
+    EmptyInput, NonFinitePoint, DuplicatePoint).
     """
     if isinstance(raw, np.ndarray):
         if raw.size == 0 or raw.ndim == 0:
             raise EmptyInput("point set must contain at least one point")
-        if raw.ndim == 1:
-            raw = raw.reshape(1, -1)
-        if raw.ndim != 2:
-            raise DimensionMismatch(f"expected 2-D point array, got ndim={raw.ndim}")
-        pts = np.array(raw, dtype=np.float64)
-    else:
-        rows = [np.asarray(r, dtype=np.float64).reshape(-1) for r in raw]
-        if not rows:
-            raise EmptyInput("point set must contain at least one point")
-        d = rows[0].shape[0]
-        for i, r in enumerate(rows):
-            if r.shape[0] != d:
-                raise DimensionMismatch(
-                    f"point {i} has dimension {r.shape[0]}, expected {d}"
-                )
-        pts = np.vstack(rows)
-    if pts.shape[1] == 0:
-        raise DimensionMismatch("points must have dimension >= 1")
-    _checked_sq_norms(pts, "point")
-
-    # Exact duplicate detection. Adding 0.0 maps -0.0 to +0.0 so that rows
-    # equal under IEEE comparison hash identically.
-    seen: dict[bytes, int] = {}
-    for i in range(pts.shape[0]):
-        key = (pts[i] + 0.0).tobytes()
-        if key in seen:
-            raise DuplicatePoint(f"points {seen[key]} and {i} are identical")
-        seen[key] = i
-    return PointSet(points=pts)
+        raw = raw.reshape(1, -1) if raw.ndim == 1 else raw
+        return PointSet(points=np.array(raw, dtype=np.float64))
+    rows = [np.asarray(r, dtype=np.float64).reshape(-1) for r in raw]
+    for i, r in enumerate(rows):
+        if r.shape != rows[0].shape:
+            raise DimensionMismatch(
+                f"point {i} has dimension {r.shape[0]}, expected {rows[0].shape[0]}"
+            )
+    return PointSet(points=np.vstack(rows) if rows else np.empty((0, 0)))
 
 
 def distance_row_blocks(A: np.ndarray, B: np.ndarray):
@@ -386,8 +380,8 @@ def nearest_batch(Q, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
     that can hold its row's exact minimum has lo_ui <= min_j hi_uj, and only
     those candidates are recomputed with the exact kernel (_pair_distances),
     so no value that reaches k or R comes from the GEMM and no row depends on
-    the batch around it. Where a square could overflow ((max ||x_i|| + max
-    ||u||)^2 > max float / 4) it takes the exact blocked pass instead.
+    the batch around it. No square overflows: the points and the checked
+    queries are within MAX_NORM.
     """
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or (Q.shape[0] and Q.shape[1] != X.d):
@@ -397,11 +391,6 @@ def nearest_batch(Q, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
     if q == 0:
         return k, R
     sq_q = _checked_sq_norms(Q, "query")
-    if _gram_overflows(sq_q, X.sq_norms):
-        for start, dist in distance_row_blocks(Q, X.points):
-            k[start : start + dist.shape[0]] = dist.argmin(axis=1)
-            R[start : start + dist.shape[0]] = dist.min(axis=1)
-        return k, R
     step = _screen_rows(X.n, X.d)
     for block, lo, hi in _gram_screen(Q, sq_q, X.points, X.sq_norms, np.arange(q), step):
         a, j = np.nonzero(lo <= hi.min(axis=1, keepdims=True))

@@ -320,14 +320,14 @@ class _PairRatios:
 
     def _screen(self) -> bool:
         """Fill the table from the two Gram screens, blocked by query rows,
-        recomputing the entries that decide the pair mask.
-        False where a square could overflow or a block would recompute more
-        than half its entries; the exact passes then fill everything."""
+        recomputing the entries that decide the pair mask. False where the
+        image screen could overflow or a block would recompute more than
+        half its entries; the exact passes then fill everything."""
         Q, P, F, T = self.pairs
         if Q.shape[0] == 0:
             return False
         sq = [np.einsum("ij,ij->i", A, A) for A in self.pairs]
-        if _gram_overflows(sq[0], sq[1]) or _gram_overflows(sq[2], sq[3]):
+        if _gram_overflows(sq[2], sq[3]):
             return False
         rows = np.arange(Q.shape[0])
         step = _screen_rows(P.shape[0], Q.shape[1], F.shape[1])
@@ -389,12 +389,13 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
       - its interval could hold the minimum or the maximum ratio, overall or
         of its sampler label;
       - its interval holds one of the 65 histogram bin edges.
-    On Gaussian data that is about one pair per query. Where a square could
-    overflow, or one of these steps would recompute more than half the
-    pairs it looks at (a block of the screen, on data far from the origin
-    against its spread; the extremes, when every ratio is 1 to a few ulps
-    as on the exact path), it takes two exact blocked distance passes
-    instead, and every value is exact.
+    On Gaussian data that is about one pair per query. Where an image square
+    could overflow (geometry.MAX_NORM bounds the queries and points only), or
+    one of these steps would recompute more than half the pairs it looks at
+    (a block of the screen, on data far from the origin against its spread;
+    the extremes, when every ratio is 1 to a few ulps as on the exact path),
+    it takes two exact blocked distance passes instead, and every value is
+    exact.
 
     Exact keys. query_count, pair_count, ratios.min, ratios.max, the
     histogram, max_abs_ratio_dev, distortion, max_residual, status_counts,

@@ -23,6 +23,7 @@ from .errors import (
     FormatError,
     InvalidConstant,
     InvalidEpsilon,
+    InvalidMatrix,
 )
 
 RADEMACHER = "rademacher"
@@ -30,17 +31,39 @@ GAUSSIAN = "gaussian"
 DEFAULT_C = 4.0
 
 SKETCH_MAGIC = "TESK"
+# The largest Frobenius norm ||Pi||_F accepted. With norms within
+# geometry.MAX_NORM = 2^500, ||Pi (u - x_k)||^2 <= ||Pi||_F^2 ||u - x_k||^2
+# is then at most 2^20 * 2^1002 = 2^1022, below float64's 2^1024. A drawn
+# Rademacher sketch has ||Pi||_F = sqrt(d) up to the rounding of 1/sqrt(m),
+# so the sketch path takes d < 2^20 = 1,048,576 (d = 2^20 only where
+# 1/sqrt(m) is exact, as at m = 1 or 4). A Gaussian one has ||Pi||_F near
+# sqrt(d): at d = 2^20, 4 of 10 seeds measured above the bound.
+MAX_FROBENIUS = 2.0**10
 
 
 @dataclass(frozen=True)
 class SketchMatrix:
-    """Dense scaled sketch Pi in R^{m x d}; entries already include 1/sqrt(m)."""
+    """Dense scaled sketch Pi in R^{m x d}; entries already include 1/sqrt(m).
+
+    Every entry must be finite and ||Pi||_F at most MAX_FROBENIUS, else
+    InvalidMatrix."""
 
     entries: np.ndarray  # (m, d)
     distribution: str
     seed: int
 
     def __post_init__(self):
+        with np.errstate(over="ignore"):  # an overflow to inf fails the test
+            fro = float(np.linalg.norm(self.entries))  # one dot; NaN fails too
+        if not fro <= MAX_FROBENIUS:
+            # min and max reach any NaN or infinity with no (m, d) temporary.
+            if not (math.isfinite(self.entries.min()) and math.isfinite(self.entries.max())):
+                raise InvalidMatrix("sketch entries must be finite")
+            scale = float(np.abs(self.entries).max())  # ||Pi||_F without overflow
+            raise InvalidMatrix(
+                f"sketch Frobenius norm {scale * np.linalg.norm(self.entries / scale)!r} "
+                f"is above MAX_FROBENIUS = 2**10; a drawn sketch needs d < 2**20"
+            )
         self.entries.setflags(write=False)
 
     @property
@@ -97,7 +120,8 @@ def generate_sketch(
     """Draw an m x d sketch with i.i.d. entries scaled by 1/sqrt(m).
 
     Entries are drawn row-major from numpy's PCG64 stream, so identical
-    (m, d, distribution, seed) reproduce the matrix bit-exactly.
+    (m, d, distribution, seed) reproduce the matrix bit-exactly. A sketch
+    above MAX_FROBENIUS raises InvalidMatrix (see there for the limit on d).
     """
     if m < 1 or d < 1:
         raise ValueError(f"m and d must be >= 1, got m={m}, d={d}")
@@ -157,7 +181,8 @@ def load_sketch(header_path) -> SketchMatrix:
     m, d, data, distribution or seed raises FormatError; other keys (such as
     the "C" that older headers carry) are ignored. data must be a bare file
     name, as save_sketch writes it, so the sidecar lies beside the header,
-    and a sidecar holding a NaN or infinite entry is a FormatError too."""
+    and a sidecar that SketchMatrix refuses (a NaN or infinite entry, or a
+    Frobenius norm above MAX_FROBENIUS) is a FormatError naming it too."""
     header_path = Path(header_path)
     try:
         header = json.loads(header_path.read_text(encoding="utf-8"))
@@ -184,8 +209,7 @@ def load_sketch(header_path) -> SketchMatrix:
             f"{data_path}: payload length {len(blob)} != expected {8 * m * d}"
         )
     entries = np.frombuffer(blob, dtype="<f8").reshape(m, d).astype(np.float64)
-    # min and max propagate NaN and reach any infinity, with no (m, d)
-    # temporary, which np.isfinite would allocate.
-    if not (math.isfinite(entries.min()) and math.isfinite(entries.max())):
-        raise FormatError(f"{data_path}: sketch entries must be finite")
-    return SketchMatrix(entries=entries, distribution=distribution, seed=seed)
+    try:
+        return SketchMatrix(entries=entries, distribution=distribution, seed=seed)
+    except InvalidMatrix as exc:
+        raise FormatError(f"{data_path}: {exc}") from None

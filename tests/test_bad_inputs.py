@@ -40,6 +40,7 @@ def assert_input_error(argv, needle):
     assert rc == 2
     assert err.startswith("error:") and needle in err
     assert "Traceback" not in err
+    return err
 
 
 @pytest.fixture(scope="module")
@@ -243,12 +244,46 @@ def test_sketch_data_must_name_a_file_in_the_bundle(bundles, tmp_path, escape):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_build_refuses_a_sketch_above_max_frobenius(tmp_path):
+    # d = 2**20 + 1 on the sketch path (n = 2, m = 1): a Rademacher sketch has
+    # ||Pi||_F = sqrt(d) > 2**10, which load would refuse, so build writes
+    # nothing.
+    path = tmp_path / "wide.bin"
+    write_points(path, np.random.default_rng(9).standard_normal((2, 2**20 + 1)))
+    argv = ["build", path, "--out", tmp_path / "bundle", "--epsilon", "0.9", "--const-C", "1"]
+    assert "MAX_FROBENIUS" in assert_input_error(argv, "2**20")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.bin"]
+
+
+def corrupt_bundle_argvs(bundle, work):
+    """query, eval, eval --baseline efn and verify-chd on bundle, each
+    writing into work."""
+    qpath = work / "q.csv"
+    write_points(qpath, np.zeros((1, D)))
+    return [
+        ["query", bundle, qpath, work / "out.csv"],
+        ["eval", bundle, "--queries-per-mode", "2", "--report", work / "eval.json"],
+        ["eval", bundle, "--queries-per-mode", "2", "--baseline", "efn", "--report", work / "efn.json"],
+        ["verify-chd", bundle, "--samples", "50", "--report", work / "chd.json"],
+    ]
+
+
 def test_non_finite_sketch_entry_is_format_error(bundles, tmp_path):
-    bundle = tmp_path / "bundle"
-    shutil.copytree(bundles / "sketch", bundle)
-    blob = bytearray((bundle / "sketch.bin").read_bytes())
-    blob[8:16] = np.array([np.inf], dtype="<f8").tobytes()
-    (bundle / "sketch.bin").write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="finite"):
-        load_bundle(bundle)
-    assert_input_error(["verify-chd", bundle, "--samples", "50"], "sketch.bin")
+    # An infinite entry; every entry times 1e150, where ||Pi||_F is above
+    # sketch.MAX_FROBENIUS and the report would hold a violation near 1e150;
+    # and times 1e300, where squares overflow.
+    for corrupt, needle in (("inf", "finite"), (1e150, "MAX_FROBENIUS"), (1e300, "MAX_FROBENIUS")):
+        work = tmp_path / str(corrupt)
+        bundle = work / "bundle"
+        shutil.copytree(bundles / "sketch", bundle)
+        entries = np.frombuffer((bundle / "sketch.bin").read_bytes(), dtype="<f8").copy()
+        if corrupt == "inf":
+            entries[1] = np.inf
+        else:
+            entries *= corrupt
+        (bundle / "sketch.bin").write_bytes(entries.astype("<f8").tobytes())
+        with pytest.raises(FormatError, match=needle):
+            load_bundle(bundle)
+        for argv in corrupt_bundle_argvs(bundle, work):
+            assert needle in assert_input_error(argv, "sketch.bin")
+        assert sorted(p.name for p in work.iterdir()) == ["bundle", "q.csv"]

@@ -256,12 +256,14 @@ def midpoint_instances():
     yield T / np.linalg.norm(T, axis=1, keepdims=True), SketchMatrix(
         entries=np.eye(3)[:2], distribution="gaussian", seed=0
     )
-    # ... and the reverse: a+b ~ 1e-6 e3, which Pi stretches by 1e6.
+    # ... and the reverse: a+b ~ 1e-6 e3, which Pi stretches 1e6 times more
+    # than the e1-e2 plane (scaled so that ||Pi||_F ~ 1e3 stays within
+    # sketch.MAX_FROBENIUS).
     half = np.column_stack([rng.standard_normal((4, 2)), np.zeros(4)])
     near = -half + 1e-6 * np.outer(rng.standard_normal(4), [0.0, 0.0, 1.0])
     T = np.vstack([half, near])
     yield T / np.linalg.norm(T, axis=1, keepdims=True), SketchMatrix(
-        entries=np.diag([1.0, 1.0, 1e6]), distribution="gaussian", seed=0
+        entries=np.diag([1e-3, 1e-3, 1e3]), distribution="gaussian", seed=0
     )
 
 

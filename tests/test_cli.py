@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -533,17 +534,34 @@ class TestBadInputs:
             assert rc == 2 and err.startswith("error:") and "Traceback" not in err
 
     def test_exact_basis_of_wrong_width_exits_2(self, tmp_path, capsys):
+        # A basis of the wrong width, and the built basis times 1e150 or 1e300
+        # (rows not orthonormal, which would give non-finite images).
         pts = write_csv(tmp_path / "wide.csv", np.random.default_rng(1).standard_normal((300, 6)))
-        bundle = tmp_path / "wide"
-        assert main(["build", pts, "--out", str(bundle), "--epsilon", "0.5",
+        built = tmp_path / "wide"
+        assert main(["build", pts, "--out", str(built), "--epsilon", "0.5",
                      "--const-C", "0.5"]) == 0
-        write_points_bin(bundle / "basis.bin", np.eye(3, 5))
-        with pytest.raises(FormatError, match="basis.bin"):
-            load_bundle(bundle)
-        rc = main(["query", str(bundle), pts, str(tmp_path / "out.csv")])
-        err = capsys.readouterr().err
-        assert rc == 2 and err.startswith("error:") and "Traceback" not in err
-        assert not (tmp_path / "out.csv").exists()
+        basis = read_points_bin(built / "basis.bin")
+        for name, bad, needle in (("width", np.eye(3, 5), "basis width 5, expected 6"),
+                                  ("1e150", basis * 1e150, "not orthonormal"),
+                                  ("1e300", basis * 1e300, "not orthonormal")):
+            work = tmp_path / name
+            bundle = work / "bundle"
+            shutil.copytree(built, bundle)
+            write_points_bin(bundle / "basis.bin", bad)
+            with pytest.raises(FormatError, match="basis.bin"):
+                load_bundle(bundle)
+            for argv in (["query", str(bundle), pts, str(work / "out.csv")],
+                         ["eval", str(bundle), "--queries-per-mode", "2",
+                          "--report", str(work / "eval.json")],
+                         ["eval", str(bundle), "--queries-per-mode", "2", "--baseline", "efn",
+                          "--report", str(work / "efn.json")],
+                         ["verify-chd", str(bundle), "--samples", "50",
+                          "--report", str(work / "chd.json")]):
+                rc = main(argv)
+                err = capsys.readouterr().err
+                assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+                assert "basis.bin" in err and needle in err
+            assert [p.name for p in work.iterdir()] == ["bundle"]
 
     def test_config_not_an_object_exits_2(self, tmp_path, bundle, capsys):
         (bundle / "config.json").write_text("[1, 2]\n")

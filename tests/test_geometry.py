@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,12 +54,89 @@ class TestBuildPointSet:
         with pytest.raises(ValueError):
             X.points[0, 0] = 5.0
 
+    def test_keeps_the_checked_squared_norms(self):
+        pts = np.random.default_rng(2).standard_normal((9, 4)) * 1e100
+        X = geometry.PointSet(points=pts)
+        assert X.points is pts
+        assert X.sq_norms.tobytes() == np.einsum("ij,ij->i", pts, pts).tobytes()
+
     @pytest.mark.parametrize("n", [1, 5])
     def test_cached_arrays_are_read_only(self, n):
         X = build_point_set(np.random.default_rng(n).standard_normal((n, 3)))
         for arr in (X.sq_norms, X.norms, X.neighbor_scales[0]):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+_ABOVE = (
+    "point 1 has norm 6.547e+150, above the bound MAX_NORM = 2**500 (about 3.273e+150) "
+    "within which float64 holds every squared distance"
+)
+_NAN = (NonFinitePoint, "point 1 has a non-finite coordinate")
+_EMPTY = (EmptyInput, "point set must contain at least one point")
+_NO_DIM = (DimensionMismatch, "points must have dimension >= 1")
+_ONE_D = (DimensionMismatch, "expected 2-D point array, got ndim=1")
+
+
+# (input, build_point_set's error, PointSet's error); None where both agree.
+_BAD_POINTS = {
+    "nan": ([(0.0, 1.0), (0.0, np.nan)], _NAN, None),
+    "inf": ([(0.0, 1.0), (-np.inf, 0.0)], _NAN, None),
+    "above_max_norm": (
+        [(0.0, 1.0), (2.0 * geometry.MAX_NORM, 0.0)], (NonFinitePoint, _ABOVE), None
+    ),
+    "duplicate": (
+        [(1.0, 1.0), (0.0, 0.0), (1.0, 1.0)], (DuplicatePoint, "points 0 and 2 are identical"), None
+    ),
+    "negative_zero": ([(0.0,), (-0.0,)], (DuplicatePoint, "points 0 and 1 are identical"), None),
+    # Shape first, then finiteness, then duplicates.
+    "nan_and_duplicate": ([(0.0, 0.0), (np.nan, 0.0), (0.0, 0.0)], _NAN, None),
+    "(0, 3)": (np.zeros((0, 3)), _EMPTY, None),
+    # build_point_set calls any empty array empty; PointSet names the shape.
+    "(3, 0)": (np.zeros((3, 0)), _EMPTY, _NO_DIM),
+    "array([])": (np.array([]), _EMPTY, _ONE_D),
+    "[]": ([], _EMPTY, _ONE_D),
+    "[[]]": ([[]], _NO_DIM, None),
+}
+
+
+class TestPointSetInvariant:
+    """PointSet checks its own invariant; build_point_set only converts, so
+    both raise the same type and message, in the same order."""
+
+    @pytest.mark.parametrize("case", list(_BAD_POINTS))
+    def test_bad_points(self, case):
+        raw, build_error, direct_error = _BAD_POINTS[case]
+        for make, (error, message) in (
+            (build_point_set, build_error),
+            (lambda r: geometry.PointSet(points=r), direct_error or build_error),
+        ):
+            with pytest.raises(error) as info:
+                make(raw)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("d", [2, 4, 256])
+    def test_bit_identical_at_the_bound(self, monkeypatch, d):
+        # 12 unit rows and 5 of their negatives just inside MAX_NORM, queried
+        # at the negated rows: the screens run with no fallback and no
+        # floating-point warning, and every anchor, radius, nearest-neighbour
+        # distance and the diameter equal the exact pass bit for bit.
+        units = np.random.default_rng(d).standard_normal((12, d))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        pts = np.vstack([units, -units[:5]]) * (geometry.MAX_NORM * (1.0 - 2.0**-50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = build_point_set(pts)
+            monkeypatch.setattr(geometry, "distance_row_blocks", None)  # no exact pass
+            screened = geometry._screened_neighbor_scales(X)
+            k, R = nearest_batch(-pts, X)
+            monkeypatch.undo()
+            full = [_full_pass(u, X) for u in -pts]
+            assert k.tolist() == [kk for kk, _ in full]
+            assert np.array_equal(R, [r for _, r in full])
+            assert screened is not None
+            assert np.array_equal(screened[0], _broadcast_nearest_neighbor_dists(pts))
+            assert screened[1] == _broadcast_diameter(pts)
 
 
 class TestNearestPoint:
@@ -162,16 +241,6 @@ def _above_max_norm(pts):
     return np.sqrt(np.einsum("ij,ij->i", pts, pts)).max() > geometry.MAX_NORM
 
 
-def _point_set(pts):
-    """build_point_set(pts), or for points above geometry.MAX_NORM, which it
-    refuses, a PointSet built directly."""
-    if not _above_max_norm(pts):
-        return build_point_set(pts)
-    with pytest.raises(NonFinitePoint, match="MAX_NORM"):
-        build_point_set(pts)
-    return geometry.PointSet(points=np.array(pts, dtype=np.float64))
-
-
 def _assert_nearest_matches(Q, X):
     """nearest_batch(Q, X) and nearest(u, X) for each row u both give the
     argmin and min of the full exact pass."""
@@ -198,11 +267,13 @@ class TestNearest:
         for pts, Q in family(rng):
             pts, Q = (pts + shift) * scale, (np.vstack([Q, pts]) + shift) * scale
             if _above_max_norm(pts):
-                # Squared distances overflow: both the points and the queries are refused.
-                with pytest.raises(NonFinitePoint, match="MAX_NORM"):
-                    build_point_set(pts)
-                with pytest.raises(NonFinitePoint, match="MAX_NORM"):
-                    nearest_batch(Q, geometry.PointSet(points=pts))
+                # Squared distances would overflow: PointSet refuses the
+                # points, and nearest_batch the queries against a valid set.
+                for make in (build_point_set, lambda p: geometry.PointSet(points=p)):
+                    with pytest.raises(NonFinitePoint, match="point .* MAX_NORM"):
+                        make(pts)
+                with pytest.raises(NonFinitePoint, match="query .* MAX_NORM"):
+                    nearest_batch(Q, build_point_set(pts / scale))
                 continue
             _assert_nearest_matches(Q, build_point_set(pts))
 
@@ -277,21 +348,6 @@ class TestNearestBatch:
         assert seen == [("anchor", [(i, j) for i in range(12) for j in range(40)])]
         monkeypatch.undo()
         _assert_nearest_matches(Q, X)
-
-    def test_huge_scale_takes_exact_pass(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        # Points this far out pass only as a PointSet built directly, and
-        # queries only up to geometry.MAX_NORM.
-        pts = rng.standard_normal((20, 4)) * 1e154
-        Q = rng.standard_normal((5, 4)) * 1e149
-        X = _point_set(pts)
-        seen = _record_exact_work(monkeypatch)
-        nearest_batch(Q, X)
-        assert seen == [("blocks", 5, 20)]
-        monkeypatch.undo()
-        _assert_nearest_matches(Q, X)
-        with pytest.raises(NonFinitePoint, match="MAX_NORM"):
-            nearest_batch(pts[:2], X)
 
     def test_gaussian_recomputes_one_entry_per_row(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -389,10 +445,14 @@ class TestNeighborScales:
             pts = (pts + shift) * scale
             if not _distinct(pts):  # the 1e-9 pair at shift 1e8
                 continue
-            with np.errstate(over="ignore"):
-                nn, diameter = _point_set(pts).neighbor_scales
-                assert np.array_equal(nn, _broadcast_nearest_neighbor_dists(pts))
-                assert diameter == _broadcast_diameter(pts)
+            if _above_max_norm(pts):
+                # Squares would overflow: PointSet refuses the set.
+                with pytest.raises(NonFinitePoint, match="point .* MAX_NORM"):
+                    geometry.PointSet(points=pts)
+                continue
+            nn, diameter = build_point_set(pts).neighbor_scales
+            assert np.array_equal(nn, _broadcast_nearest_neighbor_dists(pts))
+            assert diameter == _broadcast_diameter(pts)
 
     @pytest.mark.parametrize("block_elements", [None, 1000])
     @pytest.mark.parametrize("n,d", [(2, 5), (200, 1), (300, 64), (64, 256)])

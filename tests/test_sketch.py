@@ -9,6 +9,7 @@ from termembed import (
     FormatError,
     InvalidConstant,
     InvalidEpsilon,
+    InvalidMatrix,
     build_point_set,
     exact_small_embedding,
     generate_sketch,
@@ -18,7 +19,7 @@ from termembed import (
     sketch_points,
 )
 from termembed.geometry import distance_matrix
-from termembed.sketch import SketchMatrix
+from termembed.sketch import MAX_FROBENIUS, SketchMatrix
 
 
 class TestPlanDimension:
@@ -119,6 +120,33 @@ class TestGenerateSketch:
             generate_sketch(0, 3)
         with pytest.raises(ValueError):
             generate_sketch(3, 3, "cauchy")
+
+    def test_frobenius_limit(self):
+        # A Rademacher sketch has ||Pi||_F = sqrt(d): at d = 2**20 it meets
+        # MAX_FROBENIUS = 2**10 exactly, and one more column is refused.
+        pi = generate_sketch(1, 2**20, "rademacher", 0)
+        assert float(np.linalg.norm(pi.entries)) == MAX_FROBENIUS == 2.0**10
+        with pytest.raises(InvalidMatrix, match=r"above MAX_FROBENIUS = 2\*\*10"):
+            generate_sketch(1, 2**20 + 1, "rademacher", 0)
+
+    @pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("m,d", [(15, 16), (43, 64), (53, 64), (227, 256), (52, 256), (34, 256)])
+    def test_drawn_sketches_load(self, tmp_path, dist, m, d):
+        # The CLI, test and benchmark shapes: each drawn sketch loads back.
+        pi = generate_sketch(m, d, dist, 5)
+        save_sketch(pi, tmp_path / "pi.json")
+        assert np.array_equal(load_sketch(tmp_path / "pi.json").entries, pi.entries)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "scale"])
+    def test_sketch_matrix_checks_its_entries(self, bad):
+        entries = generate_sketch(4, 6, "gaussian", 1).entries.copy()
+        if bad == "scale":
+            entries *= 1e150
+        else:
+            entries[2, 3] = float(bad)
+        message = "MAX_FROBENIUS" if bad == "scale" else "sketch entries must be finite"
+        with pytest.raises(InvalidMatrix, match=message):
+            SketchMatrix(entries=entries, distribution="gaussian", seed=1)
 
 
 class TestApplySketch:
