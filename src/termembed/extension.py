@@ -65,9 +65,11 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from . import geometry
 from .errors import DimensionMismatch, InvalidMatrix
 from .geometry import PointSet, distances_to, nearest, nearest_batch
 from .sketch import SketchMatrix, sketch_points
@@ -164,13 +166,44 @@ class ExtensionSolution:
         return self.status == "feasible"
 
 
+def _block_rows(d: int, m: int) -> int:
+    """Rows per block of X and Pi X in the warm-start products: together
+    about BLOCK_ELEMENTS / 2 values (1 MB, so a block stays in one core's L2
+    while a whole query group reads it; 2 MB blocks measured slower), rounded
+    down to a multiple of 8 and at least 8. Over such blocks, with no 1-row
+    tail, the row-blocked products measured equal to the full products bit
+    for bit; 7-row blocks and 1-row tails did not."""
+    return max(8, geometry.BLOCK_ELEMENTS // (2 * (d + m)) // 8 * 8)
+
+
+def _group_rows(n: int, d: int, m: int) -> int:
+    """Queries per embed_batch group: at least 1, and at most as many as
+    keep the group's warm-start buffers (3n + 3d + m values per solved
+    query, see _warm_starts) within BLOCK_ELEMENTS. So they hold at most
+    max(BLOCK_ELEMENTS, 3n + 3d + m) values, the larger term being what one
+    query's solve allocates anyway."""
+    return max(1, geometry.BLOCK_ELEMENTS // (3 * n + 3 * d + m))
+
+
+class _WarmStart(NamedTuple):
+    """What solve_extension starts from: P = u - x_k, the warm start z,
+    X @ [x_k, P] (n, 2) and Pi X @ z (n,). The solve consumes PXz (its first
+    residual is computed in place)."""
+
+    P: np.ndarray
+    z: np.ndarray
+    dots: np.ndarray
+    PXz: np.ndarray
+
+
 class OuterExtension:
     """The embedder contract, written once for the three embedders.
 
     A subclass is a frozen dataclass with a field X (the PointSet of
     terminals) that supplies base_images, the (n, out_dim - 1) rows g(x_i) of
-    its base map, and _embed_one(u, anchor) -> (image of u, record with
-    RECORD_KEYS), where anchor = (k, R) is geometry.nearest(u, X). Instances
+    its base map, and _embed_one(u, anchor, warm=None) -> (image of u,
+    record with RECORD_KEYS), where anchor = (k, R) is geometry.nearest(u, X)
+    and warm is u's entry of _warm_starts (None from embed). Instances
     are immutable and every query is independent, so concurrent readers are
     safe.
     """
@@ -196,16 +229,31 @@ class OuterExtension:
         """((q, out_dim) images of the rows of Q, one record per query).
 
         One geometry.nearest_batch call checks Q and finds every row's
-        anchor, the same (k, R) that embed finds row by row, so each image
-        equals embed(u) bit for bit."""
+        anchor, the same (k, R) that embed finds row by row. The rows then
+        go in groups of _group_rows queries: _warm_starts takes what each
+        row's step needs from the whole group at once (for the sketch path,
+        the products over X and Pi X, read once per group instead of once
+        per query), and _embed_one finishes each row. Every row's values
+        are computed by the same calls as for a group of one, which is what
+        embed runs, so each image and record equals embed(u)'s bit for bit.
+        """
         Q = np.asarray(Q, dtype=np.float64)
-        anchors = nearest_batch(Q, self.X)
+        ks, Rs = nearest_batch(Q, self.X)
         images = np.empty((Q.shape[0], self.out_dim))
         per_query = []
-        for i, (u, k, R) in enumerate(zip(Q, *anchors)):
-            images[i], record = self._embed_one(u, (int(k), float(R)))
-            per_query.append(record)
+        step = _group_rows(self.X.n, self.X.d, self.out_dim - 1)
+        for g in range(0, Q.shape[0], step):
+            rows = slice(g, g + step)
+            warm = self._warm_starts(Q[rows], ks[rows], Rs[rows])
+            for i, w in enumerate(warm, start=g):
+                images[i], record = self._embed_one(Q[i], (int(ks[i]), float(Rs[i])), w)
+                per_query.append(record)
         return images, per_query
+
+    def _warm_starts(self, Q, ks, Rs) -> list:
+        """One group's per-row input to _embed_one (its warm argument): None
+        for a map without a solve."""
+        return [None] * len(ks)
 
     @staticmethod
     def _solver_free(image: np.ndarray, k: int) -> tuple[np.ndarray, dict]:
@@ -235,13 +283,71 @@ class TerminalEmbedder(OuterExtension):
     def base_images(self) -> np.ndarray:
         return self.embedded_X
 
-    def embed_with_info(self, u, anchor=None):
-        sol = solve_extension(u, self, anchor)
+    def embed_with_info(self, u, anchor=None, warm=None):
+        sol = solve_extension(u, self, anchor, warm)
         return lift(u, sol, self), sol
 
-    def _embed_one(self, u, anchor):
-        f, sol = self.embed_with_info(u, anchor)
+    def _embed_one(self, u, anchor, warm=None):
+        f, sol = self.embed_with_info(u, anchor, warm)
         return f, {key: getattr(sol, key) for key in RECORD_KEYS}
+
+    def _warm_starts(self, U, ks, Rs) -> list[_WarmStart | None]:
+        """The warm starts of one query group (rows U, anchors ks, radii Rs):
+        None for a row with nothing to solve (R = 0 or a single terminal).
+
+        Each row first takes its own P = u - x_k and
+        z = R * Pi P / max(||Pi P||, 1e-300), scaled back into the ball if
+        rounding put it outside. Then, for each row block of X and Pi X
+        (_row_blocks) in turn, every row of the group takes its
+        X[rows] @ [x_k, P] and Pi X[rows] @ z: the group reads X and Pi X
+        from memory once, where a per-query loop reads them once per query.
+        Each product is one BLAS call per block whatever the group, so a
+        row's values do not depend on the rows around it; solve_extension
+        (u, E) runs this as a group of one.
+        """
+        X, n = self.X.points, self.X.n
+        live = [j for j, R in enumerate(Rs) if R != 0.0] if n > 1 else []
+        # One pair of buffers per group, not per row: large arrays go back to
+        # the system when freed, where many small ones stay on the heap. On
+        # the tight eval workload, per-row buffers raised peak RSS by 1.6 MB
+        # over unblocked per-query products, these by about 0.5 MB.
+        dots, PXz = np.empty((len(live), n, 2)), np.empty((len(live), n))
+        warm, work = [None] * len(ks), []
+        for i, j in enumerate(live):
+            x_k, R = X[ks[j]], float(Rs[j])
+            P = U[j] - x_k
+            pip = self.Pi.entries @ P
+            # math.sqrt(v @ v) is what np.linalg.norm(v) computes, without its overhead.
+            z = R * pip / max(math.sqrt(float(pip @ pip)), _TINY)
+            nz = math.sqrt(float(z @ z))
+            if nz > R:
+                z *= R / nz
+            warm[j] = _WarmStart(P, z, dots[i], PXz[i])
+            work.append((np.column_stack([x_k, P]), warm[j]))
+        # np.dot with out= makes the same BLAS calls as np.matmul without its
+        # ufunc overhead.
+        for s, X_s, PX_s in self._row_blocks:
+            for xP, w in work:
+                np.dot(X_s, xP, out=w.dots[s])
+                np.dot(PX_s, w.z, out=w.PXz[s])
+        return warm
+
+    @cached_property
+    def _row_blocks(self) -> list:
+        """(rows, X[rows], Pi X[rows]) per block of the warm-start products:
+        _block_rows rows each, except that a 1-row tail joins the block
+        before it. The last block comes first: a single query's anchor
+        search has just read X front to back, so its end is still in
+        cache."""
+        n, step = self.X.n, _block_rows(self.X.d, self.m)
+        starts = list(range(0, n, step))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        ends = starts[1:] + [n]
+        return [
+            (s, self.X.points[s], self.embedded_X[s])
+            for s in (slice(a, b) for a, b in zip(starts[::-1], ends[::-1]))
+        ]
 
 
 def build_embedder(
@@ -261,12 +367,13 @@ def build_embedder(
     )
 
 
-def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
+def solve_extension(u, E: TerminalEmbedder, anchor=None, warm=None) -> ExtensionSolution:
     """Projected-subgradient feasibility solve for one query, with a dual
     certificate.
 
     With anchor k = nearest terminal and R = ||u - x_k|| (anchor = (k, R) as
     geometry.nearest(u, E.X) gives it, which is called when anchor is None),
+    and warm = u's E._warm_starts entry (taken for a group of one when None),
     minimizes
     g(z) = max_i |<z, Pi v_i> - <u - x_k, v_i>| over the ball ||z|| <= R:
 
@@ -290,19 +397,22 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
     Degenerate cases short-circuit: R = 0 (u is a terminal) and n = 1 (no
     constraints) both return z = 0 with residual 0 and lower bound 0.
 
-    Cost per query: one n x 2 product over X, a single pass that gives both
-    the Gram direction norms and the targets; exact distances and guarded
-    constraint rows only for the rows the cancellation guard sends to the
-    direct formula (none on well-spread data); and one matvec over Pi X per
-    residual evaluation (warm start, each iteration, and each Frank-Wolfe step after
-    FW_AFTER iterations, so two per iteration there, until Frank-Wolfe
-    reaches a fixed point). A solve that reaches the dual also takes two
-    O(n m) passes over Pi X (Gram row norms) to pick its starting vertex;
-    the dual holds O(m) state. The anchor search costs one matvec over X
-    plus an exact recompute of its candidates (usually one row) when
-    solve_extension finds it; embed_batch finds every row's anchor up front
-    with a blocked GEMM screen instead. No (n-1) x d or (n-1) x m temporary
-    is built, except for the guarded rows.
+    Cost per query: the warm start's one n x 2 product over X, which gives
+    both the Gram direction norms and the targets, and its matvec over Pi X
+    (both from E._warm_starts, which in embed_batch reads each row block of X
+    and Pi X once per query group rather than once per query); exact
+    distances and guarded constraint rows only for the rows the
+    cancellation guard sends to the direct formula (none on well-spread
+    data); and one more matvec over Pi X per residual evaluation after the
+    first (each iteration, and each Frank-Wolfe step after FW_AFTER
+    iterations, so two per iteration there, until Frank-Wolfe reaches a
+    fixed point). A solve that reaches the dual also takes two O(n m) passes
+    over Pi X (Gram row norms) to pick its starting vertex; the dual holds
+    O(m) state. The anchor search costs one matvec over X plus an exact
+    recompute of its candidates (usually one row) when solve_extension finds
+    it; embed_batch finds every row's anchor up front with a blocked GEMM
+    screen instead. No (n-1) x d or (n-1) x m temporary is built, except for
+    the guarded rows.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     X = E.X
@@ -324,12 +434,12 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
     # identity. Entry k is a dummy row (norm 1) whose residual is forced to 0.
     # Rows in the cancellation zone take exact norms and the direct
     # difference form instead.
+    if warm is None:
+        [warm] = E._warm_starts(u[None], (k,), (R,))
+    P, z, dots, PXz = warm
     pts, PX = X.points, E.embedded_X
     x_k, PX_k = pts[k], PX[k]
-    P = u - x_k
-    # One pass over X for both <x_i, x_k> and <x_i, P>: an n x 2 product
-    # reads X once where two matvecs read it twice.
-    dots = pts @ np.column_stack([x_k, P])
+    # Column 0 of dots is <x_i, x_k>, column 1 <x_i, P>.
     sq_dist = X.sq_norms - 2.0 * dots[:, 0] + X.sq_norms[k]
     close = np.flatnonzero(~(sq_dist >= _CANCEL * (X.norms + X.norms[k]) ** 2))
     close = close[close != k]
@@ -343,8 +453,8 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
         W_close = (PX[close] - PX_k) / norms[close, None]
         t[close] = ((pts[close] - x_k) / norms[close, None]) @ P
 
-    def residual(z):
-        r = PX @ z
+    def residual(z, PXz=None):
+        r = PX @ z if PXz is None else PXz
         r -= PX_k @ z
         r /= norms
         r -= t
@@ -368,18 +478,11 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None) -> ExtensionSolution:
         score[k] = -math.inf
         return int(score.argmax())
 
-    pip = E.Pi.entries @ P
-    # math.sqrt(v @ v) is what np.linalg.norm(v) computes, without its overhead.
-    z = R * pip / max(math.sqrt(float(pip @ pip)), _TINY)
-    nz = math.sqrt(float(z @ z))
-    if nz > R:
-        z *= R / nz
-
     target = E.epsilon * R * (1.0 + TOL)
     level = LEVEL * E.epsilon * R
     gap = GAP_TOL * R
 
-    r = residual(z)
+    r = residual(z, PXz)
     abs_r = np.abs(r)
     a = int(abs_r.argmax())  # the active constraint; g is its |residual|
     g = float(abs_r[a])
@@ -519,7 +622,7 @@ class EfnEmbedder(OuterExtension):
         images.setflags(write=False)
         object.__setattr__(self, "base_images", images)
 
-    def _embed_one(self, u, anchor):
+    def _embed_one(self, u, anchor, warm=None):
         k, R = anchor
         return self._solver_free(np.concatenate([self.base_images[k], [R]]), k)
 
@@ -559,7 +662,7 @@ class ExactEmbedding(OuterExtension):
         """Basis coordinates of the terminals, shape (n, rank)."""
         return (self.X.points - self.X.points[0]) @ self.basis.T
 
-    def _embed_one(self, u, anchor):
+    def _embed_one(self, u, anchor, warm=None):
         """A terminal (R = 0) maps to its row of terminal_images, trailing
         coordinate exactly 0; recomputing its perpendicular part would leave
         rounding there."""

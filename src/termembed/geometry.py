@@ -48,7 +48,11 @@ class PointSet:
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n,), read-only
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        try:
+            pts = np.asarray(self.points, dtype=np.float64)
+        except ValueError:
+            _stack_rows(self.points)  # rows of unequal length: DimensionMismatch
+            raise
         if pts.ndim != 2:
             raise DimensionMismatch(f"expected 2-D point array, got ndim={pts.ndim}")
         if pts.shape[0] == 0:
@@ -308,23 +312,29 @@ def _checked_sq_norms(A: np.ndarray, what: str) -> np.ndarray:
 
 def build_point_set(raw) -> PointSet:
     """The PointSet of a list of d-vectors or an (n, d) array (copied), in
-    input order. It only converts: an empty or 0-D array raises EmptyInput,
-    a 1-D array is one point, and list rows of unequal length raise
-    DimensionMismatch; PointSet checks the rest (DimensionMismatch,
-    EmptyInput, NonFinitePoint, DuplicatePoint).
+    input order. It only converts: an empty or 0-D array (a NumPy scalar
+    too) raises EmptyInput, a 1-D array is one point, and list rows of
+    unequal length raise DimensionMismatch; PointSet checks the rest
+    (DimensionMismatch, EmptyInput, NonFinitePoint, DuplicatePoint).
     """
-    if isinstance(raw, np.ndarray):
+    if isinstance(raw, (np.ndarray, np.generic)):
         if raw.size == 0 or raw.ndim == 0:
             raise EmptyInput("point set must contain at least one point")
         raw = raw.reshape(1, -1) if raw.ndim == 1 else raw
         return PointSet(points=np.array(raw, dtype=np.float64))
+    return PointSet(points=_stack_rows(raw))
+
+
+def _stack_rows(raw) -> np.ndarray:
+    """The rows of raw, each flattened, stacked into an (n, d) array; a row
+    of another length than the first raises DimensionMismatch naming it."""
     rows = [np.asarray(r, dtype=np.float64).reshape(-1) for r in raw]
     for i, r in enumerate(rows):
         if r.shape != rows[0].shape:
             raise DimensionMismatch(
                 f"point {i} has dimension {r.shape[0]}, expected {rows[0].shape[0]}"
             )
-    return PointSet(points=np.vstack(rows) if rows else np.empty((0, 0)))
+    return np.vstack(rows) if rows else np.empty((0, 0))
 
 
 def distance_row_blocks(A: np.ndarray, B: np.ndarray):

@@ -24,7 +24,7 @@ from termembed import (
     sample_queries,
     solve_extension,
 )
-from termembed import extension
+from termembed import extension, geometry
 from termembed.extension import EfnEmbedder, ExtensionSolution
 from termembed.geometry import nearest
 from termembed.sketch import SketchMatrix
@@ -792,3 +792,99 @@ def test_efn_embed_batch_no_full_distance_pass(monkeypatch):
     seen = _record_exact_work(monkeypatch)
     _, per_query = E.embed_batch(Q)
     assert seen == [("anchor", [(i, rec["anchor_index"]) for i, rec in enumerate(per_query)])]
+
+
+class TestQueryGroups:
+    """embed_batch takes each query group's warm-start products over row
+    blocks of X and Pi X. At 8-row blocks and 3-query groups every seam is
+    crossed, and each row still equals its single-query calls bit for bit."""
+
+    @staticmethod
+    def small_seams(monkeypatch):
+        monkeypatch.setattr(extension, "_block_rows", lambda d, m: 8)
+        monkeypatch.setattr(extension, "_group_rows", lambda n, d, m: 3)
+
+    @staticmethod
+    def check_rows(E, Q):
+        """embed_batch(Q), after checking that its images equal the stacked
+        embed(u) and embed_with_info(u) images and its records the
+        embed_with_info records."""
+        images, per_query = E.embed_batch(Q)
+        singles = [E.embed_with_info(u) for u in Q]
+        assert np.array_equal(images, np.vstack([f for f, _ in singles]))
+        assert np.array_equal(images, np.vstack([E.embed(u) for u in Q]))
+        assert per_query == [
+            {key: getattr(sol, key) for key in extension.RECORD_KEYS} for _, sol in singles
+        ]
+        return images, per_query
+
+    @staticmethod
+    def batch(rng, pts, count=11):
+        """count queries near pts, with terminals (R = 0) at rows 1, 4 and 7,
+        the middle of three 3-query groups."""
+        n, d = pts.shape
+        scale = np.ptp(pts, axis=0).max() if n > 1 else 1.0
+        Q = pts.mean(axis=0) + scale * rng.standard_normal((count, d))
+        Q[[1, 4, 7]] = pts[[0, n - 1, n // 2]]
+        return Q
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 17, 30])
+    def test_rows_equal_single_queries(self, monkeypatch, n):
+        rng = np.random.default_rng(100 + n)
+        pts = rng.standard_normal((n, 6))
+        pi = generate_sketch(5, 6, "rademacher", 3)
+        self.small_seams(monkeypatch)
+        E = build_embedder(build_point_set(pts), pi, 0.25)
+        Q = self.batch(rng, pts)
+        _, per_query = self.check_rows(E, Q)
+        for i in (1, 4, 7):
+            assert per_query[i]["iterations"] == 0 and per_query[i]["residual"] == 0.0
+
+    def test_guarded_rows_at_a_large_shift(self, monkeypatch):
+        # At 1e8 from the origin every constraint row is guarded (exact norms
+        # and the direct difference form).
+        rng = np.random.default_rng(120)
+        pts = 1e8 + rng.standard_normal((21, 6))
+        pi = generate_sketch(5, 6, "rademacher", 4)
+        self.small_seams(monkeypatch)
+        E = build_embedder(build_point_set(pts), pi, 0.25)
+        seen = _record_exact_work(monkeypatch)
+        self.check_rows(E, self.batch(rng, pts))
+        assert any(entry[0] == "guarded" and len(entry[1]) == 20 for entry in seen)
+
+    def test_permuted_batch(self, monkeypatch):
+        rng = np.random.default_rng(121)
+        pts = rng.standard_normal((30, 6))
+        self.small_seams(monkeypatch)
+        E = build_embedder(build_point_set(pts), generate_sketch(5, 6, "rademacher", 5), 0.25)
+        Q = self.batch(rng, pts, count=13)
+        images, per_query = E.embed_batch(Q)
+        perm = rng.permutation(Q.shape[0])
+        images_p, per_query_p = E.embed_batch(Q[perm])
+        assert np.array_equal(images_p, images[perm])
+        assert per_query_p == [per_query[i] for i in perm]
+
+    @pytest.mark.parametrize("n", [9, 30, 41])
+    def test_block_size_keeps_bits(self, monkeypatch, n):
+        # Blocks of a multiple of 8 rows, with no 1-row tail, give the same
+        # products as one block over all of X and Pi X.
+        rng = np.random.default_rng(130 + n)
+        pts = rng.standard_normal((n, 16))
+        X, pi = build_point_set(pts), generate_sketch(12, 16, "rademacher", 6)
+        Q = self.batch(rng, pts)
+        monkeypatch.setattr(extension, "_block_rows", lambda d, m: 1 << 20)
+        whole = build_embedder(X, pi, 0.25).embed_batch(Q)
+        self.small_seams(monkeypatch)
+        E = build_embedder(X, pi, 0.25)
+        assert [s.stop - s.start for s, _, _ in E._row_blocks][0] in (8, 9, n % 8)
+        blocked = E.embed_batch(Q)
+        assert np.array_equal(blocked[0], whole[0]) and blocked[1] == whole[1]
+
+    @pytest.mark.parametrize("n", [1, 100, 5000, 10**6])
+    def test_sizes_from_block_elements(self, n):
+        d, m = 256, 227
+        rows = extension._block_rows(d, m)
+        assert rows % 8 == 0 and rows * (d + m) <= geometry.BLOCK_ELEMENTS // 2
+        g = extension._group_rows(n, d, m)
+        assert g >= 1
+        assert g * (3 * n + 3 * d + m) <= max(geometry.BLOCK_ELEMENTS, 3 * n + 3 * d + m)

@@ -76,6 +76,7 @@ _NAN = (NonFinitePoint, "point 1 has a non-finite coordinate")
 _EMPTY = (EmptyInput, "point set must contain at least one point")
 _NO_DIM = (DimensionMismatch, "points must have dimension >= 1")
 _ONE_D = (DimensionMismatch, "expected 2-D point array, got ndim=1")
+_ZERO_D = (DimensionMismatch, "expected 2-D point array, got ndim=0")
 
 
 # (input, build_point_set's error, PointSet's error); None where both agree.
@@ -97,6 +98,12 @@ _BAD_POINTS = {
     "array([])": (np.array([]), _EMPTY, _ONE_D),
     "[]": ([], _EMPTY, _ONE_D),
     "[[]]": ([[]], _NO_DIM, None),
+    # Rows of unequal length: both name the first row of another length.
+    "ragged": ([(0.0, 1.0), (2.0, 3.0), (4.0,)],
+               (DimensionMismatch, "point 2 has dimension 1, expected 2"), None),
+    # A NumPy scalar is no ndarray, but converts like a 0-D one.
+    "float64(3.0)": (np.float64(3.0), _EMPTY, _ZERO_D),
+    "array(3.0)": (np.array(3.0), _EMPTY, _ZERO_D),
 }
 
 
