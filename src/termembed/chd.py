@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,17 @@ from .geometry import DirectionSet
 from .sketch import SketchMatrix
 
 GRID_MAX_DIRECTIONS = 6
+
+# estimate_sampled's budget for the direction set of n points in R^d under
+# an m-row sketch, which check_audit_size enforces before verify-chd or
+# scaling builds the set: its n(n-1) directions and their images hold
+# n(n-1)(d+m) float64 values, and its midpoint tier evaluates
+# (n(n-1)/2)^2 pair midpoints, in time that grows as n^4. The midpoint
+# count caps n at 181; the bytes bind first for points wider than about
+# 1000 (n <= 90 at d = 4096). The serve shape (n = 1200, d = 256, m = 227)
+# needs 5.6 GB and 5.2e11 midpoints.
+MAX_DIRECTION_BYTES = 2**28
+MAX_MIDPOINTS = 2**28
 
 # A fixed chunk size keeps the rng consumption order, and therefore every
 # estimate, reproducible for a given seed.
@@ -98,6 +110,22 @@ def _as_direction_matrix(T, d: int | None = None) -> np.ndarray:
             f"directions have dimension {mat.shape[1]}, sketch expects {d}"
         )
     return mat
+
+
+def check_audit_size(n: int, d: int, m: int) -> None:
+    """Raise TooManyDirections, allocating nothing, unless the direction
+    set of n points in R^d and its images under an m-row sketch fit
+    MAX_DIRECTION_BYTES and its pair midpoints fit MAX_MIDPOINTS."""
+    k = n * (n - 1)
+    size = k * (d + m) * 8
+    midpoints = (k // 2) ** 2
+    if size > MAX_DIRECTION_BYTES or midpoints > MAX_MIDPOINTS:
+        raise TooManyDirections(
+            f"the audit of n={n} points (d={d}, m={m}) would hold {k} directions "
+            f"and their images, {size / 2**20:.1f} MiB, and {midpoints} pair "
+            f"midpoints; the budget is {MAX_DIRECTION_BYTES / 2**20:.0f} MiB and "
+            f"{MAX_MIDPOINTS} midpoints"
+        )
 
 
 def make_hull_point(T, weights) -> HullPoint:
@@ -254,31 +282,39 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
         mirror pairs tie exactly at the max.
 
     The midpoint tier takes its norms from Gram blocks (see
-    _midpoint_violations): O(|T|^2 (d + m)) time in BLAS, a quarter of it
-    for a DirectionSet, and O(_MIDPOINT_BLOCK * |T|) memory.
+    _midpoint_frame and _midpoint_violations). For a DirectionSet over
+    n < d points the blocks are products over the n point coordinates:
+    O(|T| n d) once, then O(|T|^2 (n + m)) in BLAS, a quarter of it over one
+    sign; otherwise they run over the d coordinates, O(|T|^2 (d + m)).
+    Memory is O(|T| n + _MIDPOINT_BLOCK * |T|) beyond T and its images.
     Each midpoint chunk's max, and the first index holding it, are
     bit-identical to the direct formula 0.5 * (t_a + t_b) on the pairs its
-    weights name; every other entry agrees with it to within rounding.
+    weights name. Every other entry agrees with it to within the rounding
+    bound of _midpoint_violations, which grows as (||x_i|| + ||x_j||) /
+    ||x_i - x_j|| (points centred) for the column of the pair (i, j): about
+    1e-15 on Gaussian sets, about 1e-6 where two terminals are 1e-9 apart.
 
     The random tier builds each chunk's hull points from point coordinates
-    (see _sparse_violations): one (c x n) coefficient matrix and two GEMMs,
-    O(c n (d + m)) time per chunk of c points for a DirectionSet over n
-    points, O(c |T| (d + m)) for an array T, which is its own basis. Each
-    random chunk's max, and the first index holding it, are bit-identical to
-    the gather formula sum_a w_a T[idx_a]; every other entry is within the
-    bound b_r derived there.
+    (see _sparse_violations): one (c x n) coefficient matrix, the squared
+    norms from the quadratic form with the basis Gram G = B B^T when the
+    basis has fewer rows than d, and two GEMMs: O(c n (min(n, d) + m)) time
+    per chunk of c points for a DirectionSet over n points, O(c |T| (d + m))
+    for an array T, which is its own basis. Each random chunk's max, and
+    the first index holding it, are bit-identical to the gather formula
+    sum_a w_a T[idx_a]; every other entry is within the bound b_r derived
+    there, which grows the same way on near-coincident terminals.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     D = _as_direction_matrix(T, pi.d)
     k = D.shape[0]
     PD = _images(pi, T, D)
+    basis = _hull_basis(pi, T, D, PD)
     if isinstance(T, DirectionSet):
-        half, mirror = T.half, T.mirror
-        R, PR, signs = D[half], PD[half], (-1, 1)
+        half, mirror, signs = T.half, T.mirror, (-1, 1)
     else:
         half = mirror = None
-        R, PR, signs = D, PD, (1,)
+        signs = (1,)
     rng = np.random.default_rng(seed)
 
     # Tier 1: vertices.
@@ -286,15 +322,15 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
 
     # Tier 2: all pair midpoints, over one sign of each direction for a
     # DirectionSet. The generator expression drops the last Gram block, and
-    # the del the gathered rows, before Tier 3 starts.
+    # the del the frame, before Tier 3 starts.
+    frame = _midpoint_frame(T, D, PD, basis)
     yield from (
         (v, lambda r, p=p, sign=sign: _midpoint_weights(k, half, mirror, p, sign, r))
-        for p, sign, v in _midpoint_violations(R, PR, signs)
+        for p, sign, v in _midpoint_violations(D, half, frame, signs)
     )
-    del R, PR
+    del frame
 
     # Tier 3: random hull points on sparse supports, from point coordinates.
-    basis = _hull_basis(pi, T, D, PD)
     sizes = list(dict.fromkeys(min(s, k) for s in (2, 3, math.isqrt(k - 1) + 1)))
     n_each, extra = divmod(samples, len(sizes))
     for j, s in enumerate(sizes):
@@ -322,16 +358,31 @@ def _images(pi: SketchMatrix, T, D: np.ndarray) -> np.ndarray:
     return PD
 
 
-def _hull_basis(pi: SketchMatrix, T, D: np.ndarray, PD: np.ndarray):
-    """(B, PB, ends, coef, N): the random tier's point coordinates.
+class _Basis(NamedTuple):
+    """The point coordinates of the random tier and of the midpoint tier's
+    point frame (see _hull_basis)."""
+
+    B: np.ndarray  # (n, d) basis points
+    PB: np.ndarray  # (n, m) B Pi^T
+    ends: np.ndarray  # (|T|, q) basis indices of each direction
+    coef: np.ndarray  # (|T|, q) their coefficients
+    norms: np.ndarray  # (n,) ||B_p||
+    image_norms: np.ndarray  # (n,) ||PB_p||
+    frobenius: float  # ||Pi||_F
+    gram: np.ndarray | None  # (n, n) B B^T when n < d, else None
+
+
+def _hull_basis(pi: SketchMatrix, T, D: np.ndarray, PD: np.ndarray) -> _Basis:
+    """The basis in which the random tier, and for a DirectionSet over n < d
+    points the midpoint tier, take their products.
 
     Every direction is D[t] = sum_q coef[t, q] * B[ends[t, q]] up to
-    rounding, PB = B Pi^T, and N[p] = (1 + ||Pi||_F) ||B[p]|| + ||PB[p]||
-    weighs point p in the screen's error bound (see _sparse_violations). A
-    DirectionSet's basis is its points less their mean, with coefficients
-    +-1 / ||x_i - x_j||: directions do not change under translation, and
-    centring keeps a large common offset from costing digits. An array T is
-    its own basis, with one-hot coefficients.
+    rounding, and PB = B Pi^T. A DirectionSet's basis is its points less
+    their mean, with coefficients +-1 / ||x_i - x_j||: directions do not
+    change under translation, and centring keeps a large common offset from
+    costing digits. An array T is its own basis, with one-hot coefficients.
+    The Gram G = B B^T is formed once per call when the basis has fewer rows
+    than d, where products through it are cheaper than through B.
     """
     if isinstance(T, DirectionSet):
         B = T.points - T.points.mean(axis=0)
@@ -341,24 +392,31 @@ def _hull_basis(pi: SketchMatrix, T, D: np.ndarray, PD: np.ndarray):
     else:
         B, PB = D, PD
         ends, coef = np.arange(D.shape[0])[:, None], np.ones((D.shape[0], 1))
-    N = (1.0 + np.linalg.norm(pi.entries)) * np.linalg.norm(B, axis=1)
-    N += np.linalg.norm(PB, axis=1)
-    return B, PB, ends, coef, N
+    return _Basis(
+        B, PB, ends, coef,
+        norms=np.linalg.norm(B, axis=1),
+        image_norms=np.linalg.norm(PB, axis=1),
+        frobenius=float(np.linalg.norm(pi.entries)),
+        gram=B @ B.T if B.shape[0] < B.shape[1] else None,
+    )
 
 
-def _sparse_violations(D: np.ndarray, PD: np.ndarray, basis, idx: np.ndarray, w: np.ndarray):
+def _sparse_violations(D: np.ndarray, PD: np.ndarray, basis: _Basis, idx: np.ndarray, w: np.ndarray):
     """(v, b): v[r] is the violation at the hull point sum_a w[r, a] D[idx[r, a]]
     and b[r] bounds |v[r] - direct|, where direct is the gather formula
     sum_a w[r, a] D[idx[r, a]] (and the same on PD) evaluated in sub-blocks of
     _GATHER_ROWS rows. The chunk's max, and the first index holding it, are
     bit-identical to direct; every other entry is within its b[r].
 
-    The hull point is c_r B for a coefficient row c_r over the basis points
-    (see _hull_basis), with at most q s nonzeros for support s and q ends per
-    direction. One np.bincount builds the chunk's (c x n) matrix C, and the
-    screen takes x = C B and Pi x = C PB by GEMM: O(c n (d + m)) time for c
-    rows and n basis points, against O(c s (d + m)) gathered values for
-    direct.
+    The hull point is x = c_r B for a coefficient row c_r over the basis
+    points (see _hull_basis), with at most q s nonzeros for support s and q
+    ends per direction. One np.bincount builds the chunk's (c x n) matrix C.
+    The screen takes Pi x = C PB by GEMM, and ||x||^2 as the quadratic form
+    rowsum((C G) o C) when the basis carries G = B B^T (n < d), else as the
+    squared rows of C B: O(c n (min(n, d) + m)) time for c rows and n basis
+    points, against O(c s (d + m)) gathered values for direct. A second
+    np.bincount gives A below, from which the bound's sums are matrix-vector
+    products.
     Each row is then screened against its own bound. With u the unit
     roundoff, A[r, p] = sum of |w[r, a] coef[t_a, q]| over the ends of row r
     at p, S_x = sum_p A[r, p] ||B_p||, S_p = sum_p A[r, p] ||PB_p|| and
@@ -378,28 +436,48 @@ def _sparse_violations(D: np.ndarray, PD: np.ndarray, basis, idx: np.ndarray, w:
         and m + 3 on S_p;
       - both subtractions of the norms: 2 on S_x and S_p.
     Every coefficient is at most K = n + 2 s + 2 max(d, m) + 9, so with
-    gamma = K u / (1 - K u) the bound is b = 2 gamma ((1 + F) S_x + S_p) plus
+    gamma = K u / (1 - K u) the bound is 2 gamma ((1 + F) S_x + S_p) plus
     4 sqrt((n + s + d + m) tiny) for products and squares that underflow;
     the doubling covers the second-order terms and the rounding of b and of
-    v +- b. Every row with v[r] + b[r] >= max_j (v[j] - b[j]) (or a NaN) is
+    v +- b. The quadratic form adds its own term: G, C G and the row sums
+    put ||x||^2 within e = gamma_q (S_x^2 + tiny (S_1 + 1)^2) of the
+    reals, gamma_q for d + 2 n + 2 and S_1 = sum_p A[r, p] (the tiny term
+    for products that underflow), so ||x|| is within e / ||x^|| of its
+    computed value ||x^||; b adds 2 e / ||x^||, or is infinite where ||x^||^2
+    <= 2 e. Every row with v[r] + b[r] >= max_j (v[j] - b[j]) (or a NaN) is
     recomputed with the direct formula; a row left on its screen value is
     strictly below the chunk's direct max.
     """
-    B, PB, ends, coef, N = basis
+    B, PB, ends, coef, norms, image_norms, frobenius, G = basis
     c, s = w.shape
     n, d, m = B.shape[0], D.shape[1], PD.shape[1]
     # np.take gathers rows far faster than fancy indexing with a 2-D index.
     heads = np.take(ends, idx, axis=0)  # (c, s, q) basis indices
-    terms = w[:, :, None] * np.take(coef, idx, axis=0)
-    weight = np.einsum("csq,csq->c", np.abs(terms), N[heads])
     heads += (n * np.arange(c))[:, None, None]
-    C = np.bincount(heads.ravel(), terms.ravel(), minlength=c * n).reshape(c, n)
-    v = _norm_gap(C @ B, C @ PB)
-    K = n + 2 * s + 2 * max(d, m) + 9
+    heads = heads.ravel()
+    terms = (w[:, :, None] * np.take(coef, idx, axis=0)).ravel()
+    C = np.bincount(heads, terms, minlength=c * n).reshape(c, n)
+    A = np.bincount(heads, np.abs(terms), minlength=c * n).reshape(c, n)
+    s_x, s_p, s_1 = A @ norms, A @ image_norms, A.sum(axis=1)
+    if G is None:
+        x = C @ B
+        xx = np.einsum("ij,ij->i", x, x)
+    else:
+        xx = np.einsum("ij,ij->i", C @ G, C)
+    np.maximum(xx, 0.0, out=xx)
+    x_norm = np.sqrt(xx)
+    px = C @ PB
+    v = np.abs(np.sqrt(np.einsum("ij,ij->i", px, px)) - x_norm)
     u = np.finfo(np.float64).eps / 2
+    tiny = np.finfo(np.float64).tiny
+    K = n + 2 * s + 2 * max(d, m) + 9
     gamma = K * u / (1.0 - K * u)
-    b = 2.0 * gamma * weight
-    b += 4.0 * math.sqrt((n + s + d + m) * np.finfo(np.float64).tiny)
+    b = 2.0 * gamma * ((1.0 + frobenius) * s_x + s_p)
+    b += 4.0 * math.sqrt((n + s + d + m) * tiny)
+    Kq = d + 2 * n + 2
+    # The tiny term is squared as (sqrt(tiny) S_1)^2, which cannot overflow.
+    e = 2.0 * Kq * u / (1.0 - Kq * u) * (s_x**2 + (math.sqrt(tiny) * (s_1 + 1.0)) ** 2)
+    b += np.divide(e, x_norm, out=np.full(c, np.inf), where=xx > e)
     rows = np.flatnonzero(~(v + b < np.max(v - b)))
     for lo in range(0, rows.size, _GATHER_ROWS):
         r = rows[lo : lo + _GATHER_ROWS]
@@ -425,43 +503,99 @@ def _midpoint_weights(k: int, half, mirror, p: int, sign: int, r: int) -> np.nda
     return _scatter_weights(k, [a, b], [0.5, 0.5])
 
 
-def _midpoint_violations(R: np.ndarray, PR: np.ndarray, signs=(1,)):
-    """Yield (p, sign, v) with v[c] the violation at (R_p + sign R_q)/2 for
-    q = p + (sign > 0) + c: for each row p in order, one chunk per sign in
-    `signs` order, empty chunks skipped. signs = (1,) gives every pair
-    midpoint of R once, p < |R| - 1; signs = (-1, 1) gives each row against
-    itself and every later row with both signs, |R|^2 midpoints in all.
+def _midpoint_frame(T, D: np.ndarray, PD: np.ndarray, basis: _Basis):
+    """(F, Ct, sq, W, PR): the operands of the midpoint tier's Gram blocks
+    over the rows R that it pairs, T[half] for a DirectionSet and T itself
+    for an array.
 
-    Per block of _MIDPOINT_BLOCK rows p, one GEMM on R and one on PR give
-    every 2<R_p, R_q>, q >= p (q > p for signs = (1,)), and so every
-    ||a +- b||^2 = ||a||^2 + ||b||^2 +- 2<a, b> of the block. Two kinds of
-    entry are then recomputed with the direct formula on 0.5 * (a +- b),
-    exactly as a per-pair scan evaluates them:
-      - cancellation: ||a+-b||^2 <= _CANCEL (||a||^2 + ||b||^2), or the same
-        for the images (antipodal pairs t and -t, or Pi nearly killing the
-        midpoint), where the Gram identity loses its relative accuracy;
-      - near-max: entries within two rounding bounds of their chunk's
-        largest Gram value.
-    The Gram and direct values of ||(a+-b)/2||^2 differ by at most
-    gamma (||a||^2 + ||b||^2), gamma = (w + 4) u / (1 - (w + 4) u) with
-    w = max(d, m) and u the unit roundoff, so outside the cancellation zone
-    each norm differs by at most 2 gamma sqrt((||a||^2 + ||b||^2) / _CANCEL);
-    `bound` doubles the sum over both sides to cover the square roots and
-    the subtraction. An entry left on its Gram value is therefore strictly
-    below its chunk's direct max, which keeps each chunk's max and the first
-    index holding it bit-identical to the scan. Negation is exact and
-    x + (-y) = -((-x) + y) in floating point, so the direct value at
-    a + (-1) b equals a per-pair scan's at (-a) + b, or at a + b' for b' = -b.
+    F[p] . Ct[:, q] is <R_p, R_q> / 2 up to rounding, sq[p] = ||R_p||^2,
+    and PR = PD[half] (PD for an array) are the images of R. For a
+    DirectionSet over n < d points (its basis carries G) the frame is the
+    point basis: F = R B^T (h x n) and column q of Ct holds +-1 / (2 d_ij)
+    at the ends of R_q = (x_i - x_j) / d_ij, so each Gram block is a GEMM
+    over n coordinates in place of d. Otherwise F = R and Ct = R^T / 2.
+    W[q] weighs column q's rounding (see _midpoint_violations):
+    (||B_i|| + ||B_j|| + 2 tiny) / d_ij + 2 tiny in the point frame, ||R_q||
+    + 2 tiny otherwise, the tiny terms for products that underflow.
     """
-    h = R.shape[0]
+    tiny = np.finfo(np.float64).tiny
+    half = T.half if isinstance(T, DirectionSet) else slice(None)
+    R = D[half]
     sq = np.einsum("ij,ij->i", R, R)
+    if not isinstance(T, DirectionSet) or basis.gram is None:
+        return R, np.multiply(R.T, 0.5, order="C"), sq, np.sqrt(sq) + 2.0 * tiny, PD[half]
+    # R is dropped here: the direct recompute reads D through T.half.
+    F = R @ basis.B.T
+    del R
+    i, j = T.pairs[half].T
+    inv = 1.0 / T.distances[half]
+    cols = np.arange(half.size)
+    Ct = np.zeros((basis.B.shape[0], half.size))
+    Ct[i, cols] = 0.5 * inv
+    Ct[j, cols] = -0.5 * inv
+    W = (basis.norms[i] + basis.norms[j] + 2.0 * tiny) * inv + 2.0 * tiny
+    return F, Ct, sq, W, PD[half]
+
+
+def _midpoint_violations(D: np.ndarray, half, frame, signs=(1,)):
+    """Yield (p, sign, v) with v[c] the violation at (R_p + sign R_q)/2 for
+    q = p + (sign > 0) + c, where R = D[half] (D itself when half is None):
+    for each row p in order, one chunk per sign in `signs` order, empty
+    chunks skipped. signs = (1,) gives every pair midpoint of R once,
+    p < |R| - 1; signs = (-1, 1) gives each row against itself and every
+    later row with both signs, |R|^2 midpoints in all.
+
+    Per block of _MIDPOINT_BLOCK rows p, one GEMM on the frame (F, Ct) of
+    _midpoint_frame and one on PR against the contiguous PR^T / 2 give every
+    <R_p, R_q> / 2 and <PR_p, PR_q> / 2, q >= p (q > p for signs = (1,)), and
+    so every ||(a +- b)/2||^2 = ||a||^2/4 + ||b||^2/4 +- <a, b>/2 of the
+    block: the scalings by powers of 2 are exact. Two kinds of entry are
+    then recomputed with the direct formula on 0.5 * (a +- b), exactly as a
+    per-pair scan evaluates them:
+      - cancellation: ||(a+-b)/2||^2 <= _CANCEL s4 with s4 = max_p ||R_p||^2 / 2,
+        or the same for the images (antipodal pairs t and -t, or Pi nearly
+        killing the midpoint), where the Gram identity loses its relative
+        accuracy. s4 bounds (||a||^2 + ||b||^2) / 4, so one scalar threshold
+        per side flags a superset of the per-entry test
+        ||a+-b||^2 <= _CANCEL (||a||^2 + ||b||^2);
+      - near-max: entries whose Gram value, raised by its column's bound
+        err[q], reaches the row's largest Gram value lowered by the bound of
+        that value's column.
+    With u the unit roundoff, gamma = K u / (1 - K u) for K = (the frame's
+    depth) + d + m + 8 and r = max_p ||R_p||, the Gram and direct values of
+    ||(a+-b)/2||^2 differ by at most gamma (3 s4 + r W[q] / 2): the squared
+    norms, the two additions and the direct formula's sums and squares give
+    the 3 s4, and the frame's products the r W[q] / 2 (W as in
+    _midpoint_frame; in the point frame it covers the products R B^T, the
+    coefficients 1 / d_ij, the centring and the rounding of the directions
+    D against the points). On the images the difference is at most
+    gamma (4 ps4 + tiny), ps4 = max_p ||PR_p||^2 / 2. Outside the
+    cancellation zone each Gram value is above its threshold t, so each norm
+    differs by at most that difference / sqrt(t) (|sqrt a - sqrt b| <=
+    |a - b| / sqrt a); err[q] doubles the sum over both sides to cover the
+    square roots, the subtraction and the second-order terms. An entry left
+    on its Gram value is therefore strictly below its chunk's direct max,
+    which keeps each chunk's max and the first index holding it
+    bit-identical to the scan. Negation is exact and x + (-y) = -((-x) + y)
+    in floating point, so the direct value at a + (-1) b equals a per-pair
+    scan's at (-a) + b, or at a + b' for b' = -b.
+    """
+    F, Ct, sq, W, PR = frame
+    h = F.shape[0]
     psq = np.einsum("ij,ij->i", PR, PR)
-    w = max(R.shape[1], PR.shape[1]) + 4
+    PRt = np.multiply(PR.T, 0.5, order="C")
+    sq4, psq4 = 0.25 * sq, 0.25 * psq
+    s4, ps4 = 0.5 * float(sq.max()), 0.5 * float(psq.max())
+    tq, tp = _CANCEL * s4, _CANCEL * ps4
+    K = Ct.shape[0] + D.shape[1] + PR.shape[1] + 8
     u = np.finfo(np.float64).eps / 2
-    gamma = w * u / (1.0 - w * u)
-    bound = 4.0 * gamma * (
-        math.sqrt(2.0 * sq.max()) + math.sqrt(2.0 * psq.max())
-    ) / math.sqrt(_CANCEL)
+    gamma = K * u / (1.0 - K * u)
+    e_x = gamma * (3.0 * s4 + 0.5 * math.sqrt(2.0 * s4) * W)
+    e_p = gamma * (4.0 * ps4 + np.finfo(np.float64).tiny)
+    # A zero threshold (every row, or every image, zero) sends every entry
+    # to the direct formula through an infinite bound.
+    with np.errstate(divide="ignore"):
+        err = 2.0 * (e_x / np.sqrt(tq) + e_p / np.sqrt(tp))
     # Without the minus sign the diagonal q = p is no pair, so it is skipped:
     # column c of a block is q = i0 + skip + c, and row r's sign-s chunk
     # starts at column r + (s > 0) - skip.
@@ -470,8 +604,13 @@ def _midpoint_violations(R: np.ndarray, PR: np.ndarray, signs=(1,)):
     trils = {}
     for i0 in range(0, h - skip, _MIDPOINT_BLOCK):
         i1 = min(i0 + _MIDPOINT_BLOCK, h - skip)
-        g, s = _gram_block(R, sq, i0, i1, skip)
-        pg, ps = _gram_block(PR, psq, i0, i1, skip)
+        cols = slice(i0 + skip, None)
+        g = F[i0:i1] @ Ct[:, cols]
+        pg = PR[i0:i1] @ PRt[:, cols]
+        s = sq4[i0:i1, None] + sq4[None, cols]
+        ps = psq4[i0:i1, None] + psq4[None, cols]
+        ec = err[cols]
+        rows = np.arange(i1 - i0)
         chunks = []
         for sign in signs:
             # The plus sign comes last, so its sums take over g and pg.
@@ -479,47 +618,40 @@ def _midpoint_violations(R: np.ndarray, PR: np.ndarray, signs=(1,)):
                 q, pq = np.add(g, s, out=g), np.add(pg, ps, out=pg)
             else:
                 q, pq = s - g, ps - pg
-            direct = q <= _CANCEL * s
-            direct |= pq <= _CANCEL * ps
-            np.maximum(q, 0.0, out=q)
-            np.maximum(pq, 0.0, out=pq)
-            v = np.sqrt(pq, out=pq)
-            v -= np.sqrt(q, out=q)
+            zone = q <= tq
+            zone |= pq <= tp
+            # Negative sums, all in the cancellation zone, give NaN here.
+            with np.errstate(invalid="ignore"):
+                v = np.sqrt(pq, out=pq)
+                v -= np.sqrt(q, out=q)
             del q, pq
             np.abs(v, out=v)
-            v *= 0.5
-            # Entries left of a row's chunk, all in the first i1 - i0
-            # columns since off <= 1, are never yielded.
+            zone = np.flatnonzero(zone)
+            v.flat[zone] = -np.inf
             off = (sign > 0) - skip
             before = trils.get((i1 - i0, off))
             if before is None:
                 before = trils[i1 - i0, off] = np.tril_indices(i1 - i0, off - 1)
             v[before] = -np.inf
-            best = np.where(direct, -np.inf, v).max(axis=1)
-            direct |= v >= (best - 2.0 * bound)[:, None]
-            direct[before] = False
-            # The same (row, column) pairs in the same order as np.nonzero,
-            # which is about ten times slower on a 2-D mask.
-            rs, cs = np.divmod(np.flatnonzero(direct), direct.shape[1])
-            del direct
+            top = v.argmax(axis=1)
+            floor = v[rows, top] - ec[top]
+            near = np.flatnonzero(v + ec >= floor[:, None])
+            # A row with every entry in the zone has floor -inf and flags
+            # the entries left of its chunk too; they are dropped here.
+            rs, cs = np.divmod(np.concatenate([zone, near]), v.shape[1])
+            keep = cs >= rs + off
+            rs, cs = rs[keep], cs[keep]
             for j in range(0, rs.size, _MIDPOINT_DIRECT):
                 r, c = rs[j : j + _MIDPOINT_DIRECT], cs[j : j + _MIDPOINT_DIRECT]
                 a, b = i0 + r, i0 + skip + c
-                v[r, c] = _norm_gap(0.5 * (R[a] + sign * R[b]), 0.5 * (PR[a] + sign * PR[b]))
+                ra, rb = (a, b) if half is None else (half[a], half[b])
+                v[r, c] = _norm_gap(0.5 * (D[ra] + sign * D[rb]), 0.5 * (PR[a] + sign * PR[b]))
             chunks.append((sign, off, v))
         del g, s, pg, ps
         for r in range(i1 - i0):
             for sign, off, v in chunks:
                 if r + off < v.shape[1]:
                     yield i0 + r, sign, v[r, r + off :]
-
-
-def _gram_block(M: np.ndarray, sq: np.ndarray, i0: int, i1: int, skip: int):
-    """(2 <M_p, M_q>, ||M_p||^2 + ||M_q||^2) for p in [i0, i1), q >= i0 + skip."""
-    s = sq[i0:i1, None] + sq[None, i0 + skip :]
-    g = M[i0:i1] @ M[i0 + skip :].T
-    g *= 2.0
-    return g, s
 
 
 def estimate_sampled(pi: SketchMatrix, T, samples: int, seed: int = 0) -> ChdEstimate:
@@ -581,13 +713,18 @@ def sampled_violations(pi: SketchMatrix, T, samples: int, seed: int = 0) -> np.n
     {(a+b)/2, (-a-b)/2} once: (|T|/2)^2 midpoints in the order of
     _violation_stream. Midpoint entries come from Gram blocks; each chunk's
     max is exact and the rest agree with the direct per-pair formula to
-    within rounding (the bound in _midpoint_violations is about 4e-10 for
-    unit directions at d = 256; observed differences stay below 1e-15).
-    Random entries come from GEMMs over the basis points, O(c n (d + m)) per
-    chunk of c points for a DirectionSet over n points and O(c |T| (d + m))
-    for an array; each chunk's max is exact and the rest are within the
-    per-row bound b_r of _sparse_violations (3e-12 to 4e-12 for 64 Gaussian
-    points in R^256 at m = 34; observed differences stay below 1e-15).
+    within rounding: the bound in _midpoint_violations is about 6e-10 for
+    64 Gaussian points in R^256, and observed differences stay below 1e-15
+    there. The bound grows as (||x_i|| + ||x_j||) / ||x_i - x_j|| (points
+    centred) in the column of the pair (i, j), so entries that pair a
+    direction from two near-coincident terminals are less accurate: with
+    two of 64 points 1e-9 apart, differences reach about 1e-6.
+    Random entries come from GEMMs over the basis points, O(c n (min(n, d) +
+    m)) per chunk of c points for a DirectionSet over n points and
+    O(c |T| (d + m)) for an array; each chunk's max is exact and the rest are
+    within the per-row bound b_r of _sparse_violations (3e-12 to 6e-12 for
+    64 Gaussian points in R^256 at m = 34; observed differences stay below
+    1e-15), which grows the same way on near-coincident terminals.
     """
     return np.concatenate(
         [v for v, _ in _violation_stream(pi, T, samples, seed)]

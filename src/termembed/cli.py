@@ -24,7 +24,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import harness, pointio
-from .chd import estimate_sampled
+from .chd import check_audit_size, estimate_sampled
 from .errors import DimensionMismatch, EmbeddingError, FormatError, InvalidMatrix
 from .extension import (
     TOL,
@@ -331,6 +331,15 @@ def _audit(embedder, Y, samples, seed) -> dict:
     }
 
 
+def _directions(X, m, Y=None):
+    """The direction set of X for an audit under an m-row sketch: Y when
+    given, else direction_set(X). Either way chd.check_audit_size first
+    refuses a set beyond estimate_sampled's budget (TooManyDirections, exit
+    2), before anything large is allocated or any output written."""
+    check_audit_size(X.n, X.d, m)
+    return direction_set(X) if Y is None else Y
+
+
 def _suite(X, per_mode, seed, modes=None):
     """eval's sampled queries and their labels: harness.sample_suite on the
     "samplers" sub-seed of seed (modes None: the default suite)."""
@@ -350,7 +359,8 @@ def _cmd_verify_chd(args) -> int:
         # sketch to audit.
         report.update({"method": "exact_small", **_NO_WITNESS})
     else:
-        report.update(_audit(embedder, direction_set(embedder.X), args.samples, seed))
+        Y = _directions(embedder.X, embedder.Pi.m)
+        report.update(_audit(embedder, Y, args.samples, seed))
 
     text = _dump_json(report, args.report)
     if args.report is None:
@@ -403,7 +413,8 @@ def _cmd_scaling(args) -> int:
     verify-chd's max_violation over --chd-samples (0 on the exact path, an
     isometry on the terminal span) and eval's max_abs_ratio_dev over the
     default suite. The direction set depends on X alone, so it is built
-    once, on the first sketch-path cell."""
+    once, on the first sketch-path cell; every sketch-path cell checks the
+    audit budget for its m first, and a refusal writes no table."""
     fmt = pointio.detect_format(args.points, args.fmt)
     X = build_point_set(pointio.read_points(args.points, fmt))
     solver = SolverConfig(args.solver_iters)
@@ -413,7 +424,7 @@ def _cmd_scaling(args) -> int:
         embedder = _embedder(X, plan, eps, args.dist, seed, solver)
         chd = 0.0
         if plan.mode == "sketch":
-            Y = direction_set(X) if Y is None else Y
+            Y = _directions(X, plan.m, Y)
             chd = float(_audit(embedder, Y, args.chd_samples, seed)["max_violation"])
         report = harness.evaluate(embedder, *_suite(X, args.queries_per_mode, seed))
         values = (eps, C, seed, plan.m, plan.mode, chd, report.max_abs_ratio_dev)

@@ -35,7 +35,11 @@ class InvalidConstant(EmbeddingError):
 
 
 class TooManyDirections(EmbeddingError):
-    """Grid certification is limited to very small direction sets."""
+    """A direction set beyond a verifier's size limit: more than
+    chd.GRID_MAX_DIRECTIONS for certify_grid, or, for verify-chd and scaling,
+    beyond the budget of chd.check_audit_size (chd.MAX_DIRECTION_BYTES of
+    directions and images, chd.MAX_MIDPOINTS pair midpoints), which is
+    checked before the set is built."""
 
 
 class InvalidMatrix(EmbeddingError):

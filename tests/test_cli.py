@@ -2,13 +2,14 @@ import json
 import math
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from termembed import cli
+from termembed import chd, cli
 from termembed.cli import load_bundle, main
-from termembed.errors import FormatError
+from termembed.errors import FormatError, TooManyDirections
 from termembed.extension import SolverConfig
 from termembed.pointio import read_points_bin, read_points_csv, write_points_bin, write_points_csv
 from termembed.sketch import plan_dimension
@@ -804,6 +805,70 @@ class TestScalingCommand:
         assert row["m"] == ev["config"]["m_plan"]
         assert row["chd_max_violation"] == chd["max_violation"]
         assert row["max_ratio_dev"] == ev["max_abs_ratio_dev"]
+
+
+class TestAuditBudget:
+    """verify-chd and scaling check the direction set's size against
+    chd.MAX_DIRECTION_BYTES and chd.MAX_MIDPOINTS before building it."""
+
+    @pytest.fixture
+    def audit_bundle(self, tmp_path):
+        # The benchmark's audit shape: n=64, d=256, eps=0.5, C=1 gives m=34,
+        # 4032 directions (8.9 MiB with their images).
+        path = write_csv(tmp_path / "p.csv", np.random.default_rng(8).standard_normal((64, 256)))
+        out = tmp_path / "bundle"
+        assert main(["build", path, "--out", str(out), "--epsilon", "0.5", "--const-C", "1",
+                     "--seed", "1"]) == 0
+        return out
+
+    def test_serve_shape_is_refused(self):
+        # n=1200, d=256, m=227: 2.95 GB of directions and 2.61 GB of images.
+        with pytest.raises(TooManyDirections) as info:
+            chd.check_audit_size(1200, 256, 227)
+        msg = str(info.value)
+        assert "n=1200" in msg and "5302.0 MiB" in msg and "517536360000 pair midpoints" in msg
+        assert "256 MiB" in msg and str(chd.MAX_MIDPOINTS) in msg
+
+    @pytest.mark.parametrize("n, d, m", [(64, 256, 34), (40, 16, 15), (60, 40, 32),
+                                         (181, 256, 34), (1, 256, 34), (8, 524287, 1)])
+    def test_audit_ci_and_golden_shapes_fit(self, n, d, m):
+        chd.check_audit_size(n, d, m)
+
+    @pytest.mark.parametrize("n, d, m", [(182, 256, 34), (9, 524287, 1)])
+    def test_just_over_either_budget_is_refused(self, n, d, m):
+        with pytest.raises(TooManyDirections):
+            chd.check_audit_size(n, d, m)
+
+    @pytest.mark.parametrize("budget", ["MAX_DIRECTION_BYTES", "MAX_MIDPOINTS"])
+    def test_verify_chd_over_budget_exits_2_before_allocating(
+        self, tmp_path, audit_bundle, monkeypatch, capsys, budget
+    ):
+        monkeypatch.setattr(chd, budget, getattr(chd, budget) // 1024)
+        report = tmp_path / "chd.json"
+        tracemalloc.start()
+        try:
+            rc = main(["verify-chd", str(audit_bundle), "--samples", "100",
+                       "--report", str(report)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and not report.exists()
+        assert err.startswith("error:") and "n=64" in err and "8.9 MiB" in err
+        assert "4064256 pair midpoints" in err
+        # The refusal comes before the 8.9 MiB direction set is built.
+        assert peak < 2**20
+
+    def test_scaling_over_budget_exits_2_without_a_table(self, tmp_path, monkeypatch, capsys):
+        path = write_csv(tmp_path / "p.csv", np.random.default_rng(1).standard_normal((12, 12)))
+        monkeypatch.setattr(chd, "MAX_MIDPOINTS", 100)
+        built = []
+        monkeypatch.setattr(cli, "direction_set", built.append)
+        out = tmp_path / "s.json"
+        rc = main(["scaling", path, "--epsilons", "0.5", "--consts", "0.5", "--seeds", "0",
+                   "--queries-per-mode", "2", "--chd-samples", "50", "--out", str(out)])
+        assert rc == 2 and "n=12" in capsys.readouterr().err
+        assert built == [] and not out.exists()
 
 
 class TestSeedFallback:
