@@ -33,12 +33,15 @@ GRID_MAX_DIRECTIONS = 6
 # an m-row sketch, which check_audit_size enforces before verify-chd or
 # scaling builds the set: its n(n-1) directions and their images hold
 # n(n-1)(d+m) float64 values, and its midpoint tier evaluates
-# (n(n-1)/2)^2 pair midpoints, in time that grows as n^4. The midpoint
-# count caps n at 181; the bytes bind first for points wider than about
-# 1000 (n <= 90 at d = 4096). The serve shape (n = 1200, d = 256, m = 227)
-# needs 5.6 GB and 5.2e11 midpoints.
+# (n(n-1)/2)^2 pair midpoints, in time that grows as n^4. The limits keep
+# one audit to tens of seconds and under 1 GB. The midpoint count caps n
+# at 256: at n = 256, d = 256 (m = 45, 151 MB of directions and images) a
+# 20,000-sample verify-chd took 24 s and peaked at 460 MB RSS on one core
+# of a 2-core x86 VM with one BLAS thread. The bytes bind first where
+# d + m exceeds about 510 (n <= 90 at d = 4096). The serve shape
+# (n = 1200, d = 256, m = 227) needs 5.6 GB and 5.2e11 midpoints.
 MAX_DIRECTION_BYTES = 2**28
-MAX_MIDPOINTS = 2**28
+MAX_MIDPOINTS = 2**30
 
 # A fixed chunk size keeps the rng consumption order, and therefore every
 # estimate, reproducible for a given seed.

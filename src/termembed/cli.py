@@ -331,15 +331,6 @@ def _audit(embedder, Y, samples, seed) -> dict:
     }
 
 
-def _directions(X, m, Y=None):
-    """The direction set of X for an audit under an m-row sketch: Y when
-    given, else direction_set(X). Either way chd.check_audit_size first
-    refuses a set beyond estimate_sampled's budget (TooManyDirections, exit
-    2), before anything large is allocated or any output written."""
-    check_audit_size(X.n, X.d, m)
-    return direction_set(X) if Y is None else Y
-
-
 def _suite(X, per_mode, seed, modes=None):
     """eval's sampled queries and their labels: harness.sample_suite on the
     "samplers" sub-seed of seed (modes None: the default suite)."""
@@ -359,8 +350,10 @@ def _cmd_verify_chd(args) -> int:
         # sketch to audit.
         report.update({"method": "exact_small", **_NO_WITNESS})
     else:
-        Y = _directions(embedder.X, embedder.Pi.m)
-        report.update(_audit(embedder, Y, args.samples, seed))
+        # Refuses a set beyond estimate_sampled's budget (exit 2) before
+        # direction_set allocates it or anything is written.
+        check_audit_size(embedder.X.n, embedder.X.d, embedder.Pi.m)
+        report.update(_audit(embedder, direction_set(embedder.X), args.samples, seed))
 
     text = _dump_json(report, args.report)
     if args.report is None:
@@ -424,7 +417,8 @@ def _cmd_scaling(args) -> int:
         embedder = _embedder(X, plan, eps, args.dist, seed, solver)
         chd = 0.0
         if plan.mode == "sketch":
-            Y = _directions(X, plan.m, Y)
+            check_audit_size(X.n, X.d, plan.m)
+            Y = direction_set(X) if Y is None else Y
             chd = float(_audit(embedder, Y, args.chd_samples, seed)["max_violation"])
         report = harness.evaluate(embedder, *_suite(X, args.queries_per_mode, seed))
         values = (eps, C, seed, plan.m, plan.mode, chd, report.max_abs_ratio_dev)

@@ -830,11 +830,11 @@ class TestAuditBudget:
         assert "256 MiB" in msg and str(chd.MAX_MIDPOINTS) in msg
 
     @pytest.mark.parametrize("n, d, m", [(64, 256, 34), (40, 16, 15), (60, 40, 32),
-                                         (181, 256, 34), (1, 256, 34), (8, 524287, 1)])
+                                         (256, 256, 34), (1, 256, 34), (8, 524287, 1)])
     def test_audit_ci_and_golden_shapes_fit(self, n, d, m):
         chd.check_audit_size(n, d, m)
 
-    @pytest.mark.parametrize("n, d, m", [(182, 256, 34), (9, 524287, 1)])
+    @pytest.mark.parametrize("n, d, m", [(257, 256, 34), (9, 524287, 1)])
     def test_just_over_either_budget_is_refused(self, n, d, m):
         with pytest.raises(TooManyDirections):
             chd.check_audit_size(n, d, m)

@@ -3,11 +3,13 @@ sketch path, audit it, and compare the report with the committed one byte
 for byte.
 
 The committed reports pin the audit's witness rule, tier maxima and chunk
-values (through the witness they pick) on four small sets: a 12 x 8
+values (through the witness they pick) on five small sets: a 12 x 8
 Gaussian set, the 8 corners of the unit cube (exact ties among vertices
 and midpoints, signed zeros in the directions), a 10 x 6 set with one pair
-of points 1e-9 apart, and a 16 x 6 Gaussian set shifted by 1e6 (far from
-the origin, where the audit's point basis is centred). The CI workflow runs
+of points 1e-9 apart, and two Gaussian sets shifted by 1e6 (far from the
+origin, where the audit's point basis is centred): 16 x 6, and 12 x 32,
+whose n < d sends the midpoint and random tiers through the point frame
+(the n-wide Gram blocks and the basis Gram G). The CI workflow runs
 the same commands through the installed console script and compares with
 cmp."""
 import io
@@ -26,6 +28,7 @@ GOLDEN = {
     "cube_corners": ("0.9", "0.4"),
     "near_duplicate": ("0.5", "0.25"),
     "shifted_16x6": ("0.5", "0.2"),
+    "shifted_12x32": ("0.5", "0.25"),
 }
 
 
