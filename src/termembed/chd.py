@@ -507,26 +507,35 @@ def _midpoint_weights(k: int, half, mirror, p: int, sign: int, r: int) -> np.nda
 
 
 def _midpoint_frame(T, D: np.ndarray, PD: np.ndarray, basis: _Basis):
-    """(F, Ct, sq, W, PR): the operands of the midpoint tier's Gram blocks
-    over the rows R that it pairs, T[half] for a DirectionSet and T itself
-    for an array.
+    """(F, rows, Ct, sq, W, PR): the operands of the midpoint tier's Gram
+    blocks over the rows R that it pairs, T[half] for a DirectionSet and T
+    itself for an array.
 
-    F[p] . Ct[:, q] is <R_p, R_q> / 2 up to rounding, sq[p] = ||R_p||^2,
-    and PR = PD[half] (PD for an array) are the images of R. For a
-    DirectionSet over n < d points (its basis carries G) the frame is the
-    point basis: F = R B^T (h x n) and column q of Ct holds +-1 / (2 d_ij)
-    at the ends of R_q = (x_i - x_j) / d_ij, so each Gram block is a GEMM
-    over n coordinates in place of d. Otherwise F = R and Ct = R^T / 2.
+    F[rows[p]] . Ct[:, q] is <R_p, R_q> / 2 up to rounding, sq[p] =
+    ||R_p||^2, and PR = PD[half] (PD for an array) are the images of R. For
+    a DirectionSet over n < d points (its basis carries G) the frame is the
+    point basis: F = R B^T (h x n), rows = 0 .. h - 1, and column q of Ct
+    holds +-1 / (2 d_ij) at the ends of R_q = (x_i - x_j) / d_ij, so each
+    Gram block is a GEMM over n coordinates in place of d. Otherwise F = D,
+    rows lists R's rows of D, and Ct = R^T / 2 is filled from D in blocks
+    of rows, so no copy of R is held beside it.
     W[q] weighs column q's rounding (see _midpoint_violations):
     (||B_i|| + ||B_j|| + 2 tiny) / d_ij + 2 tiny in the point frame, ||R_q||
     + 2 tiny otherwise, the tiny terms for products that underflow.
     """
     tiny = np.finfo(np.float64).tiny
     half = T.half if isinstance(T, DirectionSet) else slice(None)
+    if not isinstance(T, DirectionSet) or basis.gram is None:
+        rows = np.arange(D.shape[0])[half]
+        Ct, sq = np.empty((D.shape[1], rows.size)), np.empty(rows.size)
+        for a in range(0, rows.size, _MIDPOINT_BLOCK):
+            block = slice(a, a + _MIDPOINT_BLOCK)
+            R = D[rows[block]]
+            sq[block] = np.einsum("ij,ij->i", R, R)
+            np.multiply(R.T, 0.5, out=Ct[:, block])
+        return D, rows, Ct, sq, np.sqrt(sq) + 2.0 * tiny, PD[half]
     R = D[half]
     sq = np.einsum("ij,ij->i", R, R)
-    if not isinstance(T, DirectionSet) or basis.gram is None:
-        return R, np.multiply(R.T, 0.5, order="C"), sq, np.sqrt(sq) + 2.0 * tiny, PD[half]
     # R is dropped here: the direct recompute reads D through T.half.
     F = R @ basis.B.T
     del R
@@ -537,7 +546,7 @@ def _midpoint_frame(T, D: np.ndarray, PD: np.ndarray, basis: _Basis):
     Ct[i, cols] = 0.5 * inv
     Ct[j, cols] = -0.5 * inv
     W = (basis.norms[i] + basis.norms[j] + 2.0 * tiny) * inv + 2.0 * tiny
-    return F, Ct, sq, W, PD[half]
+    return F, cols, Ct, sq, W, PD[half]
 
 
 def _midpoint_violations(D: np.ndarray, half, frame, signs=(1,)):
@@ -548,8 +557,8 @@ def _midpoint_violations(D: np.ndarray, half, frame, signs=(1,)):
     p < |R| - 1; signs = (-1, 1) gives each row against itself and every
     later row with both signs, |R|^2 midpoints in all.
 
-    Per block of _MIDPOINT_BLOCK rows p, one GEMM on the frame (F, Ct) of
-    _midpoint_frame and one on PR against the contiguous PR^T / 2 give every
+    Per block of _MIDPOINT_BLOCK rows p, one GEMM on the frame (F[rows], Ct)
+    of _midpoint_frame and one on PR against the contiguous PR^T / 2 give every
     <R_p, R_q> / 2 and <PR_p, PR_q> / 2, q >= p (q > p for signs = (1,)), and
     so every ||(a +- b)/2||^2 = ||a||^2/4 + ||b||^2/4 +- <a, b>/2 of the
     block: the scalings by powers of 2 are exact. Two kinds of entry are
@@ -583,8 +592,8 @@ def _midpoint_violations(D: np.ndarray, half, frame, signs=(1,)):
     in floating point, so the direct value at a + (-1) b equals a per-pair
     scan's at (-a) + b, or at a + b' for b' = -b.
     """
-    F, Ct, sq, W, PR = frame
-    h = F.shape[0]
+    F, frame_rows, Ct, sq, W, PR = frame
+    h = frame_rows.size
     psq = np.einsum("ij,ij->i", PR, PR)
     PRt = np.multiply(PR.T, 0.5, order="C")
     sq4, psq4 = 0.25 * sq, 0.25 * psq
@@ -608,7 +617,7 @@ def _midpoint_violations(D: np.ndarray, half, frame, signs=(1,)):
     for i0 in range(0, h - skip, _MIDPOINT_BLOCK):
         i1 = min(i0 + _MIDPOINT_BLOCK, h - skip)
         cols = slice(i0 + skip, None)
-        g = F[i0:i1] @ Ct[:, cols]
+        g = F[frame_rows[i0:i1]] @ Ct[:, cols]
         pg = PR[i0:i1] @ PRt[:, cols]
         s = sq4[i0:i1, None] + sq4[None, cols]
         ps = psq4[i0:i1, None] + psq4[None, cols]

@@ -15,6 +15,7 @@ threshold failed (the report is still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -435,7 +436,10 @@ def _cmd_scaling(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one argument parser of the process: it depends on no input, and
+    parsing leaves it unchanged, so every main call shares it."""
     parser = _Parser(
         prog="termembed",
         description="Terminal dimensionality reduction: build a sketch bundle, "

@@ -14,7 +14,13 @@ class DimensionMismatch(EmbeddingError):
 
 
 class DuplicatePoint(EmbeddingError):
-    """Two identical points in a terminal set; the direction set is undefined."""
+    """Two identical points in a terminal set, or two distinct ones closer
+    than geometry.MIN_DISTANCE = 2**-511 (about 1.5e-154): the direction
+    between them is undefined. PointSet refuses identical rows. A pair that
+    close is refused where a direction between them is formed, by
+    geometry.DirectionSet (verify-chd, scaling) and by the query solve for a
+    query anchored at one of them (query, eval, scaling); build accepts such
+    a set, since refusing it there would need a search for near pairs."""
 
 
 class NonFinitePoint(EmbeddingError):

@@ -71,7 +71,14 @@ import numpy as np
 
 from . import geometry
 from .errors import DimensionMismatch, InvalidMatrix
-from .geometry import PointSet, distances_to, nearest, nearest_batch
+from .geometry import (
+    MIN_DISTANCE,
+    PointSet,
+    _refuse_coincident,
+    distances_to,
+    nearest,
+    nearest_batch,
+)
 from .sketch import SketchMatrix, sketch_points
 
 _TINY = 1e-300
@@ -395,7 +402,10 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None, warm=None) -> Extension
         solve stops there under the same rules.
 
     Degenerate cases short-circuit: R = 0 (u is a terminal) and n = 1 (no
-    constraints) both return z = 0 with residual 0 and lower bound 0.
+    constraints) both return z = 0 with residual 0 and lower bound 0. A
+    terminal closer to x_k than geometry.MIN_DISTANCE has no direction
+    v_i: the guarded rows' exact distances find it, and the solve raises
+    DuplicatePoint naming the pair.
 
     Cost per query: the warm start's one n x 2 product over X, which gives
     both the Gram direction norms and the targets, and its matvec over Pi X
@@ -433,7 +443,12 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None, warm=None) -> Extension
     # row i of W is (Pi x_i - Pi x_k)/norms_i, with norms_i^2 from the Gram
     # identity. Entry k is a dummy row (norm 1) whose residual is forced to 0.
     # Rows in the cancellation zone take exact norms and the direct
-    # difference form instead.
+    # difference form instead, and so do rows whose Gram value is within
+    # (8d + 2) tiny of it (tiny = MIN_DISTANCE^2, the smallest normal): its
+    # error is at most (d + 4) eps (||x_i|| + ||x_k||)^2 + 4d tiny
+    # (geometry._gram_bound), so every row left on the Gram identity is at
+    # least MIN_DISTANCE from x_k, and the exact distances of the rest find
+    # any terminal closer than that.
     if warm is None:
         [warm] = E._warm_starts(u[None], (k,), (R,))
     P, z, dots, PXz = warm
@@ -441,7 +456,8 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None, warm=None) -> Extension
     x_k, PX_k = pts[k], PX[k]
     # Column 0 of dots is <x_i, x_k>, column 1 <x_i, P>.
     sq_dist = X.sq_norms - 2.0 * dots[:, 0] + X.sq_norms[k]
-    close = np.flatnonzero(~(sq_dist >= _CANCEL * (X.norms + X.norms[k]) ** 2))
+    floor = (8 * X.d + 2) * MIN_DISTANCE**2
+    close = np.flatnonzero(~(sq_dist >= _CANCEL * (X.norms + X.norms[k]) ** 2 + floor))
     close = close[close != k]
     sq_dist[k] = 1.0
     if close.size:
@@ -450,6 +466,7 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None, warm=None) -> Extension
     t = (dots[:, 1] - x_k @ P) / norms
     if close.size:
         norms[close] = distances_to(x_k, X, close)
+        _refuse_coincident(pts, k, close, norms[close])
         W_close = (PX[close] - PX_k) / norms[close, None]
         t[close] = ((pts[close] - x_k) / norms[close, None]) @ P
 

@@ -34,6 +34,14 @@ _GRAM_MAX = np.finfo(np.float64).max / 4
 MAX_NORM = 2.0**500
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+# The shortest distance a direction (x_i - x_j) / ||x_i - x_j|| is formed
+# over: sqrt(tiny). A kernel squared distance below tiny, the smallest normal
+# float64, is inexact or 0, and the distance is then below 2**-511 too (the
+# square root is correctly rounded). DirectionSet and the query solve refuse
+# such a pair (_refuse_coincident).
+MIN_DISTANCE = 2.0**-511
+# Seed of the duplicate screen's Gaussian vector (_linked_rows).
+_SCREEN_SEED = 20181022
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,20 @@ class PointSet:
     with a norm of at most MAX_NORM. Construction checks this, in that order
     (DimensionMismatch or EmptyInput, NonFinitePoint naming the first bad
     row, DuplicatePoint with -0.0 equal to 0.0). points becomes a read-only
-    float64 array; sq_norms keeps the check's squared norms ||x_i||^2."""
+    float64 array; sq_norms keeps the check's squared norms ||x_i||^2.
+
+    The duplicate check (_first_duplicate) screens before it compares: one
+    matrix-vector product h = X r with a fixed seeded Gaussian r, and a sort
+    of h, link the rows whose h lie within a rounding radius of a
+    neighbour's, which every pair of equal rows does. The exact scan, one
+    dict of row bytes in index order, then runs over the linked rows alone
+    and names the pair the scan over all rows would: the first row equal to
+    an earlier one, and that row's first occurrence. Distinct data links
+    next to no rows, so the check costs about one pass over X and a sort
+    of n values; where every row is linked it costs that plus the full
+    scan. Distinct rows closer than MIN_DISTANCE pass here, and are refused
+    where a direction between them is formed (DirectionSet and
+    extension.solve_extension)."""
 
     points: np.ndarray  # (n, d), read-only
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n,), read-only
@@ -60,13 +81,9 @@ class PointSet:
         if pts.shape[1] == 0:
             raise DimensionMismatch("points must have dimension >= 1")
         sq = _checked_sq_norms(pts, "point")
-        # Exact duplicates: adding 0.0 maps -0.0 to +0.0, so rows equal under
-        # IEEE comparison have equal bytes.
-        seen: dict[bytes, int] = {}
-        for i in range(pts.shape[0]):
-            j = seen.setdefault((pts[i] + 0.0).tobytes(), i)
-            if j != i:
-                raise DuplicatePoint(f"points {j} and {i} are identical")
+        pair = _first_duplicate(pts, sq)
+        if pair is not None:
+            raise DuplicatePoint("points {} and {} are identical".format(*pair))
         pts.setflags(write=False)
         sq.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -256,7 +273,8 @@ class DirectionSet:
     of (j, i). x_j - x_i is exactly -(x_i - x_j) and both give the same
     distance, so directions[mirror] == -directions and T = -T hold by
     construction (as values: a coordinate where x_i and x_j agree is +0.0 in
-    both rows).
+    both rows). A pair closer than MIN_DISTANCE, whose direction would be
+    inf or NaN, raises DuplicatePoint naming it and its distance.
     """
 
     points: np.ndarray  # (n, d), the point set's rows
@@ -272,8 +290,9 @@ class DirectionSet:
         diffs = self.points[i]
         diffs -= self.points[j]
         # The kernel over the differences gives each distance_matrix entry
-        # bit for bit. Distinctness guarantees norms > 0.
+        # bit for bit; pairs closer than MIN_DISTANCE are refused.
         norms = _kernel(diffs[None])[0]
+        _refuse_coincident(self.points, i, j, norms)
         diffs /= norms[:, None]
         self.points.setflags(write=False)
         derived = {
@@ -289,6 +308,71 @@ class DirectionSet:
 
     def __len__(self) -> int:
         return self.directions.shape[0]
+
+
+def _first_duplicate(pts: np.ndarray, sq: np.ndarray) -> tuple[int, int] | None:
+    """(j, i) for the first row i equal to an earlier row (IEEE comparison,
+    so -0.0 equals 0.0) and j that row's first occurrence, or None when the
+    rows are distinct; sq holds the rows' squared norms (finite). One exact
+    scan, a dict keyed by each row's bytes (adding 0.0 maps -0.0 to +0.0),
+    visits the rows of _linked_rows in index order, which hold every row
+    equal to another."""
+    seen: dict[bytes, int] = {}
+    for i in _linked_rows(pts, sq):
+        j = seen.setdefault((pts[i] + 0.0).tobytes(), i)
+        if j != i:
+            return j, i
+    return None
+
+
+def _linked_rows(pts: np.ndarray, sq: np.ndarray):
+    """The rows of the duplicate screen's links, in index order (every row
+    when n <= 2).
+
+    h = X r for r of d standard normal values from a fixed seed, sorted. r
+    is Gaussian, not structured: rows of small integers (binary rows, grid
+    points) collide on a vector such as linspace. Two equal rows x get values
+    that differ from x . r by at most gamma_d ||x|| ||r|| + d tiny each,
+    whatever order the product sums in (tiny covers products that
+    underflow), so they differ from each other by at most
+
+        radius = d eps M ||r|| + 2 d tiny,  M = sqrt(2 (max ||x_i||^2 + d tiny)),
+
+    M bounding max ||x_i|| with room for the rounding of sq and of radius
+    itself. Every run of sorted values with consecutive gaps of at most
+    radius is linked, so equal rows are both linked.
+    """
+    n, d = pts.shape
+    if n <= 2:
+        return range(n)
+    r = np.random.default_rng(_SCREEN_SEED).standard_normal(d)
+    h = pts @ r
+    order = np.argsort(h)
+    M = math.sqrt(2.0 * (float(sq.max()) + d * _TINY))
+    radius = d * _EPS * M * math.sqrt(float(r @ r)) + 2 * d * _TINY
+    link = np.diff(h[order]) <= radius
+    linked = np.zeros(n, dtype=bool)
+    linked[order[:-1][link]] = True
+    linked[order[1:][link]] = True
+    return np.flatnonzero(linked).tolist()
+
+
+def _refuse_coincident(points: np.ndarray, i, j, dist: np.ndarray) -> None:
+    """DuplicatePoint for the first t with dist[t] < MIN_DISTANCE, naming the
+    pair (i[t], j[t]) (i broadcast against j) and its distance, where dist[t]
+    is the kernel distance ||points[i[t]] - points[j[t]]||. Below
+    MIN_DISTANCE the kernel's squared distance is below the smallest normal
+    float64, inexact or 0, so no direction is formed from it."""
+    bad = np.flatnonzero(dist < MIN_DISTANCE)
+    if bad.size:
+        t = int(bad[0])
+        a, b = sorted((int(np.broadcast_to(i, dist.shape)[t]), int(j[t])))
+        gap = math.hypot(*(points[a] - points[b]).tolist())  # no square to underflow
+        raise DuplicatePoint(
+            f"points {a} and {b} are {gap:.4g} apart, closer than MIN_DISTANCE = 2**-511 "
+            f"(about {MIN_DISTANCE:.4g}), below which their squared distance underflows "
+            "and their direction is undefined"
+        )
 
 
 def _checked_sq_norms(A: np.ndarray, what: str) -> np.ndarray:

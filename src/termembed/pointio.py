@@ -2,6 +2,12 @@
 
 TEPT layout: 16-byte header = magic b"TEPT", u32 n, u32 d, u32 reserved(0),
 all little-endian, followed by n*d IEEE-754 doubles, row-major, little-endian.
+The payload moves without intermediate copies: read_points_bin checks the
+file's length against the header, then reads the payload into the (n, d)
+array it returns, and write_points_bin writes from the array's buffer. The
+reader only converts; the point checks (shape, finiteness, MAX_NORM,
+duplicates) are geometry.PointSet's, whose duplicate check is a screened
+scan (see there).
 CSV floats are written with Python's shortest round-trip repr, so a
 write/read cycle is bit-exact in both formats.
 
@@ -16,6 +22,7 @@ line parser, which returns its array or raises its FormatError.
 """
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -29,30 +36,45 @@ _HEADER = struct.Struct("<4sIII")
 
 
 def write_points_bin(path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
+    """Write an (n, d) array as TEPT. The payload goes out from the array's
+    own buffer; only an array that is not C-contiguous little-endian float64
+    is converted first."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     if arr.ndim != 2:
         raise FormatError(f"expected an (n, d) array, got ndim={arr.ndim}")
     n, d = arr.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, n, d, 0))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(arr)
 
 
 def read_points_bin(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    magic, n, d, _reserved = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-    expected = _HEADER.size + 8 * n * d
-    if len(blob) != expected:
+    """The (n, d) float64 array of a TEPT file. A regular file of the length
+    its header gives is read straight into the array; any other (a pipe, or
+    a file of the wrong length, which is a FormatError) is read whole first,
+    so a corrupt header never sizes an allocation."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, n, d, _reserved = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
+        expected = _HEADER.size + 8 * n * d
+        arr, got = None, 0
+        if os.fstat(fh.fileno()).st_size == expected:
+            arr = np.empty((n, d), dtype="<f8")
+            got = fh.readinto(arr)
+        rest = fh.read()
+    length = _HEADER.size + got + len(rest)
+    if length != expected:
         raise FormatError(
-            f"{path}: payload length {len(blob)} != expected {expected} "
+            f"{path}: payload length {length} != expected {expected} "
             f"for n={n}, d={d} (offset {_HEADER.size})"
         )
-    data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    return data.reshape(n, d).astype(np.float64)
+    if arr is None:
+        arr = np.frombuffer(rest, dtype="<f8").reshape(n, d).copy()
+    return arr.astype(np.float64, copy=False)
 
 
 def write_points_csv(path, arr: np.ndarray) -> None:

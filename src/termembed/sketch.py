@@ -169,9 +169,7 @@ def save_sketch(pi: SketchMatrix, header_path, data_path=None) -> None:
         json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n",
         encoding="utf-8",
     )
-    data_path.write_bytes(
-        np.ascontiguousarray(pi.entries, dtype="<f8").tobytes(order="C")
-    )
+    data_path.write_bytes(np.ascontiguousarray(pi.entries, dtype="<f8"))
 
 
 def load_sketch(header_path) -> SketchMatrix:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,30 @@ def blocks(request, monkeypatch):
         monkeypatch.setattr(chd, "_MIDPOINT_BLOCK", 7)
         monkeypatch.setattr(chd, "_MIDPOINT_DIRECT", 5)
     return request.param
+
+
+class TestMidpointFrame:
+    def test_d_wide_frame_holds_the_rows_once(self):
+        # n >= d: the Gram blocks stay d wide. The row operand is D itself,
+        # read through T.half, and Ct = R^T / 2 is the frame's one h x d array.
+        X = build_point_set(np.random.default_rng(28).standard_normal((64, 32)))
+        T = direction_set(X)
+        pi = generate_sketch(3, X.d, "gaussian", 28)
+        D = T.directions
+        PD = chd._images(pi, T, D)
+        basis = chd._hull_basis(pi, T, D, PD)
+        assert basis.gram is None
+        tracemalloc.start()
+        try:
+            F, rows, Ct, sq, W, PR = chd._midpoint_frame(T, D, PD, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F is D and np.array_equal(rows, T.half)
+        assert Ct.flags.c_contiguous and np.array_equal(Ct, 0.5 * D[T.half].T)
+        assert np.array_equal(sq, np.einsum("ij,ij->i", D[T.half], D[T.half]))
+        # A copy of R next to Ct would double this.
+        assert peak < 1.5 * Ct.nbytes
 
 
 class TestMidpointTier:

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import termembed
 from termembed import chd, cli
 from termembed.cli import load_bundle, main
 from termembed.errors import FormatError, TooManyDirections
@@ -895,3 +900,115 @@ class TestSeedFallback:
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("usage error:") and "TE_SEED" in err
         assert not out.exists()
+
+
+def _coincident_points():
+    """6 x 8 Gaussian rows whose rows 0 and 1 differ only by 1e-200 in
+    coordinate 0: distinct, but their squared distance underflows."""
+    pts = np.random.default_rng(58).standard_normal((6, 8))
+    pts[0, 0] = 0.0
+    pts[1] = pts[0]
+    pts[1, 0] = 1e-200
+    return pts
+
+
+class TestCoincidentTerminals:
+    """Terminals closer than geometry.MIN_DISTANCE: build accepts the set
+    (refusing it would need a near-pair search), and every command that
+    forms a direction between them exits 2 naming the pair."""
+
+    @pytest.fixture
+    def points(self, tmp_path):
+        return write_csv(tmp_path / "near.csv", _coincident_points())
+
+    @pytest.fixture
+    def bundle(self, tmp_path, points, capsys):
+        out = tmp_path / "bundle"
+        assert main(["build", points, "--out", str(out), "--epsilon", "0.5", "--const-C", "0.1",
+                     "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "sketch"
+        return out
+
+    @pytest.mark.parametrize("command", ["query@0", "query@1", "eval", "verify-chd", "scaling"])
+    def test_exits_2_naming_the_pair(self, tmp_path, points, bundle, capsys, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if command.startswith("query"):
+            anchor = int(command[-1])
+            q = write_csv(tmp_path / "q.csv", _coincident_points()[anchor : anchor + 1] + 0.01)
+            argv = ["query", str(bundle), q, str(out_dir / "q_out.csv")]
+        elif command == "eval":
+            argv = ["eval", str(bundle), "--queries-per-mode", "3",
+                    "--report", str(out_dir / "e.json")]
+        elif command == "verify-chd":
+            argv = ["verify-chd", str(bundle), "--samples", "50", "--report", str(out_dir / "c.json")]
+        else:
+            argv = ["scaling", points, "--epsilons", "0.5", "--consts", "0.1", "--seeds", "1",
+                    "--queries-per-mode", "2", "--chd-samples", "50", "--out", str(out_dir / "s.json")]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: points 0 and 1 are 1e-200 apart, closer than MIN_DISTANCE")
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_query_anchored_elsewhere_embeds(self, tmp_path, bundle):
+        q = write_csv(tmp_path / "q.csv", _coincident_points()[3:5] + 0.01)
+        out = tmp_path / "q_out.csv"
+        assert main(["query", str(bundle), q, str(out)]) == 0
+        images = read_points_csv(out)
+        assert images.shape == (2, 3) and np.all(np.isfinite(images))
+        diag = json.loads((tmp_path / "q_out.csv.diag.json").read_text())
+        assert [rec["anchor_index"] for rec in diag["per_query"]] == [3, 4]
+
+
+class TestOneProcess:
+    """main builds its argument parser once per process: commands run one
+    after another in one process give the exit codes, stdout, stderr and
+    files that fresh processes give."""
+
+    COMMANDS = [
+        ["build", "pts.csv", "--out", "b", "--epsilon", "0.5", "--const-C", "0.5", "--seed", "4"],
+        ["build", "pts.csv", "--epsilon", "0.5"],  # no --out: a usage error
+        ["query", "b", "q.csv", "out.csv"],
+        ["eval", "b", "--queries-per-mode", "3", "--report", "eval.json"],
+        ["verify-chd", "b", "--samples", "200"],
+        ["verify-chd", "b", "--samples", "0"],  # out of range: a usage error
+        ["query", "b", "q.bin", "out.bin"],
+        ["query", "b", "missing.csv", "none.csv"],  # no such file: an input error
+    ]
+
+    def _inputs(self, path):
+        path.mkdir()
+        rng = np.random.default_rng(21)
+        write_csv(path / "pts.csv", rng.standard_normal((30, 12)))
+        write_csv(path / "q.csv", rng.standard_normal((6, 12)))
+        write_points_bin(path / "q.bin", rng.standard_normal((4, 12)))
+
+    def _files(self, path):
+        files = sorted(p for p in path.rglob("*") if p.is_file())
+        return {str(p.relative_to(path)): p.read_bytes() for p in files}
+
+    def test_same_results_as_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        self._inputs(tmp_path / "one")
+        monkeypatch.chdir(tmp_path / "one")
+        capsys.readouterr()
+        one = []
+        for argv in self.COMMANDS:
+            rc = main(argv)
+            one.append((rc, *capsys.readouterr()))
+        assert cli.build_parser() is cli.build_parser()
+
+        self._inputs(tmp_path / "fresh")
+        package_root = str(Path(termembed.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "TE_SEED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        fresh = []
+        for argv in self.COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "termembed.cli", *argv],
+                                  cwd=tmp_path / "fresh", env=env, capture_output=True, text=True)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+
+        assert [r[0] for r in one] == [0, 1, 0, 0, 0, 1, 0, 2]
+        assert one == fresh
+        assert self._files(tmp_path / "one") == self._files(tmp_path / "fresh")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from termembed import (
     DimensionMismatch,
+    DuplicatePoint,
     NonFinitePoint,
     SolverConfig,
     TerminalEmbedder,
@@ -143,6 +144,42 @@ def _exact_optimum_m1(W, t, R):
                     cand.append((t[i] - sgn * t[j]) / den)
     z = np.clip(np.array(cand), -R, R)
     return float(np.min(np.max(np.abs(np.outer(z, w) - t), axis=1)))
+
+
+class TestCoincidentTerminals:
+    """A terminal closer than geometry.MIN_DISTANCE to the anchor has no
+    direction: the solve raises DuplicatePoint naming the pair."""
+
+    def _embedder(self, pts):
+        X = build_point_set(pts)
+        return build_embedder(X, generate_sketch(3, X.d, "gaussian", 1), 0.5)
+
+    def test_anchor_at_either_end_is_refused(self):
+        pts = np.random.default_rng(58).standard_normal((6, 8))
+        pts[0, 0] = 0.0
+        pts[1] = pts[0]
+        pts[1, 0] = 1e-200
+        E = self._embedder(pts)
+        for k in (0, 1):
+            with pytest.raises(DuplicatePoint, match="^points 0 and 1 are 1e-200 apart"):
+                solve_extension(pts[k] + 0.01, E)
+        # Anchored elsewhere, the pair's rows come from the Gram identity at
+        # distance about 1 from the anchor: the query embeds.
+        images, records = E.embed_batch(pts[2:] + 0.01)
+        assert np.all(np.isfinite(images))
+        assert [rec["anchor_index"] for rec in records] == [2, 3, 4, 5]
+
+    def test_tiny_data_takes_the_exact_distances(self):
+        # Every squared distance is about 1e-319, subnormal: the Gram values
+        # are sent to the exact recompute, which finds the anchor's nearest
+        # terminal closer than MIN_DISTANCE.
+        pts = np.random.default_rng(60).standard_normal((12, 4)) * 1e-160
+        E = self._embedder(pts)
+        with pytest.raises(DuplicatePoint, match="closer than MIN_DISTANCE"):
+            E.embed(pts[0] + 3e-161)
+        # At 1e-150 every distance is far above MIN_DISTANCE.
+        E = self._embedder(pts * 1e10)
+        assert np.all(np.isfinite(E.embed(pts[0] * 1e10 + 3e-151)))
 
 
 class TestDualCertificate:

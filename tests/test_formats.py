@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -57,6 +59,98 @@ def test_bin_truncated_payload(tmp_path):
     path.write_bytes(struct.pack("<4sIII", b"TEPT", 2, 2, 0) + b"\x00" * 8)
     with pytest.raises(FormatError, match="payload"):
         read_points_bin(path)
+
+
+def _tept(n, d, payload=b""):
+    return struct.pack("<4sIII", b"TEPT", n, d, 0) + payload
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"", "truncated header (0 bytes)"),
+        (b"TEPT\x02\x00\x00\x00\x02\x00", "truncated header (10 bytes)"),
+        (_tept(2, 2, b"\x00" * 8), "payload length 24 != expected 48 for n=2, d=2 (offset 16)"),
+        (_tept(2, 2, b"\x00" * 35), "payload length 51 != expected 48 for n=2, d=2 (offset 16)"),
+        (_tept(0, 3, b"\x00"), "payload length 17 != expected 16 for n=0, d=3 (offset 16)"),
+        # A header that promises about 1.5e20 bytes is refused by its length,
+        # before anything of that size is allocated.
+        (_tept(2**32 - 1, 2**32 - 1), "payload length 16 != expected 147573952520956936216 for "
+         "n=4294967295, d=4294967295 (offset 16)"),
+    ],
+    ids=["empty", "short_header", "short_payload", "trailing_bytes", "zero_rows_trailing",
+         "huge_header"],
+)
+def test_bin_length_errors_name_the_lengths(tmp_path, blob, message):
+    path = tmp_path / "p.bin"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        read_points_bin(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("d", [1, 7])
+def test_bin_zero_rows(tmp_path, d):
+    path = tmp_path / "p.bin"
+    write_points_bin(path, np.zeros((0, d)))
+    assert path.read_bytes() == _tept(0, d)
+    back = read_points_bin(path)
+    assert back.shape == (0, d) and back.dtype == np.float64
+
+
+def test_bin_writes_read_only_and_strided_arrays(tmp_path):
+    base = np.random.default_rng(3).standard_normal((6, 8))
+    ro = base.copy()
+    ro.setflags(write=False)
+    views = {
+        "read_only": ro,
+        "columns": base[:, ::3],
+        "transposed": base.T,
+        "rows": base[::2],
+        "big_endian": base.astype(">f8"),
+        "float32": base.astype(np.float32),
+    }
+    for name, arr in views.items():
+        path = tmp_path / f"{name}.bin"
+        write_points_bin(path, arr)
+        want = np.ascontiguousarray(arr, dtype="<f8")
+        assert path.read_bytes() == _tept(*want.shape, want.tobytes()), name
+        assert np.array_equal(read_points_bin(path), want), name
+
+
+def test_bin_round_trip_keeps_every_bit(tmp_path):
+    # NaN payloads and signs, signed zeros, subnormals and the extremes.
+    rng = np.random.default_rng(4)
+    arr = rng.integers(0, 2**63, size=(33, 5), dtype=np.uint64).view(np.float64).copy()
+    arr.flat[:8] = [-0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.7976931348623157e308, 2.2e-308, np.nan]
+    arr.flat[8] = np.uint64(0x7FF0000000000001).view(np.float64)  # a signalling NaN payload
+    path = tmp_path / "p.bin"
+    write_points_bin(path, arr)
+    back = read_points_bin(path)
+    assert back.tobytes() == arr.tobytes()
+    # An owned, writable, C-contiguous native array, as callers may modify it.
+    assert back.flags.owndata and back.flags.writeable and back.flags.c_contiguous
+    assert back.dtype == np.float64
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_bin_reads_from_a_pipe(tmp_path, arr):
+    # A pipe has no length to check up front: it is read whole, then checked.
+    src, fifo = tmp_path / "p.bin", tmp_path / "fifo"
+    write_points_bin(src, arr)
+    for blob in (src.read_bytes(), src.read_bytes() + b"\x00"):
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(blob))
+        writer.start()
+        try:
+            if len(blob) == 16 + 8 * arr.size:
+                assert np.array_equal(read_points_bin(fifo), arr)
+            else:
+                with pytest.raises(FormatError, match="payload length 137 != expected 136"):
+                    read_points_bin(fifo)
+        finally:
+            writer.join()
+            fifo.unlink()
 
 
 def test_csv_error_carries_line_number(tmp_path):

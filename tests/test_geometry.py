@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termembed import (
     DimensionMismatch,
@@ -105,6 +107,115 @@ _BAD_POINTS = {
     "float64(3.0)": (np.float64(3.0), _EMPTY, _ZERO_D),
     "array(3.0)": (np.array(3.0), _EMPTY, _ZERO_D),
 }
+
+
+def _reference_duplicate(pts):
+    """The per-row scan PointSet ran before its screen, kept as the oracle:
+    every row's bytes (-0.0 mapped to +0.0) in index order, so the message
+    names the first row equal to an earlier one and its first occurrence."""
+    seen = {}
+    for i in range(pts.shape[0]):
+        j = seen.setdefault((pts[i] + 0.0).tobytes(), i)
+        if j != i:
+            return f"points {j} and {i} are identical"
+    return None
+
+
+def _one_ulp_apart(rng, n, d):
+    """Pairs of rows one ulp apart in one coordinate: distinct rows whose
+    screen values fall within the radius of each other."""
+    base = rng.standard_normal(((n + 1) // 2, d))
+    twin = base.copy()
+    col = rng.integers(0, d, size=base.shape[0])
+    rows = np.arange(base.shape[0])
+    twin[rows, col] = np.nextafter(base[rows, col], np.inf)
+    return np.vstack([base, twin])[rng.permutation(2 * base.shape[0])][:n]
+
+
+def _ulp_cloud(rng, n, d):
+    """One row, each copy moved by an ulp up or down (or not) in every
+    coordinate, so copies that drew the same moves are equal. Two copies'
+    screen values differ by at most 2 eps ||x|| ||r|| plus twice the
+    product's rounding, (2 + d) eps ||x|| ||r|| in all, within the radius
+    of at least sqrt(2) d eps ||x|| ||r|| once d >= 5: every row is linked
+    (hence d >= 8 here)."""
+    d = max(d, 8)
+    base = rng.standard_normal(d) * 10.0 ** rng.integers(-5, 6)
+    moves = rng.integers(-1, 2, size=(n, d))
+    return np.where(
+        moves > 0, np.nextafter(base, np.inf), np.where(moves < 0, np.nextafter(base, -np.inf), base)
+    )
+
+
+# Families of the duplicate screen's property test: rng, n, d -> (n, d) rows.
+_DUPLICATE_FAMILIES = {
+    "gaussian": lambda rng, n, d: rng.standard_normal((n, d)),
+    "binary": lambda rng, n, d: rng.integers(0, 2, size=(n, d)).astype(float),
+    "grid": lambda rng, n, d: rng.integers(-3, 4, size=(n, d)).astype(float),
+    "grid_1e-300": lambda rng, n, d: rng.integers(-3, 4, size=(n, d)) * 1e-300,
+    "grid_1e140": lambda rng, n, d: rng.integers(-3, 4, size=(n, d)) * 1e140,
+    "gaussian_1e-300": lambda rng, n, d: rng.standard_normal((n, d)) * 1e-300,
+    "gaussian_1e140": lambda rng, n, d: rng.standard_normal((n, d)) * 1e140,
+    # Rounded rows: many zeros, about half of them -0.0.
+    "negative_zeros": lambda rng, n, d: np.round(rng.standard_normal((n, d)) * 0.6),
+    "one_ulp_apart": _one_ulp_apart,
+    "ulp_cloud": _ulp_cloud,
+}
+
+
+@st.composite
+def _duplicate_sets(draw):
+    family = draw(st.sampled_from(sorted(_DUPLICATE_FAMILIES)))
+    n = draw(st.sampled_from([1, 2, 3, 5, 17, 64]))
+    d = draw(st.sampled_from([1, 2, 3, 8, 33]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = _DUPLICATE_FAMILIES[family](rng, n, d)
+    # Plant copies, some with every zero's sign flipped (-0.0 equals 0.0).
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = rng.integers(0, n, size=2)
+        pts[j] = np.where(pts[i] == 0.0, -pts[i], pts[i]) if rng.integers(2) else pts[i]
+    return family, pts
+
+
+class TestDuplicateScreen:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_duplicate_sets())
+    def test_matches_the_per_row_scan(self, case):
+        family, pts = case
+        expected = _reference_duplicate(pts)
+        if expected is None:
+            assert build_point_set(pts).n == pts.shape[0]
+        else:
+            with pytest.raises(DuplicatePoint) as err:
+                build_point_set(pts)
+            assert str(err.value) == expected
+        sq = np.einsum("ij,ij->i", pts, pts)
+        linked = set(geometry._linked_rows(pts, sq))
+        # Every row equal to another is linked.
+        keys = [(row + 0.0).tobytes() for row in pts]
+        assert {i for i, k in enumerate(keys) if keys.count(k) > 1} <= linked
+        if family == "ulp_cloud":
+            assert linked == set(range(pts.shape[0]))
+
+    def test_distinct_gaussian_rows_link_next_to_none(self):
+        pts = np.random.default_rng(4).standard_normal((2000, 16))
+        assert len(geometry._linked_rows(pts, np.einsum("ij,ij->i", pts, pts))) <= 2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_sets(self, n):
+        assert build_point_set(np.arange(n, dtype=float)[:, None]).n == n
+        if n == 2:
+            with pytest.raises(DuplicatePoint, match="^points 0 and 1 are identical$"):
+                build_point_set([(0.0, -0.0), (-0.0, 0.0)])
+
+    def test_first_pair_in_index_order(self):
+        # Rows 3 and 5 are equal, and so are 1 and 6 (and 1 and 7): the scan
+        # stops at row 5, the first row with an earlier copy.
+        pts = np.random.default_rng(8).standard_normal((8, 4))
+        pts[5] = pts[3]
+        pts[6] = pts[7] = pts[1]
+        with pytest.raises(DuplicatePoint, match="^points 3 and 5 are identical$"):
+            build_point_set(pts)
 
 
 class TestPointSetInvariant:
@@ -545,3 +656,35 @@ class TestDirectionSet:
         Y = direction_set(X)
         # directions stay unit even for the near-duplicate pair (0, 1)
         assert np.abs(np.linalg.norm(Y.directions, axis=1) - 1.0).max() <= 1e-12
+
+    def test_coincident_pair_is_refused(self):
+        # Two distinct rows 1e-200 apart: their squared distance underflows,
+        # so their direction would be NaN.
+        pts = np.random.default_rng(58).standard_normal((6, 8))
+        pts[0, 0] = 0.0
+        pts[1] = pts[0]
+        pts[1, 0] = 1e-200
+        X = build_point_set(pts)
+        message = r"^points 0 and 1 are 1e-200 apart, closer than MIN_DISTANCE"
+        with pytest.raises(DuplicatePoint, match=message):
+            direction_set(X)
+
+    def test_refusal_names_the_first_pair(self):
+        pts = np.random.default_rng(59).standard_normal((7, 3))
+        pts[2, 1] = pts[5, 0] = 0.0
+        pts[4], pts[6] = pts[2], pts[5]
+        pts[4, 1], pts[6, 0] = 3e-160, 1e-170
+        with pytest.raises(DuplicatePoint, match=r"^points 2 and 4 are 3e-160 apart"):
+            direction_set(build_point_set(pts))
+
+    def test_threshold_is_min_distance(self):
+        # At exactly MIN_DISTANCE = 2**-511 the squared distance is the
+        # smallest normal float64, and the pair is kept; one ulp closer it
+        # is subnormal, and the pair is refused.
+        assert geometry.MIN_DISTANCE**2 == np.finfo(np.float64).tiny
+        at = direction_set(build_point_set([(0.0, 1.0), (geometry.MIN_DISTANCE, 1.0), (1.0, 0.0)]))
+        assert at.distances[0] == geometry.MIN_DISTANCE
+        assert np.all(np.isfinite(at.directions))
+        below = np.nextafter(geometry.MIN_DISTANCE, 0.0)
+        with pytest.raises(DuplicatePoint, match="^points 0 and 1 are"):
+            direction_set(build_point_set([(0.0, 1.0), (below, 1.0), (1.0, 0.0)]))
