@@ -2,18 +2,15 @@
 
 Sketch a finite point set X in R^d down to m = O(eps^-2 log n) dimensions,
 then embed arbitrary query points so that every distance from a query to X
-is preserved within a 1 +/- O(eps) factor. Includes hull-distortion
-verifiers, the snap-to-nearest baseline, an evaluation harness, and a CLI.
+is preserved within a 1 +/- O(eps) factor. Includes a hull-distortion
+estimator, the snap-to-nearest baseline, an evaluation harness, and a CLI.
 """
 
 from .chd import (
     ChdEstimate,
     HullPoint,
-    certify_grid,
     estimate_sampled,
     make_hull_point,
-    refine_local,
-    sampled_violations,
     violation,
 )
 from .errors import (
@@ -91,7 +88,6 @@ __all__ = [
     "TooManyDirections",
     "build_embedder",
     "build_point_set",
-    "certify_grid",
     "derive_seed",
     "direction_set",
     "distances_to",
@@ -104,10 +100,8 @@ __all__ = [
     "make_hull_point",
     "nearest_point",
     "plan_dimension",
-    "refine_local",
     "sample_queries",
     "sample_suite",
-    "sampled_violations",
     "save_sketch",
     "sketch_points",
     "solve_extension",

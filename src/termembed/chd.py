@@ -1,24 +1,18 @@
-"""Convex-hull distortion verifiers.
+"""Convex-hull distortion estimator.
 
 A sketch Pi has eps-convex-hull distortion over a direction set T when
 | ||Pi x|| - ||x|| | <= eps for every x in conv(T). No efficient exact
-certifier exists at scale, so three tiers are provided:
-
-  certify_grid      exhaustive simplex grid, tiny |T| only, returns a
-                    Lipschitz-certified upper bound
-  estimate_sampled  Monte Carlo lower estimate at any scale (always
-                    includes every vertex and every pair midpoint)
-  refine_local      coordinate-pair ascent that sharpens a witness
-
-The sampled estimate is a max over explicitly evaluated hull points, so it
-never exceeds the true supremum; the grid bound never undershoots the grid
-max. Tests sandwich the two on tiny instances.
+certifier exists at scale, so estimate_sampled, the estimator behind
+verify-chd and scaling, takes a max over explicitly evaluated hull points:
+every vertex, every pair midpoint, and a Monte Carlo sample on sparse
+supports. It never exceeds the true supremum. The tests sandwich it between
+an exhaustive simplex grid and its Lipschitz window on tiny instances.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +21,6 @@ from .errors import DimensionMismatch, TooManyDirections
 from .geometry import DirectionSet
 from .sketch import SketchMatrix
 
-GRID_MAX_DIRECTIONS = 6
-
 # estimate_sampled's budget for the direction set of n points in R^d under
 # an m-row sketch, which check_audit_size enforces before verify-chd or
 # scaling builds the set: its n(n-1) directions and their images hold
@@ -36,10 +28,11 @@ GRID_MAX_DIRECTIONS = 6
 # (n(n-1)/2)^2 pair midpoints, in time that grows as n^4. The limits keep
 # one audit to tens of seconds and under 1 GB. The midpoint count caps n
 # at 256: at n = 256, d = 256 (m = 45, 151 MB of directions and images) a
-# 20,000-sample verify-chd took 24 s and peaked at 460 MB RSS on one core
-# of a 2-core x86 VM with one BLAS thread. The bytes bind first where
-# d + m exceeds about 510 (n <= 90 at d = 4096). The serve shape
-# (n = 1200, d = 256, m = 227) needs 5.6 GB and 5.2e11 midpoints.
+# 20,000-sample verify-chd took 24 s and peaked at 397 MB RSS on one core
+# of a 2-core x86 VM with one BLAS thread ("budget_edge" in BENCH_28.json).
+# The bytes bind first where d + m exceeds about 510 (n <= 90 at d = 4096).
+# The serve shape (n = 1200, d = 256, m = 227) needs 5.6 GB and 5.2e11
+# midpoints.
 MAX_DIRECTION_BYTES = 2**28
 MAX_MIDPOINTS = 2**30
 
@@ -58,8 +51,6 @@ _MIDPOINT_DIRECT = 4096
 # A midpoint is recomputed directly when ||a+b||^2 (or ||Pi(a+b)||^2) falls
 # to this fraction of ||a||^2 + ||b||^2, where the Gram identity cancels.
 _CANCEL = 1e-6
-_ASCENT_COARSE = 33
-_ASCENT_ZOOM = 17
 
 
 @dataclass(frozen=True)
@@ -80,24 +71,15 @@ class HullPoint:
 
 @dataclass(frozen=True)
 class ChdEstimate:
-    """Result of one verifier tier.
-
-    certified_bound, step, and lipschitz are set by certify_grid only;
-    trace (the non-decreasing violation sequence) by refine_local only;
-    witness_tier (the tier whose chunk held the witness) and tier_max (each
-    tier's largest stream value, keyed "vertex", "midpoint", "random"; a
-    tier with no points is left out) by estimate_sampled only.
-    """
+    """Result of estimate_sampled: the largest violation found, the hull
+    point holding it, witness_tier (the tier whose chunk held the witness)
+    and tier_max (each tier's largest stream value, keyed "vertex",
+    "midpoint", "random"; a tier with no points is left out)."""
 
     max_violation: float
     witness: HullPoint
-    method: str  # "grid_certified" | "sampled" | "local_ascent"
-    certified_bound: float | None = None
-    step: float | None = None
-    lipschitz: float | None = None
-    trace: tuple = ()
-    witness_tier: str | None = None
-    tier_max: dict | None = None
+    witness_tier: str
+    tier_max: dict
 
 
 def _as_direction_matrix(T, d: int | None = None) -> np.ndarray:
@@ -155,104 +137,6 @@ def _norm_gap(x: np.ndarray, px: np.ndarray) -> np.ndarray:
     return np.abs(
         np.sqrt(np.einsum("ij,ij->i", px, px))
         - np.sqrt(np.einsum("ij,ij->i", x, x))
-    )
-
-
-def _lipschitz_bound(D: np.ndarray, PD: np.ndarray) -> float:
-    # Crude but safe: moving h of simplex mass changes the hull point by at
-    # most h * max ||t_i|| and its image by at most h * max ||Pi t_i||.
-    return float(np.max(np.linalg.norm(PD, axis=1) + np.linalg.norm(D, axis=1)))
-
-
-def _triangle_pairs(N: int):
-    """All (b, c) with b + c <= N, grouped by b + c; offsets index the groups."""
-    total = (N + 1) * (N + 2) // 2
-    pairs = np.empty((total, 2), dtype=np.int64)
-    offsets = np.zeros(N + 2, dtype=np.int64)
-    pos = 0
-    for s in range(N + 1):
-        b = np.arange(s + 1, dtype=np.int64)
-        pairs[pos : pos + s + 1, 0] = b
-        pairs[pos : pos + s + 1, 1] = s - b
-        pos += s + 1
-        offsets[s + 1] = pos
-    return pairs, offsets
-
-
-def _prefix_tuples(j: int, budget: int):
-    if j == 0:
-        yield ()
-        return
-    for a in range(budget + 1):
-        for rest in _prefix_tuples(j - 1, budget - a):
-            yield (a,) + rest
-
-
-def _composition_batches(k: int, N: int, max_rows: int = 1 << 18):
-    """Yield all nonnegative integer k-tuples summing to N, in batches.
-
-    The last three coordinates are fully vectorized so that the Python-level
-    iteration count stays manageable for k = 4 even at N = 1000.
-    """
-    if k == 1:
-        yield np.array([[N]], dtype=np.int64)
-        return
-    if k == 2:
-        a = np.arange(N + 1, dtype=np.int64)
-        rows = np.column_stack([a, N - a])
-        for lo in range(0, rows.shape[0], max_rows):
-            yield rows[lo : lo + max_rows]
-        return
-    pairs, offsets = _triangle_pairs(N)
-    for prefix in _prefix_tuples(k - 3, N):
-        M = N - sum(prefix)
-        tri = pairs[: offsets[M + 1]]
-        block = np.empty((tri.shape[0], k), dtype=np.int64)
-        if k > 3:
-            block[:, : k - 3] = np.asarray(prefix, dtype=np.int64)
-        block[:, k - 3] = tri[:, 0]
-        block[:, k - 2] = tri[:, 1]
-        block[:, k - 1] = M - tri[:, 0] - tri[:, 1]
-        for lo in range(0, block.shape[0], max_rows):
-            yield block[lo : lo + max_rows]
-
-
-def certify_grid(pi: SketchMatrix, T, h: float) -> ChdEstimate:
-    """Exhaustive violation scan over the simplex grid {weights in (1/N)Z}.
-
-    N = ceil(1/h), so the effective step 1/N never exceeds h. The returned
-    certified_bound = grid max + L * step, with L the crude l1-Lipschitz
-    constant max_i(||Pi t_i|| + ||t_i||). Grid size grows as C(N+|T|-1, |T|-1);
-    the |T| <= 6 guard keeps this a desk-scale tool (fine steps are only
-    practical for |T| <= 4).
-    """
-    D = _as_direction_matrix(T, pi.d)
-    k = D.shape[0]
-    if k > GRID_MAX_DIRECTIONS:
-        raise TooManyDirections(f"certify_grid handles |T| <= {GRID_MAX_DIRECTIONS}, got {k}")
-    if not (0.0 < h <= 1.0):
-        raise ValueError(f"grid step must lie in (0, 1], got {h}")
-    N = max(1, math.ceil(1.0 / h))
-    step = 1.0 / N
-    PD = D @ pi.entries.T
-    best_v = -1.0
-    best_counts = None
-    for counts in _composition_batches(k, N):
-        lam = counts / N
-        v = _norm_gap(lam @ D, lam @ PD)
-        j = int(np.argmax(v))
-        if v[j] > best_v:
-            best_v = float(v[j])
-            best_counts = counts[j].copy()
-    L = _lipschitz_bound(D, PD)
-    witness = make_hull_point(D, best_counts / N)
-    return ChdEstimate(
-        max_violation=best_v,
-        witness=witness,
-        method="grid_certified",
-        certified_bound=best_v + L * step,
-        step=step,
-        lipschitz=L,
     )
 
 
@@ -708,134 +592,9 @@ def estimate_sampled(pi: SketchMatrix, T, samples: int, seed: int = 0) -> ChdEst
     return ChdEstimate(
         max_violation=violation(pi, witness),
         witness=witness,
-        method="sampled",
         witness_tier=names[t],
         tier_max={names[i]: float(top[i]) for i in range(3) if i != 1 or k > 1},
     )
-
-
-def sampled_violations(pi: SketchMatrix, T, samples: int, seed: int = 0) -> np.ndarray:
-    """The full violation population behind estimate_sampled, for quantile
-    and distribution studies. Same stream, same seed semantics.
-
-    Layout: |T| vertices, then the pair midpoints in chunk order, then the
-    random hull points by support size, in the order 2, 3, ceil(sqrt(|T|)).
-    For an array T the midpoints are all |T| (|T| - 1) / 2 pairs (0, 1),
-    (0, 2), ..., (|T|-2, |T|-1). A DirectionSet gives each mirror pair
-    {(a+b)/2, (-a-b)/2} once: (|T|/2)^2 midpoints in the order of
-    _violation_stream. Midpoint entries come from Gram blocks; each chunk's
-    max is exact and the rest agree with the direct per-pair formula to
-    within rounding: the bound in _midpoint_violations is about 6e-10 for
-    64 Gaussian points in R^256, and observed differences stay below 1e-15
-    there. The bound grows as (||x_i|| + ||x_j||) / ||x_i - x_j|| (points
-    centred) in the column of the pair (i, j), so entries that pair a
-    direction from two near-coincident terminals are less accurate: with
-    two of 64 points 1e-9 apart, differences reach about 1e-6.
-    Random entries come from GEMMs over the basis points, O(c n (min(n, d) +
-    m)) per chunk of c points for a DirectionSet over n points and
-    O(c |T| (d + m)) for an array; each chunk's max is exact and the rest are
-    within the per-row bound b_r of _sparse_violations (3e-12 to 6e-12 for
-    64 Gaussian points in R^256 at m = 34; observed differences stay below
-    1e-15), which grows the same way on near-coincident terminals.
-    """
-    return np.concatenate(
-        [v for v, _ in _violation_stream(pi, T, samples, seed)]
-    )
-
-
-def refine_local(pi: SketchMatrix, T, start: HullPoint, iters: int = 20) -> ChdEstimate:
-    """Coordinate-pair ascent from a hull point; never decreases the violation.
-
-    Each sweep line-searches mass transfers between coordinate pairs (a
-    coarse scan plus two zoom rounds per pair) and applies only strict
-    improvements, so the recorded trace is non-decreasing and the loop
-    terminates early once a sweep makes no progress. For large |T| the pair
-    pool is restricted to the current support plus the strongest-gradient
-    coordinates; the supremum hunt stays a heuristic either way.
-    """
-    D = _as_direction_matrix(T, pi.d)
-    k = D.shape[0]
-    PD = D @ pi.entries.T
-    lam = np.array(start.weights, dtype=np.float64)
-    if lam.shape[0] != k:
-        raise DimensionMismatch(f"{lam.shape[0]} weights for {k} directions")
-
-    x = lam @ D
-    px = lam @ PD
-    cur = float(_norm_gap(x[None], px[None])[0])
-    trace = [cur]
-
-    for _ in range(max(0, iters)):
-        improved = False
-        for i, j in _ascent_pairs(lam, x, px, D, PD):
-            lo, hi = -lam[j], lam[i]
-            if hi - lo <= 0.0:
-                continue
-            delta, val = _line_search(lam, x, px, D, PD, i, j, lo, hi)
-            if val > cur:
-                lam[i] -= delta
-                lam[j] += delta
-                if lam[i] < 0.0:
-                    lam[i] = 0.0
-                if lam[j] < 0.0:
-                    lam[j] = 0.0
-                x = x + delta * (D[j] - D[i])
-                px = px + delta * (PD[j] - PD[i])
-                cur = val
-                trace.append(cur)
-                improved = True
-        # Squash float drift before the next sweep.
-        lam = np.maximum(lam, 0.0)
-        lam /= lam.sum()
-        x = lam @ D
-        px = lam @ PD
-        if not improved:
-            break
-
-    witness = make_hull_point(D, lam)
-    final = violation(pi, witness)
-    trace[-1] = max(trace[-1], final)
-    return ChdEstimate(
-        max_violation=final,
-        witness=witness,
-        method="local_ascent",
-        trace=tuple(trace),
-    )
-
-
-def _ascent_pairs(lam, x, px, D, PD):
-    k = lam.shape[0]
-    if k <= 64:
-        return combinations(range(k), 2)
-    pool = set(np.nonzero(lam > 0.0)[0].tolist())
-    nx, npx = np.linalg.norm(x), np.linalg.norm(px)
-    if nx > 0.0 and npx > 0.0:
-        sigma = 1.0 if npx - nx >= 0.0 else -1.0
-        grad = sigma * (PD @ (px / npx) - D @ (x / nx))
-        pool.update(np.argsort(-np.abs(grad))[:16].tolist())
-    pool = sorted(pool)[:64]
-    return combinations(pool, 2)
-
-
-def _line_search(lam, x, px, D, PD, i, j, lo, hi):
-    dx = D[j] - D[i]
-    dpx = PD[j] - PD[i]
-
-    def evaluate(deltas):
-        return _norm_gap(x + deltas[:, None] * dx, px + deltas[:, None] * dpx)
-
-    deltas = np.linspace(lo, hi, _ASCENT_COARSE)
-    vals = evaluate(deltas)
-    b = int(np.argmax(vals))
-    span = (hi - lo) / (_ASCENT_COARSE - 1)
-    for _ in range(2):
-        zlo = max(lo, deltas[b] - span)
-        zhi = min(hi, deltas[b] + span)
-        deltas = np.linspace(zlo, zhi, _ASCENT_ZOOM)
-        vals = evaluate(deltas)
-        b = int(np.argmax(vals))
-        span = (zhi - zlo) / (_ASCENT_ZOOM - 1)
-    return float(deltas[b]), float(vals[b])
 
 
 def _scatter_weights(k, idx, w):

@@ -37,7 +37,7 @@ from .extension import (
 )
 from .geometry import build_point_set, direction_set
 from .seeding import derive_seed
-from .sketch import generate_sketch, load_sketch, plan_dimension, save_sketch
+from .sketch import _typed, generate_sketch, load_sketch, plan_dimension, save_sketch
 
 BUNDLE_MAGIC = "TEBL"
 
@@ -207,17 +207,6 @@ def _finite_float(text):
     return value
 
 
-def _typed(obj, key, types):
-    """obj[key] if it is an instance of types and not a bool (JSON true and
-    false load as bools, a subclass of int); raises KeyError or TypeError, so
-    a value of the wrong JSON type is never coerced."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, types):
-        names = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"{key} must be a JSON {names}, got {value!r}")
-    return value
-
-
 def load_bundle(bundle_dir):
     """Reconstruct the embedder (sketch or exact path) from a bundle dir.
 
@@ -324,7 +313,7 @@ def _audit(embedder, Y, samples, seed) -> dict:
         return {"method": "sampled", **_NO_WITNESS}
     est = estimate_sampled(embedder.Pi, Y, samples, derive_seed(seed, "chd"))
     return {
-        "method": est.method,
+        "method": "sampled",
         "max_violation": est.max_violation,
         "witness_weights": [float(w) for w in est.witness.weights],
         "witness_tier": est.witness_tier,

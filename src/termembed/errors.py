@@ -20,7 +20,9 @@ class DuplicatePoint(EmbeddingError):
     close is refused where a direction between them is formed, by
     geometry.DirectionSet (verify-chd, scaling) and by the query solve for a
     query anchored at one of them (query, eval, scaling); build accepts such
-    a set, since refusing it there would need a search for near pairs."""
+    a set, since refusing it there would need a search for near pairs. A
+    query closer than MIN_DISTANCE to its nearest terminal but not equal to
+    it is refused too, before it is embedded (geometry._refuse_near_query)."""
 
 
 class NonFinitePoint(EmbeddingError):
@@ -41,11 +43,10 @@ class InvalidConstant(EmbeddingError):
 
 
 class TooManyDirections(EmbeddingError):
-    """A direction set beyond a verifier's size limit: more than
-    chd.GRID_MAX_DIRECTIONS for certify_grid, or, for verify-chd and scaling,
-    beyond the budget of chd.check_audit_size (chd.MAX_DIRECTION_BYTES of
-    directions and images, chd.MAX_MIDPOINTS pair midpoints), which is
-    checked before the set is built."""
+    """A terminal set whose audit (verify-chd, scaling) is beyond the budget
+    of chd.check_audit_size: chd.MAX_DIRECTION_BYTES of directions and
+    images, chd.MAX_MIDPOINTS pair midpoints. It is checked before the
+    direction set is built."""
 
 
 class InvalidMatrix(EmbeddingError):

@@ -56,7 +56,9 @@ converged reads it.
 Every row's anchor (k, R) comes from geometry.nearest_batch, one blocked
 screen per batch (a single query goes through geometry.nearest, its one-row
 call), which also holds the query checks: a query of the wrong width raises
-DimensionMismatch, one with a non-finite coordinate NonFinitePoint.
+DimensionMismatch, one with a non-finite coordinate NonFinitePoint. A query
+closer than geometry.MIN_DISTANCE to its anchor but not equal to it raises
+DuplicatePoint (geometry._refuse_near_query) before its row is embedded.
 """
 from __future__ import annotations
 
@@ -75,6 +77,7 @@ from .geometry import (
     MIN_DISTANCE,
     PointSet,
     _refuse_coincident,
+    _refuse_near_query,
     distances_to,
     nearest,
     nearest_batch,
@@ -229,8 +232,12 @@ class OuterExtension:
 
     def embed(self, u) -> np.ndarray:
         """(out_dim,) image of the query u; raises DimensionMismatch or
-        NonFinitePoint (geometry.nearest checks u)."""
-        return self._embed_one(u, nearest(u, self.X))[0]
+        NonFinitePoint (geometry.nearest checks u), or DuplicatePoint for a
+        u closer than MIN_DISTANCE to a terminal but not equal to it."""
+        u = np.asarray(u, dtype=np.float64)
+        anchor = nearest(u, self.X)
+        _refuse_near_query(u.reshape(-1), self.X, *anchor)
+        return self._embed_one(u, anchor)[0]
 
     def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
         """((q, out_dim) images of the rows of Q, one record per query).
@@ -242,7 +249,8 @@ class OuterExtension:
         the products over X and Pi X, read once per group instead of once
         per query), and _embed_one finishes each row. Every row's values
         are computed by the same calls as for a group of one, which is what
-        embed runs, so each image and record equals embed(u)'s bit for bit.
+        embed runs, so each image and record equals embed(u)'s bit for bit,
+        and a row embed would refuse is refused in row order.
         """
         Q = np.asarray(Q, dtype=np.float64)
         ks, Rs = nearest_batch(Q, self.X)
@@ -253,7 +261,9 @@ class OuterExtension:
             rows = slice(g, g + step)
             warm = self._warm_starts(Q[rows], ks[rows], Rs[rows])
             for i, w in enumerate(warm, start=g):
-                images[i], record = self._embed_one(Q[i], (int(ks[i]), float(Rs[i])), w)
+                anchor = (int(ks[i]), float(Rs[i]))
+                _refuse_near_query(Q[i], self.X, *anchor, i)
+                images[i], record = self._embed_one(Q[i], anchor, w)
                 per_query.append(record)
         return images, per_query
 
@@ -426,7 +436,10 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None, warm=None) -> Extension
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     X = E.X
-    k, R = nearest(u, X) if anchor is None else anchor
+    if anchor is None:
+        anchor = nearest(u, X)
+        _refuse_near_query(u, X, *anchor)
+    k, R = anchor
     m = E.m
     if R == 0.0 or X.n == 1:
         return ExtensionSolution(

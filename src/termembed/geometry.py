@@ -467,7 +467,9 @@ def nearest_batch(Q, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
     This holds the query checks of every path that embeds a query: Q (any
     array-like) must be 2-D with X.d columns, else DimensionMismatch (an
     empty (0, *) batch passes whatever its width), and finite with every
-    row's norm at most MAX_NORM, else NonFinitePoint.
+    row's norm at most MAX_NORM, else NonFinitePoint. A row closer than
+    MIN_DISTANCE to its nearest point is returned like any other (R may
+    then read 0); the paths that embed it refuse it (_refuse_near_query).
 
     Row blocks of _screen_rows(n, d) queries each take one Gram screen
     (_gram_screen, one GEMM against X with the cached ||x_i||^2): every index
@@ -496,6 +498,22 @@ def nearest_batch(Q, X: PointSet) -> tuple[np.ndarray, np.ndarray]:
         hit = np.flatnonzero(dist == R[block][a])
         k[block] = j[hit[np.searchsorted(a[hit], np.arange(block.size))]]
     return k, R
+
+
+def _refuse_near_query(u: np.ndarray, X: PointSet, k: int, R: float, i: int = 0) -> None:
+    """DuplicatePoint naming query i and point k when u, whose nearest point
+    is x_k at distance R (nearest_batch's k and R), is closer than
+    MIN_DISTANCE to x_k but not IEEE equal to it (-0.0 equals 0.0). Below
+    MIN_DISTANCE the squared distance underflows, R may read 0, and u would
+    be embedded as x_k. The coordinates are compared only when R is below
+    it, so a query away from the points costs one float comparison."""
+    if R < MIN_DISTANCE and np.any(u != X.points[k]):
+        gap = math.hypot(*(u - X.points[k]).tolist())  # no square to underflow
+        raise DuplicatePoint(
+            f"query {i} is {gap:.4g} from point {k}, closer than MIN_DISTANCE = 2**-511 "
+            f"(about {MIN_DISTANCE:.4g}) but not equal to it: their squared distance "
+            "underflows, so the query cannot be told from the point"
+        )
 
 
 def nearest(u, X: PointSet) -> tuple[int, float]:

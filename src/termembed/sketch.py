@@ -172,12 +172,24 @@ def save_sketch(pi: SketchMatrix, header_path, data_path=None) -> None:
     data_path.write_bytes(np.ascontiguousarray(pi.entries, dtype="<f8"))
 
 
+def _typed(obj, key, types):
+    """obj[key] if it is an instance of types and not a bool (JSON true and
+    false load as bools, a subclass of int); raises KeyError or TypeError, so
+    a value of the wrong JSON type is never coerced."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key} must be a JSON {names}, got {value!r}")
+    return value
+
+
 def load_sketch(header_path) -> SketchMatrix:
     """Load a serialized sketch, bit-exact to the one save_sketch wrote.
 
     A header that is not a JSON object, has a bad magic, or lacks a valid
-    m, d, data, distribution or seed raises FormatError; other keys (such as
-    the "C" that older headers carry) are ignored. data must be a bare file
+    m, d, data, distribution or seed raises FormatError (m, d and seed must
+    be JSON integers and distribution a string, never coerced); other keys
+    (such as the "C" that older headers carry) are ignored. data must be a bare file
     name, as save_sketch writes it, so the sidecar lies beside the header,
     and a sidecar that SketchMatrix refuses (a NaN or infinite entry, or a
     Frobenius norm above MAX_FROBENIUS) is a FormatError naming it too."""
@@ -190,9 +202,9 @@ def load_sketch(header_path) -> SketchMatrix:
     if magic != SKETCH_MAGIC:
         raise FormatError(f"{header_path}: bad magic {magic!r}")
     try:
-        m, d = int(header["m"]), int(header["d"])
-        data, distribution, seed = header["data"], str(header["distribution"]), int(header["seed"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        m, d, seed = (_typed(header, key, (int,)) for key in ("m", "d", "seed"))
+        data, distribution = header["data"], _typed(header, "distribution", (str,))
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"{header_path}: corrupt sketch header: {exc!r}") from exc
     if m < 1 or d < 1:
         raise FormatError(f"{header_path}: sketch shape ({m}, {d}) is not positive")

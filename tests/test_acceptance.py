@@ -11,6 +11,7 @@ import termembed as te
 from termembed.cli import main as cli_main
 from termembed.pointio import write_points_csv
 from termembed.sketch import SketchMatrix
+from chd_oracles import certify_grid, refine_local, sampled_violations
 
 
 def _report(num, label, t0, budget):
@@ -123,8 +124,8 @@ def test_criterion_5_chd_concentration():
         est = te.estimate_sampled(pi1, T, 10**5, te.derive_seed(s, "chd"))
         if est.max_violation <= 0.25:
             passes += 1
-        medians_m.append(np.median(te.sampled_violations(pi1, T, 10**5, te.derive_seed(s, "chd"))))
-        medians_2m.append(np.median(te.sampled_violations(pi2, T, 10**5, te.derive_seed(s, "chd"))))
+        medians_m.append(np.median(sampled_violations(pi1, T, 10**5, te.derive_seed(s, "chd"))))
+        medians_2m.append(np.median(sampled_violations(pi2, T, 10**5, te.derive_seed(s, "chd"))))
     assert passes >= 4
     for a, b in zip(medians_m, medians_2m):
         assert b < a
@@ -149,9 +150,9 @@ def test_criterion_6_grid_oracle_agreement():
     instances.append((T4, te.generate_sketch(3, 4, "gaussian", 42)))
 
     for T, pi in instances:
-        grid = te.certify_grid(pi, T, 1e-3)
+        grid = certify_grid(pi, T, 1e-3)
         sampled = te.estimate_sampled(pi, T, 20000, seed=1)
-        refined = te.refine_local(pi, T, sampled.witness, iters=40)
+        refined = refine_local(pi, T, sampled.witness, iters=40)
         value = max(sampled.max_violation, refined.max_violation)
         assert value >= grid.max_violation - 1e-9
         assert value <= grid.max_violation + grid.lipschitz * grid.step + 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,19 +8,16 @@ import pytest
 from termembed import (
     DimensionMismatch,
     DirectionSet,
-    TooManyDirections,
     build_point_set,
-    certify_grid,
     direction_set,
     estimate_sampled,
     generate_sketch,
     make_hull_point,
-    refine_local,
-    sampled_violations,
     violation,
 )
 from termembed import chd
 from termembed.sketch import SketchMatrix
+from chd_oracles import certify_grid, refine_local, sampled_violations
 
 
 def identity_sketch(d):
@@ -36,6 +34,28 @@ def brute_force_grid_max(pi, T, steps):
         v = abs(np.linalg.norm(pi.entries @ x) - np.linalg.norm(x))
         best = max(best, v)
     return best
+
+
+class TestPublicSurface:
+    def test_exports(self):
+        import termembed
+
+        assert len(termembed.__all__) == len(set(termembed.__all__))
+        assert all(getattr(termembed, name) is not None for name in termembed.__all__)
+        for name in ("certify_grid", "refine_local", "sampled_violations"):
+            assert not hasattr(termembed, name) and not hasattr(chd, name)
+
+    def test_estimate_sets_every_field(self):
+        Y = direction_set(build_point_set(np.random.default_rng(29).standard_normal((5, 4))))
+        pi = generate_sketch(3, 4, "gaussian", 29)
+        for T in (Y, Y.directions):
+            est = estimate_sampled(pi, T, 100, seed=1)
+            assert [f.name for f in dataclasses.fields(est)] == [
+                "max_violation", "witness", "witness_tier", "tier_max"]
+            assert type(est.max_violation) is float and est.max_violation >= 0.0
+            assert est.witness.weights.shape == (len(Y),)
+            assert list(est.tier_max) == ["vertex", "midpoint", "random"]
+            assert max(est.tier_max.values()) == est.tier_max[est.witness_tier]
 
 
 class TestViolation:
@@ -94,21 +114,6 @@ class TestCertifyGrid:
         est = certify_grid(identity_sketch(2), T, 0.01)
         assert est.max_violation <= 1e-14
         assert abs(est.certified_bound - est.lipschitz * 0.01) <= 1e-14
-
-    def test_invalid_step(self):
-        T = np.array([[1.0], [-1.0]])
-        pi = generate_sketch(2, 1, "gaussian", 0)
-        with pytest.raises(ValueError):
-            certify_grid(pi, T, 0.0)
-        with pytest.raises(ValueError):
-            certify_grid(pi, T, 1.5)
-
-    def test_too_many_directions(self):
-        rng = np.random.default_rng(1)
-        T = rng.standard_normal((7, 3))
-        T /= np.linalg.norm(T, axis=1, keepdims=True)
-        with pytest.raises(TooManyDirections):
-            certify_grid(generate_sketch(2, 3, "gaussian", 0), T, 0.1)
 
     def test_witness_violation_matches(self):
         rng = np.random.default_rng(6)
@@ -796,7 +801,6 @@ def reference_estimate(pi, T, samples, seed):
     return chd.ChdEstimate(
         max_violation=violation(pi, witness),
         witness=witness,
-        method="sampled",
         witness_tier=best_tier,
         tier_max=tier_max,
     )

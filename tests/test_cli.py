@@ -962,6 +962,29 @@ class TestCoincidentTerminals:
         assert [rec["anchor_index"] for rec in diag["per_query"]] == [3, 4]
 
 
+class TestQueryNearATerminal:
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    @pytest.mark.parametrize("mode,C", [("sketch", "0.25"), ("exact_small", "4")])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, mode, C, command):
+        # Query 1 is 1e-170 from terminal 0: closer than MIN_DISTANCE, not equal.
+        pts = np.random.default_rng(62).standard_normal((30, 8))
+        pts[0, 0] = 0.0
+        q = np.vstack([pts[3] + 0.5, pts[0]])
+        q[1, 0] = 1e-170
+        q, bundle, out = write_csv(tmp_path / "q.csv", q), str(tmp_path / "b"), tmp_path / "out"
+        assert main(["build", write_csv(tmp_path / "pts.csv", pts), "--out", bundle,
+                     "--epsilon", "0.5", "--const-C", C, "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == mode
+        out.mkdir()
+        argv = (["query", bundle, q, str(out / "q.csv")] if command == "query" else
+                ["eval", bundle, "--queries-file", q, "--report", str(out / "e.json")])
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "Traceback" not in err
+        assert err.startswith("error: query 1 is 1e-170 from point 0, closer than MIN_DISTANCE")
+        assert list(out.iterdir()) == []
+
+
 class TestOneProcess:
     """main builds its argument parser once per process: commands run one
     after another in one process give the exit codes, stdout, stderr and

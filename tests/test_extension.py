@@ -181,6 +181,50 @@ class TestCoincidentTerminals:
         E = self._embedder(pts * 1e10)
         assert np.all(np.isfinite(E.embed(pts[0] * 1e10 + 3e-151)))
 
+    def test_tiny_data_query_off_the_points_reaches_the_solve(self):
+        # 2e-150 from every terminal, the query is not refused as one near a
+        # terminal; the solve then finds terminals closer than MIN_DISTANCE
+        # to its anchor.
+        pts = np.random.default_rng(60).standard_normal((12, 4)) * 1e-160
+        E = self._embedder(pts)
+        with pytest.raises(DuplicatePoint, match="^points .* apart, closer than MIN_DISTANCE"):
+            E.embed(pts[0] + 1e-150)
+
+
+class TestQueryNearATerminal:
+    """u = x_0 but 1e-170 in coordinate 0 (x_0[0] = 0): nearest reads
+    R = 0, and every embedder and solve_extension refuse u; x_0 with -0.0
+    there still maps to row 0."""
+
+    def _setup(self, u0):
+        pts = np.random.default_rng(62).standard_normal((30, 8))
+        pts[0, 0] = 0.0
+        X = build_point_set(pts)
+        u = pts[0].copy()
+        u[0] = u0
+        sketch = build_embedder(X, generate_sketch(5, X.d, "gaussian", 1), 0.5)
+        return pts, u, [sketch, exact_small_embedding(X), EfnEmbedder(X, pts[:, :3])]
+
+    def test_refused_in_embed_and_embed_batch(self):
+        pts, u, embedders = self._setup(1e-170)
+        assert nearest(u, embedders[0].X) == (0, 0.0)
+        message = "^query {} is 1e-170 from point 0, closer than MIN_DISTANCE"
+        for E in embedders:
+            with pytest.raises(DuplicatePoint, match=message.format(0)):
+                E.embed(u)
+            with pytest.raises(DuplicatePoint, match=message.format(2)):
+                E.embed_batch(np.vstack([pts[3] + 0.5, pts[4], u]))
+        with pytest.raises(DuplicatePoint, match=message.format(0)):
+            solve_extension(u, embedders[0])
+
+    def test_terminals_map_to_their_rows(self):
+        pts, u, embedders = self._setup(-0.0)
+        for E in embedders:
+            images, records = E.embed_batch(np.vstack([u, pts[7]]))
+            assert [rec["anchor_index"] for rec in records] == [0, 7]
+            assert np.array_equal(images, E.terminal_images[[0, 7]])
+            assert np.array_equal(E.embed(u), E.terminal_images[0])
+
 
 class TestDualCertificate:
     @settings(max_examples=60, deadline=None)

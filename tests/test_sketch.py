@@ -315,6 +315,14 @@ class TestSerialization:
             {"magic": "TESK", "m": 3, "d": None, "data": "pi.bin", "distribution": "gaussian", "seed": 1},
             {"magic": "TESK", "m": 3, "d": 2, "data": 7, "distribution": "gaussian", "seed": 1},
             {"magic": "TESK", "m": -3, "d": -2, "data": "pi.bin", "distribution": "gaussian", "seed": 1},
+            # a value of the wrong JSON type is refused, not coerced
+            {"magic": "TESK", "m": 2.9, "d": 2, "data": "pi.bin", "distribution": "gaussian", "seed": 1},
+            {"magic": "TESK", "m": 3, "d": "2", "data": "pi.bin", "distribution": "gaussian", "seed": 1},
+            {"magic": "TESK", "m": 3, "d": 2, "data": "pi.bin", "distribution": "gaussian", "seed": "7"},
+            {"magic": "TESK", "m": 3, "d": 2, "data": "pi.bin", "distribution": "gaussian", "seed": 1.5},
+            {"magic": "TESK", "m": 3, "d": 2, "data": "pi.bin", "distribution": "gaussian", "seed": True},
+            {"magic": "TESK", "m": True, "d": 2, "data": "pi.bin", "distribution": "gaussian", "seed": 1},
+            {"magic": "TESK", "m": 3, "d": 2, "data": "pi.bin", "distribution": 7, "seed": 1},
         ],
     )
     def test_corrupt_header_is_format_error(self, tmp_path, header):
