@@ -28,8 +28,9 @@ from .sketch import SketchMatrix
 # (n(n-1)/2)^2 pair midpoints, in time that grows as n^4. The limits keep
 # one audit to tens of seconds and under 1 GB. The midpoint count caps n
 # at 256: at n = 256, d = 256 (m = 45, 151 MB of directions and images) a
-# 20,000-sample verify-chd took 24 s and peaked at 397 MB RSS on one core
-# of a 2-core x86 VM with one BLAS thread ("budget_edge" in BENCH_28.json).
+# 20,000-sample verify-chd took 19-21 s and peaked at 333 MB RSS on one
+# core of a 2-core x86 VM with one BLAS thread ("budget_edge" in
+# BENCH_30.json).
 # The bytes bind first where d + m exceeds about 510 (n <= 90 at d = 4096).
 # The serve shape (n = 1200, d = 256, m = 227) needs 5.6 GB and 5.2e11
 # midpoints.
@@ -44,7 +45,8 @@ _CHUNK_SPARSE = 512
 _GATHER_ROWS = 64
 # Rows per Gram block in the pair-midpoint tier. A block holds a few
 # (_MIDPOINT_BLOCK x |T|) float arrays, with |T|/2 columns over one sign of a
-# DirectionSet: small enough to stay in cache.
+# DirectionSet, and its product with the n basis points: small enough to
+# stay in cache.
 _MIDPOINT_BLOCK = 64
 # Pairs per batch when the midpoint tier recomputes entries directly.
 _MIDPOINT_DIRECT = 4096
@@ -168,12 +170,14 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
         witness is the per-pair scan's unless midpoints of two different
         mirror pairs tie exactly at the max.
 
-    The midpoint tier takes its norms from Gram blocks (see
-    _midpoint_frame and _midpoint_violations). For a DirectionSet over
-    n < d points the blocks are products over the n point coordinates:
-    O(|T| n d) once, then O(|T|^2 (n + m)) in BLAS, a quarter of it over one
-    sign; otherwise they run over the d coordinates, O(|T|^2 (d + m)).
-    Memory is O(|T| n + _MIDPOINT_BLOCK * |T|) beyond T and its images.
+    The midpoint tier takes its norms from Gram blocks in the random tier's
+    basis (see _midpoint_frame and _midpoint_violations): each block of rows
+    is multiplied by the n basis points over the d coordinates (the points
+    of a DirectionSet; an array is its own basis, n = |T|), then gathered at
+    each column's q ends. That is O(|T| n d) in BLAS, plus O(|T|^2 (q + m))
+    for the gathers and the images, a quarter of it over one sign for a
+    DirectionSet. Memory is O(|T| (q + m) + _MIDPOINT_BLOCK (|T| + n))
+    beyond T, its images and the basis.
     Each midpoint chunk's max, and the first index holding it, are
     bit-identical to the direct formula 0.5 * (t_a + t_b) on the pairs its
     weights name. Every other entry agrees with it to within the rounding
@@ -195,25 +199,20 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
         raise ValueError(f"samples must be >= 1, got {samples}")
     D = _as_direction_matrix(T, pi.d)
     k = D.shape[0]
-    PD = _images(pi, T, D)
-    basis = _hull_basis(pi, T, D, PD)
-    if isinstance(T, DirectionSet):
-        half, mirror, signs = T.half, T.mirror, (-1, 1)
-    else:
-        half = mirror = None
-        signs = (1,)
+    basis = _hull_basis(pi, T, D)
+    half, mirror = basis.half, basis.mirror
     rng = np.random.default_rng(seed)
 
     # Tier 1: vertices.
-    yield _norm_gap(D, PD), lambda r: _scatter_weights(k, [r], [1.0])
+    yield _norm_gap(D, basis.PD), lambda r: _scatter_weights(k, [r], [1.0])
 
     # Tier 2: all pair midpoints, over one sign of each direction for a
     # DirectionSet. The generator expression drops the last Gram block, and
     # the del the frame, before Tier 3 starts.
-    frame = _midpoint_frame(T, D, PD, basis)
+    frame = _midpoint_frame(D, basis)
     yield from (
         (v, lambda r, p=p, sign=sign: _midpoint_weights(k, half, mirror, p, sign, r))
-        for p, sign, v in _midpoint_violations(D, half, frame, signs)
+        for p, sign, v in _midpoint_violations(D, frame, (1,) if mirror is None else (-1, 1))
     )
     del frame
 
@@ -228,27 +227,18 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
             c = min(_CHUNK_SPARSE, n_s - done)
             idx = rng.integers(0, k, size=(c, s))
             w = rng.dirichlet(alpha, size=c)
-            v, _ = _sparse_violations(D, PD, basis, idx, w)
+            v, _ = _sparse_violations(D, basis, idx, w)
             yield v, lambda r, idx=idx, w=w: _scatter_weights(k, idx[r], w[r])
             done += c
 
 
-def _images(pi: SketchMatrix, T, D: np.ndarray) -> np.ndarray:
-    """PD = D Pi^T, the images of T's directions D. For a DirectionSet, one
-    GEMM over its rows i < j gives those rows, and each mirror row is their
-    exact negation, so PD[T.mirror] == -PD holds by construction."""
-    if not isinstance(T, DirectionSet):
-        return D @ pi.entries.T
-    PD = np.empty((D.shape[0], pi.m))
-    PD[T.half] = D[T.half] @ pi.entries.T
-    PD[T.mirror[T.half]] = -PD[T.half]
-    return PD
-
-
 class _Basis(NamedTuple):
-    """The point coordinates of the random tier and of the midpoint tier's
-    point frame (see _hull_basis)."""
+    """The directions' images and the point coordinates in which the random
+    and midpoint tiers take their products (see _hull_basis)."""
 
+    PD: np.ndarray  # (|T|, m) D Pi^T
+    half: np.ndarray  # (h,) the rows R of D that the midpoint tier pairs
+    mirror: np.ndarray | None  # (|T|,) row of -D[t] in a DirectionSet, else None
     B: np.ndarray  # (n, d) basis points
     PB: np.ndarray  # (n, m) B Pi^T
     ends: np.ndarray  # (|T|, q) basis indices of each direction
@@ -259,28 +249,39 @@ class _Basis(NamedTuple):
     gram: np.ndarray | None  # (n, n) B B^T when n < d, else None
 
 
-def _hull_basis(pi: SketchMatrix, T, D: np.ndarray, PD: np.ndarray) -> _Basis:
-    """The basis in which the random tier, and for a DirectionSet over n < d
-    points the midpoint tier, take their products.
+def _hull_basis(pi: SketchMatrix, T, D: np.ndarray) -> _Basis:
+    """The images PD = D Pi^T of T's directions D, and the basis in which the
+    random and midpoint tiers take their products: the one place that tells
+    a DirectionSet from an array.
 
     Every direction is D[t] = sum_q coef[t, q] * B[ends[t, q]] up to
     rounding, and PB = B Pi^T. A DirectionSet's basis is its points less
     their mean, with coefficients +-1 / ||x_i - x_j||: directions do not
     change under translation, and centring keeps a large common offset from
-    costing digits. An array T is its own basis, with one-hot coefficients.
-    The Gram G = B B^T is formed once per call when the basis has fewer rows
-    than d, where products through it are cheaper than through B.
+    costing digits. Its midpoint tier pairs the rows i < j (half), and one
+    GEMM over those rows gives their images, each mirror row taking their
+    exact negation, so PD[mirror] == -PD holds by construction. An array T
+    is its own basis, with one-hot coefficients, and its midpoint tier
+    pairs every row. The Gram G = B B^T is formed once per call when the
+    basis has fewer rows than d, where products through it are cheaper than
+    through B.
     """
     if isinstance(T, DirectionSet):
+        half, mirror = T.half, T.mirror
+        PD = np.empty((D.shape[0], pi.m))
+        PD[half] = D[half] @ pi.entries.T
+        PD[mirror[half]] = -PD[half]
         B = T.points - T.points.mean(axis=0)
         PB = B @ pi.entries.T
         inv = 1.0 / T.distances
         ends, coef = T.pairs, np.column_stack([inv, -inv])
     else:
-        B, PB = D, PD
-        ends, coef = np.arange(D.shape[0])[:, None], np.ones((D.shape[0], 1))
+        half, mirror = np.arange(D.shape[0]), None
+        B = D
+        PD = PB = D @ pi.entries.T
+        ends, coef = half[:, None], np.ones((D.shape[0], 1))
     return _Basis(
-        B, PB, ends, coef,
+        PD, half, mirror, B, PB, ends, coef,
         norms=np.linalg.norm(B, axis=1),
         image_norms=np.linalg.norm(PB, axis=1),
         frobenius=float(np.linalg.norm(pi.entries)),
@@ -288,7 +289,7 @@ def _hull_basis(pi: SketchMatrix, T, D: np.ndarray, PD: np.ndarray) -> _Basis:
     )
 
 
-def _sparse_violations(D: np.ndarray, PD: np.ndarray, basis: _Basis, idx: np.ndarray, w: np.ndarray):
+def _sparse_violations(D: np.ndarray, basis: _Basis, idx: np.ndarray, w: np.ndarray):
     """(v, b): v[r] is the violation at the hull point sum_a w[r, a] D[idx[r, a]]
     and b[r] bounds |v[r] - direct|, where direct is the gather formula
     sum_a w[r, a] D[idx[r, a]] (and the same on PD) evaluated in sub-blocks of
@@ -335,7 +336,7 @@ def _sparse_violations(D: np.ndarray, PD: np.ndarray, basis: _Basis, idx: np.nda
     recomputed with the direct formula; a row left on its screen value is
     strictly below the chunk's direct max.
     """
-    B, PB, ends, coef, norms, image_norms, frobenius, G = basis
+    PD, _, _, B, PB, ends, coef, norms, image_norms, frobenius, G = basis
     c, s = w.shape
     n, d, m = B.shape[0], D.shape[1], PD.shape[1]
     # np.take gathers rows far faster than fancy indexing with a 2-D index.
@@ -377,75 +378,55 @@ def _sparse_violations(D: np.ndarray, PD: np.ndarray, basis: _Basis, idx: np.nda
 
 def _midpoint_weights(k: int, half, mirror, p: int, sign: int, r: int) -> np.ndarray:
     """Simplex weights over T's k directions of row r of the (p, sign) chunk
-    of _midpoint_violations, the midpoint (R_p + sign R_q)/2. With half =
-    None, R is T itself. Otherwise R is T[half] for a DirectionSet (half and
-    mirror are its index arrays) and the weights name whichever of (a, b) and
-    (-a, -b) comes first in the per-pair order (0, 1), (0, 2), ...,
-    (k - 2, k - 1)."""
+    of _midpoint_violations, the midpoint (R_p + sign R_q)/2 of the rows R =
+    T[half] (half and mirror as in _Basis). For a DirectionSet the weights
+    name whichever of (a, b) and (-a, -b) comes first in the per-pair order
+    (0, 1), (0, 2), ..., (k - 2, k - 1)."""
     q = p + (sign > 0) + r
-    if half is None:
-        return _scatter_weights(k, [p, q], [0.5, 0.5])
     a, b = half[p], half[q] if sign > 0 else mirror[half[q]]
-    a, b = min(sorted((a, b)), sorted((mirror[a], mirror[b])))
+    if mirror is not None:
+        a, b = min(sorted((a, b)), sorted((mirror[a], mirror[b])))
     return _scatter_weights(k, [a, b], [0.5, 0.5])
 
 
-def _midpoint_frame(T, D: np.ndarray, PD: np.ndarray, basis: _Basis):
-    """(F, rows, Ct, sq, W, PR): the operands of the midpoint tier's Gram
-    blocks over the rows R that it pairs, T[half] for a DirectionSet and T
-    itself for an array.
+def _midpoint_frame(D: np.ndarray, basis: _Basis):
+    """(rows, B, ends, hcoef, sq, W, PR): the operands of the midpoint tier's
+    Gram blocks over the h rows R = D[rows] that it pairs (rows = basis.half).
 
-    F[rows[p]] . Ct[:, q] is <R_p, R_q> / 2 up to rounding, sq[p] =
-    ||R_p||^2, and PR = PD[half] (PD for an array) are the images of R. For
-    a DirectionSet over n < d points (its basis carries G) the frame is the
-    point basis: F = R B^T (h x n), rows = 0 .. h - 1, and column q of Ct
-    holds +-1 / (2 d_ij) at the ends of R_q = (x_i - x_j) / d_ij, so each
-    Gram block is a GEMM over n coordinates in place of d. Otherwise F = D,
-    rows lists R's rows of D, and Ct = R^T / 2 is filled from D in blocks
-    of rows, so no copy of R is held beside it.
-    W[q] weighs column q's rounding (see _midpoint_violations):
-    (||B_i|| + ||B_j|| + 2 tiny) / d_ij + 2 tiny in the point frame, ||R_q||
-    + 2 tiny otherwise, the tiny terms for products that underflow.
+    Each R_q is sum_e coef[q, e] B[ends[q, e]] up to rounding (see
+    _hull_basis), with B the basis points, so <R_p, R_q> / 2 is sum_e
+    <R_p, B[ends[q, e]]> hcoef[q, e] with hcoef = coef / 2: the products of
+    R_p with the n basis points, gathered at the q ends of each column.
+    sq[q] = ||R_q||^2, PR = PD[rows] are the images of R, and W[q] = sum_e
+    |coef[q, e]| (||B[ends[q, e]]|| + tiny) + 2 tiny weighs column q's
+    rounding (see _midpoint_violations), the tiny terms for products that
+    underflow. The frame holds O(h (q + m)) values beside D and B: no h x n,
+    n x h or h x d operand.
     """
     tiny = np.finfo(np.float64).tiny
-    half = T.half if isinstance(T, DirectionSet) else slice(None)
-    if not isinstance(T, DirectionSet) or basis.gram is None:
-        rows = np.arange(D.shape[0])[half]
-        Ct, sq = np.empty((D.shape[1], rows.size)), np.empty(rows.size)
-        for a in range(0, rows.size, _MIDPOINT_BLOCK):
-            block = slice(a, a + _MIDPOINT_BLOCK)
-            R = D[rows[block]]
-            sq[block] = np.einsum("ij,ij->i", R, R)
-            np.multiply(R.T, 0.5, out=Ct[:, block])
-        return D, rows, Ct, sq, np.sqrt(sq) + 2.0 * tiny, PD[half]
-    R = D[half]
-    sq = np.einsum("ij,ij->i", R, R)
-    # R is dropped here: the direct recompute reads D through T.half.
-    F = R @ basis.B.T
-    del R
-    i, j = T.pairs[half].T
-    inv = 1.0 / T.distances[half]
-    cols = np.arange(half.size)
-    Ct = np.zeros((basis.B.shape[0], half.size))
-    Ct[i, cols] = 0.5 * inv
-    Ct[j, cols] = -0.5 * inv
-    W = (basis.norms[i] + basis.norms[j] + 2.0 * tiny) * inv + 2.0 * tiny
-    return F, cols, Ct, sq, W, PD[half]
+    rows = basis.half
+    ends, coef = basis.ends[rows], basis.coef[rows]
+    W = np.einsum("ij,ij->i", np.abs(coef), basis.norms[ends] + tiny) + 2.0 * tiny
+    sq = np.einsum("ij,ij->i", D, D)[rows]
+    return rows, basis.B, ends, 0.5 * coef, sq, W, basis.PD[rows]
 
 
-def _midpoint_violations(D: np.ndarray, half, frame, signs=(1,)):
+def _midpoint_violations(D: np.ndarray, frame, signs=(1,)):
     """Yield (p, sign, v) with v[c] the violation at (R_p + sign R_q)/2 for
-    q = p + (sign > 0) + c, where R = D[half] (D itself when half is None):
-    for each row p in order, one chunk per sign in `signs` order, empty
-    chunks skipped. signs = (1,) gives every pair midpoint of R once,
-    p < |R| - 1; signs = (-1, 1) gives each row against itself and every
-    later row with both signs, |R|^2 midpoints in all.
+    q = p + (sign > 0) + c, where R = D[rows] for the frame's rows: for each
+    row p in order, one chunk per sign in `signs` order, empty chunks
+    skipped. signs = (1,) gives every pair midpoint of R once, p < |R| - 1;
+    signs = (-1, 1) gives each row against itself and every later row with
+    both signs, |R|^2 midpoints in all.
 
-    Per block of _MIDPOINT_BLOCK rows p, one GEMM on the frame (F[rows], Ct)
-    of _midpoint_frame and one on PR against the contiguous PR^T / 2 give every
-    <R_p, R_q> / 2 and <PR_p, PR_q> / 2, q >= p (q > p for signs = (1,)), and
-    so every ||(a +- b)/2||^2 = ||a||^2/4 + ||b||^2/4 +- <a, b>/2 of the
-    block: the scalings by powers of 2 are exact. Two kinds of entry are
+    Per block of _MIDPOINT_BLOCK rows p, with lo the smallest basis index
+    that the block's columns q >= p reference, one GEMM over the d
+    coordinates gives F = R_p B[lo:]^T, and g = sum_e F[:, ends[q, e] - lo]
+    hcoef[q, e] gives every <R_p, R_q> / 2 from the frame of
+    _midpoint_frame; one GEMM on PR against the contiguous PR^T / 2 gives
+    every <PR_p, PR_q> / 2, q >= p (q > p for signs = (1,)). So every
+    ||(a +- b)/2||^2 = ||a||^2/4 + ||b||^2/4 +- <a, b>/2 of the block
+    follows: the scalings by powers of 2 are exact. Two kinds of entry are
     then recomputed with the direct formula on 0.5 * (a +- b), exactly as a
     per-pair scan evaluates them:
       - cancellation: ||(a+-b)/2||^2 <= _CANCEL s4 with s4 = max_p ||R_p||^2 / 2,
@@ -457,17 +438,21 @@ def _midpoint_violations(D: np.ndarray, half, frame, signs=(1,)):
       - near-max: entries whose Gram value, raised by its column's bound
         err[q], reaches the row's largest Gram value lowered by the bound of
         that value's column.
-    With u the unit roundoff, gamma = K u / (1 - K u) for K = (the frame's
-    depth) + d + m + 8 and r = max_p ||R_p||, the Gram and direct values of
-    ||(a+-b)/2||^2 differ by at most gamma (3 s4 + r W[q] / 2): the squared
-    norms, the two additions and the direct formula's sums and squares give
-    the 3 s4, and the frame's products the r W[q] / 2 (W as in
-    _midpoint_frame; in the point frame it covers the products R B^T, the
-    coefficients 1 / d_ij, the centring and the rounding of the directions
-    D against the points). On the images the difference is at most
-    gamma (4 ps4 + tiny), ps4 = max_p ||PR_p||^2 / 2. Outside the
-    cancellation zone each Gram value is above its threshold t, so each norm
-    differs by at most that difference / sqrt(t) (|sqrt a - sqrt b| <=
+    With u the unit roundoff, gamma = K u / (1 - K u) and r = max_p ||R_p||,
+    the Gram and direct values of ||(a+-b)/2||^2 differ by at most
+    gamma (3 s4 + r W[q] / 2). The frame gives the r W[q] / 2: each entry of
+    F is within gamma_d ||R_p|| ||B_e|| of <R_p, B_e>, the products with
+    hcoef and their sum add q roundings, and R_q differs from sum_e coef B_e
+    by a few roundings of sum_e |coef| ||B_e|| (the coefficients 1 / d_ij,
+    the centring and the direction (x_i - x_j) / d_ij itself; none for an
+    array, its own basis). The squared norms, the two additions and the
+    direct formula's sums and squares give the 3 s4. On the images the
+    difference is at most gamma (4 ps4 + tiny), ps4 = max_p ||PR_p||^2 / 2.
+    K = q + 2 d + m + 8 covers every one of these sums, whose depths are d
+    (F), q (the gathers), d (the squared norms and the direct formula), m
+    (the same on the images) and at most 8 roundings around them. Outside
+    the cancellation zone each Gram value is above its threshold t, so each
+    norm differs by at most that difference / sqrt(t) (|sqrt a - sqrt b| <=
     |a - b| / sqrt a); err[q] doubles the sum over both sides to cover the
     square roots, the subtraction and the second-order terms. An entry left
     on its Gram value is therefore strictly below its chunk's direct max,
@@ -476,14 +461,14 @@ def _midpoint_violations(D: np.ndarray, half, frame, signs=(1,)):
     in floating point, so the direct value at a + (-1) b equals a per-pair
     scan's at (-a) + b, or at a + b' for b' = -b.
     """
-    F, frame_rows, Ct, sq, W, PR = frame
+    frame_rows, B, ends, hcoef, sq, W, PR = frame
     h = frame_rows.size
     psq = np.einsum("ij,ij->i", PR, PR)
     PRt = np.multiply(PR.T, 0.5, order="C")
     sq4, psq4 = 0.25 * sq, 0.25 * psq
     s4, ps4 = 0.5 * float(sq.max()), 0.5 * float(psq.max())
     tq, tp = _CANCEL * s4, _CANCEL * ps4
-    K = Ct.shape[0] + D.shape[1] + PR.shape[1] + 8
+    K = ends.shape[1] + 2 * D.shape[1] + PR.shape[1] + 8
     u = np.finfo(np.float64).eps / 2
     gamma = K * u / (1.0 - K * u)
     e_x = gamma * (3.0 * s4 + 0.5 * math.sqrt(2.0 * s4) * W)
@@ -501,7 +486,16 @@ def _midpoint_violations(D: np.ndarray, half, frame, signs=(1,)):
     for i0 in range(0, h - skip, _MIDPOINT_BLOCK):
         i1 = min(i0 + _MIDPOINT_BLOCK, h - skip)
         cols = slice(i0 + skip, None)
-        g = F[frame_rows[i0:i1]] @ Ct[:, cols]
+        lo = int(ends[cols].min())
+        F = D[frame_rows[i0:i1]] @ B[lo:].T
+        g = np.take(F, ends[cols, 0] - lo, axis=1)
+        g *= hcoef[cols, 0]
+        for e in range(1, ends.shape[1]):
+            term = np.take(F, ends[cols, e] - lo, axis=1)
+            term *= hcoef[cols, e]
+            g += term
+            del term
+        del F
         pg = PR[i0:i1] @ PRt[:, cols]
         s = sq4[i0:i1, None] + sq4[None, cols]
         ps = psq4[i0:i1, None] + psq4[None, cols]
@@ -540,7 +534,7 @@ def _midpoint_violations(D: np.ndarray, half, frame, signs=(1,)):
             for j in range(0, rs.size, _MIDPOINT_DIRECT):
                 r, c = rs[j : j + _MIDPOINT_DIRECT], cs[j : j + _MIDPOINT_DIRECT]
                 a, b = i0 + r, i0 + skip + c
-                ra, rb = (a, b) if half is None else (half[a], half[b])
+                ra, rb = frame_rows[a], frame_rows[b]
                 v[r, c] = _norm_gap(0.5 * (D[ra] + sign * D[rb]), 0.5 * (PR[a] + sign * PR[b]))
             chunks.append((sign, off, v))
         del g, s, pg, ps

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NonFinitePoint
 from .extension import STATUSES
 from .geometry import (
+    MIN_DISTANCE,
     PointSet,
     _gram_overflows,
     _gram_screen,
@@ -31,6 +32,10 @@ HISTOGRAM_BINS = 64
 # nearest-neighbor distance.
 DEFAULT_SHELL_FACTORS = (0.01, 0.1, 1.0, 10.0)
 DEFAULT_FAR_SCALE = 3.0
+# The least distance from a shell_rel or segment query to the terminal it is
+# drawn around: twice the MIN_DISTANCE below which the embedders refuse a
+# query that is not a terminal itself.
+_NEAR = 2.0 * MIN_DISTANCE
 
 
 def parse_mode(mode: str) -> tuple[str, float | None]:
@@ -65,10 +70,14 @@ def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
     (random convex combination of a random terminal pair), "member" (the
     terminals themselves, cycled), "far:s" (centroid plus s * diameter in a
     random direction), "shell_rel:f" (shell at f times the anchor's
-    nearest-neighbor distance). Deterministic per seed. The nearest-neighbor
-    distances and the diameter come from X.neighbor_scales, computed once per
-    point set and shared by every later call: a blocked Gram screen (O(n^2 d)
-    GEMM flops) with exact distances only for the entries it cannot rule out,
+    nearest-neighbor distance). A segment or nonzero shell_rel draw closer
+    than 2 MIN_DISTANCE to its terminal, which the embedders would refuse
+    (on data spaced near MIN_DISTANCE), is moved out to that distance, or
+    to the midpoint of a segment shorter than twice it; other draws are
+    unchanged. Deterministic per seed. The nearest-neighbor distances and
+    the diameter come from X.neighbor_scales, computed once per point set
+    and shared by every later call: a blocked Gram screen (O(n^2 d) GEMM
+    flops) with exact distances only for the entries it cannot rule out,
     bit-identical to a full exact distance pass.
     """
     if count < 1:
@@ -89,7 +98,10 @@ def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
             return np.repeat(pts, count, axis=0)
         i = rng.integers(0, n, size=count)
         j = (i + rng.integers(1, n, size=count)) % n
-        lam = rng.uniform(size=count)[:, None]
+        # lam * d_ij is the distance to x_j, (1 - lam) * d_ij to x_i.
+        with np.errstate(divide="ignore"):
+            t = np.minimum(_NEAR / _pair_distances(pts, pts, i, j), 0.5)
+        lam = np.clip(rng.uniform(size=count), t, 1.0 - t)[:, None]
         return lam * pts[i] + (1.0 - lam) * pts[j]
     if kind == "shell":
         anchors = rng.integers(0, n, size=count)
@@ -98,6 +110,8 @@ def sample_queries(X: PointSet, mode, count: int, seed: int = 0) -> np.ndarray:
         nn = X.neighbor_scales[0]
         anchors = rng.integers(0, n, size=count)
         radii = param * nn[anchors]
+        if param:
+            radii = np.copysign(np.maximum(np.abs(radii), _NEAR), param)
         return pts[anchors] + radii[:, None] * _unit_rows(rng, count, d)
     # kind == "far"
     centroid = pts.mean(axis=0)
@@ -199,19 +213,22 @@ def _binned(lo, hi) -> bool:
     return hi - lo > HISTOGRAM_BINS * np.spacing(max(abs(lo), abs(hi), 1.0))
 
 
-def _histogram(r: np.ndarray, lo, hi) -> list:
+def _histogram(r: np.ndarray, edges) -> list:
+    """Counts of the ratios r per bin of edges (the rule of _bin_index), or
+    one count when edges is None (a range too narrow to bin)."""
     if r.size == 0:
         return []
-    if _binned(lo, hi):
-        return np.histogram(r, bins=HISTOGRAM_BINS, range=(lo, hi))[0].astype(int).tolist()
-    return [int(r.size)]
+    if edges is None:
+        return [int(r.size)]
+    return np.bincount(_bin_index(r, edges), minlength=HISTOGRAM_BINS).tolist()
 
 
 def _bin_index(r: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The np.histogram bin of each value of r in [edges[0], edges[-1]] over
     HISTOGRAM_BINS uniform bins, max {i < HISTOGRAM_BINS : edges[i] <= r}:
     the arithmetic estimate, corrected by one edge comparison each way, as
-    np.histogram computes it."""
+    np.histogram computes it. The one binning rule: _histogram counts by
+    it, and settle_bins settles the intervals it could misplace."""
     k = ((r - edges[0]) / (edges[-1] - edges[0]) * HISTOGRAM_BINS).astype(np.intp)
     np.minimum(k, HISTOGRAM_BINS - 1, out=k)
     k -= r < edges[k]
@@ -440,9 +457,10 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     label_min, label_max = table.extremes(group, len(names))
     ratio_min = float(np.fmin.reduce(label_min, initial=np.nan))
     ratio_max = float(np.fmax.reduce(label_max, initial=np.nan))
+    edges = None
     if _binned(ratio_min, ratio_max):
-        range_ = (ratio_min, ratio_max)
-        table.settle_bins(np.histogram_bin_edges(np.empty(0), bins=HISTOGRAM_BINS, range=range_))
+        edges = np.histogram_bin_edges(np.empty(0), HISTOGRAM_BINS, (ratio_min, ratio_max))
+        table.settle_bins(edges)
     mask, ratio = table.ratios()
 
     samplers = {}
@@ -470,7 +488,7 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
         ratio_min=lo,
         ratio_max=hi,
         ratio_mean=stats["mean"],
-        histogram_counts=_histogram(ratio, lo, hi),
+        histogram_counts=_histogram(ratio, edges),
         max_abs_ratio_dev=max(abs(lo - 1.0), abs(hi - 1.0)) if ratio.size else 0.0,
         distortion=hi / lo if lo else None,
         max_residual=float(max((rec["residual"] for rec in per_query), default=0.0)),

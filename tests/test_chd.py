@@ -336,28 +336,33 @@ def blocks(request, monkeypatch):
     return request.param
 
 
+# name: (n, d, seed). A DirectionSet over n Gaussian points in R^d, with
+# n >= d and with n < d, and an array of n rows, its own basis.
+FRAME_INSTANCES = {"n_ge_d": (64, 32, 28), "n_lt_d": (40, 96, 29), "array": (300, 48, 30)}
+
+
 class TestMidpointFrame:
-    def test_d_wide_frame_holds_the_rows_once(self):
-        # n >= d: the Gram blocks stay d wide. The row operand is D itself,
-        # read through T.half, and Ct = R^T / 2 is the frame's one h x d array.
-        X = build_point_set(np.random.default_rng(28).standard_normal((64, 32)))
-        T = direction_set(X)
-        pi = generate_sketch(3, X.d, "gaussian", 28)
-        D = T.directions
-        PD = chd._images(pi, T, D)
-        basis = chd._hull_basis(pi, T, D, PD)
-        assert basis.gram is None
+    @pytest.mark.parametrize("name", sorted(FRAME_INSTANCES))
+    def test_frame_holds_no_pair_by_coordinate_operand(self, name):
+        # The frame holds O(h (q + m)) values beside D and the basis: no
+        # h x n, n x h or h x d operand, whichever of n and d is smaller.
+        n, d, seed = FRAME_INSTANCES[name]
+        pts = np.random.default_rng(seed).standard_normal((n, d))
+        T = pts if name == "array" else direction_set(build_point_set(pts))
+        pi = generate_sketch(3, d, "gaussian", seed)
+        D = chd._as_direction_matrix(T, d)
+        basis = chd._hull_basis(pi, T, D)
+        h, q = basis.half.size, basis.ends.shape[1]
         tracemalloc.start()
         try:
-            F, rows, Ct, sq, W, PR = chd._midpoint_frame(T, D, PD, basis)
+            frame = chd._midpoint_frame(D, basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert F is D and np.array_equal(rows, T.half)
-        assert Ct.flags.c_contiguous and np.array_equal(Ct, 0.5 * D[T.half].T)
-        assert np.array_equal(sq, np.einsum("ij,ij->i", D[T.half], D[T.half]))
-        # A copy of R next to Ct would double this.
-        assert peak < 1.5 * Ct.nbytes
+        assert frame[1] is basis.B
+        assert all(a.size <= h * (q + pi.m) for a in frame if a is not basis.B)
+        # Half of the smallest such float64 array.
+        assert peak < 4 * h * min(n, d)
 
 
 class TestMidpointTier:
@@ -574,8 +579,8 @@ class TestRandomTierScreen:
         T, pi = RANDOM_INSTANCES[name]()
         D = chd._as_direction_matrix(T, pi.d)
         PD = reference_images(pi, T, D)
-        assert np.array_equal(chd._images(pi, T, D), PD)
-        basis = chd._hull_basis(pi, T, D, PD)
+        basis = chd._hull_basis(pi, T, D)
+        assert np.array_equal(basis.PD, PD)
         for seed in (0, 1):
             got = list(chd._violation_stream(pi, T, 1600, seed))[len(D):]
             ref = list(reference_random_chunks(pi, T, 1600, seed))
@@ -583,7 +588,7 @@ class TestRandomTierScreen:
             for (v, _), (v_ref, idx, w) in zip(got, ref):
                 r = int(np.argmax(v_ref))
                 assert int(np.argmax(v)) == r and v[r] == v_ref[r]
-                again, b = chd._sparse_violations(D, PD, basis, idx, w)
+                again, b = chd._sparse_violations(D, basis, idx, w)
                 assert np.array_equal(again, v)
                 assert np.all(np.abs(v - v_ref) <= b)
 
@@ -616,9 +621,8 @@ class TestRandomTierScreen:
         bounds = []
         for shift in (0.0, 1e8):
             Y = direction_set(build_point_set(X + shift))
-            PD = Y.directions @ pi.entries.T
-            basis = chd._hull_basis(pi, Y, Y.directions, PD)
-            bounds.append(chd._sparse_violations(Y.directions, PD, basis, idx, w)[1])
+            basis = chd._hull_basis(pi, Y, Y.directions)
+            bounds.append(chd._sparse_violations(Y.directions, basis, idx, w)[1])
         assert np.all(bounds[1] <= 2.0 * bounds[0])
 
 
@@ -705,7 +709,7 @@ class TestMirrorGuard:
             if len(Y) == 0:
                 continue
             pi = generate_sketch(2, Y.points.shape[1], "gaussian", len(Y))
-            PD = chd._images(pi, Y, Y.directions)
+            PD = chd._hull_basis(pi, Y, Y.directions).PD
             assert np.array_equal(PD[Y.mirror], -PD)
             assert np.array_equal(np.signbit(PD[Y.mirror]), ~np.signbit(PD))
             v = next(chd._violation_stream(pi, Y, 1, 0))[0]
@@ -742,8 +746,8 @@ class TestSignedMidpointTier:
         PD = D @ pi.entries.T
         neg = mirror_index(Y)
         # Off a chunk's max, an entry whose column holds the late pair 1e-9
-        # apart carries the point frame's rounding, which midpoint_tolerance
-        # bounds (52 entries exceed 1e-12, the largest by 1.9e-7); every
+        # apart carries the basis frame's rounding, which midpoint_tolerance
+        # bounds (52 entries exceed 1e-12, the largest by 2.2e-7); every
         # other instance keeps 1e-12.
         tol = midpoint_tolerance(Y) if name == "near_duplicate_9x16" else 1e-12
         named = []

@@ -984,6 +984,21 @@ class TestQueryNearATerminal:
         assert err.startswith("error: query 1 is 1e-170 from point 0, closer than MIN_DISTANCE")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("per_mode", ["3", "25"])
+    def test_default_suite_draws_no_query_that_close(self, tmp_path, capsys, per_mode):
+        # Every pair of these terminals is farther apart than MIN_DISTANCE, but
+        # a hundredth of the spacing, and a segment end, can fall below it.
+        pts = np.random.default_rng(62).standard_normal((30, 8)) * 1e-153
+        bundle, report = str(tmp_path / "b"), tmp_path / "e.json"
+        assert main(["build", write_csv(tmp_path / "pts.csv", pts), "--out", bundle,
+                     "--epsilon", "0.5", "--const-C", "0.25", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["eval", bundle, "--queries-per-mode", per_mode, "--report", str(report)]) == 0
+        assert capsys.readouterr().err == ""
+        rep = json.loads(report.read_text())
+        assert rep["query_count"] == 8 * int(per_mode)
+        assert rep["pair_count"] == rep["query_count"] * 30 - int(per_mode)
+
 
 class TestOneProcess:
     """main builds its argument parser once per process: commands run one

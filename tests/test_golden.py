@@ -8,8 +8,8 @@ Gaussian set, the 8 corners of the unit cube (exact ties among vertices
 and midpoints, signed zeros in the directions), a 10 x 6 set with one pair
 of points 1e-9 apart, and two Gaussian sets shifted by 1e6 (far from the
 origin, where the audit's point basis is centred): 16 x 6, and 12 x 32,
-whose n < d sends the midpoint and random tiers through the point frame
-(the n-wide Gram blocks and the basis Gram G). The CI workflow runs
+whose n < d sends the random tier's squared norms through the basis Gram
+G. The CI workflow runs
 the same commands through the installed console script and compares with
 cmp."""
 import io

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,6 +70,16 @@ class TestSamplers:
                     t = np.clip((row - b) @ (a - b) / ((a - b) @ (a - b)), 0, 1)
                     best = min(best, np.linalg.norm(row - (t * a + (1 - t) * b)))
             assert best <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["segment", "shell_rel:0.1", "shell_rel:0.01"])
+    def test_draws_keep_twice_min_distance_from_the_terminals(self, mode):
+        # Every pair is farther apart than MIN_DISTANCE, but a tenth of the
+        # spacing, and a segment end, can fall below it.
+        Y = build_point_set(np.random.default_rng(62).standard_normal((30, 8)) * 1e-153)
+        q = sample_queries(Y, mode, 100, seed=0)
+        # math.hypot takes no square that could underflow.
+        gap = min(math.hypot(*(u - p).tolist()) for u in q for p in Y.points)
+        assert gap >= (2.0 - 1e-9) * geometry.MIN_DISTANCE
 
     def test_far_distance(self, X):
         s = 2.5
