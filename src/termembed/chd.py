@@ -171,8 +171,8 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
         mirror pairs tie exactly at the max.
 
     The midpoint tier takes its norms from Gram blocks in the random tier's
-    basis (see _midpoint_frame and _midpoint_violations): each block of rows
-    is multiplied by the n basis points over the d coordinates (the points
+    basis (see _midpoint_violations): each block of rows is multiplied by
+    the n basis points over the d coordinates (the points
     of a DirectionSet; an array is its own basis, n = |T|), then gathered at
     each column's q ends. That is O(|T| n d) in BLAS, plus O(|T|^2 (q + m))
     for the gathers and the images, a quarter of it over one sign for a
@@ -207,14 +207,12 @@ def _violation_stream(pi: SketchMatrix, T, samples: int, seed: int):
     yield _norm_gap(D, basis.PD), lambda r: _scatter_weights(k, [r], [1.0])
 
     # Tier 2: all pair midpoints, over one sign of each direction for a
-    # DirectionSet. The generator expression drops the last Gram block, and
-    # the del the frame, before Tier 3 starts.
-    frame = _midpoint_frame(D, basis)
+    # DirectionSet. The generator expression drops the last Gram block
+    # before Tier 3 starts.
     yield from (
         (v, lambda r, p=p, sign=sign: _midpoint_weights(k, half, mirror, p, sign, r))
-        for p, sign, v in _midpoint_violations(D, frame, (1,) if mirror is None else (-1, 1))
+        for p, sign, v in _midpoint_violations(D, basis)
     )
-    del frame
 
     # Tier 3: random hull points on sparse supports, from point coordinates.
     sizes = list(dict.fromkeys(min(s, k) for s in (2, 3, math.isqrt(k - 1) + 1)))
@@ -389,45 +387,27 @@ def _midpoint_weights(k: int, half, mirror, p: int, sign: int, r: int) -> np.nda
     return _scatter_weights(k, [a, b], [0.5, 0.5])
 
 
-def _midpoint_frame(D: np.ndarray, basis: _Basis):
-    """(rows, B, ends, hcoef, sq, W, PR): the operands of the midpoint tier's
-    Gram blocks over the h rows R = D[rows] that it pairs (rows = basis.half).
-
-    Each R_q is sum_e coef[q, e] B[ends[q, e]] up to rounding (see
-    _hull_basis), with B the basis points, so <R_p, R_q> / 2 is sum_e
-    <R_p, B[ends[q, e]]> hcoef[q, e] with hcoef = coef / 2: the products of
-    R_p with the n basis points, gathered at the q ends of each column.
-    sq[q] = ||R_q||^2, PR = PD[rows] are the images of R, and W[q] = sum_e
-    |coef[q, e]| (||B[ends[q, e]]|| + tiny) + 2 tiny weighs column q's
-    rounding (see _midpoint_violations), the tiny terms for products that
-    underflow. The frame holds O(h (q + m)) values beside D and B: no h x n,
-    n x h or h x d operand.
-    """
-    tiny = np.finfo(np.float64).tiny
-    rows = basis.half
-    ends, coef = basis.ends[rows], basis.coef[rows]
-    W = np.einsum("ij,ij->i", np.abs(coef), basis.norms[ends] + tiny) + 2.0 * tiny
-    sq = np.einsum("ij,ij->i", D, D)[rows]
-    return rows, basis.B, ends, 0.5 * coef, sq, W, basis.PD[rows]
-
-
-def _midpoint_violations(D: np.ndarray, frame, signs=(1,)):
+def _midpoint_violations(D: np.ndarray, basis: _Basis):
     """Yield (p, sign, v) with v[c] the violation at (R_p + sign R_q)/2 for
-    q = p + (sign > 0) + c, where R = D[rows] for the frame's rows: for each
-    row p in order, one chunk per sign in `signs` order, empty chunks
-    skipped. signs = (1,) gives every pair midpoint of R once, p < |R| - 1;
-    signs = (-1, 1) gives each row against itself and every later row with
-    both signs, |R|^2 midpoints in all.
+    q = p + (sign > 0) + c, where R = D[basis.half] are the h rows that the
+    tier pairs: for each row p in order, one chunk per sign, empty chunks
+    skipped. An array T (basis.mirror is None) takes the plus sign alone,
+    every pair midpoint of R once, p < h - 1; a DirectionSet takes the signs
+    (-1, 1), each row against itself and every later row with both signs,
+    h^2 midpoints in all.
 
-    Per block of _MIDPOINT_BLOCK rows p, with lo the smallest basis index
-    that the block's columns q >= p reference, one GEMM over the d
-    coordinates gives F = R_p B[lo:]^T, and g = sum_e F[:, ends[q, e] - lo]
-    hcoef[q, e] gives every <R_p, R_q> / 2 from the frame of
-    _midpoint_frame; one GEMM on PR against the contiguous PR^T / 2 gives
-    every <PR_p, PR_q> / 2, q >= p (q > p for signs = (1,)). So every
-    ||(a +- b)/2||^2 = ||a||^2/4 + ||b||^2/4 +- <a, b>/2 of the block
-    follows: the scalings by powers of 2 are exact. Two kinds of entry are
-    then recomputed with the direct formula on 0.5 * (a +- b), exactly as a
+    Each R_q is sum_e coef[q, e] B[ends[q, e]] up to rounding, over the
+    basis points B (see _hull_basis). Per block of _MIDPOINT_BLOCK rows p,
+    with lo the smallest basis index that the block's columns q >= p
+    reference, one GEMM over the d coordinates gives F = R_p B[lo:]^T, and
+    g = sum_e F[:, ends[q, e] - lo] hcoef[q, e], hcoef = coef / 2, gives
+    every <R_p, R_q> / 2; one GEMM on the images PR = PD[half] against the
+    contiguous PR^T / 2 gives every <PR_p, PR_q> / 2, q >= p (q > p for the
+    plus sign alone). So every ||(a +- b)/2||^2 = ||a||^2/4 + ||b||^2/4 +-
+    <a, b>/2 of the block follows: the scalings by powers of 2 are exact.
+    Beside D, the basis and the current block, the tier holds O(h (q + m))
+    values: no h x n, n x h or h x d operand. Two kinds of entry are then
+    recomputed with the direct formula on 0.5 * (a +- b), exactly as a
     per-pair scan evaluates them:
       - cancellation: ||(a+-b)/2||^2 <= _CANCEL s4 with s4 = max_p ||R_p||^2 / 2,
         or the same for the images (antipodal pairs t and -t, or Pi nearly
@@ -440,14 +420,17 @@ def _midpoint_violations(D: np.ndarray, frame, signs=(1,)):
         that value's column.
     With u the unit roundoff, gamma = K u / (1 - K u) and r = max_p ||R_p||,
     the Gram and direct values of ||(a+-b)/2||^2 differ by at most
-    gamma (3 s4 + r W[q] / 2). The frame gives the r W[q] / 2: each entry of
-    F is within gamma_d ||R_p|| ||B_e|| of <R_p, B_e>, the products with
-    hcoef and their sum add q roundings, and R_q differs from sum_e coef B_e
-    by a few roundings of sum_e |coef| ||B_e|| (the coefficients 1 / d_ij,
-    the centring and the direction (x_i - x_j) / d_ij itself; none for an
-    array, its own basis). The squared norms, the two additions and the
-    direct formula's sums and squares give the 3 s4. On the images the
-    difference is at most gamma (4 ps4 + tiny), ps4 = max_p ||PR_p||^2 / 2.
+    gamma (3 s4 + r W[q] / 2), where W[q] = sum_e |coef[q, e]|
+    (||B[ends[q, e]]|| + tiny) + 2 tiny weighs column q's rounding, the
+    tiny terms for products that underflow. Each entry of F is within
+    gamma_d ||R_p|| ||B_e|| of <R_p, B_e>, the products with hcoef and
+    their sum add q roundings, and R_q differs from sum_e coef B_e by a few
+    roundings of sum_e |coef| ||B_e|| (the coefficients 1 / d_ij, the
+    centring and the direction (x_i - x_j) / d_ij itself; none for an
+    array, its own basis): that gives the r W[q] / 2. The squared norms,
+    the two additions and the direct formula's sums and squares give the
+    3 s4. On the images the difference is at most gamma (4 ps4 + tiny),
+    ps4 = max_p ||PR_p||^2 / 2.
     K = q + 2 d + m + 8 covers every one of these sums, whose depths are d
     (F), q (the gathers), d (the squared norms and the direct formula), m
     (the same on the images) and at most 8 roundings around them. Outside
@@ -461,8 +444,15 @@ def _midpoint_violations(D: np.ndarray, frame, signs=(1,)):
     in floating point, so the direct value at a + (-1) b equals a per-pair
     scan's at (-a) + b, or at a + b' for b' = -b.
     """
-    frame_rows, B, ends, hcoef, sq, W, PR = frame
-    h = frame_rows.size
+    tiny = np.finfo(np.float64).tiny
+    half, B = basis.half, basis.B
+    signs = (1,) if basis.mirror is None else (-1, 1)
+    ends, coef = basis.ends[half], basis.coef[half]
+    hcoef = 0.5 * coef
+    W = np.einsum("ij,ij->i", np.abs(coef), basis.norms[ends] + tiny) + 2.0 * tiny
+    sq = np.einsum("ij,ij->i", D, D)[half]
+    PR = basis.PD[half]
+    h = half.size
     psq = np.einsum("ij,ij->i", PR, PR)
     PRt = np.multiply(PR.T, 0.5, order="C")
     sq4, psq4 = 0.25 * sq, 0.25 * psq
@@ -472,7 +462,7 @@ def _midpoint_violations(D: np.ndarray, frame, signs=(1,)):
     u = np.finfo(np.float64).eps / 2
     gamma = K * u / (1.0 - K * u)
     e_x = gamma * (3.0 * s4 + 0.5 * math.sqrt(2.0 * s4) * W)
-    e_p = gamma * (4.0 * ps4 + np.finfo(np.float64).tiny)
+    e_p = gamma * (4.0 * ps4 + tiny)
     # A zero threshold (every row, or every image, zero) sends every entry
     # to the direct formula through an infinite bound.
     with np.errstate(divide="ignore"):
@@ -487,7 +477,7 @@ def _midpoint_violations(D: np.ndarray, frame, signs=(1,)):
         i1 = min(i0 + _MIDPOINT_BLOCK, h - skip)
         cols = slice(i0 + skip, None)
         lo = int(ends[cols].min())
-        F = D[frame_rows[i0:i1]] @ B[lo:].T
+        F = D[half[i0:i1]] @ B[lo:].T
         g = np.take(F, ends[cols, 0] - lo, axis=1)
         g *= hcoef[cols, 0]
         for e in range(1, ends.shape[1]):
@@ -534,7 +524,7 @@ def _midpoint_violations(D: np.ndarray, frame, signs=(1,)):
             for j in range(0, rs.size, _MIDPOINT_DIRECT):
                 r, c = rs[j : j + _MIDPOINT_DIRECT], cs[j : j + _MIDPOINT_DIRECT]
                 a, b = i0 + r, i0 + skip + c
-                ra, rb = frame_rows[a], frame_rows[b]
+                ra, rb = half[a], half[b]
                 v[r, c] = _norm_gap(0.5 * (D[ra] + sign * D[rb]), 0.5 * (PR[a] + sign * PR[b]))
             chunks.append((sign, off, v))
         del g, s, pg, ps

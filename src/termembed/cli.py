@@ -167,37 +167,6 @@ def _embedder(X, plan, epsilon, distribution, seed, solver):
     return exact_small_embedding(X)
 
 
-def _save_bundle(out_dir: Path, X, plan, *, epsilon, C, distribution, seed, solver,
-                 source, fmt) -> dict:
-    # The embedder first: a sketch above sketch.MAX_FROBENIUS writes nothing.
-    embedder = _embedder(X, plan, epsilon, distribution, seed, solver)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pointio.write_points_bin(out_dir / "points.bin", X.points)
-    meta = {
-        "magic": BUNDLE_MAGIC,
-        "mode": plan.mode,
-        "m_plan": plan.m,
-        "epsilon": epsilon,
-        "C": C,
-        "distribution": distribution,
-        "seed": seed,
-        "solver": asdict(solver),
-        "n": X.n,
-        "d": X.d,
-        "source": str(source),
-        "format": fmt,
-    }
-    if plan.mode == "sketch":
-        save_sketch(embedder.Pi, out_dir / "sketch.json", out_dir / "sketch.bin")
-    else:
-        pointio.write_points_bin(out_dir / "basis.bin", embedder.basis)
-        meta["rank"] = embedder.rank
-    pointio.write_points_bin(out_dir / "embedded.bin", embedder.base_images)
-    meta["out_dim"] = embedder.out_dim
-    _dump_json(meta, out_dir / "config.json")
-    return meta
-
-
 def _finite_float(text):
     """A JSON number or constant (NaN, Infinity) as a float, which must be
     finite."""
@@ -215,7 +184,7 @@ def load_bundle(bundle_dir):
     outside (0, 1) raises FormatError; other top-level keys are ignored. The
     seed must be a JSON integer and epsilon a number. The "solver" object,
     which every bundle stores and a sketch bundle's embedder runs, must hold
-    exactly the SolverConfig fields that _save_bundle wrote from it, with
+    exactly the SolverConfig fields that build wrote from it, with
     values SolverConfig accepts (max_iters an integer). Two retired keys
     that older bundles store are dropped when they hold the value the solver
     now fixes: "step_rule" when it is "polyak" (the one step left) and "tol"
@@ -279,13 +248,34 @@ def _cmd_build(args) -> int:
     fmt = pointio.detect_format(args.points, args.fmt)
     X = build_point_set(pointio.read_points(args.points, fmt))
     plan = plan_dimension(X.n, args.epsilon, args.const_c, X.d)
-    meta = _save_bundle(
-        Path(args.out), X, plan, epsilon=args.epsilon, C=args.const_c, distribution=args.dist,
-        seed=seed, solver=solver, source=args.points, fmt=fmt,
-    )
-    sys.stdout.write(
-        _dump_json({"mode": meta["mode"], "m": meta["m_plan"], "out_dim": meta["out_dim"]})
-    )
+    # The embedder first: a sketch above sketch.MAX_FROBENIUS writes nothing.
+    embedder = _embedder(X, plan, args.epsilon, args.dist, seed, solver)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pointio.write_points_bin(out_dir / "points.bin", X.points)
+    meta = {
+        "magic": BUNDLE_MAGIC,
+        "mode": plan.mode,
+        "m_plan": plan.m,
+        "epsilon": args.epsilon,
+        "C": args.const_c,
+        "distribution": args.dist,
+        "seed": seed,
+        "solver": asdict(solver),
+        "n": X.n,
+        "d": X.d,
+        "source": str(args.points),
+        "format": fmt,
+    }
+    if plan.mode == "sketch":
+        save_sketch(embedder.Pi, out_dir / "sketch.json", out_dir / "sketch.bin")
+    else:
+        pointio.write_points_bin(out_dir / "basis.bin", embedder.basis)
+        meta["rank"] = embedder.rank
+    pointio.write_points_bin(out_dir / "embedded.bin", embedder.base_images)
+    meta["out_dim"] = embedder.out_dim
+    _dump_json(meta, out_dir / "config.json")
+    sys.stdout.write(_dump_json({"mode": plan.mode, "m": plan.m, "out_dim": embedder.out_dim}))
     return EXIT_OK
 
 
@@ -348,8 +338,11 @@ def _cmd_verify_chd(args) -> int:
     text = _dump_json(report, args.report)
     if args.report is None:
         sys.stdout.write(text)
-    # Weights, the tier name and the tier maxima are not numbers to bound.
-    measured = {k: v for k, v in report.items() if not isinstance(v, (list, dict, str))}
+    # Only the report's numbers can be bounded: not the weights, the tier
+    # name (None on the exact path) or the tier maxima.
+    measured = {
+        k: v for k, v in report.items() if isinstance(v, (int, float)) and not isinstance(v, bool)
+    }
     return _check_asserts(args.asserts, measured)
 
 

@@ -3,9 +3,10 @@
 Every map here is an outer extension (Mahabadi, Makarychev, Makarychev &
 Razenshteyn, STOC 2018): terminal x_i goes to (g(x_i), 0) for a base map g,
 and a query u to a head in g's space plus one tail coordinate.
-OuterExtension writes that contract once (out_dim, terminal_images, embed,
-embed_batch); the three frozen dataclasses below supply only the terminal
-set X, their base map's terminal rows and one per-row step:
+OuterExtension writes that contract once (out_dim, terminal_images,
+embed_batch, and embed, its one-row call); the three frozen dataclasses
+below supply only the terminal set X, their base map's terminal rows and one
+per-row step:
 
   * TerminalEmbedder, the sketch path: g = Pi, and the head comes from a
     per-query feasibility solve (below);
@@ -54,10 +55,10 @@ epsilon * R * (1 + TOL); its status (STATUSES) is the one stored outcome, and
 converged reads it.
 
 Every row's anchor (k, R) comes from geometry.nearest_batch, one blocked
-screen per batch (a single query goes through geometry.nearest, its one-row
-call), which also holds the query checks: a query of the wrong width raises
-DimensionMismatch, one with a non-finite coordinate NonFinitePoint. A query
-closer than geometry.MIN_DISTANCE to its anchor but not equal to it raises
+screen per batch (a single query is a batch of one), which also holds the
+query checks: a query of the wrong width raises DimensionMismatch, one with
+a non-finite coordinate NonFinitePoint. A query closer than
+geometry.MIN_DISTANCE to its anchor but not equal to it raises
 DuplicatePoint (geometry._refuse_near_query) before its row is embedded.
 """
 from __future__ import annotations
@@ -212,8 +213,8 @@ class OuterExtension:
     A subclass is a frozen dataclass with a field X (the PointSet of
     terminals) that supplies base_images, the (n, out_dim - 1) rows g(x_i) of
     its base map, and _embed_one(u, anchor, warm=None) -> (image of u,
-    record with RECORD_KEYS), where anchor = (k, R) is geometry.nearest(u, X)
-    and warm is u's entry of _warm_starts (None from embed). Instances
+    record with RECORD_KEYS), where anchor = (k, R) is u's row of
+    geometry.nearest_batch and warm is u's entry of _warm_starts. Instances
     are immutable and every query is independent, so concurrent readers are
     safe.
     """
@@ -231,26 +232,23 @@ class OuterExtension:
         return images
 
     def embed(self, u) -> np.ndarray:
-        """(out_dim,) image of the query u; raises DimensionMismatch or
-        NonFinitePoint (geometry.nearest checks u), or DuplicatePoint for a
-        u closer than MIN_DISTANCE to a terminal but not equal to it."""
-        u = np.asarray(u, dtype=np.float64)
-        anchor = nearest(u, self.X)
-        _refuse_near_query(u.reshape(-1), self.X, *anchor)
-        return self._embed_one(u, anchor)[0]
+        """(out_dim,) image of the query u: embed_batch on u as one row, so
+        it raises what embed_batch raises for that row."""
+        return self.embed_batch(np.reshape(np.asarray(u, dtype=np.float64), (1, -1)))[0][0]
 
     def embed_batch(self, Q) -> tuple[np.ndarray, list[dict]]:
         """((q, out_dim) images of the rows of Q, one record per query).
 
-        One geometry.nearest_batch call checks Q and finds every row's
-        anchor, the same (k, R) that embed finds row by row. The rows then
-        go in groups of _group_rows queries: _warm_starts takes what each
-        row's step needs from the whole group at once (for the sketch path,
-        the products over X and Pi X, read once per group instead of once
-        per query), and _embed_one finishes each row. Every row's values
-        are computed by the same calls as for a group of one, which is what
-        embed runs, so each image and record equals embed(u)'s bit for bit,
-        and a row embed would refuse is refused in row order.
+        One geometry.nearest_batch call checks Q (DimensionMismatch,
+        NonFinitePoint) and finds every row's anchor, bit-identical to the
+        same row's on its own. The rows then go in groups of _group_rows
+        queries: _warm_starts takes what each row's step needs from the whole
+        group at once (for the sketch path, the products over X and Pi X,
+        read once per group instead of once per query), and _embed_one
+        finishes each row. Every row's values are computed by the same calls
+        as for a group of one, so each image and record equals those of the
+        row alone (embed(u)) bit for bit. A row closer than MIN_DISTANCE to
+        a terminal but not equal to it raises DuplicatePoint, in row order.
         """
         Q = np.asarray(Q, dtype=np.float64)
         ks, Rs = nearest_batch(Q, self.X)

@@ -328,12 +328,7 @@ class _PairRatios:
 
     def _exact(self) -> None:
         Q, P, F, T = self.pairs
-        dists, edists = distance_matrix(Q, P), distance_matrix(F, T)
-        self.lo.fill(np.nan)
-        np.divide(edists, dists, out=self.lo, where=dists > 0.0)
-        self.hi[...] = self.lo
-        if self.sq_error is not None:
-            np.abs(edists**2 - dists**2, out=self.sq_error)
+        self._set_exact(slice(None), slice(None), distance_matrix(Q, P), distance_matrix(F, T))
 
     def _screen(self) -> bool:
         """Fill the table from the two Gram screens, blocked by query rows,

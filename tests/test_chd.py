@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,11 +340,36 @@ def blocks(request, monkeypatch):
 FRAME_INSTANCES = {"n_ge_d": (64, 32, 28), "n_lt_d": (40, 96, 29), "array": (300, 48, 30)}
 
 
+def _held_arrays(gen, inputs):
+    """The arrays held by a suspended generator's locals, down through lists,
+    tuples and dicts, each by its base (a view holds its whole base), leaving
+    out the objects in inputs and everything inside them."""
+    skip = {id(a) for a in inputs}
+    found, todo = [], list(gen.gi_frame.f_locals.values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) in skip:
+            continue
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            if id(obj) not in skip:
+                found.append(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+    return found
+
+
 class TestMidpointFrame:
     @pytest.mark.parametrize("name", sorted(FRAME_INSTANCES))
-    def test_frame_holds_no_pair_by_coordinate_operand(self, name):
-        # The frame holds O(h (q + m)) values beside D and the basis: no
-        # h x n, n x h or h x d operand, whichever of n and d is smaller.
+    def test_frame_holds_no_pair_by_coordinate_operand(self, monkeypatch, name):
+        # The midpoint tier's frame, what _midpoint_violations holds between
+        # blocks: beside D and the basis points, O(h (q + m)) values and the
+        # current block of rows. No h x n, n x h or h x d operand, whichever
+        # of n and d is smaller (both at least 32 here).
+        monkeypatch.setattr(chd, "_MIDPOINT_BLOCK", 8)
         n, d, seed = FRAME_INSTANCES[name]
         pts = np.random.default_rng(seed).standard_normal((n, d))
         T = pts if name == "array" else direction_set(build_point_set(pts))
@@ -353,16 +377,13 @@ class TestMidpointFrame:
         D = chd._as_direction_matrix(T, d)
         basis = chd._hull_basis(pi, T, D)
         h, q = basis.half.size, basis.ends.shape[1]
-        tracemalloc.start()
-        try:
-            frame = chd._midpoint_frame(D, basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert frame[1] is basis.B
-        assert all(a.size <= h * (q + pi.m) for a in frame if a is not basis.B)
-        # Half of the smallest such float64 array.
-        assert peak < 4 * h * min(n, d)
+        assert min(n, d) >= 32
+        gen = chd._midpoint_violations(D, basis)
+        next(gen)
+        held = _held_arrays(gen, (D, basis, basis.B))
+        gen.close()
+        assert held
+        assert max(a.size for a in held) <= max(h * (q + pi.m), 8 * h)
 
 
 class TestMidpointTier:

@@ -195,8 +195,20 @@ class TestVerifyAndEval:
                    "--assert", "bogus_key=1"])
         assert rc == 1
 
-    @pytest.mark.parametrize("key", ["witness_weights", "witness_tier", "tier_max"])
-    def test_verify_assert_on_non_number_is_usage_error(self, bundle, capsys, key):
+    @pytest.mark.parametrize("mode,key", [
+        *(pytest.param("sketch", key, id=key) for key in ("witness_weights", "witness_tier", "tier_max")),
+        # The exact path reports witness_tier as None: no number either.
+        *(pytest.param("exact_small", key, id=f"exact_small-{key}")
+          for key in ("witness_weights", "witness_tier", "tier_max")),
+    ])
+    def test_verify_assert_on_non_number_is_usage_error(self, tmp_path, bundle, capsys, mode, key):
+        if mode == "exact_small":
+            # 300 points in R^6 (the CI "wide" set): d <= m < n, so the exact path.
+            path = write_csv(tmp_path / "wide.csv", np.random.default_rng(0).standard_normal((300, 6)))
+            bundle = tmp_path / "wide"
+            assert main(["build", path, "--out", str(bundle), "--epsilon", "0.5",
+                         "--const-C", "0.5", "--seed", "1"]) == 0
+            assert json.loads((bundle / "config.json").read_text())["mode"] == mode
         rc = main(["verify-chd", str(bundle), "--samples", "100", "--assert", f"{key}=1"])
         assert rc == 1 and capsys.readouterr().err.startswith("usage error:")
 
