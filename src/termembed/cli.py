@@ -224,7 +224,7 @@ def load_bundle(bundle_dir):
         solver = SolverConfig(**s)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{cfg_path}: corrupt bundle config: {exc!r}") from exc
-    X = build_point_set(pointio.read_points_bin(bundle_dir / "points.bin"))
+    X = build_point_set(pointio.read_points_bin(bundle_dir / "points.bin"), copy=False)
     if meta["mode"] == "sketch":
         pi = load_sketch(bundle_dir / "sketch.json")
         if pi.m != m_plan:
@@ -246,7 +246,7 @@ def load_bundle(bundle_dir):
 def _cmd_build(args) -> int:
     seed, solver = _resolve_seed(args.seed), SolverConfig(args.solver_iters)
     fmt = pointio.detect_format(args.points, args.fmt)
-    X = build_point_set(pointio.read_points(args.points, fmt))
+    X = build_point_set(pointio.read_points(args.points, fmt), copy=False)
     plan = plan_dimension(X.n, args.epsilon, args.const_c, X.d)
     # The embedder first: a sketch above sketch.MAX_FROBENIUS writes nothing.
     embedder = _embedder(X, plan, args.epsilon, args.dist, seed, solver)
@@ -392,7 +392,7 @@ def _cmd_scaling(args) -> int:
     once, on the first sketch-path cell; every sketch-path cell checks the
     audit budget for its m first, and a refusal writes no table."""
     fmt = pointio.detect_format(args.points, args.fmt)
-    X = build_point_set(pointio.read_points(args.points, fmt))
+    X = build_point_set(pointio.read_points(args.points, fmt), copy=False)
     solver = SolverConfig(args.solver_iters)
     rows, Y = [], None
     for eps, C, seed in itertools.product(args.epsilons, args.consts, args.seeds):

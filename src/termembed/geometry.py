@@ -394,18 +394,21 @@ def _checked_sq_norms(A: np.ndarray, what: str) -> np.ndarray:
     return sq
 
 
-def build_point_set(raw) -> PointSet:
-    """The PointSet of a list of d-vectors or an (n, d) array (copied), in
-    input order. It only converts: an empty or 0-D array (a NumPy scalar
-    too) raises EmptyInput, a 1-D array is one point, and list rows of
-    unequal length raise DimensionMismatch; PointSet checks the rest
-    (DimensionMismatch, EmptyInput, NonFinitePoint, DuplicatePoint).
+def build_point_set(raw, copy: bool = True) -> PointSet:
+    """The PointSet of a list of d-vectors or an (n, d) array, in input
+    order. An array is copied unless copy is False: then a float64 array
+    becomes the set's points itself and is made read-only, which suits an
+    array no one else holds, as a point reader returns. It only converts: an
+    empty or 0-D array (a NumPy scalar too) raises EmptyInput, a 1-D array
+    is one point, and list rows of unequal length raise DimensionMismatch;
+    PointSet checks the rest (DimensionMismatch, EmptyInput, NonFinitePoint,
+    DuplicatePoint).
     """
     if isinstance(raw, (np.ndarray, np.generic)):
         if raw.size == 0 or raw.ndim == 0:
             raise EmptyInput("point set must contain at least one point")
         raw = raw.reshape(1, -1) if raw.ndim == 1 else raw
-        return PointSet(points=np.array(raw, dtype=np.float64))
+        return PointSet(points=(np.array if copy else np.asarray)(raw, dtype=np.float64))
     return PointSet(points=_stack_rows(raw))
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .errors import NonFinitePoint
 from .extension import STATUSES
 from .geometry import (
@@ -215,12 +216,26 @@ def _binned(lo, hi) -> bool:
 
 def _histogram(r: np.ndarray, edges) -> list:
     """Counts of the ratios r per bin of edges (the rule of _bin_index), or
-    one count when edges is None (a range too narrow to bin)."""
+    one count when edges is None (a range too narrow to bin); binned one
+    block of _row_blocks at a time."""
     if r.size == 0:
         return []
     if edges is None:
         return [int(r.size)]
-    return np.bincount(_bin_index(r, edges), minlength=HISTOGRAM_BINS).tolist()
+    counts = np.zeros(HISTOGRAM_BINS, dtype=np.intp)
+    for block in _row_blocks(r.size, 1):
+        counts += np.bincount(_bin_index(r[block], edges), minlength=HISTOGRAM_BINS)
+    return counts.tolist()
+
+
+def _row_blocks(rows: int, row_values: int) -> list[slice]:
+    """Consecutive slices over `rows` rows of row_values values each, each
+    slice at most geometry.BLOCK_ELEMENTS / 8 values (at least one row), so
+    the few temporaries a pass makes per block stay within BLOCK_ELEMENTS
+    together: the blocks of every pass of evaluate over its (q, n) table or
+    its pairs, as of the Gram screens (geometry._screen_rows)."""
+    step = max(1, geometry.BLOCK_ELEMENTS // (8 * max(row_values, 1)))
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _bin_index(r: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -244,18 +259,20 @@ _RATIO_SLACK = 4.0 * float(np.finfo(np.float64).eps)
 
 class _PairRatios:
     """Ratio intervals ||f(u) - f(x_i)|| / ||u - x_i|| of q queries against
-    n terminals, as two (q, n) arrays lo <= hi: equal to the exact ratio
-    where an entry was recomputed, NaN where the exact distance is 0 (no
-    pair). sq_error (kept only for the raw dump) holds |e^2 - d^2|, exact
-    where recomputed and from the screen's midpoints elsewhere.
-    anchor_error is the largest |e_k - d_k| / d_k over the queries whose
-    anchor k (anchors[i], an intp array) is at positive distance. See
-    evaluate for the rules."""
+    n terminals, as two (q, n) arrays lo <= hi, each its own allocation:
+    equal to the exact ratio where an entry was recomputed, NaN where the
+    exact distance is 0 (no pair). sq_error (kept only for the raw dump)
+    holds |e^2 - d^2|, exact where recomputed and from the screen's
+    midpoints elsewhere. anchor_error is the largest |e_k - d_k| / d_k over
+    the queries whose anchor k (anchors[i], an intp array) is at positive
+    distance. Every pass beyond these arrays works one block of
+    _row_blocks at a time. See evaluate for the rules."""
 
     def __init__(self, queries, points, images, terminal_images, anchors, keep_raw: bool):
         self.pairs = (queries, points, images, terminal_images)
-        self.lo, self.hi = np.empty((2, queries.shape[0], points.shape[0]))
-        self.sq_error = np.empty(self.lo.shape) if keep_raw else None
+        shape = (queries.shape[0], points.shape[0])
+        self.lo, self.hi = np.empty(shape), np.empty(shape)
+        self.sq_error = np.empty(shape) if keep_raw else None
         if not self._screen():
             self._exact()
         # Recompute each anchor pair but those at distance 0, which are exact
@@ -271,9 +288,14 @@ class _PairRatios:
         """(min, max) arrays of the exact ratios of each group of queries
         (group[i] is query i's group), NaN for a group with no pair. First
         recomputes every entry whose interval could hold one of them."""
-        lo, hi = self.lo, self.hi
         low, high = self._bounds(group, groups)
-        self._settle((lo < hi) & ((lo <= low[group, None]) | (hi >= high[group, None])))
+        low, high = low[group, None], high[group, None]
+
+        def cand(rows):
+            lo, hi = self.lo[rows], self.hi[rows]
+            return (lo < hi) & ((lo <= low[rows]) | (hi >= high[rows]))
+
+        self._settle(cand)
         return self._bounds(group, groups)
 
     def settle_bins(self, edges: np.ndarray) -> None:
@@ -281,20 +303,53 @@ class _PairRatios:
         edges. After extremes, an open interval lies inside (edges[0],
         edges[-1]); one that reaches no edge past its lower end's bin puts
         its midpoint in the exact ratio's bin."""
-        cand = self.lo < self.hi
-        cand[cand] = self.hi[cand] >= edges[_bin_index(self.lo[cand], edges) + 1]
+
+        def cand(rows):
+            lo, hi = self.lo[rows], self.hi[rows]
+            out = lo < hi
+            out[out] = hi[out] >= edges[_bin_index(lo[out], edges) + 1]
+            return out
+
         self._settle(cand)
 
     def ratios(self):
-        """(mask, ratio): the (q, n) pair mask, and the intervals' midpoints
-        over it in row-major order (the exact ratio where recomputed). Call
-        last: the midpoints overwrite hi."""
-        lo, mid = self.lo, self.hi
-        mid -= lo
+        """(counts, ratio, raw): the number of pairs of each query, the
+        intervals' midpoints over the pairs in row-major order (the exact
+        ratio where recomputed), and with keep_raw the raw_* fields of
+        DistortionReport (else {}). Call last: it frees lo before ratio is
+        allocated, and hi and sq_error once the pairs are copied out."""
+        mid = self.hi
+        mid -= self.lo
         mid *= 0.5
-        mid += lo  # lo + (hi - lo) / 2 is lo itself where lo == hi
-        mask = ~np.isnan(lo)
-        return mask, mid[mask]
+        mid += self.lo  # lo + (hi - lo) / 2 is lo itself where lo == hi
+        self.lo = None  # mid is NaN exactly where lo is: no pair
+        blocks = _row_blocks(*mid.shape)
+        counts = np.empty(mid.shape[0], dtype=np.intp)
+        for rows in blocks:
+            counts[rows] = mid.shape[1] - np.count_nonzero(np.isnan(mid[rows]), axis=1)
+        ratio = np.empty(int(counts.sum()))
+        keep_raw = self.sq_error is not None
+        if keep_raw:
+            q_idx, p_idx = np.empty(ratio.size, dtype=np.intp), np.empty(ratio.size, dtype=np.intp)
+        end = 0
+        for rows in blocks:
+            pairs = ~np.isnan(mid[rows])
+            start, end = end, end + np.count_nonzero(pairs)
+            ratio[start:end] = mid[rows][pairs]
+            if keep_raw:
+                a, j = np.nonzero(pairs)
+                q_idx[start:end], p_idx[start:end] = a + rows.start, j
+        self.hi = mid = None
+        if not keep_raw:
+            return counts, ratio, {}
+        raw = {
+            "raw_query_index": q_idx,
+            "raw_point_index": p_idx,
+            "raw_ratio": ratio,
+            "raw_sq_error": self.sq_error[q_idx, p_idx],
+        }
+        self.sq_error = None
+        return counts, ratio, raw
 
     def _bounds(self, group, groups):
         # Per group, the min of hi and the max of lo: bounds on the exact
@@ -308,14 +363,21 @@ class _PairRatios:
             np.array([np.fmax.reduce(row_max[m], initial=np.nan) for m in members]),
         )
 
-    def _settle(self, cand: np.ndarray) -> None:
-        a, j = np.nonzero(cand)
-        if 2 * a.size > cand.size:
-            # As when every ratio is 1 to a few ulps (the exact path): the
-            # blocked passes beat gathering the pairs.
+    def _settle(self, cand) -> None:
+        """Recompute the entries where cand(rows), the bool block of a row
+        slice, is True; cand of a block reads only that block's rows. They
+        are recomputed pair by pair, block by block, unless they are more
+        than half the table (as when every ratio is 1 to a few ulps, on the
+        exact path): the exact passes then beat gathering the pairs."""
+        blocks = _row_blocks(*self.lo.shape)
+        count = sum(np.count_nonzero(cand(rows)) for rows in blocks)
+        if 2 * count > self.lo.size:
             self._exact()
-        elif a.size:  # an empty query file has width 0
-            self._set_exact(a, j, *self._distances(a, j))
+        elif count:
+            for rows in blocks:
+                a, j = np.nonzero(cand(rows))
+                a += rows.start
+                self._set_exact(a, j, *self._distances(a, j))
 
     def _distances(self, a, j):
         Q, P, F, T = self.pairs
@@ -327,8 +389,12 @@ class _PairRatios:
             self.sq_error[a, j] = np.abs(e**2 - d**2)
 
     def _exact(self) -> None:
+        """Fill the table from the exact kernel, one block of query rows at a
+        time: each block's kernel temporaries hold at most BLOCK_ELEMENTS / 8
+        values, unless one row needs more."""
         Q, P, F, T = self.pairs
-        self._set_exact(slice(None), slice(None), distance_matrix(Q, P), distance_matrix(F, T))
+        for rows in _row_blocks(Q.shape[0], P.shape[0] * max(Q.shape[1], F.shape[1])):
+            self._set_exact(rows, slice(None), distance_matrix(Q[rows], P), distance_matrix(F[rows], T))
 
     def _screen(self) -> bool:
         """Fill the table from the two Gram screens, blocked by query rows,
@@ -389,8 +455,15 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     Cost. Beyond embed_batch, two Gram screens (geometry._gram_screen): the
     q queries against X and their images against the terminal images, one
     GEMM each per block of query rows, O(q n (d + out_dim)) flops. Memory is
-    two (q, n) ratio arrays (three with keep_raw) plus block temporaries of
-    about BLOCK_ELEMENTS / 8 values each. Each screened squared distance s
+    the two (q, n) interval arrays lo and hi (and sq_error with keep_raw)
+    plus temporaries of at most about BLOCK_ELEMENTS / 8 values each, about
+    BLOCK_ELEMENTS together: the screens, the recomputes, the histogram
+    binning and the exact passes each work one block of query rows (or of
+    pairs, _row_blocks) at a time. The pairs' midpoint ratios (at most q n
+    values) take lo's place, and each sampler's ratios are gathered from
+    them, so the peak is about two (q, n) tables; with keep_raw the
+    report's four per-pair arrays are made before hi and sq_error are
+    freed, five at most. Each screened squared distance s
     is within b = geometry._gram_bound(dim, ||a||, ||b||) of the exact
     kernel's, so each ratio lies in [sqrt(s_e - b_e) / sqrt(s_d + b_d),
     sqrt(s_e + b_e) / sqrt(s_d - b_d)], widened by 4 eps. A pair is
@@ -406,8 +479,8 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     one of these steps would recompute more than half the pairs it looks at
     (a block of the screen, on data far from the origin against its spread;
     the extremes, when every ratio is 1 to a few ulps as on the exact path),
-    it takes two exact blocked distance passes instead, and every value is
-    exact.
+    it takes the two exact distance passes instead, one block of query rows
+    at a time, and every value is exact.
 
     Exact keys. query_count, pair_count, ratios.min, ratios.max, the
     histogram, max_abs_ratio_dev, distortion, max_residual, status_counts,
@@ -456,27 +529,17 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     if _binned(ratio_min, ratio_max):
         edges = np.histogram_bin_edges(np.empty(0), HISTOGRAM_BINS, (ratio_min, ratio_max))
         table.settle_bins(edges)
-    mask, ratio = table.ratios()
+    counts, ratio, raw = table.ratios()
 
     samplers = {}
     if labels is not None:
-        pair_label = np.repeat(group, mask.sum(axis=1))
         for i, lab in enumerate(names):
-            r = ratio[pair_label == i]
+            r = ratio[np.repeat(group == i, counts)]
             if r.size:
                 samplers[lab] = _ratio_stats(r, label_min[i], label_max[i])
 
     stats = _ratio_stats(ratio, ratio_min, ratio_max)
     lo, hi = stats["min"], stats["max"]
-    raw = {}
-    if keep_raw:
-        q_idx, p_idx = np.nonzero(mask)
-        raw = {
-            "raw_query_index": q_idx,
-            "raw_point_index": p_idx,
-            "raw_ratio": ratio,
-            "raw_sq_error": table.sq_error[mask],
-        }
     return DistortionReport(
         query_count=int(queries.shape[0]),
         pair_count=stats["count"],

@@ -1062,3 +1062,33 @@ class TestOneProcess:
         assert [r[0] for r in one] == [0, 1, 0, 0, 0, 1, 0, 2]
         assert one == fresh
         assert self._files(tmp_path / "one") == self._files(tmp_path / "fresh")
+
+
+class TestOneCopyOfTheTerminals:
+    """build, load_bundle (query, verify-chd, eval) and scaling make the
+    reader's fresh terminal array the point set's points, with no copy."""
+
+    @pytest.mark.parametrize("command", ["build", "eval", "scaling"])
+    def test_point_set_wraps_the_read_array(self, tmp_path, monkeypatch, command):
+        rng = np.random.default_rng(5)
+        pts = write_csv(tmp_path / "pts.csv", rng.standard_normal((20, 8)))
+        bundle = str(tmp_path / "b")
+        assert main(["build", pts, "--out", bundle, "--epsilon", "0.5", "--const-C", "0.25"]) == 0
+        read, built = [], []
+        for reader in ("read_points", "read_points_bin"):
+            original = getattr(cli.pointio, reader)
+            monkeypatch.setattr(
+                cli.pointio, reader, lambda *a, _f=original: read.append(_f(*a)) or read[-1]
+            )
+        build_point_set = cli.build_point_set
+        monkeypatch.setattr(
+            cli, "build_point_set", lambda *a, **k: built.append(build_point_set(*a, **k)) or built[-1]
+        )
+        argv = {
+            "build": ["build", pts, "--out", bundle, "--epsilon", "0.5", "--const-C", "0.25"],
+            "eval": ["eval", bundle, "--queries-per-mode", "2", "--report", str(tmp_path / "r.json")],
+            "scaling": ["scaling", pts, "--epsilons", "0.5", "--consts", "0.25", "--seeds", "1",
+                        "--queries-per-mode", "2", "--chd-samples", "50", "--out", str(tmp_path / "s.json")],
+        }[command]
+        assert main(argv) == 0
+        assert len(built) == 1 and built[0].points is read[0]

@@ -62,6 +62,18 @@ class TestBuildPointSet:
         assert X.points is pts
         assert X.sq_norms.tobytes() == np.einsum("ij,ij->i", pts, pts).tobytes()
 
+    def test_array_is_copied_unless_copy_is_false(self):
+        pts = np.random.default_rng(4).standard_normal((6, 3))
+        X = build_point_set(pts)
+        assert X.points is not pts and pts.flags.writeable
+        kept = build_point_set(pts, copy=False)
+        assert kept.points is pts and not pts.flags.writeable
+        # Other dtypes and 1-D arrays are still converted.
+        ints = np.arange(6).reshape(3, 2)
+        assert build_point_set(ints, copy=False).points.dtype == np.float64
+        assert ints.flags.writeable
+        assert build_point_set(np.arange(3.0), copy=False).points.shape == (1, 3)
+
     @pytest.mark.parametrize("n", [1, 5])
     def test_cached_arrays_are_read_only(self, n):
         X = build_point_set(np.random.default_rng(n).standard_normal((n, 3)))

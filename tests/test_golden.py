@@ -11,14 +11,21 @@ origin, where the audit's point basis is centred): 16 x 6, and 12 x 32,
 whose n < d sends the random tier's squared norms through the basis Gram
 G. The CI workflow runs
 the same commands through the installed console script and compares with
-cmp."""
+cmp.
+
+Golden eval reports pin evaluate on the same bundles: the default suite at
+5 queries per mode, each report without its config echo (which holds the
+source path) and its --raw-dump CSV. They cover the Gram-screened path,
+the exact passes (shifted_12x32, where the screen rules out too little),
+and ties among the ratios (cube_corners)."""
 import io
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from termembed.cli import main
+from termembed.cli import _dump_json, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -32,14 +39,30 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_verify_chd_report_is_golden(tmp_path, name):
+def _build(tmp_path, name):
     eps, C = GOLDEN[name]
-    bundle, report = tmp_path / "bundle", tmp_path / "chd.json"
+    bundle = tmp_path / "bundle"
     with redirect_stdout(io.StringIO()) as out:
         assert main(["build", str(DATA / f"{name}.csv"), "--out", str(bundle),
                      "--epsilon", eps, "--const-C", C, "--seed", "1"]) == 0
     assert '"mode":"sketch"' in out.getvalue()
+    return bundle
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_verify_chd_report_is_golden(tmp_path, name):
+    bundle, report = _build(tmp_path, name), tmp_path / "chd.json"
     assert main(["verify-chd", str(bundle), "--samples", "300", "--seed", "1",
                  "--report", str(report)]) == 0
     assert report.read_bytes() == (DATA / f"{name}.chd.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_eval_report_and_raw_dump_are_golden(tmp_path, name):
+    bundle, report, raw = _build(tmp_path, name), tmp_path / "eval.json", tmp_path / "raw.csv"
+    assert main(["eval", str(bundle), "--queries-per-mode", "5", "--seed", "1",
+                 "--raw-dump", str(raw), "--report", str(report)]) == 0
+    got = json.loads(report.read_text(encoding="utf-8"))
+    del got["config"]
+    assert _dump_json(got).encode() == (DATA / f"{name}.eval.json").read_bytes()
+    assert raw.read_bytes() == (DATA / f"{name}.eval.csv").read_bytes()

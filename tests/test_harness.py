@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -511,21 +512,22 @@ def _sketch_embedder(X, m, seed=4):
 @pytest.fixture
 def screen_calls(monkeypatch):
     """Counts evaluate's exact recomputes (pairs against the terminals) and
-    its exact full passes."""
+    its exact full passes, two per blocked fill of the table (_exact): the
+    distances and the image distances."""
     calls = {"recomputed": 0, "exact_passes": 0}
-    pair_distances, distance_matrix = harness._pair_distances, harness.distance_matrix
+    pair_distances, exact = harness._pair_distances, harness._PairRatios._exact
 
     def counting_pairs(A, B, i, j):
         # One call for the distances, one for the image distances.
         calls["recomputed"] += i.size / 2
         return pair_distances(A, B, i, j)
 
-    def counting_matrix(A, B):
-        calls["exact_passes"] += 1
-        return distance_matrix(A, B)
+    def counting_exact(table):
+        calls["exact_passes"] += 2
+        return exact(table)
 
     monkeypatch.setattr(harness, "_pair_distances", counting_pairs)
-    monkeypatch.setattr(harness, "distance_matrix", counting_matrix)
+    monkeypatch.setattr(harness._PairRatios, "_exact", counting_exact)
     return calls
 
 
@@ -672,3 +674,94 @@ class TestEvaluateScreen:
         assert q.shape[0] == 200 and rep.pair_count == 200 * 600 - 25
         assert screen_calls["exact_passes"] == 0
         assert 0 < screen_calls["recomputed"] < 0.02 * 200 * 600
+
+
+def _odd_blocks(rows, row_values):
+    # 7 values a block for the histogram's pass over the pairs, 3 rows for
+    # every pass over the table and for the exact passes.
+    step = 7 if row_values == 1 else 3
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+class TestEvaluateBlocks:
+    """evaluate's passes run one block of harness._row_blocks at a time; the
+    seams between blocks change no value, and no pass holds more than the
+    (q, n) interval arrays and block temporaries."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(41)
+        X = build_point_set(rng.standard_normal((16, 6)))
+        shifted = build_point_set(rng.standard_normal((16, 6)) + 1e8)
+        modes = ["box", "segment", "member", "shell_rel:0.1", "far:3"]
+        sketch = _sketch_embedder(X, 4)
+        return {
+            # Screened intervals, settled at the extremes and the bin edges.
+            "binned": (sketch, X),
+            # The exact path: every ratio 1 to a few ulps, one bin, the
+            # extremes take the exact passes.
+            "exact_one_bin": (exact_small_embedding(X), X),
+            # Far from the origin the screen gives up: the exact passes.
+            "shifted": (_sketch_embedder(shifted, 4), shifted),
+            "efn": (EfnEmbedder(X=X, base_images=sketch.terminal_images[:, :-1]), X),
+        }, modes
+
+    @pytest.mark.parametrize("case", ["binned", "exact_one_bin", "shifted", "efn"])
+    def test_odd_block_seams_change_no_report(self, monkeypatch, case):
+        cases, modes = self._cases()
+        E, X = cases[case]
+        q, labels = sample_suite(X, 5, seed=8, modes=modes)
+        # Labels out of row order, and repeated queries.
+        q, labels = np.vstack([q, q[::3]]), labels + labels[::3]
+        want = evaluate(E, q, labels, keep_raw=True)
+        assert (len(want.histogram_counts) == 1) == (case == "exact_one_bin")
+        exact, original = [], harness._PairRatios._exact
+        monkeypatch.setattr(harness._PairRatios, "_exact", lambda t: exact.append(1) or original(t))
+        monkeypatch.setattr(harness, "_row_blocks", _odd_blocks)
+        got = evaluate(E, q, labels, keep_raw=True)
+        assert bool(exact) == (case in ("exact_one_bin", "shifted"))
+        assert got.to_dict() == want.to_dict()
+        _assert_reports_identical(got, want)
+
+    @staticmethod
+    def _stub(shift):
+        # 400 queries x 1000 terminals in R^16: the (q, n) table is 1.5
+        # BLOCK_ELEMENTS values. The images come from a fixed linear map,
+        # made before tracing, so the trace sees evaluate's own arrays.
+        rng = np.random.default_rng(42)
+        X = build_point_set(rng.standard_normal((1000, 16)) + shift)
+        G = rng.standard_normal((16, 8)) / np.sqrt(8)
+        Q = 1.3 * rng.standard_normal((400, 16)) + shift
+        images = (Q - shift) @ G + 1e-3 * rng.standard_normal((400, 8))
+        k, _ = geometry.nearest_batch(Q, X)
+        records = [{"residual": 0.0, "status": "feasible", "anchor_index": int(a)} for a in k]
+        E = SimpleNamespace(
+            X=X, terminal_images=(X.points - shift) @ G, embed_batch=lambda _: (images, records)
+        )
+        return E, Q
+
+    @pytest.mark.parametrize("shift", [0.0, 1e8])
+    @pytest.mark.parametrize("keep_raw", [False, True])
+    def test_traced_peak_is_the_tables_and_blocks(self, monkeypatch, shift, keep_raw):
+        # Beyond its inputs, evaluate holds the two interval arrays and
+        # temporaries of about BLOCK_ELEMENTS values; ratio, the pairs'
+        # midpoints, takes lo's place. With keep_raw it also holds sq_error,
+        # and the report's four per-pair arrays are made before hi and
+        # sq_error are freed: five tables at most.
+        E, Q = self._stub(shift)
+        exact = []
+        original = harness._PairRatios._exact
+        monkeypatch.setattr(harness._PairRatios, "_exact", lambda t: exact.append(1) or original(t))
+        labels = [f"L{i % 3}" for i in range(Q.shape[0])]
+        table = 8 * Q.shape[0] * E.X.n
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = evaluate(E, Q, labels, keep_raw=keep_raw)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.pair_count == Q.shape[0] * E.X.n
+        assert bool(exact) == (shift > 0.0)
+        tables = 5 if keep_raw else 2
+        assert peak <= tables * table + 1.5 * 8 * geometry.BLOCK_ELEMENTS
