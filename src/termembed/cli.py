@@ -406,7 +406,7 @@ def _cmd_scaling(args) -> int:
         report = harness.evaluate(embedder, *_suite(X, args.queries_per_mode, seed))
         values = (eps, C, seed, plan.m, plan.mode, chd, report.max_abs_ratio_dev)
         rows.append(dict(zip(_SCALING_COLUMNS, values)))
-    if args.out and args.out.endswith(".json"):
+    if args.out and Path(args.out).suffix.lower() == ".json":
         _dump_json(rows, args.out)
         return EXIT_OK
     lines = [",".join(_SCALING_COLUMNS)] + [",".join(map(str, row.values())) for row in rows]

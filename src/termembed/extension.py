@@ -5,11 +5,12 @@ Razenshteyn, STOC 2018): terminal x_i goes to (g(x_i), 0) for a base map g,
 and a query u to a head in g's space plus one tail coordinate.
 OuterExtension writes that contract once (out_dim, terminal_images,
 embed_batch, and embed, its one-row call); the three frozen dataclasses
-below supply only the terminal set X, their base map's terminal rows and one
-per-row step:
+below supply only the terminal set X, their base map's terminal rows
+(base_images) and one per-row step:
 
   * TerminalEmbedder, the sketch path: g = Pi, and the head comes from a
-    per-query feasibility solve (below);
+    per-query feasibility solve (below). It is fixed by X, Pi and epsilon,
+    so it computes its rows Pi X itself;
   * ExactEmbedding, the small-n path: g = coordinates in an orthonormal basis
     of span{x_i - x_1}, zero distortion;
   * EfnEmbedder, the snap-to-nearest baseline: (g(x_k), ||u - x_k||).
@@ -80,7 +81,6 @@ from .geometry import (
     _refuse_coincident,
     _refuse_near_query,
     distances_to,
-    nearest,
     nearest_batch,
 )
 from .sketch import SketchMatrix, sketch_points
@@ -212,11 +212,12 @@ class OuterExtension:
 
     A subclass is a frozen dataclass with a field X (the PointSet of
     terminals) that supplies base_images, the (n, out_dim - 1) rows g(x_i) of
-    its base map, and _embed_one(u, anchor, warm=None) -> (image of u,
-    record with RECORD_KEYS), where anchor = (k, R) is u's row of
-    geometry.nearest_batch and warm is u's entry of _warm_starts. Instances
-    are immutable and every query is independent, so concurrent readers are
-    safe.
+    its base map (given for EfnEmbedder, derived from the other fields for
+    TerminalEmbedder and ExactEmbedding), and _embed_one(u, anchor,
+    warm=None) -> (image of u, record with RECORD_KEYS), where anchor =
+    (k, R) is u's row of geometry.nearest_batch and warm is u's entry of
+    _warm_starts. Instances are immutable and every query is independent,
+    so concurrent readers are safe.
     """
 
     @property
@@ -279,28 +280,31 @@ class OuterExtension:
 
 @dataclass(frozen=True)
 class TerminalEmbedder(OuterExtension):
-    """Frozen bundle answering embedding queries against a fixed sketch."""
+    """The sketch path, fixed by the terminals X, the sketch Pi and epsilon
+    (and the solver's settings): base_images is Pi X, the (n, m) read-only
+    rows Pi x_i, computed here from X and Pi (sketch_points). A Pi whose
+    input dimension is not X.d raises DimensionMismatch."""
 
     X: PointSet
     Pi: SketchMatrix
-    embedded_X: np.ndarray  # (n, m) = Pi applied to each terminal
     epsilon: float
     solver: SolverConfig = field(default_factory=SolverConfig)
+    base_images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.embedded_X.setflags(write=False)
+        if self.Pi.d != self.X.d:
+            raise DimensionMismatch(f"sketch expects dimension {self.Pi.d}, points have {self.X.d}")
+        images = sketch_points(self.Pi, self.X.points)
+        images.setflags(write=False)
+        object.__setattr__(self, "base_images", images)
 
     @property
     def m(self) -> int:
         return self.Pi.m
 
-    @property
-    def base_images(self) -> np.ndarray:
-        return self.embedded_X
-
     def embed_with_info(self, u, anchor=None, warm=None):
         sol = solve_extension(u, self, anchor, warm)
-        return lift(u, sol, self), sol
+        return lift(sol, self), sol
 
     def _embed_one(self, u, anchor, warm=None):
         f, sol = self.embed_with_info(u, anchor, warm)
@@ -360,7 +364,7 @@ class TerminalEmbedder(OuterExtension):
             starts.pop()
         ends = starts[1:] + [n]
         return [
-            (s, self.X.points[s], self.embedded_X[s])
+            (s, self.X.points[s], self.base_images[s])
             for s in (slice(a, b) for a, b in zip(starts[::-1], ends[::-1]))
         ]
 
@@ -371,15 +375,9 @@ def build_embedder(
     epsilon: float,
     solver: SolverConfig | None = None,
 ) -> TerminalEmbedder:
-    if pi.d != X.d:
-        raise DimensionMismatch(f"sketch expects dimension {pi.d}, points have {X.d}")
-    return TerminalEmbedder(
-        X=X,
-        Pi=pi,
-        embedded_X=sketch_points(pi, X.points),
-        epsilon=float(epsilon),
-        solver=solver or SolverConfig(),
-    )
+    """The TerminalEmbedder of X under pi at epsilon (a float), with the
+    default SolverConfig when solver is None."""
+    return TerminalEmbedder(X, pi, float(epsilon), solver or SolverConfig())
 
 
 def solve_extension(u, E: TerminalEmbedder, anchor=None, warm=None) -> ExtensionSolution:
@@ -387,9 +385,9 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None, warm=None) -> Extension
     certificate.
 
     With anchor k = nearest terminal and R = ||u - x_k|| (anchor = (k, R) as
-    geometry.nearest(u, E.X) gives it, which is called when anchor is None),
-    and warm = u's E._warm_starts entry (taken for a group of one when None),
-    minimizes
+    geometry.nearest_batch gives it for u as one row, which is called when
+    anchor is None), and warm = u's E._warm_starts entry (taken for a group
+    of one when None), minimizes
     g(z) = max_i |<z, Pi v_i> - <u - x_k, v_i>| over the ball ||z|| <= R:
 
       * start at z0 = R * Pi(u - x_k) / max(||Pi(u - x_k)||, 1e-300), the
@@ -435,7 +433,8 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None, warm=None) -> Extension
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     X = E.X
     if anchor is None:
-        anchor = nearest(u, X)
+        ks, Rs = nearest_batch(u[None], X)
+        anchor = int(ks[0]), float(Rs[0])
         _refuse_near_query(u, X, *anchor)
     k, R = anchor
     m = E.m
@@ -463,7 +462,7 @@ def solve_extension(u, E: TerminalEmbedder, anchor=None, warm=None) -> Extension
     if warm is None:
         [warm] = E._warm_starts(u[None], (k,), (R,))
     P, z, dots, PXz = warm
-    pts, PX = X.points, E.embedded_X
+    pts, PX = X.points, E.base_images
     x_k, PX_k = pts[k], PX[k]
     # Column 0 of dots is <x_i, x_k>, column 1 <x_i, P>.
     sq_dist = X.sq_norms - 2.0 * dots[:, 0] + X.sq_norms[k]
@@ -617,14 +616,15 @@ def _line_search(aa, ad, dd, delta, R):
     return min(max(s, 0.0), 1.0)
 
 
-def lift(u, solution: ExtensionSolution, E: TerminalEmbedder) -> np.ndarray:
-    """Assemble the (m+1)-dim image (Pi x_k + u', sqrt(R^2 - ||u'||^2)).
+def lift(solution: ExtensionSolution, E: TerminalEmbedder) -> np.ndarray:
+    """Assemble the (m+1)-dim image (Pi x_k + u', sqrt(R^2 - ||u'||^2)) of a
+    solve's query from its anchor k, radius R and point u' alone.
 
     The radicand is clamped at 0: ||u'|| can exceed R by a few ulps after
     projection, and the clamp keeps the lift NaN-free.
     """
     R = solution.radius
-    head = E.embedded_X[solution.anchor_index] + solution.u_prime
+    head = E.base_images[solution.anchor_index] + solution.u_prime
     sq = R * R - float(solution.u_prime @ solution.u_prime)
     return np.concatenate([head, [np.sqrt(max(sq, 0.0))]])
 

@@ -519,20 +519,12 @@ def _refuse_near_query(u: np.ndarray, X: PointSet, k: int, R: float, i: int = 0)
         )
 
 
-def nearest(u, X: PointSet) -> tuple[int, float]:
-    """(k, R): the index of the closest point of X to u and its distance,
-    bit-identical to argmin and min of distances_to(u, X) (ties go to the
-    lowest index): the one-row call of nearest_batch, whose checks it
-    shares (DimensionMismatch for a u of the wrong width, NonFinitePoint for
-    a NaN or infinite coordinate or a norm above MAX_NORM).
-    """
-    k, R = nearest_batch(np.reshape(np.asarray(u, np.float64), (1, -1)), X)
-    return int(k[0]), float(R[0])
-
-
 def nearest_point(u, X: PointSet) -> int:
-    """Index of the closest point of X to u; ties go to the lowest index."""
-    return nearest(u, X)[0]
+    """Index of the closest point of X to u (ties go to the lowest index):
+    nearest_batch on u as one row, with its checks (DimensionMismatch for a
+    u of the wrong width, NonFinitePoint for a NaN or infinite coordinate or
+    a norm above MAX_NORM)."""
+    return int(nearest_batch(np.reshape(np.asarray(u, np.float64), (1, -1)), X)[0][0])
 
 
 def direction_set(X: PointSet) -> DirectionSet:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
 from .errors import NonFinitePoint
 from .extension import STATUSES
 from .geometry import (
@@ -233,8 +232,8 @@ def _row_blocks(rows: int, row_values: int) -> list[slice]:
     slice at most geometry.BLOCK_ELEMENTS / 8 values (at least one row), so
     the few temporaries a pass makes per block stay within BLOCK_ELEMENTS
     together: the blocks of every pass of evaluate over its (q, n) table or
-    its pairs, as of the Gram screens (geometry._screen_rows)."""
-    step = max(1, geometry.BLOCK_ELEMENTS // (8 * max(row_values, 1)))
+    its pairs, by the Gram screens' rule (geometry._screen_rows)."""
+    step = _screen_rows(1, row_values)
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 

@@ -415,7 +415,7 @@ class TestBadInputs:
         assert E_legacy.solver == E_fresh.solver == SolverConfig()
         assert E_legacy.epsilon == E_fresh.epsilon
         assert np.array_equal(E_legacy.Pi.entries, E_fresh.Pi.entries)
-        assert np.array_equal(E_legacy.embedded_X, E_fresh.embedded_X)
+        assert np.array_equal(E_legacy.base_images, E_fresh.base_images)
         qpath = write_csv(tmp_path / "q.csv", np.random.default_rng(4).standard_normal((6, 12)))
         for bundle in (fresh, legacy):
             assert main(["query", str(bundle), qpath, str(tmp_path / f"{bundle.name}.csv")]) == 0
@@ -731,6 +731,15 @@ class TestScalingCommand:
         assert rc == 0
         rows = json.loads(out.read_text())
         assert rows[0]["epsilon"] == 0.5
+
+    def test_json_suffix_in_any_case(self, tmp_path, points_csv):
+        # pointio reads suffixes case-insensitively; so does scaling's --out.
+        for name in ("t.json", "t.JSON", "t.Json"):
+            out = tmp_path / name
+            assert main(["scaling", points_csv, "--epsilons", "0.5", "--consts", "1.0",
+                         "--seeds", "0", "--queries-per-mode", "2",
+                         "--chd-samples", "100", "--out", str(out)]) == 0
+            assert json.loads(out.read_text())[0]["epsilon"] == 0.5
 
     def test_rows_echo_grid_and_plan_m(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", np.random.default_rng(1).standard_normal((12, 12)))

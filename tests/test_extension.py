@@ -23,13 +23,13 @@ from termembed import (
     nearest_point,
     plan_dimension,
     sample_queries,
+    sketch_points,
     solve_extension,
 )
 from termembed import extension, geometry
 from termembed.extension import EfnEmbedder, ExtensionSolution
-from termembed.geometry import nearest
 from termembed.sketch import SketchMatrix
-from test_geometry import _record_exact_work
+from test_geometry import _nearest, _record_exact_work
 
 
 def identity_embedder(pts, epsilon=1e-9):
@@ -97,7 +97,7 @@ class TestSolveExtension:
         sol = solve_extension(u, E)
         assert not sol.converged
         assert sol.residual > 0.0
-        f = lift(u, sol, E)
+        f = lift(sol, E)
         assert np.all(np.isfinite(f))
 
     def test_dimension_mismatch(self):
@@ -119,7 +119,7 @@ class TestSolveExtension:
         sols = [solve_extension(u, E) for u in Q]
         assert sum(sol.iterations == E.solver.max_iters for sol in sols) < 2
         for u, sol in zip(Q, sols):
-            assert (sol.anchor_index, sol.radius) == nearest(u, X)
+            assert (sol.anchor_index, sol.radius) == _nearest(u, X)
 
 
 def _constraints(u, E, k):
@@ -127,7 +127,7 @@ def _constraints(u, E, k):
     mask = np.arange(E.X.n) != k
     diff = E.X.points[mask] - E.X.points[k]
     norms = np.linalg.norm(diff, axis=1)
-    W = (E.embedded_X[mask] - E.embedded_X[k]) / norms[:, None]
+    W = (E.base_images[mask] - E.base_images[k]) / norms[:, None]
     return W, (diff / norms[:, None]) @ (np.asarray(u) - E.X.points[k])
 
 
@@ -192,7 +192,7 @@ class TestCoincidentTerminals:
 
 
 class TestQueryNearATerminal:
-    """u = x_0 but 1e-170 in coordinate 0 (x_0[0] = 0): nearest reads
+    """u = x_0 but 1e-170 in coordinate 0 (x_0[0] = 0): nearest_batch reads
     R = 0, and every embedder and solve_extension refuse u; x_0 with -0.0
     there still maps to row 0."""
 
@@ -207,7 +207,7 @@ class TestQueryNearATerminal:
 
     def test_refused_in_embed_and_embed_batch(self):
         pts, u, embedders = self._setup(1e-170)
-        assert nearest(u, embedders[0].X) == (0, 0.0)
+        assert _nearest(u, embedders[0].X) == (0, 0.0)
         message = "^query {} is 1e-170 from point 0, closer than MIN_DISTANCE"
         for E in embedders:
             with pytest.raises(DuplicatePoint, match=message.format(0)):
@@ -362,7 +362,7 @@ class TestLift:
             u_prime=np.zeros(2), radius=2.0, residual=0.0, iterations=0,
             anchor_index=0,
         )
-        f = lift((0.0, 2.0), sol, E)
+        f = lift(sol, E)
         assert np.allclose(f, [0.0, 0.0, 2.0])
 
     def test_full_radius_gives_zero_tail(self):
@@ -371,7 +371,7 @@ class TestLift:
             u_prime=np.array([2.0, 0.0]), radius=2.0, residual=0.0,
             iterations=0, anchor_index=0,
         )
-        assert lift((2.0, 0.0), sol, E)[-1] == 0.0
+        assert lift(sol, E)[-1] == 0.0
 
     def test_float_excess_clamped(self):
         E = self._embedder()
@@ -381,8 +381,38 @@ class TestLift:
             u_prime=np.array([excess, 0.0]), radius=r, residual=0.0,
             iterations=0, anchor_index=0,
         )
-        f = lift((2.0, 0.0), sol, E)
+        f = lift(sol, E)
         assert f[-1] == 0.0 and not np.any(np.isnan(f))
+
+
+class TestDerivedBaseImages:
+    """TerminalEmbedder is fixed by (X, Pi, epsilon, solver): it computes its
+    rows Pi X itself and takes no images from its caller."""
+
+    def _setup(self):
+        X = build_point_set(np.random.default_rng(33).standard_normal((50, 16)))
+        return X, generate_sketch(8, X.d, "gaussian", 1)
+
+    def test_base_images_are_the_read_only_sketch_of_X(self):
+        X, Pi = self._setup()
+        E = TerminalEmbedder(X, Pi, 0.25)
+        assert np.array_equal(E.base_images, sketch_points(Pi, X.points))
+        assert not E.base_images.flags.writeable
+        assert E.solver == SolverConfig() and E.out_dim == 9
+
+    def test_sketch_of_another_width_raises(self):
+        X, _ = self._setup()
+        Pi = generate_sketch(8, X.d - 1, "gaussian", 1)
+        message = "^sketch expects dimension 15, points have 16$"
+        for make in (TerminalEmbedder, build_embedder):
+            with pytest.raises(DimensionMismatch, match=message):
+                make(X, Pi, 0.25)
+
+    @pytest.mark.parametrize("name", ["embedded_X", "base_images"])
+    def test_images_are_not_an_argument(self, name):
+        X, Pi = self._setup()
+        with pytest.raises(TypeError):
+            TerminalEmbedder(X, Pi, epsilon=0.25, **{name: np.zeros((X.n, Pi.m))})
 
 
 class TestEmbedTerminal:
@@ -391,7 +421,7 @@ class TestEmbedTerminal:
         E = random_embedder(rng, n=6, d=4, m=9)
         u = E.X.points[3]
         f = E.embed(u)
-        assert np.array_equal(f[:-1], E.embedded_X[3])
+        assert np.array_equal(f[:-1], E.base_images[3])
         assert f[-1] == 0.0
 
     def test_anchor_isometry(self):
@@ -410,7 +440,7 @@ class TestEmbedTerminal:
         E = random_embedder(rng, n=5, d=4, m=7)
         imgs = E.terminal_images
         assert imgs.shape == (5, 8)
-        assert np.array_equal(imgs[:, :-1], E.embedded_X)
+        assert np.array_equal(imgs[:, :-1], E.base_images)
         assert np.all(imgs[:, -1] == 0.0)
 
     def test_identity_sketch_distances_exact(self):
@@ -523,7 +553,7 @@ def _three_embedders():
     rng = np.random.default_rng(11)
     E = random_embedder(rng, n=9, d=5, m=12)
     exact = exact_small_embedding(E.X)
-    efn = EfnEmbedder(X=E.X, base_images=E.embedded_X)
+    efn = EfnEmbedder(X=E.X, base_images=E.base_images)
     return {"sketch": E, "exact": exact, "efn": efn}
 
 
@@ -555,7 +585,7 @@ class TestEmbedBatch:
         E = build_embedder(X, sketch.Pi, sketch.epsilon)
         rng = np.random.default_rng(27)
         Q = np.vstack([shift + 2.0 * rng.standard_normal((30, X.d)), X.points])
-        for emb in (E, exact_small_embedding(X), EfnEmbedder(X, E.embedded_X)):
+        for emb in (E, exact_small_embedding(X), EfnEmbedder(X, E.base_images)):
             images, per_query = emb.embed_batch(Q)
             assert np.array_equal(images, np.vstack([emb.embed(u) for u in Q]))
             assert [rec["anchor_index"] for rec in per_query] == [nearest_point(u, X) for u in Q]
@@ -626,7 +656,7 @@ def test_non_finite_query_raises_in_every_per_query_function(bad):
     u[1] = bad
     for call in (
         lambda: solve_extension(u, E),
-        lambda: EfnEmbedder(E.X, E.embedded_X).embed(u),
+        lambda: EfnEmbedder(E.X, E.base_images).embed(u),
         lambda: nearest_point(u, E.X),
     ):
         with pytest.raises(NonFinitePoint):
@@ -648,7 +678,7 @@ def _materialized_solve(u, E):
     diff = X.points[mask] - X.points[k]
     norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     V = diff / norms[:, None]
-    W = (E.embedded_X[mask] - E.embedded_X[k]) / norms[:, None]
+    W = (E.base_images[mask] - E.base_images[k]) / norms[:, None]
     P = u - X.points[k]
     t = V @ P
     row_sq = np.einsum("ij,ij->i", W, W)

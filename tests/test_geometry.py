@@ -16,7 +16,7 @@ from termembed import (
     nearest_point,
 )
 from termembed import geometry
-from termembed.geometry import distance_matrix, nearest, nearest_batch
+from termembed.geometry import distance_matrix, nearest_batch
 from test_harness import _broadcast_diameter, _broadcast_nearest_neighbor_dists
 
 
@@ -371,21 +371,27 @@ def _above_max_norm(pts):
     return np.sqrt(np.einsum("ij,ij->i", pts, pts)).max() > geometry.MAX_NORM
 
 
+def _nearest(u, X):
+    """(k, R) of nearest_batch on u as a batch of one row."""
+    k, R = nearest_batch(np.reshape(np.asarray(u, np.float64), (1, -1)), X)
+    return int(k[0]), float(R[0])
+
+
 def _assert_nearest_matches(Q, X):
-    """nearest_batch(Q, X) and nearest(u, X) for each row u both give the
-    argmin and min of the full exact pass."""
+    """nearest_batch(Q, X), and nearest_batch on each row u alone, both give
+    the argmin and min of the full exact pass."""
     k, R = nearest_batch(Q, X)
     assert k.dtype == np.int64 and R.dtype == np.float64
     full = [_full_pass(u, X) for u in Q]
     assert k.tolist() == [kk for kk, _ in full]
     assert np.array_equal(R, [r for _, r in full])
-    assert [nearest(u, X) for u in Q] == full
+    assert [_nearest(u, X) for u in Q] == full
 
 
 class TestNearest:
-    """geometry.nearest and nearest_batch (Gram screen plus exact recompute
-    of the candidates) give exactly the argmin and min of the full exact
-    pass."""
+    """nearest_batch (Gram screen plus exact recompute of the candidates),
+    on a batch and on each row alone, gives exactly the argmin and min of
+    the full exact pass."""
 
     @pytest.mark.parametrize("family", [_ties, _sphere, _shells, _small])
     @pytest.mark.parametrize(
@@ -488,8 +494,8 @@ class TestNearestBatch:
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "width"])
     def test_single_query_and_one_row_batch_fail_alike(self, monkeypatch, bad):
-        # nearest holds no checks of its own: the one-row nearest_batch call
-        # raises for both.
+        # nearest_point holds no checks of its own: the one-row nearest_batch
+        # call raises for both.
         X = build_point_set([(0.0, 0.0), (3.0, 0.0)])
         u = np.array([1.0, 0.0, 0.0]) if bad == "width" else np.array([1.0, float(bad)])
         error = DimensionMismatch if bad == "width" else NonFinitePoint
@@ -497,7 +503,7 @@ class TestNearestBatch:
         batch = geometry.nearest_batch
         monkeypatch.setattr(geometry, "nearest_batch", lambda Q, X: calls.append(Q) or batch(Q, X))
         with pytest.raises(error):
-            nearest(u, X)
+            nearest_point(u, X)
         assert len(calls) == 1 and calls[0].shape == (1, u.size)
         with pytest.raises(error):
             batch(u[None], X)
