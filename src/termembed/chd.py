@@ -55,7 +55,7 @@ _MIDPOINT_DIRECT = 4096
 _CANCEL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HullPoint:
     """A point of conv(T) with its simplex weights."""
 
@@ -71,7 +71,7 @@ class HullPoint:
             raise ValueError("hull weights must sum to 1 within 1e-12")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChdEstimate:
     """Result of estimate_sampled: the largest violation found, the hull
     point holding it, witness_tier (the tier whose chunk held the witness)

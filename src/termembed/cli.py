@@ -123,7 +123,11 @@ def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
                    help="override point-file format detection")
 
 
-def _parse_asserts(pairs) -> dict[str, float]:
+def _parse_asserts(pairs, keys) -> dict[str, float]:
+    """The --assert KEY=VAL pairs as {KEY: VAL}, KEY with "-" read as "_".
+    A pair without "=", a VAL that is not a number or a KEY outside keys (the
+    command's measured numbers) is a usage error, raised before the command
+    reads its bundle, so nothing is written."""
     out = {}
     for raw in pairs or []:
         if "=" not in raw:
@@ -133,18 +137,17 @@ def _parse_asserts(pairs) -> dict[str, float]:
             out[key.strip().replace("-", "_")] = float(val)
         except ValueError:
             raise _UsageError(f"--assert value must be numeric, got {raw!r}")
+    for key in out:
+        if key not in keys:
+            raise _UsageError(f"unknown assert key {key!r}; known: {', '.join(sorted(keys))}")
     return out
 
 
-def _check_asserts(pairs, measured: dict) -> int:
-    """The exit code for --assert KEY=VAL pairs: EXIT_ASSERT, each failure on
-    stderr, unless every measured KEY <= VAL."""
+def _check_asserts(bounds: dict[str, float], measured: dict) -> int:
+    """The exit code for the parsed --assert bounds: EXIT_ASSERT, each
+    failure on stderr, unless every measured KEY <= VAL."""
     failures = []
-    for key, bound in _parse_asserts(pairs).items():
-        if key not in measured:
-            raise _UsageError(
-                f"unknown assert key {key!r}; known: {', '.join(sorted(measured))}"
-            )
+    for key, bound in bounds.items():
         value = measured[key]
         # An undefined statistic (None) fails its assert.
         if value is None or not (value <= bound):
@@ -317,7 +320,13 @@ def _suite(X, per_mode, seed, modes=None):
     return harness.sample_suite(X, per_mode, derive_seed(seed, "samplers"), modes)
 
 
+# The numbers verify-chd's --assert can bound: the report's numbers, not the
+# weights, the tier name (None on the exact path) or the tier maxima.
+_VERIFY_ASSERT_KEYS = ("m", "epsilon", "seed", "max_violation")
+
+
 def _cmd_verify_chd(args) -> int:
+    bounds = _parse_asserts(args.asserts, _VERIFY_ASSERT_KEYS)
     embedder, meta = load_bundle(args.bundle)
     seed = meta["seed"] if args.seed is None else args.seed
     report: dict = {
@@ -338,15 +347,21 @@ def _cmd_verify_chd(args) -> int:
     text = _dump_json(report, args.report)
     if args.report is None:
         sys.stdout.write(text)
-    # Only the report's numbers can be bounded: not the weights, the tier
-    # name (None on the exact path) or the tier maxima.
-    measured = {
-        k: v for k, v in report.items() if isinstance(v, (int, float)) and not isinstance(v, bool)
-    }
-    return _check_asserts(args.asserts, measured)
+    return _check_asserts(bounds, report)
+
+
+# eval's --assert keys, each with the DistortionReport field it bounds.
+_EVAL_ASSERTS = {
+    "max_ratio_dev": "max_abs_ratio_dev",
+    "distortion": "distortion",
+    "max_residual": "max_residual",
+    "ratio_max": "ratio_max",
+    "max_anchor_rel_error": "max_anchor_rel_error",
+}
 
 
 def _cmd_eval(args) -> int:
+    bounds = _parse_asserts(args.asserts, _EVAL_ASSERTS)
     embedder, meta = load_bundle(args.bundle)
     seed = meta["seed"] if args.seed is None else args.seed
     if args.queries_file:
@@ -370,14 +385,7 @@ def _cmd_eval(args) -> int:
     text = _dump_json(report.to_dict(), args.report)
     if args.report is None:
         sys.stdout.write(text)
-    measured = {
-        "max_ratio_dev": report.max_abs_ratio_dev,
-        "distortion": report.distortion,
-        "max_residual": report.max_residual,
-        "ratio_max": report.ratio_max,
-        "max_anchor_rel_error": report.max_anchor_rel_error,
-    }
-    return _check_asserts(args.asserts, measured)
+    return _check_asserts(bounds, {key: getattr(report, a) for key, a in _EVAL_ASSERTS.items()})
 
 
 _SCALING_COLUMNS = ("epsilon", "C", "seed", "m", "mode", "chd_max_violation", "max_ratio_dev")

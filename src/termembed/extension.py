@@ -142,7 +142,7 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionSolution:
     """One query's feasibility solve.
 
@@ -217,17 +217,22 @@ class OuterExtension:
     warm=None) -> (image of u, record with RECORD_KEYS), where anchor =
     (k, R) is u's row of geometry.nearest_batch and warm is u's entry of
     _warm_starts. Instances are immutable and every query is independent,
-    so concurrent readers are safe.
+    so concurrent readers are safe. They compare and hash by identity.
+
+    terminal_images is built from base_images on every access, not cached:
+    a long-lived embedder's footprint is X, its map (Pi or the basis) and
+    base_images (Pi X), plus O(n) caches such as PointSet.norms.
     """
 
     @property
     def out_dim(self) -> int:
         return self.base_images.shape[1] + 1
 
-    @cached_property
+    @property
     def terminal_images(self) -> np.ndarray:
         """(n, out_dim) read-only images (g(x_i), 0) of the terminals, the
-        trailing coordinate exactly 0."""
+        trailing coordinate exactly 0. Built on every access and not kept; a
+        caller that reads it often keeps one."""
         images = np.hstack([self.base_images, np.zeros((self.X.n, 1))])
         images.setflags(write=False)
         return images
@@ -278,7 +283,7 @@ class OuterExtension:
         return image, dict(zip(RECORD_KEYS, (0.0, 0, k, True, 0.0, "feasible")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TerminalEmbedder(OuterExtension):
     """The sketch path, fixed by the terminals X, the sketch Pi and epsilon
     (and the solver's settings): base_images is Pi X, the (n, m) read-only
@@ -289,7 +294,7 @@ class TerminalEmbedder(OuterExtension):
     Pi: SketchMatrix
     epsilon: float
     solver: SolverConfig = field(default_factory=SolverConfig)
-    base_images: np.ndarray = field(init=False, repr=False, compare=False)
+    base_images: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.Pi.d != self.X.d:
@@ -629,7 +634,7 @@ def lift(solution: ExtensionSolution, E: TerminalEmbedder) -> np.ndarray:
     return np.concatenate([head, [np.sqrt(max(sq, 0.0))]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EfnEmbedder(OuterExtension):
     """The snap-to-nearest baseline u -> (f(x_k), ||u - x_k||) over a base map
     f given by its terminal rows. Simple and fast, but its terminal distortion
@@ -655,7 +660,7 @@ class EfnEmbedder(OuterExtension):
         return self._solver_free(np.concatenate([self.base_images[k], [R]]), k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactEmbedding(OuterExtension):
     """Zero-distortion terminal embedding for the small-n regime.
 
@@ -691,13 +696,13 @@ class ExactEmbedding(OuterExtension):
         return (self.X.points - self.X.points[0]) @ self.basis.T
 
     def _embed_one(self, u, anchor, warm=None):
-        """A terminal (R = 0) maps to its row of terminal_images, trailing
-        coordinate exactly 0; recomputing its perpendicular part would leave
-        rounding there."""
+        """A terminal (R = 0) maps to its row of terminal_images, (base_images
+        row, 0) with the trailing coordinate exactly 0; recomputing its
+        perpendicular part would leave rounding there."""
         u = np.asarray(u, dtype=np.float64).reshape(-1)
         k, R = anchor
         if R == 0.0:
-            return self._solver_free(self.terminal_images[k].copy(), k)
+            return self._solver_free(np.concatenate([self.base_images[k], [0.0]]), k)
         w = u - self.X.points[0]
         coords = self.basis @ w
         perp = w - self.basis.T @ coords

@@ -44,7 +44,7 @@ MIN_DISTANCE = 2.0**-511
 _SCREEN_SEED = 20181022
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """An ordered set of n >= 1 distinct points in R^d (d >= 1), each finite
     with a norm of at most MAX_NORM. Construction checks this, in that order
@@ -66,7 +66,7 @@ class PointSet:
     extension.solve_extension)."""
 
     points: np.ndarray  # (n, d), read-only
-    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n,), read-only
+    sq_norms: np.ndarray = field(init=False, repr=False)  # (n,), read-only
 
     def __post_init__(self):
         try:
@@ -261,7 +261,7 @@ def _screened_neighbor_scales(X: PointSet):
     return nn, diameter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionSet:
     """All n(n-1) normalized ordered differences of a point set, derived from
     its points alone (empty for n = 1).

@@ -151,7 +151,7 @@ def sample_suite(
     return np.vstack(chunks), labels
 
 
-@dataclass
+@dataclass(eq=False)
 class DistortionReport:
     """Aggregated per-pair ratio statistics for one query batch. Statistics
     undefined on an empty pair set are None (JSON null)."""
@@ -454,7 +454,8 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     Cost. Beyond embed_batch, two Gram screens (geometry._gram_screen): the
     q queries against X and their images against the terminal images, one
     GEMM each per block of query rows, O(q n (d + out_dim)) flops. Memory is
-    the two (q, n) interval arrays lo and hi (and sq_error with keep_raw)
+    the two (q, n) interval arrays lo and hi (and sq_error with keep_raw),
+    the (n, out_dim) E.terminal_images, read once and freed with the call,
     plus temporaries of at most about BLOCK_ELEMENTS / 8 values each, about
     BLOCK_ELEMENTS together: the screens, the recomputes, the histogram
     binning and the exact passes each work one block of query rows (or of

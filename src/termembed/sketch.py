@@ -41,7 +41,7 @@ SKETCH_MAGIC = "TESK"
 MAX_FROBENIUS = 2.0**10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchMatrix:
     """Dense scaled sketch Pi in R^{m x d}; entries already include 1/sqrt(m).
 

@@ -195,6 +195,30 @@ class TestVerifyAndEval:
                    "--assert", "bogus_key=1"])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["verify-chd", "--samples", "100", "--assert", "max_violation=abc"],
+                     "--assert value must be numeric, got 'max_violation=abc'", id="verify-value"),
+        pytest.param(["verify-chd", "--samples", "100", "--assert", "max_violation"],
+                     "--assert expects KEY=VALUE, got 'max_violation'", id="verify-form"),
+        pytest.param(["verify-chd", "--samples", "100", "--assert", "m=5", "--assert", "max_ratio_dev=1"],
+                     "unknown assert key 'max_ratio_dev'; known: epsilon, m, max_violation, seed",
+                     id="verify-key"),
+        pytest.param(["eval", "--queries-per-mode", "2", "--assert", "nope=1"],
+                     "unknown assert key 'nope'; known: distortion, max_anchor_rel_error, "
+                     "max_ratio_dev, max_residual, ratio_max", id="eval-key"),
+        pytest.param(["eval", "--queries-per-mode", "2", "--assert", "distortion=x"],
+                     "--assert value must be numeric, got 'distortion=x'", id="eval-value"),
+    ])
+    def test_bad_assert_is_refused_before_any_work(self, tmp_path, bundle, capsys, argv, message):
+        # A usage error (exit 1) before the bundle is read: no report is
+        # written, and a missing bundle reads as the same usage error.
+        report = tmp_path / "r.json"
+        command, *flags = argv
+        for target in (bundle, tmp_path / "missing"):
+            rc = main([command, str(target), *flags, "--report", str(report)])
+            assert rc == 1 and not report.exists()
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+
     @pytest.mark.parametrize("mode,key", [
         *(pytest.param("sketch", key, id=key) for key in ("witness_weights", "witness_tier", "tier_max")),
         # The exact path reports witness_tier as None: no number either.

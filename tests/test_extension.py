@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,16 +19,19 @@ from termembed import (
     build_point_set,
     direction_set,
     estimate_sampled,
+    evaluate,
     exact_small_embedding,
     generate_sketch,
     lift,
     nearest_point,
     plan_dimension,
     sample_queries,
+    sample_suite,
     sketch_points,
     solve_extension,
 )
 from termembed import extension, geometry
+from termembed.chd import HullPoint
 from termembed.extension import EfnEmbedder, ExtensionSolution
 from termembed.sketch import SketchMatrix
 from test_geometry import _nearest, _record_exact_work
@@ -999,3 +1004,122 @@ class TestQueryGroups:
         g = extension._group_rows(n, d, m)
         assert g >= 1
         assert g * (3 * n + 3 * d + m) <= max(geometry.BLOCK_ELEMENTS, 3 * n + 3 * d + m)
+
+
+class TestTerminalImagesOnAccess:
+    """terminal_images is built from base_images on every access and not
+    kept: an embedder holds X, its map and base_images, not a second copy of
+    them with a zero column."""
+
+    def test_each_access_is_a_fresh_equal_array(self, any_embedder):
+        E = any_embedder
+        first, second = E.terminal_images, E.terminal_images
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        assert np.array_equal(first[:, :-1], E.base_images)
+        assert np.all(first[:, -1] == 0.0) and not np.signbit(first[:, -1]).any()
+        assert "terminal_images" not in vars(E)
+        # every terminal embeds to its row, trailing coordinate +0.0
+        images, _ = E.embed_batch(E.X.points)
+        assert np.array_equal(images, first) and not np.signbit(images[:, -1]).any()
+
+    def test_library_pass_leaves_no_copy_of_the_images(self):
+        # The README library path on the serve shape (n = 1200, d = 256, m = 227):
+        # what the embedder keeps past its calls is O(n), far below one
+        # n x out_dim table (2.2 MB).
+        rng = np.random.default_rng(68)
+        X = build_point_set(rng.standard_normal((1200, 256)))
+        plan = plan_dimension(X.n, 0.25, 1.0, X.d)
+        assert (plan.mode, plan.m) == ("sketch", 227)
+        pi = generate_sketch(plan.m, X.d, "rademacher", 1)
+        Q = 1.5 * rng.standard_normal((12, X.d))
+        tracemalloc.start()
+        try:
+            E = build_embedder(X, pi, 0.25)
+            gc.collect()
+            built = tracemalloc.get_traced_memory()[0]
+            results = [E.embed_batch(Q), E.embed(Q[0])]
+            queries, labels = sample_suite(X, 2, seed=3)
+            results.append(evaluate(E, queries, labels))
+            del results, queries, labels
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - built
+        finally:
+            tracemalloc.stop()
+        assert held < X.n * E.out_dim * 8 / 4
+
+
+class TestIdentityEquality:
+    """The dataclasses that hold arrays compare and hash by identity; the
+    value-only ones (SolverConfig, DimensionPlan) keep ==."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(73)
+        pts = rng.standard_normal((6, 4))
+        X1, X2 = build_point_set(pts), build_point_set(pts)
+        pi = generate_sketch(3, 4, "rademacher", 2)
+        E1, E2 = build_embedder(X1, pi, 0.25), build_embedder(X1, pi, 0.25)
+        Y = direction_set(X1)
+        u = 2.0 * rng.standard_normal(4)
+        Q = rng.standard_normal((3, 4))
+        return {
+            "PointSet": (X1, X2),
+            "DirectionSet": (Y, direction_set(X1)),
+            "SketchMatrix": (pi, generate_sketch(3, 4, "rademacher", 2)),
+            "TerminalEmbedder": (E1, E2),
+            "EfnEmbedder": (EfnEmbedder(X1, E1.base_images), EfnEmbedder(X1, E1.base_images)),
+            "ExactEmbedding": (exact_small_embedding(X1), exact_small_embedding(X1)),
+            "ExtensionSolution": (solve_extension(u, E1), solve_extension(u, E1)),
+            "HullPoint": (HullPoint(np.full(2, 0.5), np.zeros(4)), HullPoint(np.full(2, 0.5), np.zeros(4))),
+            "ChdEstimate": (estimate_sampled(pi, Y, 10, 1), estimate_sampled(pi, Y, 10, 1)),
+            "DistortionReport": (evaluate(E1, Q), evaluate(E1, Q)),
+        }
+
+    def test_array_holders_compare_and_hash_by_identity(self):
+        pairs = self._pairs()
+        for name, (a, b) in pairs.items():
+            assert type(a).__name__ == name
+            assert (a == b) is False and (a != b) is True, name
+            assert a == a and hash(a) == hash(a), name
+            assert len({a, b, a}) == 2, name
+
+    def test_value_dataclasses_keep_equality(self):
+        assert SolverConfig(7) == SolverConfig(7) and hash(SolverConfig(7)) == hash(SolverConfig(7))
+        assert plan_dimension(50, 0.5, 1.0) == plan_dimension(50, 0.5, 1.0)
+        assert len({plan_dimension(50, 0.5, 1.0), plan_dimension(50, 0.5, 1.0)}) == 1
+
+
+class TestLineSearch:
+    """_line_search minimizes h(s) = R ||a + s d|| + s delta over [0, 1]."""
+
+    @staticmethod
+    def _grid_min(a, d, delta, R):
+        s = np.linspace(0.0, 1.0, 10001)
+        h = R * np.linalg.norm(a[None] + s[:, None] * d[None], axis=1) + s * delta
+        return float(h.min())
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("slack", [1.0, 1.5, 4.0])
+    def test_monotone_slope_takes_an_end(self, seed, slack):
+        # delta^2 >= R^2 ||d||^2 (q <= 0): h never changes slope sign, so the
+        # minimum sits at s = 1 when delta < 0 and at s = 0 otherwise.
+        rng = np.random.default_rng(seed)
+        a, d = rng.standard_normal(5), rng.standard_normal(5)
+        R = float(rng.uniform(0.5, 2.0))
+        for sign in (-1.0, 1.0):
+            delta = sign * slack * R * float(np.linalg.norm(d))
+            s = extension._line_search(float(a @ a), float(a @ d), float(d @ d), delta, R)
+            assert s == (1.0 if delta < 0.0 else 0.0)
+            h = R * float(np.linalg.norm(a + s * d)) + s * delta
+            assert h <= self._grid_min(a, d, delta, R) + 1e-12 * (R * float(np.linalg.norm(a)) + abs(delta))
+
+    def test_zero_q_exactly(self):
+        # q = R^2 dd - delta^2 is exactly 0 at these values.
+        a, d, R = np.array([1.0, 2.0]), np.array([3.0, 4.0]), 2.0
+        for delta in (-10.0, 10.0):
+            assert R * R * float(d @ d) - delta * delta == 0.0
+            s = extension._line_search(float(a @ a), float(a @ d), float(d @ d), delta, R)
+            assert s == (1.0 if delta < 0.0 else 0.0)
+            h = R * float(np.linalg.norm(a + s * d)) + s * delta
+            assert h <= self._grid_min(a, d, delta, R) + 1e-12

@@ -575,6 +575,27 @@ class TestEvaluateScreen:
             _assert_reports_identical(got, _loop_evaluate(E, q, labels, keep_raw))
         assert screen_calls["exact_passes"] == 4
 
+    def test_image_overflow_takes_the_exact_passes(self, screen_calls, monkeypatch):
+        # Base images of norm 5e153: a Gram screen of the images could
+        # overflow (geometry._gram_overflows), so evaluate runs no screen and
+        # fills the table from the exact passes, and every key is exact.
+        rng = np.random.default_rng(34)
+        X = build_point_set(rng.standard_normal((25, 6)))
+        base = rng.standard_normal((25, 4))
+        base *= 5e153 / np.linalg.norm(base, axis=1, keepdims=True)
+        E = EfnEmbedder(X=X, base_images=base)
+
+        def no_screen(*args):
+            raise AssertionError("evaluate ran a Gram screen")
+
+        monkeypatch.setattr(harness, "_gram_screen", no_screen)
+        q, labels = sample_suite(X, 4, seed=5, modes=self.MODES)
+        for keep_raw in (False, True):
+            got = evaluate(E, q, labels, keep_raw=keep_raw)
+            _assert_reports_identical(got, _loop_evaluate(E, q, labels, keep_raw))
+            assert got.ratio_max > 1e150
+        assert screen_calls["exact_passes"] == 4
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 12),
