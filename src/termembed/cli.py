@@ -125,7 +125,8 @@ def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
 
 def _parse_asserts(pairs, keys) -> dict[str, float]:
     """The --assert KEY=VAL pairs as {KEY: VAL}, KEY with "-" read as "_".
-    A pair without "=", a VAL that is not a number or a KEY outside keys (the
+    A pair without "=", a VAL that is not a number (NaN included: no value
+    is at most NaN; inf and -inf are bounds) or a KEY outside keys (the
     command's measured numbers) is a usage error, raised before the command
     reads its bundle, so nothing is written."""
     out = {}
@@ -134,9 +135,12 @@ def _parse_asserts(pairs, keys) -> dict[str, float]:
             raise _UsageError(f"--assert expects KEY=VALUE, got {raw!r}")
         key, val = raw.split("=", 1)
         try:
-            out[key.strip().replace("-", "_")] = float(val)
+            bound = float(val)
         except ValueError:
+            bound = math.nan
+        if math.isnan(bound):
             raise _UsageError(f"--assert value must be numeric, got {raw!r}")
+        out[key.strip().replace("-", "_")] = bound
     for key in out:
         if key not in keys:
             raise _UsageError(f"unknown assert key {key!r}; known: {', '.join(sorted(keys))}")

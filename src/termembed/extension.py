@@ -192,7 +192,8 @@ def _group_rows(n: int, d: int, m: int) -> int:
     keep the group's warm-start buffers (3n + 3d + m values per solved
     query, see _warm_starts) within BLOCK_ELEMENTS. So they hold at most
     max(BLOCK_ELEMENTS, 3n + 3d + m) values, the larger term being what one
-    query's solve allocates anyway."""
+    query's solve allocates anyway. embed_batch frees a group's buffers
+    before it builds the next, so only one group's are live at a time."""
     return max(1, geometry.BLOCK_ELEMENTS // (3 * n + 3 * d + m))
 
 
@@ -255,6 +256,10 @@ class OuterExtension:
         as for a group of one, so each image and record equals those of the
         row alone (embed(u)) bit for bit. A row closer than MIN_DISTANCE to
         a terminal but not equal to it raises DuplicatePoint, in row order.
+
+        Memory: beside the outputs, one group's warm-start buffers are live
+        at a time. The references to a group's warm list, and to its last
+        entry, are dropped before _warm_starts builds the next group.
         """
         Q = np.asarray(Q, dtype=np.float64)
         ks, Rs = nearest_batch(Q, self.X)
@@ -269,6 +274,7 @@ class OuterExtension:
                 _refuse_near_query(Q[i], self.X, *anchor, i)
                 images[i], record = self._embed_one(Q[i], anchor, w)
                 per_query.append(record)
+            del warm, w
         return images, per_query
 
     def _warm_starts(self, Q, ks, Rs) -> list:

@@ -108,9 +108,10 @@ class PointSet:
 
         Both are bit-identical to the min and max of the exact blocked pass
         over all pairs (distance_row_blocks(X, X)), mostly without it. The
-        shared Gram screen _gram_screen (which harness.evaluate also runs)
-        gives, from row-blocked GEMMs X[block] X^T and the cached
-        ||x_i||^2, every s_ij = ||x_i||^2 - 2<x_i, x_j> + ||x_j||^2 within
+        shared Gram screen _gram_screen (whose formula, _gram_rows,
+        harness.evaluate also runs) gives, from row-blocked GEMMs
+        X[block] X^T and the cached ||x_i||^2, every
+        s_ij = ||x_i||^2 - 2<x_i, x_j> + ||x_j||^2 within
         b_ij = _gram_bound(d, ||x_i||, ||x_j||) of the exact kernel's squared
         distance; this method sets the diagonal (i, i) itself. Only the
         off-diagonal entries that could hold their row's minimum (s_ij - b_ij
@@ -192,27 +193,35 @@ def _gram_screen(A: np.ndarray, sq_a: np.ndarray, B: np.ndarray, sq_b: np.ndarra
 
         s_ij = ||a_i||^2 - 2 <a_i, b_j> + ||b_j||^2
 
-    of A[block] against every row of B (one GEMM per block, with the cached
-    squared norms sq_a and sq_b), minus and plus b_ij = _gram_bound(d,
-    ||a_i||, ||b_j||), so the exact kernel's squared distance
-    ||a_i - b_j||^2 lies in [lo_ij, hi_ij]. lo and hi are views into two
-    buffers that the next block overwrites; the caller may write into them.
-    Rows within MAX_NORM cannot overflow; the image screen of
-    harness.evaluate checks _gram_overflows first."""
-    d = A.shape[1]
+    of A[block] against every row of B (_gram_rows), minus and plus its
+    bound b_ij, so the exact kernel's squared distance ||a_i - b_j||^2 lies
+    in [lo_ij, hi_ij]. lo and hi are views into two buffers that the next
+    block overwrites; the caller may write into them. Three (step, len(B))
+    buffers are live at once: lo, hi and the bound. Rows within MAX_NORM
+    cannot overflow; the image screen of harness.evaluate checks
+    _gram_overflows first and runs _gram_rows into its own buffers."""
     norms_a, norms_b = np.sqrt(sq_a), np.sqrt(sq_b)
     lo_buf, hi_buf, b_buf = np.empty((3, min(step, rows.size), B.shape[0]))
     for start in range(0, rows.size, step):
         block = rows[start : start + step]
         lo, hi, b = lo_buf[: block.size], hi_buf[: block.size], b_buf[: block.size]
-        np.matmul(A[block], B.T, out=hi)
-        hi *= -2.0
-        hi += sq_a[block, None]
-        hi += sq_b
-        _gram_bound(d, norms_a[block, None], norms_b, b)
+        _gram_rows(A, sq_a, norms_a, B, sq_b, norms_b, block, hi, b)
         np.subtract(hi, b, out=lo)
         hi += b
         yield block, lo, hi
+
+
+def _gram_rows(A, sq_a, norms_a, B, sq_b, norms_b, block, s: np.ndarray, b: np.ndarray) -> None:
+    """The Gram screen's one formula, into caller-owned (len(block),
+    len(B)) arrays: s_ij = ||a_i||^2 - 2 <a_i, b_j> + ||b_j||^2 over the rows
+    A[block] (one GEMM, with the cached squared norms sq_a and sq_b), and
+    b_ij = _gram_bound(d, ||a_i||, ||b_j||) from the norms norms_a and
+    norms_b. block is an index array or a slice of A's rows."""
+    np.matmul(A[block], B.T, out=s)
+    s *= -2.0
+    s += sq_a[block, None]
+    s += sq_b
+    _gram_bound(A.shape[1], norms_a[block, None], norms_b, b)
 
 
 def _pair_distances(A: np.ndarray, B: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -18,8 +18,9 @@ from .extension import STATUSES
 from .geometry import (
     MIN_DISTANCE,
     PointSet,
+    _gram_bound,
     _gram_overflows,
-    _gram_screen,
+    _gram_rows,
     _pair_distances,
     _screen_rows,
     distance_matrix,
@@ -229,11 +230,13 @@ def _histogram(r: np.ndarray, edges) -> list:
 
 def _row_blocks(rows: int, row_values: int) -> list[slice]:
     """Consecutive slices over `rows` rows of row_values values each, each
-    slice at most geometry.BLOCK_ELEMENTS / 8 values (at least one row), so
-    the few temporaries a pass makes per block stay within BLOCK_ELEMENTS
-    together: the blocks of every pass of evaluate over its (q, n) table or
-    its pairs, by the Gram screens' rule (geometry._screen_rows)."""
-    step = _screen_rows(1, row_values)
+    slice at most geometry.BLOCK_ELEMENTS / 32 values (at least one row): the
+    blocks of every pass of evaluate over its (q, n) table or its pairs. The
+    most a pass holds at once is settle_bins' candidate test, five
+    block-sized arrays at most (the gathered interval ends, their bin
+    indices and edges), so about one Gram screen block buffer
+    (geometry._screen_rows, BLOCK_ELEMENTS / 8 values)."""
+    step = _screen_rows(1, 4 * row_values)
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
@@ -264,8 +267,12 @@ class _PairRatios:
     holds |e^2 - d^2|, exact where recomputed and from the screen's
     midpoints elsewhere. anchor_error is the largest |e_k - d_k| / d_k over
     the queries whose anchor k (anchors[i], an intp array) is at positive
-    distance. Every pass beyond these arrays works one block of
-    _row_blocks at a time. See evaluate for the rules."""
+    distance. See evaluate for the rules.
+
+    Live at once beside these arrays: in _screen, two Gram screen block
+    buffers (_screen_rows rows of n values), the distance screen writing
+    into the rows of lo and hi it fills; in every later pass, the
+    temporaries of one block of _row_blocks, about one such buffer."""
 
     def __init__(self, queries, points, images, terminal_images, anchors, keep_raw: bool):
         self.pairs = (queries, points, images, terminal_images)
@@ -389,7 +396,7 @@ class _PairRatios:
 
     def _exact(self) -> None:
         """Fill the table from the exact kernel, one block of query rows at a
-        time: each block's kernel temporaries hold at most BLOCK_ELEMENTS / 8
+        time: each block's kernel temporaries hold at most BLOCK_ELEMENTS / 32
         values, unless one row needs more."""
         Q, P, F, T = self.pairs
         for rows in _row_blocks(Q.shape[0], P.shape[0] * max(Q.shape[1], F.shape[1])):
@@ -399,38 +406,58 @@ class _PairRatios:
         """Fill the table from the two Gram screens, blocked by query rows,
         recomputing the entries that decide the pair mask. False where the
         image screen could overflow or a block would recompute more than
-        half its entries; the exact passes then fill everything."""
+        half its entries; the exact passes then fill everything.
+
+        Beside the rows of lo and hi that a block fills, it uses two block
+        buffers, a product and a bound. The distance screen writes
+        s_d - b_d into hi and s_d + b_d into lo, the rows whose ratios take
+        them as denominators; the image screen's s_e goes into the product
+        buffer and b_e into the bound buffer, which b_e + s_e then
+        overwrites, so b_e is taken again for s_e - b_e. sq_error is taken
+        before any of these is overwritten."""
         Q, P, F, T = self.pairs
         if Q.shape[0] == 0:
             return False
         sq = [np.einsum("ij,ij->i", A, A) for A in self.pairs]
         if _gram_overflows(sq[2], sq[3]):
             return False
-        rows = np.arange(Q.shape[0])
+        norms = [np.sqrt(v) for v in sq]
         step = _screen_rows(P.shape[0], Q.shape[1], F.shape[1])
-        screens = zip(
-            _gram_screen(Q, sq[0], P, sq[1], rows, step), _gram_screen(F, sq[2], T, sq[3], rows, step)
-        )
-        for (block, lo_d, hi_d), (_, lo_e, hi_e) in screens:
-            redo = lo_d <= hi_d - lo_d  # D could be at most 2 b_d, or 0
+        prod_buf, bound_buf = np.empty((2, min(step, Q.shape[0]), P.shape[0]))
+        for start in range(0, Q.shape[0], step):
+            block = slice(start, start + step)
+            lo, hi = self.lo[block], self.hi[block]
+            s_e, b = prod_buf[: lo.shape[0]], bound_buf[: lo.shape[0]]
+            _gram_rows(Q, sq[0], norms[0], P, sq[1], norms[1], block, lo, b)
+            np.subtract(lo, b, out=hi)  # lo_d
+            lo += b  # hi_d
+            redo = hi <= np.subtract(lo, hi, out=b)  # D could be at most 2 b_d, or 0
             if 2 * np.count_nonzero(redo) > redo.size:
                 return False
-            out = slice(block[0], block[0] + block.size)
+            _gram_rows(F, sq[2], norms[2], T, sq[3], norms[3], block, s_e, b)
             if self.sq_error is not None:
-                np.abs((lo_e + hi_e) / 2.0 - (lo_d + hi_d) / 2.0, out=self.sq_error[out])
-            # sqrt of the e^2 bounds over sqrt of the d^2 bounds. Entries with
-            # lo_d <= 0 are in redo, and overwritten below.
-            for v in (lo_d, lo_e):
-                np.maximum(v, 0.0, out=v)
-            for v in (lo_d, hi_d, lo_e, hi_e):
-                np.sqrt(v, out=v)
+                # |(lo_e + hi_e) / 2 - (lo_d + hi_d) / 2|
+                np.abs((s_e - b + (s_e + b)) / 2.0 - (hi + lo) / 2.0, out=self.sq_error[block])
+            # sqrt of the e^2 bounds over sqrt of the d^2 bounds: hi_e over
+            # lo_d into hi, then lo_e over hi_d into lo. Entries with lo_d <= 0
+            # are in redo, and overwritten below.
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(lo_e, hi_d, out=self.lo[out])
-                np.divide(hi_e, lo_d, out=self.hi[out])
-            self.lo[out] *= 1.0 - _RATIO_SLACK
-            self.hi[out] *= 1.0 + _RATIO_SLACK
+                np.add(s_e, b, out=b)  # hi_e
+                np.maximum(hi, 0.0, out=hi)
+                np.sqrt(b, out=b)
+                np.sqrt(hi, out=hi)
+                np.divide(b, hi, out=hi)
+                _gram_bound(F.shape[1], norms[2][block, None], norms[3], b)  # b_e again
+                np.subtract(s_e, b, out=s_e)  # lo_e
+                np.maximum(s_e, 0.0, out=s_e)
+                np.sqrt(s_e, out=s_e)
+                np.sqrt(lo, out=lo)
+                np.divide(s_e, lo, out=lo)
+            lo *= 1.0 - _RATIO_SLACK
+            hi *= 1.0 + _RATIO_SLACK
             a, j = np.nonzero(redo)
-            self._set_exact(block[a], j, *self._distances(block[a], j))
+            a += start
+            self._set_exact(a, j, *self._distances(a, j))
         return True
 
 
@@ -451,21 +478,25 @@ def evaluate(E, queries, labels=None, config_echo=None, keep_raw: bool = False) 
     distance or when some ratio is 0, as when a query's image coincides with
     a terminal's. Pairs are taken in (query, terminal) row-major order.
 
-    Cost. Beyond embed_batch, two Gram screens (geometry._gram_screen): the
+    Cost. Beyond embed_batch, two Gram screens (geometry._gram_rows): the
     q queries against X and their images against the terminal images, one
     GEMM each per block of query rows, O(q n (d + out_dim)) flops. Memory is
     the two (q, n) interval arrays lo and hi (and sq_error with keep_raw),
     the (n, out_dim) E.terminal_images, read once and freed with the call,
-    plus temporaries of at most about BLOCK_ELEMENTS / 8 values each, about
-    BLOCK_ELEMENTS together: the screens, the recomputes, the histogram
-    binning and the exact passes each work one block of query rows (or of
-    pairs, _row_blocks) at a time. The pairs' midpoint ratios (at most q n
+    and embed_batch's (q, out_dim) images and records, plus two block
+    buffers of geometry._screen_rows rows of n values, at most
+    BLOCK_ELEMENTS / 8 values each: the screens write their distance
+    bounds into the rows of lo and hi they fill, and use one product and
+    one bound buffer. The recomputes, the histogram binning and the exact
+    passes work one block of query rows (or of pairs, _row_blocks) at a
+    time, about one such buffer. The pairs' midpoint ratios (at most q n
     values) take lo's place, and each sampler's ratios are gathered from
     them, so the peak is about two (q, n) tables; with keep_raw the
     report's four per-pair arrays are made before hi and sq_error are
-    freed, five at most. Each screened squared distance s
-    is within b = geometry._gram_bound(dim, ||a||, ||b||) of the exact
-    kernel's, so each ratio lies in [sqrt(s_e - b_e) / sqrt(s_d + b_d),
+    freed, five at most. embed_batch runs first, before the tables exist,
+    and holds one query group's buffers at a time. Each screened squared
+    distance s is within b = geometry._gram_bound(dim, ||a||, ||b||) of the
+    exact kernel's, so each ratio lies in [sqrt(s_e - b_e) / sqrt(s_d + b_d),
     sqrt(s_e + b_e) / sqrt(s_d - b_d)], widened by 4 eps. A pair is
     recomputed with the exact kernel (bit-identical to distance_matrix) when
       - s_d - b_d <= 2 b_d, which decides pair_count: every pair with exact

@@ -208,6 +208,12 @@ class TestVerifyAndEval:
                      "max_ratio_dev, max_residual, ratio_max", id="eval-key"),
         pytest.param(["eval", "--queries-per-mode", "2", "--assert", "distortion=x"],
                      "--assert value must be numeric, got 'distortion=x'", id="eval-value"),
+        # No value is at most NaN, so a NaN bound is no bound: refused, not
+        # run to an assert failure.
+        pytest.param(["verify-chd", "--samples", "100", "--assert", "max_violation=nan"],
+                     "--assert value must be numeric, got 'max_violation=nan'", id="verify-nan"),
+        pytest.param(["eval", "--queries-per-mode", "2", "--assert", "distortion=NaN"],
+                     "--assert value must be numeric, got 'distortion=NaN'", id="eval-nan"),
     ])
     def test_bad_assert_is_refused_before_any_work(self, tmp_path, bundle, capsys, argv, message):
         # A usage error (exit 1) before the bundle is read: no report is
@@ -218,6 +224,13 @@ class TestVerifyAndEval:
             rc = main([command, str(target), *flags, "--report", str(report)])
             assert rc == 1 and not report.exists()
             assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("bound,code", [("inf", 0), ("-inf", 3)])
+    def test_infinite_assert_bounds_are_bounds(self, tmp_path, bundle, capsys, bound, code):
+        rc = main(["verify-chd", str(bundle), "--samples", "100", "--assert", f"max_violation={bound}",
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == code and (tmp_path / "r.json").exists()
+        assert ("assert failed: max_violation=" in capsys.readouterr().err) == (code == 3)
 
     @pytest.mark.parametrize("mode,key", [
         *(pytest.param("sketch", key, id=key) for key in ("witness_weights", "witness_tier", "tier_max")),

@@ -1049,6 +1049,59 @@ class TestTerminalImagesOnAccess:
         assert held < X.n * E.out_dim * 8 / 4
 
 
+def _traced(call):
+    """(result, traced peak, traced bytes still held) of call(), both from
+    the bytes traced before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, held - base
+
+
+class TestBatchFootprint:
+    """The work buffers that embed_batch and evaluate document: one query
+    group's warm starts at a time, and beside evaluate's two (q, n) tables
+    two block buffers of the Gram screens."""
+
+    def test_embed_batch_holds_one_group_at_a_time(self):
+        # 392 queries in groups of 129: three full groups and a tail.
+        rng = np.random.default_rng(36)
+        n, d, m = 600, 64, 40
+        X = build_point_set(rng.standard_normal((n, d)))
+        E = build_embedder(X, generate_sketch(m, d, "rademacher", 2), 0.25, SolverConfig(max_iters=20))
+        g = extension._group_rows(n, d, m)
+        Q = X.points[rng.integers(0, n, 3 * g + 5)] + 0.5 * rng.standard_normal((3 * g + 5, d))
+        E.embed_batch(Q[:1])  # the caches of X and E, kept past the call
+        (images, _), peak, held = _traced(lambda: E.embed_batch(Q))
+        assert images.shape == (Q.shape[0], m + 1) and held >= images.nbytes
+        # One group's buffers, 3n + 3d + m values per query (3n of them the
+        # products over X and Pi X), plus 128 KiB for one solve's O(n)
+        # temporaries. A second group's would add 1.8 MB.
+        assert peak <= held + 8 * (3 * n + 3 * d + m) * g + 2**17
+
+    def test_evaluate_holds_two_tables_and_two_block_buffers(self):
+        # The tight shape: n = 600, d = 256, m = 52, the default suite.
+        rng = np.random.default_rng(35)
+        X = build_point_set(rng.standard_normal((600, 256)))
+        E = build_embedder(X, generate_sketch(52, 256, "rademacher", 1), 0.25, SolverConfig(max_iters=50))
+        queries, labels = sample_suite(X, 25, seed=3)
+        E.embed_batch(queries[:1])
+        report, peak, _ = _traced(lambda: evaluate(E, queries, labels))
+        q, n, out_dim = queries.shape[0], X.n, E.out_dim
+        assert report.pair_count == q * n - 25  # the member queries' own terminals
+        tables = 2 * 8 * q * n
+        block = 8 * geometry._screen_rows(n, X.d, out_dim) * n
+        images = 8 * (n + q) * out_dim  # terminal_images and the query images
+        # Slack: the per-query records (under 512 B each) and 256 KiB for the
+        # screens' masks and norms and numpy's iteration buffers. The six
+        # buffers of two Gram screens would add 1 MB.
+        assert peak <= tables + 2 * block + images + 512 * q + 2**18
+
+
 class TestIdentityEquality:
     """The dataclasses that hold arrays compare and hash by identity; the
     value-only ones (SolverConfig, DimensionPlan) keep ==."""

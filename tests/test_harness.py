@@ -588,7 +588,7 @@ class TestEvaluateScreen:
         def no_screen(*args):
             raise AssertionError("evaluate ran a Gram screen")
 
-        monkeypatch.setattr(harness, "_gram_screen", no_screen)
+        monkeypatch.setattr(harness, "_gram_rows", no_screen)
         q, labels = sample_suite(X, 4, seed=5, modes=self.MODES)
         for keep_raw in (False, True):
             got = evaluate(E, q, labels, keep_raw=keep_raw)
